@@ -232,14 +232,12 @@ def cmd_experiment(args, cfg: Config) -> tuple:
     which = args.which
     if which == "counterdensity":
         ks = [int(k) for k in args.K.split(",")]
-        rows = []
-        for k in ks:
-            pair = build_pair(k)
-            rows.append({
-                "K": k,
-                "left": density_defect(pair, Side.LEFT, cfg),
-                "star": density_defect(pair, Side.STAR, cfg),
-            })
+        # every K is checked before the first solve
+        pairs = [build_pair(k) for k in ks]
+        rows = [{"K": pair.k,
+                 "left": density_defect(pair, Side.LEFT, cfg),
+                 "star": density_defect(pair, Side.STAR, cfg)}
+                for pair in pairs]
         control = {
             "K": ks[0],
             "star_identity_r": density_defect(
@@ -249,9 +247,11 @@ def cmd_experiment(args, cfg: Config) -> tuple:
                 "note": "trends at truncation are heuristic evidence; "
                         "density itself is an asymptotic statement"}, 0
     if which == "weyl":
+        # the refined grid first: its size check is the one that can
+        # refuse, and it must do so before anything is allocated
+        w2 = weyl_build(args.alpha, args.beta, 2 * args.M, args.L)
         w = weyl_build(args.alpha, args.beta, args.M, args.L)
         rel = weyl_relations_check(w)
-        w2 = weyl_build(args.alpha, args.beta, 2 * args.M, args.L)
         rel2 = weyl_relations_check(w2)
         floor = 8 * w.dt
         eps_seq = [floor * 4, floor * 2, floor]

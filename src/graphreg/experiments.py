@@ -8,11 +8,20 @@ from the left while x* does not: the corner projection P₀ (onto the
 k = 0 row) satisfies P₀·s = 0, so the P₀-rows of x*·y are throttled by
 the decaying diagonal.  At truncation K this shows up as two trends of a
 constrained least-squares residual: decreasing for x, floored for x*.
+Neither s nor r moves the second index j, so x is the direct sum over j
+of K blocks x_j = (S, diag(λ_{·j}); 0, Sᵀ) of size 2K, S the K x K
+shift, and every target column lives in a single block.  The residual
+is computed block by block; the dense 2K² x 2K² matrix is never needed.
+K is limited to [8, 64].
 
 The Weyl demo samples the resolvents x = (Q - αi)^{-1} (diagonal) and
 y = (P - βi)^{-1} (exponential quadrature kernel, β < 0) on a uniform
 grid and measures the fraction-algebra relations and the window-state
-limits that identify the characters of the algebra.
+limits that identify the characters of the algebra.  Because x is
+diagonal, every product with x is a row or column scaling of y, the
+x-only relations are exact on the diagonal, and the window averages
+are matrix-vector products; only y and its products are dense.  The
+grid has between 256 and 4096 points.
 """
 
 from __future__ import annotations
@@ -96,15 +105,37 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
 
 @dataclass
 class TruncatedOperatorPair:
-    """x = (s r; 0 s*) on a K x K truncation of l²(ℕ²)."""
+    """x = (s r; 0 s*) on a K x K truncation of l²(ℕ²).
+
+    Only K and the diagonal λ of r are stored: x is the direct sum of
+    the K blocks ``block(j)``, and the dense matrix is assembled on access.
+    """
 
     k: int
-    x: np.ndarray
     lam: np.ndarray
 
     @property
     def hilbert_dim(self) -> int:
         return self.k * self.k
+
+    def block(self, j: int) -> np.ndarray:
+        """x_j = (S, diag(λ_{·j}); 0, Sᵀ) on the span of the (i, j) basis
+        vectors of both halves, ordered by half, then by i."""
+        k = self.k
+        shift = np.eye(k, k=-1)
+        return np.block([[shift, np.diag(self.lam[:, j])],
+                         [np.zeros((k, k)), shift.T]])
+
+    @property
+    def x(self) -> np.ndarray:
+        """The dense 2K² x 2K² operator, index (half, i, j) ↦ half·K² + i·K + j."""
+        k, n = self.k, self.hilbert_dim
+        x = np.zeros((2 * n, 2 * n), dtype=complex)
+        rows = np.arange(k) * k
+        for j in range(k):
+            idx = np.concatenate([rows + j, n + rows + j])
+            x[np.ix_(idx, idx)] = self.block(j)
+        return x
 
     def decay_ok(self) -> bool:
         """λ > 0 with anti-diagonal maxima vanishing as k+l grows."""
@@ -120,22 +151,13 @@ class TruncatedOperatorPair:
 
 
 def build_pair(k: int, identity_r: bool = False) -> TruncatedOperatorPair:
-    n = k * k
-
-    def idx(i, j):
-        return i * k + j
-
-    s = np.zeros((n, n), dtype=complex)
-    for i in range(k - 1):
-        for j in range(k):
-            s[idx(i + 1, j), idx(i, j)] = 1.0
+    if not (8 <= k <= 64):
+        raise BadParameters("K must be between 8 and 64")
     if identity_r:
         lam = np.ones((k, k))
     else:
         lam = np.array([[1.0 / (1 + i + j) for j in range(k)] for i in range(k)])
-    r = np.diag(lam.reshape(-1)).astype(complex)
-    x = np.block([[s, r], [np.zeros((n, n), dtype=complex), s.conj().T]])
-    return TruncatedOperatorPair(k, x, lam)
+    return TruncatedOperatorPair(k, lam)
 
 
 class Side(enum.Enum):
@@ -150,23 +172,30 @@ def density_defect(pair: TruncatedOperatorPair, side: Side,
 
     The target is (0 0; 0 P₀) with P₀ the projection onto the k = 0 row;
     it has K nonzero columns, and for each the best unit-ball preimage is
-    a trust-region least-squares problem solved through one SVD of x.
-    Optimal preimage columns have disjoint supports, so the assembled y
-    stays in the unit ball and the columnwise optimum is exact.
+    a trust-region least-squares problem.  Target column l is row K of
+    block l, so each problem is solved through the SVD of that block
+    alone.  Optimal preimage columns have disjoint supports, so the
+    assembled y stays in the unit ball and the columnwise optimum is exact.
     """
-    if not (8 <= pair.k <= 64):
-        raise BadParameters("K must be between 8 and 64")
-    mat = pair.x.conj().T if side is Side.STAR else pair.x
-    n = pair.hilbert_dim
-    u, s, vh = np.linalg.svd(mat)
+    k = pair.k
+    e = np.zeros(2 * k)
+    e[k] = 1.0  # second half, i = 0: target column l inside block l
     total = 0.0
-    for l in range(pair.k):
-        e = np.zeros(2 * n, dtype=complex)
-        e[n + l] = 1.0  # block 2, row index (0, l)
+    for l in range(k):
+        mat = pair.block(l)
+        if side is Side.STAR:
+            mat = mat.conj().T
+        u, s, vh = np.linalg.svd(mat)
         beta = u.conj().T @ e
+        # null directions only lengthen the preimage, so they get weight 0
+        # (the μ ↓ 0 limit of s / (s² + μ)); this also keeps μ = 0 finite
+        live = s > 0
+
+        def gain(mu):
+            return np.divide(s, s ** 2 + mu, out=np.zeros_like(s), where=live)
 
         def vnorm(mu):
-            return float(np.linalg.norm(s / (s ** 2 + mu) * beta))
+            return float(np.linalg.norm(gain(mu) * beta))
 
         if vnorm(0.0) <= 1.0:
             mu = 0.0
@@ -181,14 +210,9 @@ def density_defect(pair: TruncatedOperatorPair, side: Side,
                 else:
                     hi = mid
             mu = hi
-        v = vh.conj().T @ (s / (s ** 2 + mu) * beta)
+        v = vh.conj().T @ (gain(mu) * beta)
         total += float(np.linalg.norm(e - mat @ v) ** 2)
-    return float(np.sqrt(total) / np.sqrt(pair.k))
-
-
-def density_defect_sweep(ks, side: Side, identity_r: bool = False,
-                         cfg: Config = DEFAULT) -> dict:
-    return {k: density_defect(build_pair(k, identity_r), side, cfg) for k in ks}
+    return float(np.sqrt(total) / np.sqrt(k))
 
 
 # -- Weyl fraction algebra ----------------------------------------------------------
@@ -206,16 +230,22 @@ class WeylGrid:
     y: np.ndarray
 
 
+WEYL_MAX_M = 4096
+
+
 def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     """Exact resolvent samples on a uniform midpoint grid of [-L, L].
 
     x is diagonal; y is the quadrature of the one-sided exponential
-    kernel of (P - βi)^{-1}, which requires β < 0.
+    kernel of (P - βi)^{-1}, which requires β < 0.  The grid size is
+    checked before any M x M matrix is allocated.
     """
     if alpha == 0 or beta >= 0:
         raise BadParameters("need alpha != 0 and beta < 0")
     if m < 256:
         raise BadParameters("need at least 256 grid points")
+    if m > WEYL_MAX_M:
+        raise BadParameters(f"at most {WEYL_MAX_M} grid points")
     dt = 2 * length / m
     t = -length + (np.arange(m) + 0.5) * dt
     x = np.diag(1.0 / (t - 1j * alpha))
@@ -232,7 +262,6 @@ class WeylRelationReport:
     rel1_y: float              # y - y* = 2βi y*y, raw (edge-limited, O(1))
     rel1_y_damped: float       # x(y - y* - 2βi y*y)x (shrinks with the grid)
     rel2: float                # xy - yx = i x y² x (quadrature error)
-    rel2_alt: float            # xy - yx = i y x² y
     rel2_star: float           # xy* - y*x = i x y*² x
     yx_singular_values: np.ndarray
 
@@ -250,24 +279,32 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     not converge in operator norm on a finite window (the kernel loses
     O(1) tail mass near the right edge); its x-compressed version, which
     is what the fraction algebra actually sees, does.
+
+    x enters only through its diagonal d: products with x are row or
+    column scalings, and the x-only residuals are diagonal, so their
+    2-norm is a max-abs.
     """
-    x, y = w.x, w.y
-    xs, ys = x.conj().T, y.conj().T
+    d, y = np.diag(w.x), w.y
+    ds, ys = d.conj(), y.conj().T
     a2 = 2j * w.alpha
-    rel1_x = np.linalg.norm((x - xs) - a2 * (xs @ x), 2)
-    rel1_chain = np.linalg.norm(a2 * (xs @ x) - a2 * (x @ xs), 2)
+    rel1_x = np.abs((d - ds) - a2 * (ds * d)).max()
+    rel1_chain = np.abs(a2 * (ds * d) - a2 * (d * ds)).max()
     ydefect = (y - ys) - 2j * w.beta * (ys @ y)
     rel1_y = np.linalg.norm(ydefect, 2)
-    rel1_y_damped = np.linalg.norm(x @ ydefect @ x, 2)
-    comm = x @ y - y @ x
-    rel2 = np.linalg.norm(comm - 1j * (x @ y @ y @ x), 2)
-    rel2_alt = np.linalg.norm(comm - 1j * (y @ x @ x @ y), 2)
-    comm_star = x @ ys - ys @ x
-    rel2_star = np.linalg.norm(comm_star - 1j * (x @ ys @ ys @ x), 2)
-    sv = np.linalg.svd(y @ x, compute_uv=False)
+
+    def sandwich(mat):  # x·mat·x
+        return d[:, None] * mat * d[None, :]
+
+    rel1_y_damped = np.linalg.norm(sandwich(ydefect), 2)
+    yy = y @ y
+    comm = d[:, None] * y - y * d[None, :]
+    rel2 = np.linalg.norm(comm - 1j * sandwich(yy), 2)
+    comm_star = d[:, None] * ys - ys * d[None, :]
+    rel2_star = np.linalg.norm(comm_star - 1j * sandwich(yy.conj().T), 2)
+    sv = np.linalg.svd(y * d[None, :], compute_uv=False)
     return WeylRelationReport(float(rel1_x), float(rel1_chain), float(rel1_y),
                               float(rel1_y_damped), float(rel2),
-                              float(rel2_alt), float(rel2_star), sv)
+                              float(rel2_star), sv)
 
 
 @dataclass
@@ -288,9 +325,11 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq,
     ω is the L²-normalized indicator of [λ, λ+ε] on the grid; widths
     below 8 grid cells are refused.  As ε ↓ 0 the x-average approaches
     (λ - αi)^{-1} while every y- and yx-average drains to zero, which is
-    the character structure of the algebra.
+    the character structure of the algebra.  Each A ω is a chain of
+    matrix-vector products, x acting as its diagonal.
     """
     rows = []
+    d = np.diag(w.x)
     target = 1.0 / (lam - 1j * w.alpha)
     for eps in eps_seq:
         cells = int(round(eps / w.dt))
@@ -303,22 +342,22 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq,
         omega[j0 : j0 + cells] = 1.0
         omega /= np.sqrt(cells * w.dt)
 
-        def avg(mat):
-            return complex((omega.conj() @ (mat @ omega)) * w.dt)
+        def avg(vec):  # ⟨A ω, ω⟩ for vec = A ω
+            return complex((omega.conj() @ vec) * w.dt)
 
-        xval = avg(w.x)
-        yx = w.y @ w.x
+        xval = avg(d * omega)
+        y_omega = w.y @ omega
         rows.append(WeylLimitRow(
             eps=float(eps),
             cells=cells,
             norm_w=float(np.sum(np.abs(omega) ** 2) * w.dt),
             x_value=xval,
             x_error=float(abs(xval - target)),
-            y_value=float(abs(avg(w.y))),
+            y_value=float(abs(avg(y_omega))),
             yx_values={
-                "1": float(abs(avg(yx))),
-                "x": float(abs(avg(yx @ w.x))),
-                "y": float(abs(avg(yx @ w.y))),
+                "1": float(abs(avg(w.y @ (d * omega)))),
+                "x": float(abs(avg(w.y @ (d * (d * omega))))),
+                "y": float(abs(avg(w.y @ (d * y_omega)))),
             },
         ))
     return rows

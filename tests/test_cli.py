@@ -134,3 +134,10 @@ def test_counterdensity_experiment_single_k():
 def test_bad_experiment_parameters_are_input_errors():
     run_cli("experiment", "--which", "counterdensity", "--K", "4", expect=1)
     run_cli("experiment", "--which", "weyl", "--beta", "1.0", expect=1)
+
+
+def test_oversized_experiment_parameters_are_input_errors():
+    # refused before the large matrices are allocated
+    run_cli("experiment", "--which", "counterdensity", "--K", "8,100", expect=1)
+    # M itself is allowed, its refined grid 2M is not
+    run_cli("experiment", "--which", "weyl", "--M", "4096", expect=1)

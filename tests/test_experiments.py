@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,172 @@ class TestWeyl:
         w = weyl_build(1.0, -1.0, 512, 20.0)
         with pytest.raises(EpsilonBelowGrid):
             weyl_limits_check(w, 0.0, [4 * w.dt])
+
+
+# -- dense oracles for the structured experiments -----------------------------------
+#
+# The library solves the counterdensity problems block by block and treats
+# the Weyl x as its diagonal.  These references build the dense operators
+# and solve on them directly, as the experiments did before the structure
+# was used.
+
+ORACLE_TOL = 1e-12
+
+
+def assert_agrees(value, ref):
+    # absolute near 0, relative otherwise
+    assert abs(value - ref) <= ORACLE_TOL * max(1.0, abs(ref)), (value, ref)
+
+
+def dense_pair_x(pair):
+    k = pair.k
+    n = k * k
+
+    def idx(i, j):
+        return i * k + j
+
+    s = np.zeros((n, n), dtype=complex)
+    for i in range(k - 1):
+        for j in range(k):
+            s[idx(i + 1, j), idx(i, j)] = 1.0
+    r = np.diag(pair.lam.reshape(-1)).astype(complex)
+    return np.block([[s, r], [np.zeros((n, n), dtype=complex), s.conj().T]])
+
+
+def dense_density_defect(pair, side):
+    x = dense_pair_x(pair)
+    mat = x.conj().T if side is Side.STAR else x
+    n = pair.hilbert_dim
+    u, s, vh = np.linalg.svd(mat)
+    total = 0.0
+    for l in range(pair.k):
+        e = np.zeros(2 * n, dtype=complex)
+        e[n + l] = 1.0
+        beta = u.conj().T @ e
+
+        def vnorm(mu):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return float(np.linalg.norm(s / (s ** 2 + mu) * beta))
+
+        if vnorm(0.0) <= 1.0:
+            mu = 0.0
+        else:
+            lo, hi = 0.0, 1.0
+            while vnorm(hi) > 1.0:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if vnorm(mid) > 1.0:
+                    lo = mid
+                else:
+                    hi = mid
+            mu = hi
+        v = vh.conj().T @ (s / (s ** 2 + mu) * beta)
+        total += float(np.linalg.norm(e - mat @ v) ** 2)
+    return float(np.sqrt(total) / np.sqrt(pair.k))
+
+
+def dense_relations(w):
+    x, y = w.x, w.y
+    xs, ys = x.conj().T, y.conj().T
+    a2 = 2j * w.alpha
+    ydefect = (y - ys) - 2j * w.beta * (ys @ y)
+    comm = x @ y - y @ x
+    comm_star = x @ ys - ys @ x
+    norm = lambda a: float(np.linalg.norm(a, 2))  # noqa: E731
+    return {
+        "rel1_x": norm((x - xs) - a2 * (xs @ x)),
+        "rel1_x_chain": norm(a2 * (xs @ x) - a2 * (x @ xs)),
+        "rel1_y": norm(ydefect),
+        "rel1_y_damped": norm(x @ ydefect @ x),
+        "rel2": norm(comm - 1j * (x @ y @ y @ x)),
+        "rel2_star": norm(comm_star - 1j * (x @ ys @ ys @ x)),
+    }, np.linalg.svd(y @ x, compute_uv=False)
+
+
+def dense_limits(w, lam, eps_seq):
+    rows = []
+    for eps in eps_seq:
+        cells = int(round(eps / w.dt))
+        j0 = int(np.searchsorted(w.t, lam))
+        omega = np.zeros(w.m)
+        omega[j0 : j0 + cells] = 1.0
+        omega /= np.sqrt(cells * w.dt)
+
+        def avg(mat):
+            return complex((omega.conj() @ (mat @ omega)) * w.dt)
+
+        yx = w.y @ w.x
+        rows.append((avg(w.x), abs(avg(w.y)),
+                     {"1": abs(avg(yx)), "x": abs(avg(yx @ w.x)),
+                      "y": abs(avg(yx @ w.y))}))
+    return rows
+
+
+class TestStructuredAgainstDense:
+    def test_dense_x_matches_reference_construction(self):
+        for identity_r in (False, True):
+            pair = build_pair(8, identity_r)
+            assert np.array_equal(pair.x, dense_pair_x(pair))
+
+    # the blocks have exact zero singular values; they must not turn into
+    # NaN on the way to the μ = 0 step
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [8, 16])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.STAR])
+    def test_density_defect_matches_full_svd(self, k, side):
+        pair = build_pair(k)
+        assert_agrees(density_defect(pair, side),
+                      dense_density_defect(pair, side))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_identity_r_control_matches_full_svd(self):
+        pair = build_pair(8, identity_r=True)
+        assert_agrees(density_defect(pair, Side.STAR),
+                      dense_density_defect(pair, Side.STAR))
+
+    def test_relations_match_dense_products(self):
+        w = weyl_build(1.0, -1.0, 256, 20.0)
+        rep = weyl_relations_check(w)
+        ref, ref_sv = dense_relations(w)
+        for key, value in ref.items():
+            assert_agrees(getattr(rep, key), value)
+        assert np.abs(rep.yx_singular_values - ref_sv).max() <= ORACLE_TOL
+
+    def test_limits_match_dense_products(self):
+        w = weyl_build(1.0, -1.0, 256, 20.0)
+        eps_seq = [32 * w.dt, 16 * w.dt, 8 * w.dt]
+        rows = weyl_limits_check(w, 0.0, eps_seq)
+        for row, (xval, yval, yx) in zip(rows, dense_limits(w, 0.0, eps_seq)):
+            assert_agrees(row.x_value, xval)
+            assert_agrees(row.y_value, yval)
+            for key, value in yx.items():
+                assert_agrees(row.yx_values[key], value)
+
+
+# -- size limits checked before allocation -------------------------------------------
+
+
+def test_build_pair_refuses_huge_k_before_allocating():
+    with pytest.raises(BadParameters):
+        build_pair(10_000)
+
+
+def test_build_pair_stays_small():
+    # the dense x at K = 24 alone would take 2·24² squared complex entries
+    # (21 MB); the pair keeps only λ
+    tracemalloc.start()
+    try:
+        build_pair(24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_weyl_build_refuses_huge_grid_before_allocating():
+    with pytest.raises(BadParameters):
+        weyl_build(1.0, -1.0, 10**6, 20.0)
 
 
 # -- auxiliary transform identities exercised on matrices ----------------------------
