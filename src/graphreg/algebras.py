@@ -44,23 +44,17 @@ class BlockAlgebra:
             m.shape != (n, n) for m, n in zip(self.masks, sizes)
         ):
             raise ValueError("mask shapes must match block sizes")
-        # coordinate order: blockwise row-major over allowed entries
-        entries = []
-        for p, (n, off) in enumerate(zip(sizes, self.offsets)):
-            for i in range(n):
-                for j in range(n):
-                    if self.masks[p][i, j]:
-                        entries.append((off + i, off + j))
-        self._entries = tuple(entries)
-        self.dim = len(entries)
-        # all block-diagonal entries, for ambient-valued constraint maps
-        full = []
-        for n, off in zip(sizes, self.offsets):
-            for i in range(n):
-                for j in range(n):
-                    full.append((off + i, off + j))
-        self._full_entries = tuple(full)
-        self.full_dim = len(full)
+        # allowed entries and the block diagonal of the ambient N x N
+        # matrix; row-major order over them is blockwise row-major, the
+        # coordinate order
+        self.allowed = np.zeros((self.N, self.N), dtype=bool)
+        self.blocks = np.zeros((self.N, self.N), dtype=bool)
+        for m, n, off in zip(self.masks, sizes, self.offsets):
+            self.allowed[off : off + n, off : off + n] = m
+            self.blocks[off : off + n, off : off + n] = True
+        self._entries = np.nonzero(self.allowed)
+        self._offmask = np.nonzero(~self.allowed)
+        self.dim = len(self._entries[0])
 
     def __eq__(self, other):
         return (
@@ -79,22 +73,18 @@ class BlockAlgebra:
     # -- coordinates ----------------------------------------------------
 
     def to_matrix(self, coords) -> np.ndarray:
-        m = np.zeros((self.N, self.N), dtype=complex)
-        for v, (i, j) in zip(np.asarray(coords, dtype=complex), self._entries):
-            m[i, j] = v
+        """Ambient matrix of coordinates; a (..., dim) stack gives (..., N, N)."""
+        coords = np.asarray(coords, dtype=complex)
+        m = np.zeros(coords.shape[:-1] + (self.N, self.N), dtype=complex)
+        m[(...,) + self._entries] = coords
         return m
 
     def to_coords(self, matrix) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=complex)
-        return np.array([matrix[i, j] for i, j in self._entries])
-
-    def to_full_coords(self, matrix) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=complex)
-        return np.array([matrix[i, j] for i, j in self._full_entries])
+        return np.asarray(matrix, dtype=complex)[(...,) + self._entries]
 
     def basis_matrices(self):
         """Matrix units spanning the algebra, in coordinate order."""
-        for i, j in self._entries:
+        for i, j in zip(*self._entries):
             m = np.zeros((self.N, self.N), dtype=complex)
             m[i, j] = 1.0
             yield m
@@ -106,49 +96,63 @@ class BlockAlgebra:
 
     def offmask_residual(self, matrix) -> float:
         """Largest |entry| of ``matrix`` outside the mask (incl. off-block)."""
-        m = np.asarray(matrix, dtype=complex)
-        allowed = np.zeros((self.N, self.N), dtype=bool)
-        for i, j in self._entries:
-            allowed[i, j] = True
-        bad = np.abs(np.where(allowed, 0.0, m))
-        return float(bad.max()) if bad.size else 0.0
+        return _max_abs(np.asarray(matrix, dtype=complex)[self._offmask])
 
     def contains(self, matrix, tol=1e-10) -> bool:
         return self.offmask_residual(matrix) <= tol
 
     def is_left_multiplier(self, matrix, tol=1e-10) -> bool:
-        """T with T·A ⊆ A, tested on the matrix-unit basis."""
-        return all(self.contains(matrix @ e, tol) for e in self.basis_matrices())
+        """T with T·A ⊆ A: no T·e leaves the mask, e a matrix unit."""
+        return _max_abs(self.left_mult_map(matrix, onto=~self.allowed)) <= tol
 
     def is_multiplier(self, matrix, tol=1e-10) -> bool:
-        """T with T·A ⊆ A and A·T ⊆ A."""
-        return self.is_left_multiplier(matrix, tol) and all(
-            self.contains(e @ matrix, tol) for e in self.basis_matrices()
-        )
+        """T with T·A ⊆ A and A·T ⊆ A.
 
-    def closed_under_product(self, tol=1e-12) -> bool:
-        units = list(self.basis_matrices())
-        return all(self.contains(e @ f, tol) for e in units for f in units)
+        Entry (k,l) of e_ij·T is T[j,l] when k = i, and 0 otherwise.
+        """
+        if not self.is_left_multiplier(matrix, tol):
+            return False
+        (k, l), (i, j) = self._offmask, self._entries
+        m = np.asarray(matrix, dtype=complex)
+        right = np.where(k[:, None] == i, m[j, l[:, None]], 0)
+        return _max_abs(right) <= tol
+
+    def closed_under_product(self) -> bool:
+        """e_ij·e_jl = e_il must stay on the mask for all allowed units."""
+        reach = self.allowed.astype(int) @ self.allowed.astype(int) > 0
+        return not np.any(reach & ~self.allowed)
 
     # -- operators as scalar-linear maps on coordinates -----------------
 
-    def left_mult_map(self, matrix) -> np.ndarray:
-        """dim x dim matrix of x ↦ T·x in algebra coordinates.
+    def left_mult_map(self, matrix, onto=None) -> np.ndarray:
+        """Matrix of x ↦ T·x from algebra coordinates to the ambient
+        entries selected by the boolean N x N mask ``onto`` (default: the
+        algebra's own coordinates).
 
-        Requires T·A ⊆ A; entries that leave the mask are dropped by the
-        coordinate projection, so callers should check multiplier
-        membership first when it matters.
+        Column (i,j) is T·e_ij, whose entry (k,l) is T[k,i] when l = j.
+        A stack of matrices (..., N, N) gives a stack of maps.  With the
+        default target T·A ⊆ A is required; entries that leave the mask
+        are dropped, so callers should check multiplier membership first
+        when it matters.
         """
-        cols = [self.to_coords(matrix @ e) for e in self.basis_matrices()]
-        return np.column_stack(cols) if cols else np.zeros((0, 0), complex)
+        k, l = self._entries if onto is None else np.nonzero(onto)
+        i, j = self._entries
+        m = np.asarray(matrix, dtype=complex)
+        return np.where(l[:, None] == j, m[..., k[:, None], i], 0)
 
-    def right_mult_maps(self):
-        """Coordinate matrices of x ↦ x·e for every basis unit e."""
-        maps = []
-        for e in self.basis_matrices():
-            cols = [self.to_coords(f @ e) for f in self.basis_matrices()]
-            maps.append(np.column_stack(cols))
-        return maps
+    def right_mult_maps(self) -> np.ndarray:
+        """Coordinate matrices of x ↦ x·e for every basis unit e, stacked
+        as (dim, dim, dim): entry (e, a, b) is 1 when unit b times e is
+        unit a (same row, column of b = row of e, column of a = column of e).
+        """
+        r, c = self._entries
+        re, ra, rb = r[:, None, None], r[None, :, None], r[None, None, :]
+        ce, ca, cb = c[:, None, None], c[None, :, None], c[None, None, :]
+        return ((ra == rb) & (cb == re) & (ca == ce)).astype(complex)
+
+
+def _max_abs(values) -> float:
+    return float(np.abs(values).max()) if np.size(values) else 0.0
 
 
 def matrix_algebra(n: int) -> BlockAlgebra:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 
 
@@ -53,11 +54,26 @@ class Config:
 
     @staticmethod
     def from_dict(data: dict) -> "Config":
-        known = {f.name for f in dataclasses.fields(Config)}
-        unknown = set(data) - known
+        """Overrides from a JSON object, each checked against its field:
+        integer fields take integers (not booleans), float fields take
+        finite reals, and every value must be positive."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
+        defaults = {f.name: f.default for f in dataclasses.fields(Config)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return Config(**data)
+        values = {}
+        for key, value in data.items():
+            kind = type(defaults[key])
+            accepted = (int,) if kind is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                noun = "an integer" if kind is int else "a real number"
+                raise ValueError(f"{key} must be {noun}, got {value!r}")
+            if not 0 < value <= sys.float_info.max:
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
+            values[key] = kind(value)
+        return Config(**values)
 
     @staticmethod
     def load(path: str) -> "Config":

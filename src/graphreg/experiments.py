@@ -84,9 +84,8 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
                    algebra.is_multiplier(res.conj().T))
     # density of R·A and R*·A as ranks of the left actions
     def rank_of(mat):
-        cols = [algebra.to_full_coords(mat @ e) for e in algebra.basis_matrices()]
-        return int(np.linalg.matrix_rank(np.column_stack(cols),
-                                         tol=cfg.subspace_tol))
+        action = algebra.left_mult_map(mat, onto=algebra.blocks)
+        return int(np.linalg.matrix_rank(action, tol=cfg.subspace_tol))
 
     rk, rks = rank_of(res), rank_of(res.conj().T)
     failed = []

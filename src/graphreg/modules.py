@@ -8,6 +8,14 @@ of the algebra.  The A-valued orthogonal complement {x : <g,x> = 0 for
 all g} is the nullspace of a stacked constraint matrix; graphs of
 operators are submodules of E ⊕ E and adjoints come from the unitary
 v(x,y) = (-y,x) applied to the complement of the graph.
+
+Only what the answers read is computed.  The nullspace of a constraint
+matrix with at least as many rows as columns comes from the reduced SVD
+(its right factor is already square; the left one is never read).  The
+constraint matrices and the right action are numpy gathers over the
+algebra's coordinate index arrays, not loops over matrix units.  A
+regularity verdict forms Def(t)^⊥, Graph(t)^⊥ and Graph(t)^⊥⊥ once each
+and builds the adjoint graph from the Graph(t)^⊥ already in hand.
 """
 
 from __future__ import annotations
@@ -34,21 +42,17 @@ def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
 
 
 def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the right nullspace."""
+    """Orthonormal basis of the right nullspace.
+
+    With rows >= cols the reduced SVD already returns the full square vh;
+    only a wide matrix needs the full one.
+    """
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
     r = int(np.sum(s > cutoff))
     return vh[r:].conj().T
-
-
-def subspace_overlap(b1: np.ndarray, b2: np.ndarray) -> float:
-    """Largest cosine of a principal angle between two orthonormal spans."""
-    if b1.shape[1] == 0 or b2.shape[1] == 0:
-        return 0.0
-    s = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
-    return float(min(s[0], 1.0))
 
 
 def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
@@ -98,11 +102,8 @@ class Submodule:
         basis = orthonormal_columns(v, cfg.subspace_tol)
         rmaps = algebra.right_mult_maps()
         while True:
-            images = [basis]
-            for r in rmaps:
-                big = np.kron(np.eye(ncomp), r)
-                images.append(big @ basis)
-            new = orthonormal_columns(np.hstack(images), cfg.subspace_tol)
+            images = _right_images(rmaps, ncomp, basis)
+            new = orthonormal_columns(np.hstack([basis, *images]), cfg.subspace_tol)
             if new.shape[1] == basis.shape[1]:
                 return Submodule(algebra, ncomp, new)
             basis = new
@@ -117,22 +118,15 @@ class Submodule:
 
     def right_action_residual(self) -> float:
         """How far v·e leaves the stored span; < tol certifies closure."""
-        worst = 0.0
+        images = _right_images(self.algebra.right_mult_maps(), self.ncomp,
+                               self.basis)
+        if images.size == 0:
+            return 0.0
         p = self.basis @ self.basis.conj().T
-        for r in self.algebra.right_mult_maps():
-            big = np.kron(np.eye(self.ncomp), r)
-            img = big @ self.basis
-            if img.size:
-                worst = max(worst, float(np.linalg.norm(img - p @ img, 2)))
-        return worst
+        return float(np.linalg.norm(images - p @ images, 2, axis=(1, 2)).max())
 
     def equals(self, other: "Submodule", cfg: Config = DEFAULT) -> bool:
         return same_span(self.basis, other.basis, cfg.subspace_tol)
-
-    def contains_vector(self, vec: np.ndarray, tol: float) -> bool:
-        v = np.asarray(vec, complex).ravel()
-        resid = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(resid)) <= tol * max(1.0, np.linalg.norm(v))
 
     def is_essential(self, cfg: Config = DEFAULT) -> bool:
         return orthogonal_complement(self, cfg).dim == 0
@@ -142,20 +136,24 @@ class Submodule:
         return self.equals(cc, cfg)
 
 
+def _right_images(rmaps: np.ndarray, ncomp: int, basis: np.ndarray) -> np.ndarray:
+    """basis·e for every unit e, component by component: (dim, rows, cols)."""
+    comps = basis.reshape(ncomp, rmaps.shape[1], basis.shape[1])
+    return (rmaps[:, None] @ comps).reshape(rmaps.shape[0], basis.shape[0], -1)
+
+
 def _constraint_rows(sub: Submodule) -> np.ndarray:
-    """Rows of x ↦ Σ_c G_c^* X_c (ambient-valued) for every basis column."""
+    """Rows of x ↦ Σ_c G_c^* X_c (ambient-valued) for every basis column.
+
+    Row (r, (a,b)) is basis column r and block-diagonal entry (a,b);
+    column (c, (i,j)) is component c and unit e_ij.  The entry is the
+    (a,b) entry of G_c^*·e_ij, conj(G_c[i,a]) when b = j.
+    """
     alg = sub.algebra
-    units = [alg.to_matrix(e) for e in np.eye(alg.dim, dtype=complex)]
-    rows = []
-    for col in sub.basis.T:
-        comps = col.reshape(sub.ncomp, alg.dim)
-        gmats = [alg.to_matrix(c).conj().T for c in comps]
-        # column k of the map: component c, unit u -> full coords of G_c^* u
-        block_cols = []
-        for g in gmats:
-            block_cols.extend(alg.to_full_coords(g @ u) for u in units)
-        rows.append(np.column_stack(block_cols))
-    return np.vstack(rows) if rows else np.zeros((0, sub.ncomp * alg.dim), complex)
+    comps = sub.basis.T.reshape(sub.dim, sub.ncomp, alg.dim)
+    gstar = alg.to_matrix(comps).conj().swapaxes(-1, -2)
+    rows = alg.left_mult_map(gstar, onto=alg.blocks)
+    return rows.transpose(0, 2, 1, 3).reshape(-1, sub.ncomp * alg.dim)
 
 
 def orthogonal_complement(sub: Submodule, cfg: Config = DEFAULT) -> Submodule:
@@ -168,14 +166,6 @@ def orthogonal_complement(sub: Submodule, cfg: Config = DEFAULT) -> Submodule:
         return Submodule.full(sub.algebra, sub.ncomp)
     basis = nullspace(_constraint_rows(sub), cfg.subspace_tol)
     return Submodule(sub.algebra, sub.ncomp, basis)
-
-
-def intersect(a: Submodule, b: Submodule, cfg: Config = DEFAULT) -> Submodule:
-    if a.dim == 0 or b.dim == 0:
-        return Submodule.zero(a.algebra, a.ncomp)
-    null = nullspace(np.hstack([a.basis, -b.basis]), cfg.subspace_tol)
-    vecs = a.basis @ null[: a.dim]
-    return Submodule(a.algebra, a.ncomp, orthonormal_columns(vecs, cfg.subspace_tol))
 
 
 def module_sum(a: Submodule, b: Submodule, cfg: Config = DEFAULT) -> Submodule:
@@ -279,25 +269,14 @@ class GraphOperator:
         The domain defaults to all of E intersected with the exact
         multiplication domain {x in A : T·x in A}.
         """
-        d = algebra.dim
-        units = [algebra.to_matrix(e) for e in np.eye(d, dtype=complex)]
         if domain is None:
             # exact multiplication domain: x with T·x supported on the mask
-            allowed = np.zeros((algebra.N, algebra.N), dtype=bool)
-            for i, j in algebra._entries:
-                allowed[i, j] = True
-            cons = np.column_stack(
-                [np.where(allowed, 0.0, matrix @ u).ravel() for u in units]
-            )
+            cons = algebra.left_mult_map(matrix, onto=~algebra.allowed)
             null = nullspace(cons, cfg.subspace_tol)
             domain = Submodule.from_vectors(algebra, 1, null.T, cfg)
-        cols = []
-        for col in domain.basis.T:
-            xmat = algebra.to_matrix(col)
-            ymat = matrix @ xmat
-            cols.append(np.concatenate([col, algebra.to_coords(ymat)]))
-        basis = orthonormal_columns(np.column_stack(cols) if cols else
-                                    np.zeros((2 * d, 0), complex), cfg.subspace_tol)
+        x = domain.basis
+        y = algebra.to_coords(matrix @ algebra.to_matrix(x.T)).T
+        basis = orthonormal_columns(np.vstack([x, y]), cfg.subspace_tol)
         return GraphOperator(algebra, Submodule(algebra, 2, basis))
 
     @staticmethod
@@ -314,17 +293,11 @@ class GraphOperator:
         (e.g. Def(t^*t) ⊊ A) that the collapsed graph calculus of a
         finite-dimensional model cannot see.
         """
-        allowed = np.zeros((algebra.N, algebra.N), dtype=bool)
-        for i, j in algebra._entries:
-            allowed[i, j] = True
-        units = [algebra.to_matrix(e) for e in np.eye(algebra.dim, dtype=complex)]
-        prod = [np.eye(algebra.N, dtype=complex)]
+        stage = np.eye(algebra.N, dtype=complex)
+        blocks = []
         for m in matrices:
-            prod.append(np.asarray(m, complex) @ prod[-1])
-        blocks = [
-            np.column_stack([np.where(allowed, 0.0, stage @ u).ravel() for u in units])
-            for stage in prod[1:]
-        ]
+            stage = np.asarray(m, complex) @ stage
+            blocks.append(algebra.left_mult_map(stage, onto=~algebra.allowed))
         null = nullspace(np.vstack(blocks), cfg.subspace_tol)
         return Submodule.from_vectors(algebra, 1, null.T, cfg)
 
@@ -364,32 +337,35 @@ class GraphOperator:
         x, y = self.graph.basis[:d], self.graph.basis[d:]
         return y @ np.linalg.pinv(x, rcond=cfg.subspace_tol)
 
-    def apply(self, vec: np.ndarray, cfg: Config = DEFAULT) -> np.ndarray:
-        return self.action_matrix(cfg) @ np.asarray(vec, complex)
-
     # -- adjoints and regularity -------------------------------------------
 
     def adjoint(self, cfg: Config = DEFAULT) -> "GraphOperator":
         """Graph(t^*) = v·Graph(t)^⊥ with v(x,y) = (-y, x)."""
-        dom = self.domain(cfg)
-        if not dom.is_essential(cfg):
+        if not self.domain(cfg).is_essential(cfg):
             raise NotEssentialDomain("Def(t)^⊥ ≠ {0}; adjoint is multivalued")
-        comp = orthogonal_complement(self.graph, cfg)
+        return self._adjoint_from(orthogonal_complement(self.graph, cfg))
+
+    def _adjoint_from(self, perp: Submodule) -> "GraphOperator":
+        """The operator with graph v·perp, perp = Graph(t)^⊥ already formed."""
         d = self.dim
-        swapped = np.vstack([-comp.basis[d:], comp.basis[:d]])
-        adj = GraphOperator(self.algebra, Submodule(self.algebra, 2, swapped))
-        return adj
+        swapped = np.vstack([-perp.basis[d:], perp.basis[:d]])
+        return GraphOperator(self.algebra, Submodule(self.algebra, 2, swapped))
 
     def regularity(self, cfg: Config = DEFAULT) -> RegularityVerdict:
-        """Graph-regularity via Range(1+t^*t) = E and Range(1+tt^*) = F."""
+        """Graph-regularity via Range(1+t^*t) = E and Range(1+tt^*) = F.
+
+        Def(t)^⊥, Graph(t)^⊥ and Graph(t)^⊥⊥ are each formed once; the
+        adjoint graph is v·Graph(t)^⊥.
+        """
         d = self.dim
         dom = self.domain(cfg)
         essential = bool(dom.is_essential(cfg))
-        closed = bool(self.graph.is_orthogonally_closed(cfg))
+        perp = orthogonal_complement(self.graph, cfg)
+        closed = bool(self.graph.equals(orthogonal_complement(perp, cfg), cfg))
         diagnostics = {}
         graph_regular = False
         if essential and closed:
-            adj = self.adjoint(cfg)
+            adj = self._adjoint_from(perp)
             tstar_t = compose_relations(adj.graph.basis, self.graph.basis,
                                         (d, d, d), cfg)
             t_tstar = compose_relations(self.graph.basis, adj.graph.basis,

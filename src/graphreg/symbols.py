@@ -466,7 +466,8 @@ class RegularityReport:
         }
 
 
-def _transform_symbol(m: PiecewiseSymbol, verified: dict, which: str) -> PiecewiseSymbol:
+def _transform_symbol(m: PiecewiseSymbol, verified: dict, which: str,
+                      cfg: Config) -> PiecewiseSymbol:
     """a = 1/(1+|m|²) or b = m/(1+|m|²), extended across punctures."""
     pieces = []
     for a, b, t in m.pieces:
@@ -485,7 +486,7 @@ def _transform_symbol(m: PiecewiseSymbol, verified: dict, which: str) -> Piecewi
         else:  # pragma: no cover - guarded by graph_regular
             raise UnverifiedDeclaration("transform undefined across sing_supp")
     out = PiecewiseSymbol(m.domain, tuple(pieces), tuple(decls))
-    return hat_extension(out)
+    return hat_extension(out, cfg)
 
 
 def regularity_report(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> RegularityReport:
@@ -513,8 +514,8 @@ def regularity_report(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> RegularityRe
         notes=notes,
     )
     if graph_regular:
-        report.a_symbol = _transform_symbol(m, verified, "a")
-        report.b_symbol = _transform_symbol(m, verified, "b")
+        report.a_symbol = _transform_symbol(m, verified, "a", cfg)
+        report.b_symbol = _transform_symbol(m, verified, "b", cfg)
     return report
 
 
@@ -613,6 +614,8 @@ def symbol_to_dict(sym: PiecewiseSymbol) -> dict:
 
 
 def symbol_from_dict(data: dict) -> PiecewiseSymbol:
+    if not isinstance(data, dict):
+        raise ValueError(f"a symbol must be a JSON object, not {type(data).__name__}")
     dom = data["domain"]
     base = dom["base"]
     lo = -INF if dom.get("lo") is None else float(dom["lo"])

@@ -141,3 +141,41 @@ def test_oversized_experiment_parameters_are_input_errors():
     run_cli("experiment", "--which", "counterdensity", "--K", "8,100", expect=1)
     # M itself is allowed, its refined grid 2M is not
     run_cli("experiment", "--which", "weyl", "--M", "4096", expect=1)
+
+
+@pytest.mark.parametrize("content", [
+    {"grid_points": "abc"}, {"approach_steps": -3}, [],
+    {"subspace_tol": True}, {"approach_steps": 40.0}, {"blowup": float("inf")},
+], ids=["string", "negative", "list", "bool", "float-for-int", "infinite"])
+def test_invalid_config_is_input_error(content, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    proc = run_cli("--config", str(cfg), "analyze", "--catalog", "x", expect=1)
+    assert proc.stderr.startswith("config error:")
+
+
+def test_symbol_file_not_an_object_is_input_error(tmp_path):
+    sym = tmp_path / "s.json"
+    sym.write_text("[1]")
+    proc = run_cli("analyze", str(sym), expect=1)
+    assert "input error:" in proc.stderr
+
+
+def test_config_reaches_hat_extension(tmp_path, monkeypatch, capsys):
+    from graphreg import cli, symbols
+
+    seen = []
+    original = symbols.hat_extension
+
+    def spy(symbol, cfg=symbols.DEFAULT):
+        seen.append(cfg)
+        return original(symbol, cfg)
+
+    monkeypatch.setattr(symbols, "hat_extension", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vanish_window": 5000.0}))
+    assert cli.main(["--config", str(cfg), "analyze", "--catalog", "one_over_x"]) == 0
+    capsys.readouterr()
+    # the a and b symbols are hat-extended after the transform
+    assert len(seen) >= 2
+    assert all(c.vanish_window == 5000.0 for c in seen)

@@ -9,14 +9,22 @@ from graphreg.algebras import (
     inner_product,
     matrix_algebra,
 )
+from graphreg.config import DEFAULT
 from graphreg.errors import DescriptorMismatch, NotOrthogonallyClosed
+from graphreg import modules
 from graphreg.modules import (
     GraphOperator,
     Submodule,
+    _constraint_rows,
+    compose_relations,
     is_graph_regular,
     module_sum,
+    nullspace,
+    one_plus_relation,
     orthogonal_complement,
+    orthonormal_columns,
     projection_onto,
+    relation_range,
     same_span,
 )
 
@@ -295,3 +303,257 @@ def test_graph_angle_separates_graphs_from_nongraphs():
     nongraph = GraphOperator(alg, Submodule(alg, 2, bad))
     assert nongraph.graph_angle() < 1e-8
     assert not nongraph.is_graph()
+
+
+# -- gathered coordinate maps against the per-entry loops they replaced ---------
+#
+# The references below are the loop implementations: coordinates walk the
+# allowed entries block by block, maps are built one matrix unit at a time,
+# and nullspaces come from the full SVD.
+
+TOL = DEFAULT.subspace_tol
+
+
+def loop_entries(alg, full=False):
+    out = []
+    for mask, n, off in zip(alg.masks, alg.sizes, alg.offsets):
+        for i in range(n):
+            for j in range(n):
+                if full or mask[i, j]:
+                    out.append((off + i, off + j))
+    return out
+
+
+def loop_to_matrix(alg, coords):
+    m = np.zeros((alg.N, alg.N), dtype=complex)
+    for v, (i, j) in zip(np.asarray(coords, dtype=complex), loop_entries(alg)):
+        m[i, j] = v
+    return m
+
+
+def loop_to_coords(alg, matrix, full=False):
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.array([matrix[i, j] for i, j in loop_entries(alg, full)])
+
+
+def loop_units(alg):
+    return [loop_to_matrix(alg, e) for e in np.eye(alg.dim, dtype=complex)]
+
+
+def loop_right_mult_maps(alg):
+    units = loop_units(alg)
+    return [np.column_stack([loop_to_coords(alg, f @ e) for f in units])
+            for e in units]
+
+
+def loop_constraint_rows(sub):
+    alg = sub.algebra
+    units = loop_units(alg)
+    rows = []
+    for col in sub.basis.T:
+        comps = col.reshape(sub.ncomp, alg.dim)
+        gmats = [loop_to_matrix(alg, c).conj().T for c in comps]
+        block_cols = []
+        for g in gmats:
+            block_cols.extend(loop_to_coords(alg, g @ u, full=True) for u in units)
+        rows.append(np.column_stack(block_cols))
+    return np.vstack(rows) if rows else np.zeros((0, sub.ncomp * alg.dim), complex)
+
+
+def full_svd_nullspace(mat, tol=TOL):
+    if mat.shape[0] == 0:
+        return np.eye(mat.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    r = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
+    return vh[r:].conj().T
+
+
+def loop_closure(alg, ncomp, vectors):
+    basis = orthonormal_columns(np.column_stack(vectors), TOL)
+    rmaps = loop_right_mult_maps(alg)
+    while True:
+        images = [basis] + [np.kron(np.eye(ncomp), r) @ basis for r in rmaps]
+        new = orthonormal_columns(np.hstack(images), TOL)
+        if new.shape[1] == basis.shape[1]:
+            return Submodule(alg, ncomp, new)
+        basis = new
+
+
+def loop_complement(sub):
+    if sub.dim == 0:
+        return Submodule.full(sub.algebra, sub.ncomp)
+    basis = full_svd_nullspace(loop_constraint_rows(sub))
+    return Submodule(sub.algebra, sub.ncomp, basis)
+
+
+def loop_graph(alg, t, domain=None):
+    if domain is None:
+        allowed = np.zeros((alg.N, alg.N), dtype=bool)
+        for i, j in loop_entries(alg):
+            allowed[i, j] = True
+        units = loop_units(alg)
+        cons = np.column_stack([np.where(allowed, 0.0, t @ u).ravel()
+                                for u in units])
+        domain = loop_closure(alg, 1, list(full_svd_nullspace(cons).T))
+    cols = [np.concatenate([c, loop_to_coords(alg, t @ loop_to_matrix(alg, c))])
+            for c in domain.basis.T]
+    return Submodule(alg, 2, orthonormal_columns(np.column_stack(cols), TOL))
+
+
+def loop_regularity(alg, t, domain=None):
+    """Graph, verdict fields and diagnostics, each complement formed anew."""
+    graph = loop_graph(alg, t, domain)
+    d = alg.dim
+    dom = Submodule(alg, 1, orthonormal_columns(graph.basis[:d], TOL))
+    essential = loop_complement(dom).dim == 0
+    closed = graph.equals(loop_complement(loop_complement(graph)))
+    diagnostics = {}
+    graph_regular = False
+    if essential and closed:
+        perp = loop_complement(graph)
+        adj = np.vstack([-perp.basis[d:], perp.basis[:d]])
+        tstar_t = compose_relations(adj, graph.basis, (d, d, d))
+        t_tstar = compose_relations(graph.basis, adj, (d, d, d))
+        rng1 = relation_range(one_plus_relation(tstar_t, d), d)
+        rng2 = relation_range(one_plus_relation(t_tstar, d), d)
+        diagnostics = {"rank_one_plus_tstar_t": rng1.shape[1],
+                       "rank_one_plus_t_tstar": rng2.shape[1]}
+        graph_regular = rng1.shape[1] == d and rng2.shape[1] == d
+    dense = dom.dim == d
+    return graph.dim, (essential, closed, graph_regular, graph_regular and dense,
+                       dense, diagnostics)
+
+
+def verdict_tuple(v):
+    return (v.essentially_defined, v.orthogonally_closed, v.graph_regular,
+            v.regular, v.domain_dense, v.diagnostics)
+
+
+def random_operator(n, rng):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+GRID_BLOCKS = {"nilpotent": [[0, 0], [1, 0]], "lower": [[0, 0], [1, 1]]}
+
+
+def oracle_algebras():
+    algs = [matrix_algebra(n) for n in range(2, 6)] + [BlockAlgebra((2, 1))]
+    for npts in range(3, 6):
+        algs.extend(grid_model(npts))
+    return algs
+
+
+def oracle_submodules(alg, rng):
+    """A graph (two components), its domain and a generated submodule."""
+    if alg.sizes[0] == 2 and len(alg.sizes) > 2:
+        t = constant_matrix(alg, np.array(GRID_BLOCKS["lower"], complex))
+    else:
+        t = random_element(alg, rng)
+    op = GraphOperator.from_matrix(alg, t)
+    gen = Submodule.from_elements(alg, [alg.to_matrix(alg.to_coords(
+        random_element(alg, rng)[:, :1] @ random_element(alg, rng)[:1, :]))])
+    return [op.graph, op.domain(), gen]
+
+
+class TestGatheredAgainstLoops:
+    @pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)
+    def test_coordinate_maps_match_loops(self, alg):
+        rng = np.random.default_rng(7)
+        m = random_element(alg, rng)
+        c = alg.to_coords(m)
+        assert np.array_equal(c, loop_to_coords(alg, m))
+        assert np.array_equal(alg.to_matrix(c), loop_to_matrix(alg, c))
+        assert np.array_equal(np.asarray(alg.right_mult_maps()),
+                              np.asarray(loop_right_mult_maps(alg)))
+        units = loop_units(alg)
+        left = np.column_stack([loop_to_coords(alg, m @ u) for u in units])
+        assert np.array_equal(alg.left_mult_map(m), left)
+        left_full = np.column_stack([loop_to_coords(alg, m @ u, full=True)
+                                     for u in units])
+        assert np.array_equal(alg.left_mult_map(m, onto=alg.blocks), left_full)
+
+    @pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)
+    def test_membership_matches_unit_products(self, alg):
+        rng = np.random.default_rng(8)
+        units = loop_units(alg)
+        samples = [random_element(alg, rng), alg.identity(),
+                   loop_to_matrix(alg, rng.standard_normal(alg.dim))]
+        if len(alg.sizes) > 2:
+            samples += [constant_matrix(alg, np.array(b, complex))
+                        for b in GRID_BLOCKS.values()]
+        for m in samples:
+            left = all(alg.contains(m @ e) for e in units)
+            right = all(alg.contains(e @ m) for e in units)
+            assert alg.is_left_multiplier(m) == left
+            assert alg.is_multiplier(m) == (left and right)
+        closed = all(alg.contains(e @ f, 1e-12) for e in units for f in units)
+        assert alg.closed_under_product() == closed
+
+    @pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)
+    def test_constraint_rows_equal_loop_version(self, alg):
+        rng = np.random.default_rng(9)
+        for sub in oracle_submodules(alg, rng):
+            assert np.array_equal(_constraint_rows(sub), loop_constraint_rows(sub))
+
+    @pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)
+    def test_reduced_nullspace_spans_full_svd_nullspace(self, alg):
+        rng = np.random.default_rng(10)
+        for sub in oracle_submodules(alg, rng):
+            rows = _constraint_rows(sub)
+            ns, ref = nullspace(rows, TOL), full_svd_nullspace(rows)
+            assert ns.shape == ref.shape
+            assert same_span(ns, ref, 1e-9)
+        # a wide rank-deficient matrix keeps the full SVD
+        wide = rng.standard_normal((3, 7)) @ rng.standard_normal((7, 9))
+        assert same_span(nullspace(wide, TOL), full_svd_nullspace(wide), 1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matrix_regularity_matches_loop_path(self, n):
+        rng = np.random.default_rng(100 + n)
+        for k in range(2):
+            t = random_operator(n, rng)
+            if k:
+                t[:, 0] = t[:, 1]  # a kernel
+            op = GraphOperator.from_matrix(matrix_algebra(n), t)
+            dim, verdict = loop_regularity(op.algebra, t)
+            assert op.graph.dim == dim
+            assert verdict_tuple(op.regularity()) == verdict
+
+    @pytest.mark.parametrize("npts", range(3, 6))
+    @pytest.mark.parametrize("block", list(GRID_BLOCKS))
+    def test_grid_regularity_matches_loop_path(self, npts, block):
+        a, a0, _ = grid_model(npts)
+        t = constant_matrix(a, np.array(GRID_BLOCKS[block], complex))
+        op = GraphOperator.from_matrix(a, t)
+        dim, verdict = loop_regularity(a, t)
+        assert op.graph.dim == dim
+        assert verdict_tuple(op.regularity()) == verdict
+        # restricted to A0 ⊂ A the domain is no longer essential
+        a0_in_a = Submodule.from_vectors(
+            a, 1, [a.to_coords(m) for m in a0.basis_matrices()])
+        op = GraphOperator.from_matrix(a, t, domain=a0_in_a)
+        dim, verdict = loop_regularity(a, t, a0_in_a)
+        assert op.graph.dim == dim
+        assert verdict_tuple(op.regularity()) == verdict
+        assert not verdict[0]
+
+    @pytest.mark.parametrize("alg, block", [
+        (matrix_algebra(3), None), (grid_model(3)[0], "nilpotent"),
+        (grid_model(4)[0], "lower"),
+    ], ids=["M3", "grid3-nilpotent", "grid4-lower"])
+    def test_regularity_forms_three_complements(self, alg, block, monkeypatch):
+        calls = []
+        original = modules.orthogonal_complement
+
+        def spy(sub, cfg=DEFAULT):
+            calls.append(sub.ncomp)
+            return original(sub, cfg)
+
+        monkeypatch.setattr(modules, "orthogonal_complement", spy)
+        t = (random_operator(3, np.random.default_rng(1)) if block is None else
+             constant_matrix(alg, np.array(GRID_BLOCKS[block], complex)))
+        op = GraphOperator.from_matrix(alg, t)
+        calls.clear()
+        op.regularity()
+        # Def(t)^⊥, Graph(t)^⊥ and Graph(t)^⊥⊥
+        assert calls == [1, 2, 2]

@@ -117,6 +117,26 @@ def test_interior_residuals_decay_with_n():
         prev = res
 
 
+@pytest.mark.parametrize("p, q", [
+    ([1.0], [1.0, -1.0]), ([1.0, 0.0, 1.0], [6.0, -1.0, -1.0]),
+    ([0.05], [1.0, -1.0]),
+])
+def test_interior_residuals_match_full_product_slice(p, q):
+    # reference: the six full N x N products, then the central N/2 block
+    tri = toeplitz_aab(p, q, 64)
+    a, s, b = tri.a, tri.a_star, tri.b
+    sl = (slice(16, 48), slice(16, 48))
+    expect = {
+        "bstar_b": np.linalg.norm((b.conj().T @ b - (a - a @ a))[sl], 2),
+        "b_bstar": np.linalg.norm((b @ b.conj().T - (s - s @ s))[sl], 2),
+        "intertwine": np.linalg.norm((a @ b.conj().T - b.conj().T @ s)[sl], 2),
+    }
+    got = tri.interior_residuals()
+    assert got.keys() == expect.keys()
+    for key, value in expect.items():
+        assert abs(got[key] - value) <= 1e-14 * max(1.0, value), key
+
+
 def test_resolvent_column_consistency():
     # B applied to interior basis vectors matches (I-S)^{-1} A there
     n = 128
