@@ -37,6 +37,10 @@ class KernelNotTrivial(GraphregError):
     """1 - z*z has a nontrivial kernel."""
 
 
+class NonFiniteValue(GraphregError):
+    """A computed value is NaN or infinite; the message names the stage."""
+
+
 class ExprSyntaxError(GraphregError):
     """Expression text failed to parse; carries the offending position."""
 

@@ -25,8 +25,8 @@ the report.
 from __future__ import annotations
 
 import enum
-import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,10 +102,6 @@ class DomainSpec:
 
 def interval(lo, hi, punctures=()) -> DomainSpec:
     return DomainSpec("interval", lo, hi, tuple(punctures))
-
-
-def half_line(lo, punctures=()) -> DomainSpec:
-    return DomainSpec("halfline", lo, INF, tuple(punctures))
 
 
 def real_line(punctures=()) -> DomainSpec:
@@ -613,29 +609,78 @@ def symbol_to_dict(sym: PiecewiseSymbol) -> dict:
     return {"domain": dom, "pieces": pieces, "declarations": decls}
 
 
+_REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float (a bool is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _key(obj: dict, key: str, kinds: tuple, where: str, default=_REQUIRED):
+    """obj[key] if it has one of the JSON types ``kinds``; a missing or
+    mistyped key is a ValueError that names it (a bool is not a number)."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing key {key!r}")
+        return default
+    value = obj[key]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise ValueError(f"{where}: key {key!r} must be {names}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _entries(obj: dict, key: str, where: str, default=_REQUIRED):
+    """The JSON objects in the list obj[key], each with its location."""
+    items = _key(obj, key, (list,), where, default)
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"{where}.{key}[{i}] must be a JSON object, "
+                             f"not {type(item).__name__}")
+    return [(item, f"{where}.{key}[{i}]") for i, item in enumerate(items)]
+
+
+def _bound(obj: dict, key: str, where: str, infinite: float) -> float:
+    value = _key(obj, key, (*_NUMBER, type(None)), where, None)
+    if value is None:
+        return infinite
+    if not _is_number(value):
+        raise ValueError(f"{where}: key {key!r} is out of range")
+    return float(value)
+
+
 def symbol_from_dict(data: dict) -> PiecewiseSymbol:
+    """Inverse of ``symbol_to_dict``.  Anything but the documented JSON
+    shape is a ValueError naming the offending key."""
     if not isinstance(data, dict):
         raise ValueError(f"a symbol must be a JSON object, not {type(data).__name__}")
-    dom = data["domain"]
-    base = dom["base"]
-    lo = -INF if dom.get("lo") is None else float(dom["lo"])
-    hi = INF if dom.get("hi") is None else float(dom["hi"])
-    spec = DomainSpec(base, lo, hi, tuple(dom.get("punctures", ())))
+    dom = _key(data, "domain", (dict,), "symbol")
+    punctures = _key(dom, "punctures", (list,), "symbol.domain", [])
+    for i, point in enumerate(punctures):
+        if not _is_number(point):
+            raise ValueError(f"symbol.domain.punctures[{i}] must be a number")
+    spec = DomainSpec(_key(dom, "base", (str,), "symbol.domain"),
+                      _bound(dom, "lo", "symbol.domain", -INF),
+                      _bound(dom, "hi", "symbol.domain", INF),
+                      tuple(punctures))
     pieces = tuple(
-        (-INF if p.get("lo") is None else float(p["lo"]),
-         INF if p.get("hi") is None else float(p["hi"]),
-         ex.parse_expression(p["expr"]))
-        for p in data["pieces"]
-    )
+        (_bound(piece, "lo", where, -INF), _bound(piece, "hi", where, INF),
+         ex.parse_expression(_key(piece, "expr", (str,), where)))
+        for piece, where in _entries(data, "pieces", "symbol"))
     decls = []
-    for d in data.get("declarations", ()):
-        at = INF if d["at"] == "inf" else float(d["at"])
-        lim = d.get("limit")
-        decls.append(Declaration(at, PointClass(d["class"]),
+    for d, where in _entries(data, "declarations", "symbol", []):
+        at = _key(d, "at", (*_NUMBER, str), where)
+        if at != "inf" and not _is_number(at):
+            raise ValueError(f"{where}: key 'at' must be a number or \"inf\"")
+        lim = _key(d, "limit", (list, type(None)), where, None)
+        if lim is not None and (len(lim) != 2 or not all(map(_is_number, lim))):
+            raise ValueError(f"{where}: key 'limit' must be [re, im]")
+        decls.append(Declaration(INF if at == "inf" else float(at),
+                                 PointClass(_key(d, "class", (str,), where)),
                                  None if lim is None else complex(lim[0], lim[1])))
     return PiecewiseSymbol(spec, pieces, tuple(decls))
-
-
-def load_symbol(path: str) -> PiecewiseSymbol:
-    with open(path, "r", encoding="utf-8") as fh:
-        return symbol_from_dict(json.load(fh))

@@ -13,6 +13,16 @@ It is *affiliated* precisely when q has no zero on the circle; a zero
 λ there is witnessed by the character T_φ + K ↦ φ(λ), which kills
 |f(λ)|² and with it the density of a·T.
 
+Since f and g are analytic in the disc, T_f and T_g are lower triangular
+and each product is T_u T_v̄ for analytic u, v:
+
+    X[j, k] = Σ_{l ≤ min(j, k)} û_{j-l} conj(v̂_{k-l}),
+
+a running sum along the diagonals of the outer product û ⊗ conj(v̂),
+X[j+1, k+1] = X[j, k] + û_{j+1} conj(v̂_{k+1}).  The truncated triple is
+built that way in O(N²) from the first N Fourier coefficients; the dense
+truncations are kept for checks.
+
 Truncations only converge strongly, so matrix identities are always
 measured on the central block with a decay-in-N requirement.
 """
@@ -166,13 +176,6 @@ def toeplitz_truncation(symbol_values: np.ndarray, n: int) -> np.ndarray:
     return coeffs[idx]
 
 
-def toeplitz_operator(coeffs, n: int, conjugate=False, samples: int | None = None
-                      ) -> np.ndarray:
-    m = samples or 8 * n
-    vals = circle_samples(coeffs, m)
-    return toeplitz_truncation(np.conj(vals) if conjugate else vals, n)
-
-
 @dataclass
 class ToeplitzTriple:
     a: np.ndarray
@@ -200,19 +203,36 @@ class ToeplitzTriple:
         }
 
 
+def _analytic_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """N x N truncation of T_u T_v̄ for analytic u, v from their first N
+    Fourier coefficients: X[j+1, k+1] = X[j, k] + u[j+1]·conj(v[k+1]),
+    starting from the first row and column of the outer product."""
+    x = np.multiply.outer(u, v.conj())
+    for j in range(1, len(u)):
+        x[j, 1:] += x[j - 1, :-1]
+    return x
+
+
 def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     """Truncated transform triple of T_{p/q}:
-    A = T_f T_f̄, A_* = 1 - T_g T_ḡ, B = T_g T_f̄ with f = q/r, g = p/r."""
+    A = T_f T_f̄, A_* = 1 - T_g T_ḡ, B = T_g T_f̄ with f = q/r, g = p/r.
+
+    f and g are analytic, so T_f and T_g are lower triangular and each
+    product is a running sum along the diagonals of the outer product of
+    two coefficient vectors (see the module docstring), O(N²) from the
+    first N FFT coefficients of 8N circle samples.  No dense T_f, T_g or
+    N³ product is formed.
+    """
+    if n < 2:
+        raise ValueError("truncation size must be at least 2")
     data = trig_data(p, q, n, cfg)
     m = 8 * n
     rv = circle_samples(data.r, m)
-    fv = circle_samples(data.q, m) / rv
-    gv = circle_samples(data.p, m) / rv
-    tf = toeplitz_truncation(fv, n)
-    tfb = toeplitz_truncation(np.conj(fv), n)
-    tg = toeplitz_truncation(gv, n)
-    tgb = toeplitz_truncation(np.conj(gv), n)
-    return ToeplitzTriple(tf @ tfb, np.eye(n) - tg @ tgb, tg @ tfb, n)
+    fhat = np.fft.fft(circle_samples(data.q, m) / rv)[:n] / m
+    ghat = np.fft.fft(circle_samples(data.p, m) / rv)[:n] / m
+    return ToeplitzTriple(_analytic_product(fhat, fhat),
+                          np.eye(n) - _analytic_product(ghat, ghat),
+                          _analytic_product(ghat, fhat), n)
 
 
 # -- association vs affiliation ---------------------------------------------------

@@ -22,12 +22,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import AxiomsFailed, KernelNotTrivial, NonCommutingPair, NotGraphRegular, NotNormal
+from .errors import (
+    AxiomsFailed,
+    KernelNotTrivial,
+    NonCommutingPair,
+    NonFiniteValue,
+    NotGraphRegular,
+    NotNormal,
+)
 from .expressions import evaluate
 
 
 def _herm(m):
     return 0.5 * (m + m.conj().T)
+
+
+def _spectral_apply(h, f, floor=None) -> np.ndarray:
+    """f(h) = V f(w) V* for h = V diag(w) V*, the eigendecomposition of
+    the Hermitian part of h; h may also be given as that pair (w, V).
+
+    ``floor(w)`` checks the spectrum first and raises when it is out of
+    range; f then sees w clipped at 0.  An f that returns a stack
+    (..., n) of spectral values gives the stack (..., n, n) of matrices.
+    """
+    w, v = h if isinstance(h, tuple) else np.linalg.eigh(_herm(h))
+    if floor is not None:
+        floor(w)
+    fw = f(np.clip(w, 0.0, None))
+    return (v * fw[..., None, :]) @ v.conj().T
+
+
+def _kernel_floor(kernel_tol: float, message: str):
+    """Spectrum check: every eigenvalue above ``kernel_tol``, else
+    KernelNotTrivial with ``message`` formatted with wmin and tol."""
+    def check(w):
+        if w.min() <= kernel_tol:
+            raise KernelNotTrivial(message.format(wmin=w.min(), tol=kernel_tol))
+    return check
 
 
 def hermitian_sqrt(h: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
@@ -36,18 +67,15 @@ def hermitian_sqrt(h: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
     Eigenvalues in [-clamp, 0) are set to 0; anything more negative means
     the input was not PSD and raises.
     """
-    w, v = np.linalg.eigh(_herm(h))
-    if w.min() < -clamp * max(1.0, abs(w).max()):
-        raise AxiomsFailed(f"matrix not PSD: min eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    def psd(w):
+        if w.min() < -clamp * max(1.0, abs(w).max()):
+            raise AxiomsFailed(f"matrix not PSD: min eigenvalue {w.min():.3e}")
+    return _spectral_apply(h, np.sqrt, psd)
 
 
 def hermitian_inv_sqrt(h: np.ndarray, kernel_tol: float = 1e-12) -> np.ndarray:
-    w, v = np.linalg.eigh(_herm(h))
-    if w.min() <= kernel_tol:
-        raise KernelNotTrivial(f"min eigenvalue {w.min():.3e} below {kernel_tol:.0e}")
-    return (v / np.sqrt(w)) @ v.conj().T
+    floor = _kernel_floor(kernel_tol, "min eigenvalue {wmin:.3e} below {tol:.0e}")
+    return _spectral_apply(h, lambda w: 1.0 / np.sqrt(w), floor)
 
 
 def opnorm(m: np.ndarray) -> float:
@@ -93,10 +121,8 @@ class QuotientPair:
         return float(np.linalg.norm(self.b @ null, 2))
 
     def reconstruct(self, kernel_tol: float = 1e-12) -> np.ndarray:
-        w, v = np.linalg.eigh(_herm(self.a))
-        if w.min() <= kernel_tol:
-            raise KernelNotTrivial("a has a nontrivial kernel")
-        return self.b @ ((v / w) @ v.conj().T)
+        floor = _kernel_floor(kernel_tol, "a has a nontrivial kernel")
+        return self.b @ _spectral_apply(self.a, np.reciprocal, floor)
 
 
 @dataclass
@@ -127,25 +153,50 @@ def aab_forward(t: np.ndarray, cfg: Config = DEFAULT) -> AabTriple:
     return AabTriple(a, a_star, t @ a)
 
 
+# f(a_*) b = b f(a) is checked for each of these f
+_COMMUTATION_FAMILY = (("sqrt", np.sqrt), ("square", np.square),
+                      ("cube", lambda x: x ** 3))
+
+
+def _commutation_values(w: np.ndarray) -> np.ndarray:
+    return np.stack([f(w) for _, f in _COMMUTATION_FAMILY])
+
+
 def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
     """Residuals of the defining identities plus positivity/kernel flags
-    and the commutation family f(a_*) b = b f(a) for f in {√, ², ³}."""
+    and the commutation family f(a_*) b = b f(a) for f in {√, ², ³}.
+
+    One eigendecomposition each of a and a_* gives the [0, 1] spectrum
+    flags, the kernel minima and every f(a), f(a_*).  The nine matrices
+    whose 2-norms are read (b*b − (a − a²), bb* − (a_* − a_*²),
+    ab* − b*a_*, a − a*, a_* − a_*^*, the three commutators and b) go
+    through one stacked ``np.linalg.svd(..., compute_uv=False)``: the
+    same LAPACK routine as ``np.linalg.norm(m, 2)``, so each norm is the
+    exact largest singular value.
+    """
     a, a_star, b = triple.a, triple.a_star, triple.b
-    r_bb = opnorm(b.conj().T @ b - (a - a @ a))
-    r_bbs = opnorm(b @ b.conj().T - (a_star - a_star @ a_star))
-    r_int = opnorm(a @ b.conj().T - b.conj().T @ a_star)
-    wa = np.linalg.eigvalsh(_herm(a))
-    ws = np.linalg.eigvalsh(_herm(a_star))
+    bh = b.conj().T
+    eig_a = np.linalg.eigh(_herm(a))
+    eig_s = np.linalg.eigh(_herm(a_star))
+    wa, ws = eig_a[0], eig_s[0]
+    fa = _spectral_apply(eig_a, _commutation_values)
+    fas = _spectral_apply(eig_s, _commutation_values)
+    stack = np.stack([
+        bh @ b - (a - a @ a),
+        b @ bh - (a_star - a_star @ a_star),
+        a @ bh - bh @ a_star,
+        a - a.conj().T,
+        a_star - a_star.conj().T,
+        *(fas @ b - b @ fa),
+        b,
+    ])
+    norms = [float(x) for x in np.linalg.svd(stack, compute_uv=False)[:, 0]]
+    r_bb, r_bbs, r_int, skew_a, skew_s = norms[:5]
+    comm = {name: v for (name, _), v in zip(_COMMUTATION_FAMILY, norms[5:8])}
+    norm_b = norms[8]
     tol = cfg.residual_tol
-    a_ok = bool(wa.min() > -tol and wa.max() < 1 + tol and opnorm(a - a.conj().T) < tol)
-    s_ok = bool(ws.min() > -tol and ws.max() < 1 + tol
-                and opnorm(a_star - a_star.conj().T) < tol)
-    comm = {}
-    for name, f in (("sqrt", np.sqrt), ("square", np.square),
-                    ("cube", lambda x: x ** 3)):
-        fa = _apply_spectral(a, f)
-        fas = _apply_spectral(a_star, f)
-        comm[name] = opnorm(fas @ b - b @ fa)
+    a_ok = bool(wa.min() > -tol and wa.max() < 1 + tol and skew_a < tol)
+    s_ok = bool(ws.min() > -tol and ws.max() < 1 + tol and skew_s < tol)
     failures = []
     if r_bb > tol:
         failures.append("b*b != a - a^2")
@@ -161,18 +212,13 @@ def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
         failures.append("ker(a) nontrivial")
     if ws.min() <= cfg.kernel_tol:
         failures.append("ker(a_*) nontrivial")
-    if opnorm(b) > 1 + tol:
+    if norm_b > 1 + tol:
         failures.append("||b|| > 1")
     if any(v > max(10 * tol, 1e-9) for v in comm.values()):
         failures.append("f(a_*) b != b f(a)")
     return AxiomReport(r_bb, r_bbs, r_int, a_ok, s_ok,
-                       float(wa.min()), float(ws.min()), opnorm(b),
+                       float(wa.min()), float(ws.min()), norm_b,
                        comm, failures)
-
-
-def _apply_spectral(h: np.ndarray, f) -> np.ndarray:
-    w, v = np.linalg.eigh(_herm(h))
-    return (v * f(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def aab_inverse(triple: AabTriple, cfg: Config = DEFAULT) -> QuotientPair:
@@ -204,7 +250,11 @@ def graph_projection(triple: AabTriple, cfg: Config = DEFAULT) -> np.ndarray:
 class BoundedTransform:
     z: np.ndarray
     in_z: bool     # ker(1 - z*z) = {0}
-    in_zd: bool    # Range(1 - z*z) dense
+
+    @property
+    def in_zd(self) -> bool:
+        """Range(1 - z*z) dense; in finite dimensions the same as in_z."""
+        return self.in_z
 
     @property
     def norm(self) -> float:
@@ -218,7 +268,7 @@ def bounded_transform(t: np.ndarray, cfg: Config = DEFAULT) -> BoundedTransform:
     gram = np.eye(t.shape[0]) - z.conj().T @ z
     wmin = float(np.linalg.eigvalsh(_herm(gram)).min())
     in_z = wmin > cfg.kernel_tol
-    return BoundedTransform(z, in_z, in_z)
+    return BoundedTransform(z, in_z)
 
 
 def from_bounded(z: np.ndarray, cfg: Config = DEFAULT) -> np.ndarray:
@@ -263,8 +313,11 @@ def joint_diagonalize(a: np.ndarray, b: np.ndarray, rng: np.random.Generator,
     q, _ = np.linalg.qr(vecs)
     da = q.conj().T @ a @ q
     db = q.conj().T @ b @ q
-    off = max(opnorm(da - np.diag(np.diag(da))), opnorm(db - np.diag(np.diag(db))))
-    if off > 1e-8 * max(1.0, opnorm(a), opnorm(b)):
+    # the four 2-norms from one stacked SVD
+    stack = np.stack([da - np.diag(np.diag(da)), db - np.diag(np.diag(db)), a, b])
+    off_a, off_b, norm_a, norm_b = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    off = float(max(off_a, off_b))
+    if off > 1e-8 * max(1.0, norm_a, norm_b):
         raise NonCommutingPair(f"joint diagonalization residual {off:.3e}")
     return q, np.diag(da), np.diag(db)
 
@@ -407,18 +460,18 @@ def functional_calculus(triple: AabTriple, f_ast, beta: complex = 0.0,
 
     On the joint eigenbasis of (a, b) the operator t has eigenvalues
     λ_b/λ_a; f is applied there, with the value β wherever λ_a degenerates
-    to 0 (the compactification point of the joint-spectrum curve).
+    to 0 (the compactification point of the joint-spectrum curve).  f is
+    evaluated once over the array of these ratios; a value that is not
+    finite raises NonFiniteValue.
     """
     if not triple.is_normal(cfg.residual_tol):
         raise NotNormal("functional calculus requires a = a_*")
     if rng is None:
         rng = np.random.default_rng(0)
     q, la, lb = joint_diagonalize(triple.a, triple.b, rng, cfg)
-    vals = np.empty(len(la), dtype=complex)
-    for k, (za, zb) in enumerate(zip(la, lb)):
-        if za.real <= cfg.kernel_tol:
-            vals[k] = beta
-        else:
-            w = zb / za
-            vals[k] = complex(evaluate(f_ast, w)) + beta
+    live = la.real > cfg.kernel_tol
+    vals = np.full(len(la), complex(beta))
+    vals[live] = evaluate(f_ast, lb[live] / la[live]) + beta
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValue("functional calculus: f is not finite at an eigenvalue")
     return (q * vals) @ q.conj().T

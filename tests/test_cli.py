@@ -161,6 +161,24 @@ def test_symbol_file_not_an_object_is_input_error(tmp_path):
     assert "input error:" in proc.stderr
 
 
+@pytest.mark.parametrize("content, key", [
+    ({}, "'domain'"),
+    ({"domain": {}}, "'base'"),
+    ({"domain": {"base": "realline"}, "pieces": 5}, "'pieces'"),
+], ids=["empty", "empty-domain", "pieces-not-a-list"])
+def test_symbol_missing_or_mistyped_key_is_input_error(content, key, tmp_path):
+    sym = tmp_path / "s.json"
+    sym.write_text(json.dumps(content))
+    proc = run_cli("analyze", str(sym), expect=1)
+    assert proc.stderr.startswith("input error:")
+    assert key in proc.stderr
+
+
+def test_non_finite_calculus_is_a_named_check_failure():
+    proc = run_cli("transform", "--op", "calc", "--f", "1/(w-w)", expect=2)
+    assert "functional calculus: f is not finite" in proc.stderr
+
+
 def test_config_reaches_hat_extension(tmp_path, monkeypatch, capsys):
     from graphreg import cli, symbols
 

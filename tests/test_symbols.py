@@ -267,6 +267,36 @@ def test_symbol_file_round_trip():
         assert np.allclose(v1[good], v2[good])
 
 
+_LINE = {"base": "realline", "punctures": [0.0]}
+_HALVES = [{"lo": None, "hi": 0.0, "expr": "1/x"}, {"lo": 0.0, "hi": None, "expr": "1/x"}]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "missing key 'domain'"),
+    ({"domain": {}, "pieces": []}, "missing key 'base'"),
+    ({"domain": _LINE}, "missing key 'pieces'"),
+    ({"domain": _LINE, "pieces": 5}, "key 'pieces' must be list"),
+    ({"domain": _LINE, "pieces": [3]}, r"symbol.pieces\[0\] must be a JSON object"),
+    ({"domain": _LINE, "pieces": [{"lo": 0.0}]}, r"pieces\[0\]: missing key 'expr'"),
+    ({"domain": {**_LINE, "base": 1}, "pieces": _HALVES}, "key 'base' must be str"),
+    ({"domain": {**_LINE, "punctures": [True]}, "pieces": _HALVES},
+     r"punctures\[0\] must be a number"),
+    ({"domain": {"base": "interval", "lo": 0, "hi": 10 ** 400}, "pieces": _HALVES},
+     "key 'hi' is out of range"),
+    ({"domain": _LINE, "pieces": _HALVES, "declarations": [{"class": "reg_inf"}]},
+     "missing key 'at'"),
+    ({"domain": _LINE, "pieces": _HALVES,
+      "declarations": [{"at": "zero", "class": "reg_inf"}]}, "key 'at' must be"),
+    ({"domain": _LINE, "pieces": _HALVES,
+      "declarations": [{"at": 0.0, "class": "reg_b", "limit": [1.0]}]},
+     r"key 'limit' must be \[re, im\]"),
+], ids=["empty", "no-base", "no-pieces", "pieces-int", "piece-int", "no-expr",
+        "base-int", "puncture-bool", "huge-int", "no-at", "at-string", "short-limit"])
+def test_symbol_from_dict_names_the_bad_key(data, message):
+    with pytest.raises(ValueError, match=message):
+        symbol_from_dict(data)
+
+
 def test_scalar_evaluation_and_fills():
     m = hat_extension(catalog.x_exp_minus_i_over_x())
     assert m(0.0) == 0.0

@@ -184,3 +184,30 @@ def test_verdict_stability_under_radial_perturbation():
 def test_truncation_size_bound():
     with pytest.raises(ValueError):
         toeplitz_truncation(np.ones(64, dtype=complex), 1)
+
+
+@pytest.mark.parametrize("p, q", [
+    ([1.0], [1.0, -1.0]),                       # 1/(1-z)
+    ([1.0, 0.0, 1.0], [6.0, -1.0, -1.0]),       # zeros of q at 2 and -3
+    ([1.0, 0.0, 1.0], [3.0, -2.0, -1.0]),       # (1+z²)/((1-z)(3+z))
+    ([0.5 + 1.0j, 0.3], [1.0, 0.4j]),           # complex coefficients
+], ids=["one_over_one_minus_z", "affiliated", "circle_and_outer_zero", "complex"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_structured_triple_matches_dense_products(p, q, n):
+    # reference: the four dense truncations and their three N³ products
+    data = trig_data(p, q, n)
+    m = 8 * n
+    rv = circle_samples(data.r, m)
+    fv = circle_samples(data.q, m) / rv
+    gv = circle_samples(data.p, m) / rv
+    tf, tfb = toeplitz_truncation(fv, n), toeplitz_truncation(np.conj(fv), n)
+    tg, tgb = toeplitz_truncation(gv, n), toeplitz_truncation(np.conj(gv), n)
+    tri = toeplitz_aab(p, q, n)
+    assert np.abs(tri.a - tf @ tfb).max() < 1e-13
+    assert np.abs(tri.a_star - (np.eye(n) - tg @ tgb)).max() < 1e-13
+    assert np.abs(tri.b - tg @ tfb).max() < 1e-13
+
+
+def test_triple_size_bound():
+    with pytest.raises(ValueError):
+        toeplitz_aab([1.0], [1.0, -1.0], 1)

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from graphreg.algebras import matrix_algebra
+from graphreg.config import DEFAULT
 from graphreg.errors import (
     AxiomsFailed,
     KernelNotTrivial,
     NonCommutingPair,
+    NonFiniteValue,
     NotNormal,
 )
-from graphreg.expressions import conj as ast_conj, mul as ast_mul, parse_expression
+from graphreg.expressions import conj as ast_conj, evaluate, mul as ast_mul, parse_expression
 from graphreg.modules import GraphOperator, projection_onto
 from graphreg.transforms import (
     AabTriple,
+    QuotientPair,
     aab_forward,
     aab_inverse,
     ab_axioms_check,
@@ -20,6 +23,7 @@ from graphreg.transforms import (
     from_bounded,
     functional_calculus,
     graph_projection,
+    hermitian_inv_sqrt,
     hermitian_sqrt,
     joint_diagonalize,
     opnorm,
@@ -380,6 +384,13 @@ def test_joint_diagonalize_rejects_noncommuting():
         joint_diagonalize(a, b, np.random.default_rng(0))
 
 
+def test_joint_diagonalize_rejects_non_normal_partner_of_identity():
+    # every basis diagonalizes a = 1, so only the residual of b can fail
+    b = np.triu(random_operator(3, np.random.default_rng(12)))
+    with pytest.raises(NonCommutingPair):
+        joint_diagonalize(np.eye(3, dtype=complex), b, np.random.default_rng(0))
+
+
 # -- symbol backend ----------------------------------------------------------------------------
 
 
@@ -492,3 +503,212 @@ def test_quotient_pair_kernel_inclusion():
     b = np.eye(3, dtype=complex)
     from graphreg.transforms import QuotientPair
     assert QuotientPair(a, b).kernel_inclusion_residual() > 0.9
+
+
+# -- stacked axiom check and vectorised calculus against their loop versions ---------
+
+
+def _opnorm_ref(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def _apply_spectral_ref(h, f):
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return (v * f(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def axioms_check_reference(triple, cfg=DEFAULT):
+    """The per-matrix axiom check: one 2-norm SVD per residual, eigvalsh
+    for the spectrum flags and one eigh per commutation function."""
+    a, a_star, b = triple.a, triple.a_star, triple.b
+    r_bb = _opnorm_ref(b.conj().T @ b - (a - a @ a))
+    r_bbs = _opnorm_ref(b @ b.conj().T - (a_star - a_star @ a_star))
+    r_int = _opnorm_ref(a @ b.conj().T - b.conj().T @ a_star)
+    wa = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    ws = np.linalg.eigvalsh(0.5 * (a_star + a_star.conj().T))
+    tol = cfg.residual_tol
+    a_ok = bool(wa.min() > -tol and wa.max() < 1 + tol
+                and _opnorm_ref(a - a.conj().T) < tol)
+    s_ok = bool(ws.min() > -tol and ws.max() < 1 + tol
+                and _opnorm_ref(a_star - a_star.conj().T) < tol)
+    comm = {}
+    for name, f in (("sqrt", np.sqrt), ("square", np.square),
+                    ("cube", lambda x: x ** 3)):
+        comm[name] = _opnorm_ref(_apply_spectral_ref(a_star, f) @ b
+                                 - b @ _apply_spectral_ref(a, f))
+    failures = []
+    if r_bb > tol:
+        failures.append("b*b != a - a^2")
+    if r_bbs > tol:
+        failures.append("bb* != a_* - a_*^2")
+    if r_int > tol:
+        failures.append("ab* != b*a_*")
+    if not a_ok:
+        failures.append("a outside [0,1] or not self-adjoint")
+    if not s_ok:
+        failures.append("a_* outside [0,1] or not self-adjoint")
+    if wa.min() <= cfg.kernel_tol:
+        failures.append("ker(a) nontrivial")
+    if ws.min() <= cfg.kernel_tol:
+        failures.append("ker(a_*) nontrivial")
+    if _opnorm_ref(b) > 1 + tol:
+        failures.append("||b|| > 1")
+    if any(v > max(10 * tol, 1e-9) for v in comm.values()):
+        failures.append("f(a_*) b != b f(a)")
+    return {"residual_bb": r_bb, "residual_bbstar": r_bbs,
+            "residual_intertwine": r_int, "a_spectrum_ok": a_ok,
+            "a_star_spectrum_ok": s_ok, "kernel_a": float(wa.min()),
+            "kernel_a_star": float(ws.min()), "norm_b": _opnorm_ref(b),
+            "commutation_residuals": comm, "failures": failures}
+
+
+def _singular(h):
+    """h with its smallest eigenvalue set to 0."""
+    w, v = np.linalg.eigh(h)
+    w[0] = 0.0
+    return (v * w) @ v.conj().T
+
+
+def _skew(n, rng):
+    k = random_operator(n, rng)
+    return 1e-3j * (k + k.conj().T)
+
+
+def oracle_triples():
+    """Seeded valid triples on M_2..M_8, their absolute values, and broken
+    variants hitting every failure message of the axiom check."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for n in range(2, 9):
+        for _ in range(3):
+            tr = aab_forward(random_operator(n, rng))
+            a, s, b = tr.a, tr.a_star, tr.b
+            e = np.zeros((n, n), dtype=complex)
+            e[0, -1] = 0.1
+            out += [
+                ("valid", tr),
+                ("abs", absolute_value(tr)),
+                ("a scaled", AabTriple(1.5 * a, s, b)),
+                ("a_* scaled", AabTriple(a, 1.5 * s, b)),
+                ("b perturbed", AabTriple(a, s, b + e)),
+                ("b large", AabTriple(a, s, b + 2.0 * np.eye(n))),
+                ("a singular", AabTriple(_singular(a), s, b)),
+                ("a_* singular", AabTriple(a, _singular(s), b)),
+                ("a not Hermitian", AabTriple(a + _skew(n, rng), s, b)),
+                ("a_* not Hermitian", AabTriple(a, s + _skew(n, rng), b)),
+            ]
+    return out
+
+
+def test_axiom_check_matches_per_matrix_reference():
+    fired = set()
+    for label, tr in oracle_triples():
+        rep = ab_axioms_check(tr)
+        ref = axioms_check_reference(tr)
+        assert rep.failures == ref["failures"], label
+        assert rep.a_spectrum_ok == ref["a_spectrum_ok"], label
+        assert rep.a_star_spectrum_ok == ref["a_star_spectrum_ok"], label
+        for key in ("residual_bb", "residual_bbstar", "residual_intertwine",
+                    "kernel_a", "kernel_a_star", "norm_b"):
+            want = ref[key]
+            assert abs(getattr(rep, key) - want) <= 1e-12 * max(1.0, abs(want)), (label, key)
+        assert rep.commutation_residuals.keys() == ref["commutation_residuals"].keys()
+        for key, want in ref["commutation_residuals"].items():
+            got = rep.commutation_residuals[key]
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (label, key)
+        if label in ("valid", "abs"):
+            assert rep.ok, label
+        fired.update(rep.failures)
+    assert fired == {
+        "b*b != a - a^2", "bb* != a_* - a_*^2", "ab* != b*a_*",
+        "a outside [0,1] or not self-adjoint",
+        "a_* outside [0,1] or not self-adjoint", "ker(a) nontrivial",
+        "ker(a_*) nontrivial", "||b|| > 1", "f(a_*) b != b f(a)",
+    }
+
+
+def test_axiom_check_one_eigh_per_operator_and_one_svd(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    ab_axioms_check(aab_forward(random_operator(5, np.random.default_rng(1))))
+    assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 1, "norm": 0}
+
+
+def functional_calculus_reference(triple, f_ast, beta, rng, cfg=DEFAULT):
+    """The scalar loop: f evaluated once per eigenvalue ratio λ_b/λ_a."""
+    q, la, lb = joint_diagonalize(triple.a, triple.b, rng, cfg)
+    vals = np.empty(len(la), dtype=complex)
+    for k, (za, zb) in enumerate(zip(la, lb)):
+        if za.real <= cfg.kernel_tol:
+            vals[k] = beta
+        else:
+            vals[k] = complex(evaluate(f_ast, zb / za)) + beta
+    return (q * vals) @ q.conj().T
+
+
+def _degenerate_normal_triple(rng):
+    # a = a_* with a zero eigenvalue: the compactification point, where f
+    # is replaced by β
+    q, _ = np.linalg.qr(random_operator(4, rng))
+    la = np.array([0.0, 0.5, 0.2, 0.9])
+    lb = np.array([0.0, 0.5, 0.4j, -0.3])
+    a = (q * la) @ q.conj().T
+    return AabTriple(a, a.copy(), (q * lb) @ q.conj().T)
+
+
+@pytest.mark.parametrize("text", [
+    "w", "1/(1+abs(w)^2)", "w/(1+abs(w)^2)", "0*w", "exp(-abs(w)^2)", "2",
+])
+@pytest.mark.parametrize("beta", [0.0, 1.0 - 0.5j])
+def test_functional_calculus_matches_scalar_loop(text, beta):
+    rng = np.random.default_rng(12)
+    f = parse_expression(text)
+    triples = [aab_forward(random_normal_operator(n, rng)) for n in (2, 5, 8)]
+    triples.append(_degenerate_normal_triple(rng))
+    for tr in triples:
+        got = functional_calculus(tr, f, beta, np.random.default_rng(5))
+        want = functional_calculus_reference(tr, f, beta, np.random.default_rng(5))
+        assert opnorm(got - want) <= 1e-12 * max(1.0, opnorm(want))
+
+
+def test_functional_calculus_uses_beta_where_a_degenerates():
+    tr = _degenerate_normal_triple(np.random.default_rng(3))
+    out = functional_calculus(tr, parse_expression("1"), 2.0,
+                              np.random.default_rng(0))
+    # f + β = 3 on the live ratios; the kernel direction of a gets β alone
+    w = np.linalg.eigvalsh(0.5 * (out + out.conj().T))
+    assert np.allclose(w, [2.0, 3.0, 3.0, 3.0], atol=1e-12)
+
+
+def test_functional_calculus_rejects_non_finite_values():
+    tr = aab_forward(random_normal_operator(3, np.random.default_rng(4)))
+    with pytest.raises(NonFiniteValue, match="functional calculus"):
+        functional_calculus(tr, parse_expression("1/(w-w)"), 0.0,
+                            np.random.default_rng(0))
+
+
+def test_spectral_helpers_keep_their_errors():
+    with pytest.raises(AxiomsFailed, match="matrix not PSD"):
+        hermitian_sqrt(np.diag([1.0, -0.5]))
+    with pytest.raises(KernelNotTrivial, match="min eigenvalue .* below"):
+        hermitian_inv_sqrt(np.diag([1.0, 0.0]))
+    with pytest.raises(KernelNotTrivial, match="a has a nontrivial kernel"):
+        QuotientPair(np.diag([1.0, 0.0]), np.eye(2)).reconstruct()
+    h = np.diag([4.0, 0.25])
+    assert opnorm(hermitian_sqrt(h) - np.diag([2.0, 0.5])) < 1e-15
+    assert opnorm(hermitian_inv_sqrt(h) - np.diag([0.5, 2.0])) < 1e-15
+    assert opnorm(QuotientPair(h, np.eye(2)).reconstruct()
+                  - np.diag([0.25, 4.0])) < 1e-15
+
+
+def test_bounded_transform_in_zd_is_in_z():
+    bt = bounded_transform(random_operator(3, np.random.default_rng(6)))
+    assert bt.in_zd is bt.in_z
