@@ -15,6 +15,7 @@ Def(t*) for the normal operator with symbol e^{i/x}/x.
 from __future__ import annotations
 
 import json
+import pathlib
 from importlib import resources
 
 from . import expressions as ex
@@ -95,8 +96,6 @@ def get(name: str) -> PiecewiseSymbol:
 
 def write_catalog_files(directory) -> list:
     """Regenerate the shipped JSON files from the builders."""
-    import pathlib
-
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__, catalog
+from .algebras import constant_matrix, grid_model, matrix_algebra
 from .config import DEFAULT, Config
 from .errors import (
     BadParameters,
@@ -28,7 +29,7 @@ from .errors import (
     InconclusiveClassification,
     LambdaInSpectrum,
 )
-from .expressions import parse_expression
+from .expressions import evaluate, parse_expression
 from .experiments import (
     Side,
     build_pair,
@@ -39,7 +40,7 @@ from .experiments import (
     weyl_relations_check,
 )
 from .matrix_symbols import matrix_symbol_op, oscillating_column_example
-from .symbols import regularity_report, symbol_from_dict
+from .symbols import regularity_report, symbol_from_dict, symbol_to_dict
 from .toeplitz import affiliation_verdict, toeplitz_aab
 from .transforms import (
     aab_forward,
@@ -103,8 +104,6 @@ def parse_poly(text: str, cfg: Config) -> np.ndarray:
         ast = parse_expression(text)
         m = 2 * (cfg.max_poly_degree + 1)
         z = np.exp(2j * np.pi * np.arange(m) / m)
-        from .expressions import evaluate
-
         coeffs = np.fft.fft(evaluate(ast, z) * np.ones(m)) / m
         coeffs = np.where(np.abs(coeffs) < 1e-12, 0.0, coeffs)
         nz = np.nonzero(np.abs(coeffs) > 0)[0]
@@ -133,8 +132,6 @@ def cmd_analyze(args, cfg: Config) -> tuple:
     out = report.to_dict()
     out["source"] = source
     if report.a_symbol is not None:
-        from .symbols import symbol_to_dict
-
         out["a_symbol"] = symbol_to_dict(report.a_symbol)
         out["b_symbol"] = symbol_to_dict(report.b_symbol)
     return out, 0
@@ -235,13 +232,13 @@ def cmd_experiment(args, cfg: Config) -> tuple:
         # every K is checked before the first solve
         pairs = [build_pair(k) for k in ks]
         rows = [{"K": pair.k,
-                 "left": density_defect(pair, Side.LEFT, cfg),
-                 "star": density_defect(pair, Side.STAR, cfg)}
+                 "left": density_defect(pair, Side.LEFT),
+                 "star": density_defect(pair, Side.STAR)}
                 for pair in pairs]
         control = {
             "K": ks[0],
             "star_identity_r": density_defect(
-                build_pair(ks[0], identity_r=True), Side.STAR, cfg),
+                build_pair(ks[0], identity_r=True), Side.STAR),
         }
         return {"sweep": rows, "control": control,
                 "note": "trends at truncation are heuristic evidence; "
@@ -255,7 +252,7 @@ def cmd_experiment(args, cfg: Config) -> tuple:
         rel2 = weyl_relations_check(w2)
         floor = 8 * w.dt
         eps_seq = [floor * 4, floor * 2, floor]
-        rows = weyl_limits_check(w, args.lam, eps_seq, cfg)
+        rows = weyl_limits_check(w, args.lam, eps_seq)
         return {
             "relations": {
                 "M": args.M,
@@ -283,14 +280,10 @@ def cmd_experiment(args, cfg: Config) -> tuple:
     if which == "resolvent":
         rng = np.random.default_rng(args.seed)
         if args.grid:
-            from .algebras import constant_matrix, grid_model
-
             a, _, ma = grid_model(3)
             t = constant_matrix(a, np.array([[0, 0], [1, 0]], complex))
             rep = resolvent_affiliation_check(t, complex(args.lam_c), a, ma, cfg)
         else:
-            from .algebras import matrix_algebra
-
             alg = matrix_algebra(args.n)
             t = random_operator(args.n, rng) + 3 * np.eye(args.n)
             rep = resolvent_affiliation_check(t, complex(args.lam_c), alg, None, cfg)

@@ -164,8 +164,7 @@ class Side(enum.Enum):
     STAR = "star"    # multiply by x*
 
 
-def density_defect(pair: TruncatedOperatorPair, side: Side,
-                   cfg: Config = DEFAULT) -> float:
+def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
     """Relative least-squares distance from the corner-block projection
     to x^(*)·(unit ball of the truncated algebra).
 
@@ -317,8 +316,7 @@ class WeylLimitRow:
     yx_values: dict
 
 
-def weyl_limits_check(w: WeylGrid, lam: float, eps_seq,
-                      cfg: Config = DEFAULT) -> list:
+def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
     """Window-state limits ⟨A ω_{ε,λ}, ω⟩ for A in {x, y, yx·b}.
 
     ω is the L²-normalized indicator of [λ, λ+ε] on the grid; widths

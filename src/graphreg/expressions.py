@@ -59,10 +59,6 @@ def div(a, b):
     return ("/", a, b)
 
 
-def powi(a, n: int):
-    return ("pow", a, int(n))
-
-
 def call(name: str, a):
     if name not in FUNCTIONS:
         raise ValueError(f"unknown function {name!r}")

@@ -16,6 +16,7 @@ unitized corner class.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,14 @@ from .config import DEFAULT, Config
 from .errors import ClassCheckFailed, InconclusiveClassification
 from .symbols import (
     INF,
-    Declaration,
     DomainSpec,
     PiecewiseSymbol,
     PointClass,
-    _merge_pieces,
     _side_sequences,
+    combine_symbols,
+    conjugate_symbol,
     detect_point,
+    map_symbol,
     real_line,
     sample_grid,
 )
@@ -159,15 +161,6 @@ def expr_symbol(text: str, domain: DomainSpec | None = None) -> PiecewiseSymbol:
                                      ex.parse_expression(text)),))
 
 
-def _combine(m1, m2, op) -> PiecewiseSymbol:
-    from dataclasses import replace
-
-    dom = replace(m1.domain, punctures=tuple(sorted(
-        set(m1.domain.punctures) | set(m2.domain.punctures))))
-    decls = tuple(Declaration(p, PointClass.SING_SUPP) for p in dom.punctures)
-    return PiecewiseSymbol(dom, _merge_pieces(m1, m2, op), decls)
-
-
 class SymbolMatrix:
     """2x2 matrix of PiecewiseSymbols with pointwise matrix arithmetic."""
 
@@ -183,8 +176,6 @@ class SymbolMatrix:
         return SymbolMatrix([[one, zero], [zero, one]])
 
     def adjoint(self) -> "SymbolMatrix":
-        from .symbols import conjugate_symbol
-
         e = self.entries
         return SymbolMatrix(
             [[conjugate_symbol(e[0][0]), conjugate_symbol(e[1][0])],
@@ -197,40 +188,31 @@ class SymbolMatrix:
         for i in range(2):
             row = []
             for j in range(2):
-                prod0 = _combine(a[i][0], b[0][j], ex.mul)
-                prod1 = _combine(a[i][1], b[1][j], ex.mul)
-                row.append(_combine(prod0, prod1, ex.add))
+                prod0 = combine_symbols(a[i][0], b[0][j], ex.mul)
+                prod1 = combine_symbols(a[i][1], b[1][j], ex.mul)
+                row.append(combine_symbols(prod0, prod1, ex.add))
             out.append(row)
         return SymbolMatrix(out)
 
     def plus_identity(self) -> "SymbolMatrix":
         eye = SymbolMatrix.identity()
         return SymbolMatrix(
-            [[_combine(self.entries[i][j], eye.entries[i][j], ex.add)
+            [[combine_symbols(self.entries[i][j], eye.entries[i][j], ex.add)
               for j in range(2)] for i in range(2)]
         )
 
     def inverse(self) -> "SymbolMatrix":
         """Pointwise 2x2 inverse via the adjugate formula."""
         e = self.entries
-        det = _combine(_combine(e[0][0], e[1][1], ex.mul),
-                       _combine(e[0][1], e[1][0], ex.mul), ex.sub)
-        out = [[e[1][1], e[0][1]], [e[1][0], e[0][0]]]
-        signs = [[1, -1], [-1, 1]]
-        inv = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                top = out[i][j]
-                if signs[i][j] < 0:
-                    top = PiecewiseSymbol(
-                        top.domain,
-                        tuple((a, b, ex.mul(ex.num(-1.0), t))
-                              for a, b, t in top.pieces),
-                        top.declarations, top.fills)
-                row.append(_combine(top, det, ex.div))
-            inv.append(row)
-        return SymbolMatrix(inv)
+        det = combine_symbols(combine_symbols(e[0][0], e[1][1], ex.mul),
+                              combine_symbols(e[0][1], e[1][0], ex.mul), ex.sub)
+
+        def neg(sym):
+            return map_symbol(sym, lambda t: ex.mul(ex.num(-1.0), t), operator.neg)
+
+        adj = [[e[1][1], neg(e[0][1])], [neg(e[1][0]), e[0][0]]]
+        return SymbolMatrix([[combine_symbols(adj[i][j], det, ex.div)
+                              for j in range(2)] for i in range(2)])
 
     def eval(self, x: float) -> np.ndarray:
         return np.array([[complex(self.entries[i][j](x)) for j in range(2)]

@@ -24,12 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebras import BlockAlgebra
+from .algebras import BlockAlgebra, matrix_algebra
 from .config import DEFAULT, Config
 from .errors import (
     NotEssentialDomain,
     NotOrthogonallyClosed,
 )
+from .symbols import PiecewiseSymbol, regularity_report
+from .transforms import QuotientPair
 
 
 def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
@@ -392,8 +394,6 @@ def is_graph_regular(op, cfg: Config = DEFAULT) -> RegularityVerdict:
     classifier; quotient pairs are reconstructed first."""
     if isinstance(op, GraphOperator):
         return op.regularity(cfg)
-    from .symbols import PiecewiseSymbol, regularity_report
-
     if isinstance(op, PiecewiseSymbol):
         rep = regularity_report(op, cfg)
         return RegularityVerdict(
@@ -405,9 +405,6 @@ def is_graph_regular(op, cfg: Config = DEFAULT) -> RegularityVerdict:
             diagnostics={"point_classes": {
                 p: vc.declared.cls.value for p, vc in rep.point_classes.items()}},
         )
-    from .algebras import matrix_algebra
-    from .transforms import QuotientPair
-
     if isinstance(op, QuotientPair):
         t = op.reconstruct(cfg.kernel_tol)
         alg = matrix_algebra(t.shape[0])

@@ -36,6 +36,7 @@ from .config import DEFAULT, Config
 from .errors import (
     DeclarationMismatch,
     InconclusiveClassification,
+    NotGraphRegular,
     UnverifiedDeclaration,
 )
 
@@ -421,14 +422,49 @@ def add_symbols(m1: PiecewiseSymbol, m2: PiecewiseSymbol) -> PiecewiseSymbol:
     return combine_symbols(m1, m2, ex.add)
 
 
-def conjugate_symbol(m: PiecewiseSymbol) -> PiecewiseSymbol:
-    pieces = tuple((a, b, ex.conj(t)) for a, b, t in m.pieces)
+def map_symbol(m: PiecewiseSymbol, piece, value) -> PiecewiseSymbol:
+    """f ∘ m for an f that keeps the class of every point (conjugation,
+    modulus, negation): each piece goes through the AST map ``piece``,
+    each declared limit and fill through the matching scalar map
+    ``value``."""
+    pieces = tuple((a, b, piece(t)) for a, b, t in m.pieces)
     decls = tuple(
-        Declaration(d.at, d.cls,
-                    None if d.limit is None else complex(d.limit).conjugate())
+        replace(d, limit=None if d.limit is None else value(complex(d.limit)))
         for d in m.declarations)
-    fills = tuple((p, complex(v).conjugate()) for p, v in m.fills)
+    fills = tuple((p, value(complex(v))) for p, v in m.fills)
     return PiecewiseSymbol(m.domain, pieces, decls, fills)
+
+
+def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, piece, value,
+                       at_divergence, cfg: Config = DEFAULT) -> PiecewiseSymbol:
+    """f ∘ m for a bounded continuous f with f(w) → ``at_divergence`` as
+    |w| → ∞, as its canonical representative.
+
+    Pieces go through the AST map ``piece`` and fills through the scalar
+    map ``value``.  A divergence point becomes reg_b at ``at_divergence``
+    and a finite limit l (the one detected in ``verified``, the result of
+    ``verify_symbol(m)``) becomes reg_b at value(l); a singular-support
+    point raises NotGraphRegular.  The hat extension re-verifies every
+    declaration, so an f without the stated limit surfaces as a
+    declaration mismatch rather than a silent wrong extension.
+    """
+    decls = []
+    for d in m.declarations:
+        if d.cls is PointClass.REG_INF:
+            decls.append(Declaration(d.at, PointClass.REG_B, at_divergence))
+        elif d.cls.finite_limit:
+            lim = verified[d.at].detected.limit
+            decls.append(Declaration(d.at, PointClass.REG_B, value(lim)))
+        else:
+            raise NotGraphRegular("symbol has singular-support points")
+    pieces = tuple((a, b, piece(t)) for a, b, t in m.pieces)
+    fills = tuple((p, value(complex(v))) for p, v in m.fills)
+    return hat_extension(PiecewiseSymbol(m.domain, pieces, tuple(decls), fills),
+                         cfg)
+
+
+def conjugate_symbol(m: PiecewiseSymbol) -> PiecewiseSymbol:
+    return map_symbol(m, ex.conj, complex.conjugate)
 
 
 # -- regularity report ----------------------------------------------------------
@@ -462,29 +498,6 @@ class RegularityReport:
         }
 
 
-def _transform_symbol(m: PiecewiseSymbol, verified: dict, which: str,
-                      cfg: Config) -> PiecewiseSymbol:
-    """a = 1/(1+|m|²) or b = m/(1+|m|²), extended across punctures."""
-    pieces = []
-    for a, b, t in m.pieces:
-        den_t = ex.add(ex.ONE, ex.abs2(t))
-        top = ex.ONE if which == "a" else t
-        pieces.append((a, b, ex.div(top, den_t)))
-    decls = []
-    for d in m.declarations:
-        v = verified[d.at]
-        if d.cls is PointClass.REG_INF:
-            decls.append(Declaration(d.at, PointClass.REG_B, 0.0))
-        elif d.cls.finite_limit:
-            lim = v.detected.limit
-            val = 1 / (1 + abs(lim) ** 2) if which == "a" else lim / (1 + abs(lim) ** 2)
-            decls.append(Declaration(d.at, PointClass.REG_B, val))
-        else:  # pragma: no cover - guarded by graph_regular
-            raise UnverifiedDeclaration("transform undefined across sing_supp")
-    out = PiecewiseSymbol(m.domain, tuple(pieces), tuple(decls))
-    return hat_extension(out, cfg)
-
-
 def regularity_report(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> RegularityReport:
     """Full verdict chain for the multiplication operator of m."""
     verified = verify_symbol(m, cfg)
@@ -510,8 +523,13 @@ def regularity_report(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> RegularityRe
         notes=notes,
     )
     if graph_regular:
-        report.a_symbol = _transform_symbol(m, verified, "a", cfg)
-        report.b_symbol = _transform_symbol(m, verified, "b", cfg)
+        # a = 1/(1+|m|²) and b = m/(1+|m|²), both 0 at divergence points
+        report.a_symbol = bounded_map_symbol(
+            m, verified, lambda t: ex.div(ex.ONE, ex.add(ex.ONE, ex.abs2(t))),
+            lambda l: 1 / (1 + abs(l) ** 2), 0.0, cfg)
+        report.b_symbol = bounded_map_symbol(
+            m, verified, lambda t: ex.div(t, ex.add(ex.ONE, ex.abs2(t))),
+            lambda l: l / (1 + abs(l) ** 2), 0.0, cfg)
     return report
 
 

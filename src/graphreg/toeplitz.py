@@ -20,8 +20,9 @@ and each product is T_u T_v̄ for analytic u, v:
 
 a running sum along the diagonals of the outer product û ⊗ conj(v̂),
 X[j+1, k+1] = X[j, k] + û_{j+1} conj(v̂_{k+1}).  The truncated triple is
-built that way in O(N²) from the first N Fourier coefficients; the dense
-truncations are kept for checks.
+built that way in O(N²) from the first N Taylor coefficients of q/r and
+p/r, found by power-series division (no circle sampling, so nothing
+aliases); the dense truncations are kept for checks.
 
 Truncations only converge strongly, so matrix identities are always
 measured on the central block with a decay-in-N requirement.
@@ -203,6 +204,29 @@ class ToeplitzTriple:
         }
 
 
+def _taylor(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
+    """First n Taylor coefficients of num/den at 0 by power-series
+    division, c_k = (num_k − Σ_{i≥1} den_i c_{k−i}) / den_0.  The
+    recurrence is stable when den has no zero in the closed disc: the c_k
+    then decay geometrically.
+
+    Coefficients below the rounding of the largest one are set to 0.  No
+    matrix entry they feed changes beyond rounding, and left in, their
+    products reach subnormal numbers, which make the dense products of
+    ``interior_residuals`` several times slower.
+    """
+    d = len(den) - 1
+    rhs = np.zeros(n, dtype=complex)
+    rhs[: min(n, len(num))] = num[:n]
+    tail = den[:0:-1]                     # den_d, ..., den_1
+    c = np.zeros(d + n, dtype=complex)    # d leading zeros: c_{-d..-1}
+    for k in range(n):
+        c[d + k] = (rhs[k] - tail @ c[k : d + k]) / den[0]
+    c = c[d:]
+    c[np.abs(c) < np.finfo(float).eps * np.abs(c).max()] = 0.0
+    return c
+
+
 def _analytic_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """N x N truncation of T_u T_v̄ for analytic u, v from their first N
     Fourier coefficients: X[j+1, k+1] = X[j, k] + u[j+1]·conj(v[k+1]),
@@ -220,16 +244,14 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     f and g are analytic, so T_f and T_g are lower triangular and each
     product is a running sum along the diagonals of the outer product of
     two coefficient vectors (see the module docstring), O(N²) from the
-    first N FFT coefficients of 8N circle samples.  No dense T_f, T_g or
-    N³ product is formed.
+    first N Taylor coefficients of f and g.  No dense T_f, T_g or N³
+    product is formed.
     """
     if n < 2:
         raise ValueError("truncation size must be at least 2")
     data = trig_data(p, q, n, cfg)
-    m = 8 * n
-    rv = circle_samples(data.r, m)
-    fhat = np.fft.fft(circle_samples(data.q, m) / rv)[:n] / m
-    ghat = np.fft.fft(circle_samples(data.p, m) / rv)[:n] / m
+    fhat = _taylor(data.q, data.r, n)
+    ghat = _taylor(data.p, data.r, n)
     return ToeplitzTriple(_analytic_product(fhat, fhat),
                           np.eye(n) - _analytic_product(ghat, ghat),
                           _analytic_product(ghat, fhat), n)

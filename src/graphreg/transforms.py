@@ -17,10 +17,12 @@ inverse transform realizes t as the quotient t(ax) = bx.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import expressions as ex
 from .config import DEFAULT, Config
 from .errors import (
     AxiomsFailed,
@@ -30,7 +32,18 @@ from .errors import (
     NotGraphRegular,
     NotNormal,
 )
-from .expressions import evaluate
+from .symbols import (
+    Declaration,
+    PiecewiseSymbol,
+    PointClass,
+    bounded_map_symbol,
+    combine_symbols,
+    detect_point,
+    hat_extension,
+    map_symbol,
+    regularity_report,
+    verify_symbol,
+)
 
 
 def _herm(m):
@@ -330,15 +343,13 @@ def joint_diagonalize(a: np.ndarray, b: np.ndarray, rng: np.random.Generator,
 
 @dataclass
 class SymbolTriple:
-    a: "PiecewiseSymbol"
-    a_star: "PiecewiseSymbol"
-    b: "PiecewiseSymbol"
-    symbol: "PiecewiseSymbol"   # the hat-extended m itself
+    a: PiecewiseSymbol
+    a_star: PiecewiseSymbol
+    b: PiecewiseSymbol
+    symbol: PiecewiseSymbol   # the hat-extended m itself
 
 
 def aab_forward_symbol(m, cfg: Config = DEFAULT) -> SymbolTriple:
-    from .symbols import hat_extension, regularity_report
-
     rep = regularity_report(m, cfg)
     if not rep.graph_regular:
         raise NotGraphRegular("symbol has singular-support points")
@@ -346,32 +357,20 @@ def aab_forward_symbol(m, cfg: Config = DEFAULT) -> SymbolTriple:
                         hat_extension(m, cfg))
 
 
-def aab_inverse_symbol(triple: SymbolTriple) -> "PiecewiseSymbol":
+def aab_inverse_symbol(triple: SymbolTriple) -> PiecewiseSymbol:
     """Recover the symbol as the pointwise quotient b/a on the
     continuity set (the quotient-pair realization t(a·f) = b·f)."""
-    from . import expressions as ex
-    from .symbols import combine_symbols
-
     return combine_symbols(triple.b, triple.a, ex.div)
 
 
-def absolute_value_symbol(m, cfg: Config = DEFAULT) -> "PiecewiseSymbol":
+def absolute_value_symbol(m, cfg: Config = DEFAULT) -> PiecewiseSymbol:
     """|t_m| = t_{|m|}: same punctures, modulus taken pointwise."""
-    from . import expressions as ex
-    from .symbols import Declaration, PiecewiseSymbol
-
-    pieces = tuple((a, b, ex.call("abs", t)) for a, b, t in m.pieces)
-    decls = tuple(
-        Declaration(d.at, d.cls,
-                    None if d.limit is None else abs(complex(d.limit)))
-        for d in m.declarations)
-    fills = tuple((p, abs(complex(v))) for p, v in m.fills)
-    return PiecewiseSymbol(m.domain, pieces, decls, fills)
+    return map_symbol(m, lambda t: ex.call("abs", t), abs)
 
 
 @dataclass
 class SymbolBoundedTransform:
-    z: "PiecewiseSymbol"
+    z: PiecewiseSymbol
     extendable_at: dict       # puncture -> has a continuous extension there
     adjointable: bool         # extends to a bounded continuous function
 
@@ -387,70 +386,40 @@ def bounded_transform_symbol(m, cfg: Config = DEFAULT) -> SymbolBoundedTransform
     Even for graph regular m the transform need not extend continuously
     across a divergence point (the modulus tends to 1 but the phase can
     jump), in which case no adjointable element represents t and z lives
-    on the core module only; the flags record this per puncture.
+    on the core module only; the flags record this per puncture.  z is
+    built on the hat extension of m, whose surviving punctures are marked
+    singular for re-detection.
     """
-    from . import expressions as ex
-    from .symbols import (
-        Declaration,
-        PiecewiseSymbol,
-        PointClass,
-        detect_point,
-        hat_extension,
-        regularity_report,
-    )
-
-    rep = regularity_report(m, cfg)
-    if not rep.graph_regular:
-        raise NotGraphRegular("symbol has singular-support points")
     mh = hat_extension(m, cfg)
-    pieces = tuple(
-        (a, b, ex.div(t, ex.call("sqrt", ex.add(ex.ONE, ex.abs2(t)))))
-        for a, b, t in mh.pieces)
+    if any(d.cls is PointClass.SING_SUPP and math.isfinite(d.at)
+           for d in mh.declarations):
+        raise NotGraphRegular("symbol has singular-support points")
+    redetect = tuple(Declaration(p, PointClass.SING_SUPP)
+                     for p in mh.domain.punctures)
+    z = map_symbol(replace(mh, declarations=redetect),
+                   lambda t: ex.div(t, ex.call("sqrt", ex.add(ex.ONE, ex.abs2(t)))),
+                   lambda w: w / math.sqrt(1 + abs(w) ** 2))
+    # a point absorbed by the hat is a fill: z is continuous there
     filled = {p for p, _ in mh.fills}
-    probe = PiecewiseSymbol(
-        mh.domain, pieces,
-        tuple(Declaration(p, PointClass.SING_SUPP)
-              for p in mh.domain.punctures),
-        tuple((p, complex(v) / np.sqrt(1 + abs(complex(v)) ** 2))
-              for p, v in mh.fills))
-    extendable = {}
-    for p in sorted(set(m.domain.punctures) | filled):
-        if p in filled:  # absorbed by the hat: z is continuous there
-            extendable[p] = True
-            continue
-        det = detect_point(probe, p, cfg)
-        extendable[p] = det.kind is PointClass.REG_B
-    return SymbolBoundedTransform(probe, extendable,
-                                  all(extendable.values()))
+    extendable = {
+        p: p in filled or detect_point(z, p, cfg).kind is PointClass.REG_B
+        for p in sorted(filled | set(mh.domain.punctures))}
+    return SymbolBoundedTransform(z, extendable, all(extendable.values()))
 
 
 def functional_calculus_symbol(m, f_ast, beta: complex = 0.0,
-                               cfg: Config = DEFAULT) -> "PiecewiseSymbol":
+                               cfg: Config = DEFAULT) -> PiecewiseSymbol:
     """(f + β) ∘ m pointwise, with the value β at divergence points.
 
     The declarations are re-verified by the detector, so an f that fails
     to vanish at infinity surfaces as a declaration mismatch rather than
     a silent wrong extension.
     """
-    from . import expressions as ex
-    from .symbols import Declaration, PiecewiseSymbol, PointClass, hat_extension, verify_symbol
-
-    verified = verify_symbol(m, cfg)
-    pieces = tuple(
-        (a, b, ex.add(ex.substitute(f_ast, t), ex.num(beta)))
-        for a, b, t in m.pieces)
-    decls = []
-    for d in m.declarations:
-        if d.cls is PointClass.REG_INF:
-            decls.append(Declaration(d.at, PointClass.REG_B, complex(beta)))
-        elif d.cls.finite_limit:
-            lim = verified[d.at].detected.limit
-            val = complex(evaluate(f_ast, lim)) + complex(beta)
-            decls.append(Declaration(d.at, PointClass.REG_B, val))
-        else:
-            raise NotGraphRegular("symbol has singular-support points")
-    out = PiecewiseSymbol(m.domain, pieces, tuple(decls))
-    return hat_extension(out, cfg)
+    beta = complex(beta)
+    return bounded_map_symbol(
+        m, verify_symbol(m, cfg),
+        lambda t: ex.add(ex.substitute(f_ast, t), ex.num(beta)),
+        lambda l: complex(ex.evaluate(f_ast, l)) + beta, beta, cfg)
 
 
 def functional_calculus(triple: AabTriple, f_ast, beta: complex = 0.0,
@@ -471,7 +440,7 @@ def functional_calculus(triple: AabTriple, f_ast, beta: complex = 0.0,
     q, la, lb = joint_diagonalize(triple.a, triple.b, rng, cfg)
     live = la.real > cfg.kernel_tol
     vals = np.full(len(la), complex(beta))
-    vals[live] = evaluate(f_ast, lb[live] / la[live]) + beta
+    vals[live] = ex.evaluate(f_ast, lb[live] / la[live]) + beta
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("functional calculus: f is not finite at an eigenvalue")
     return (q * vals) @ q.conj().T

@@ -1,0 +1,361 @@
+"""The two pointwise maps of the symbol backend.
+
+``symbols.map_symbol`` (a class-preserving f ∘ m) and
+``symbols.bounded_map_symbol`` (a bounded f ∘ m as its canonical
+representative) replaced six hand-written maps, and ``combine_symbols``
+replaced the matrix layer's own combine routine.  Those hand-written
+versions are kept below as references: on every symbol they accepted
+the helpers must give the same pieces (equal ASTs), declarations and
+fills.  The hand-written maps dropped fills, so they failed on a hat
+extension whose filled point breaks the pieces; the helpers carry fills.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from graphreg import catalog
+from graphreg import expressions as ex
+from graphreg.expressions import evaluate, parse_expression
+from graphreg.matrix_symbols import matrix_symbol_op, oscillating_column_example
+from graphreg.symbols import (
+    Declaration,
+    PiecewiseSymbol,
+    PointClass,
+    _merge_pieces,
+    combine_symbols,
+    conjugate_symbol,
+    detect_point,
+    hat_extension,
+    real_line,
+    regularity_report,
+    verify_symbol,
+)
+from graphreg.transforms import (
+    aab_forward_symbol,
+    absolute_value_symbol,
+    bounded_transform_symbol,
+    functional_calculus_symbol,
+)
+
+INF = float("inf")
+
+
+# -- the replaced hand-written maps, as references ------------------------------------
+
+
+def transform_symbol_reference(m, verified, which):
+    pieces = []
+    for a, b, t in m.pieces:
+        den_t = ex.add(ex.ONE, ex.abs2(t))
+        top = ex.ONE if which == "a" else t
+        pieces.append((a, b, ex.div(top, den_t)))
+    decls = []
+    for d in m.declarations:
+        v = verified[d.at]
+        if d.cls is PointClass.REG_INF:
+            decls.append(Declaration(d.at, PointClass.REG_B, 0.0))
+        elif d.cls.finite_limit:
+            lim = v.detected.limit
+            val = 1 / (1 + abs(lim) ** 2) if which == "a" else lim / (1 + abs(lim) ** 2)
+            decls.append(Declaration(d.at, PointClass.REG_B, val))
+        else:
+            raise AssertionError("transform undefined across sing_supp")
+    out = PiecewiseSymbol(m.domain, tuple(pieces), tuple(decls))
+    return hat_extension(out)
+
+
+def functional_calculus_reference(m, f_ast, beta=0.0):
+    verified = verify_symbol(m)
+    pieces = tuple(
+        (a, b, ex.add(ex.substitute(f_ast, t), ex.num(beta)))
+        for a, b, t in m.pieces)
+    decls = []
+    for d in m.declarations:
+        if d.cls is PointClass.REG_INF:
+            decls.append(Declaration(d.at, PointClass.REG_B, complex(beta)))
+        elif d.cls.finite_limit:
+            lim = verified[d.at].detected.limit
+            val = complex(evaluate(f_ast, lim)) + complex(beta)
+            decls.append(Declaration(d.at, PointClass.REG_B, val))
+        else:
+            raise AssertionError("symbol has singular-support points")
+    return hat_extension(PiecewiseSymbol(m.domain, pieces, tuple(decls)))
+
+
+def absolute_value_reference(m):
+    pieces = tuple((a, b, ex.call("abs", t)) for a, b, t in m.pieces)
+    decls = tuple(
+        Declaration(d.at, d.cls,
+                    None if d.limit is None else abs(complex(d.limit)))
+        for d in m.declarations)
+    fills = tuple((p, abs(complex(v))) for p, v in m.fills)
+    return PiecewiseSymbol(m.domain, pieces, decls, fills)
+
+
+def conjugate_reference(m):
+    pieces = tuple((a, b, ex.conj(t)) for a, b, t in m.pieces)
+    decls = tuple(
+        Declaration(d.at, d.cls,
+                    None if d.limit is None else complex(d.limit).conjugate())
+        for d in m.declarations)
+    fills = tuple((p, complex(v).conjugate()) for p, v in m.fills)
+    return PiecewiseSymbol(m.domain, pieces, decls, fills)
+
+
+def bounded_probe_reference(m):
+    """The z symbol and the per-puncture flags, built on the regularity
+    report and the hat extension of m."""
+    assert regularity_report(m).graph_regular
+    mh = hat_extension(m)
+    pieces = tuple(
+        (a, b, ex.div(t, ex.call("sqrt", ex.add(ex.ONE, ex.abs2(t)))))
+        for a, b, t in mh.pieces)
+    filled = {p for p, _ in mh.fills}
+    probe = PiecewiseSymbol(
+        mh.domain, pieces,
+        tuple(Declaration(p, PointClass.SING_SUPP)
+              for p in mh.domain.punctures),
+        tuple((p, complex(v) / np.sqrt(1 + abs(complex(v)) ** 2))
+              for p, v in mh.fills))
+    extendable = {}
+    for p in sorted(set(m.domain.punctures) | filled):
+        if p in filled:
+            extendable[p] = True
+            continue
+        extendable[p] = detect_point(probe, p).kind is PointClass.REG_B
+    return probe, extendable
+
+
+def combine_reference(m1, m2, op):
+    dom = replace(m1.domain, punctures=tuple(sorted(
+        set(m1.domain.punctures) | set(m2.domain.punctures))))
+    decls = tuple(Declaration(p, PointClass.SING_SUPP) for p in dom.punctures)
+    return PiecewiseSymbol(dom, _merge_pieces(m1, m2, op), decls)
+
+
+class SymbolMatrixReference:
+    """2x2 symbol-matrix arithmetic on the reference combine routine."""
+
+    def __init__(self, entries):
+        self.e = [list(row) for row in entries]
+
+    def adjoint(self):
+        e = self.e
+        return SymbolMatrixReference(
+            [[conjugate_reference(e[0][0]), conjugate_reference(e[1][0])],
+             [conjugate_reference(e[0][1]), conjugate_reference(e[1][1])]])
+
+    def __matmul__(self, other):
+        a, b = self.e, other.e
+        return SymbolMatrixReference(
+            [[combine_reference(combine_reference(a[i][0], b[0][j], ex.mul),
+                                combine_reference(a[i][1], b[1][j], ex.mul), ex.add)
+              for j in range(2)] for i in range(2)])
+
+    def plus_identity(self):
+        one = PiecewiseSymbol(real_line(), ((-INF, INF, ex.num(1.0)),))
+        zero = PiecewiseSymbol(real_line(), ((-INF, INF, ex.ZERO),))
+        eye = [[one, zero], [zero, one]]
+        return SymbolMatrixReference(
+            [[combine_reference(self.e[i][j], eye[i][j], ex.add)
+              for j in range(2)] for i in range(2)])
+
+    def inverse(self):
+        e = self.e
+        det = combine_reference(combine_reference(e[0][0], e[1][1], ex.mul),
+                                combine_reference(e[0][1], e[1][0], ex.mul), ex.sub)
+        out = [[e[1][1], e[0][1]], [e[1][0], e[0][0]]]
+        signs = [[1, -1], [-1, 1]]
+        inv = []
+        for i in range(2):
+            row = []
+            for j in range(2):
+                top = out[i][j]
+                if signs[i][j] < 0:
+                    top = PiecewiseSymbol(
+                        top.domain,
+                        tuple((a, b, ex.mul(ex.num(-1.0), t))
+                              for a, b, t in top.pieces),
+                        top.declarations, top.fills)
+                row.append(combine_reference(top, det, ex.div))
+            inv.append(row)
+        return SymbolMatrixReference(inv)
+
+
+# -- inputs ---------------------------------------------------------------------------
+
+
+def shifted(sym, s):
+    """sym moved right by s (dyadic, so the detector's samples stay exact)."""
+    moved = ex.sub(ex.VAR, ex.num(s))
+    dom = replace(sym.domain, lo=sym.domain.lo + s, hi=sym.domain.hi + s,
+                  punctures=tuple(p + s for p in sym.domain.punctures))
+    pieces = tuple((a + s, b + s, ex.substitute(t, moved))
+                   for a, b, t in sym.pieces)
+    decls = tuple(Declaration(d.at + s, d.cls, d.limit)
+                  for d in sym.declarations)
+    return PiecewiseSymbol(dom, pieces, decls)
+
+
+def scaled(sym, c):
+    pieces = tuple((a, b, ex.mul(ex.num(c), t)) for a, b, t in sym.pieces)
+    decls = tuple(Declaration(d.at, d.cls,
+                              None if d.limit is None else c * d.limit)
+                  for d in sym.declarations)
+    return PiecewiseSymbol(sym.domain, pieces, decls)
+
+
+SYMBOLS = {}
+for _name in catalog.names():
+    _base = catalog.get(_name)
+    SYMBOLS[_name] = _base
+    SYMBOLS[f"{_name}-shifted"] = shifted(_base, 0.75)
+    SYMBOLS[f"{_name}-scaled"] = scaled(_base, 2.5)
+
+GRAPH_REGULAR = [k for k, m in SYMBOLS.items() if regularity_report(m).graph_regular]
+
+CALCULUS = [("1/(1+abs(w)^2)", 0.0), ("w/(1+abs(w)^2)", 0.0),
+            ("1/(1+abs(w)^2)", 0.5 - 0.25j)]
+
+
+def assert_same_symbol(new, ref):
+    assert new.domain == ref.domain
+    assert len(new.pieces) == len(ref.pieces)
+    for (a1, b1, t1), (a2, b2, t2) in zip(new.pieces, ref.pieces):
+        assert (a1, b1) == (a2, b2)
+        assert t1 == t2
+    assert new.declarations == ref.declarations
+    assert new.fills == ref.fills
+
+
+def test_every_symbol_set_is_exercised():
+    assert len(SYMBOLS) == 15
+    # exp_i_over_x and its variants have singular support
+    assert len(GRAPH_REGULAR) == 12
+
+
+# -- the helpers against the references -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLS))
+def test_class_preserving_maps_match_references(name):
+    m = SYMBOLS[name]
+    for sym in (m, hat_extension(m)) if name in GRAPH_REGULAR else (m,):
+        assert_same_symbol(conjugate_symbol(sym), conjugate_reference(sym))
+        assert_same_symbol(absolute_value_symbol(sym), absolute_value_reference(sym))
+
+
+@pytest.mark.parametrize("name", GRAPH_REGULAR)
+def test_transform_symbols_match_reference(name):
+    m = SYMBOLS[name]
+    rep = regularity_report(m)
+    verified = verify_symbol(m)
+    assert_same_symbol(rep.a_symbol, transform_symbol_reference(m, verified, "a"))
+    assert_same_symbol(rep.b_symbol, transform_symbol_reference(m, verified, "b"))
+
+
+@pytest.mark.parametrize("name", GRAPH_REGULAR)
+@pytest.mark.parametrize("f, beta", CALCULUS)
+def test_functional_calculus_matches_reference(name, f, beta):
+    m = SYMBOLS[name]
+    f_ast = parse_expression(f)
+    assert_same_symbol(functional_calculus_symbol(m, f_ast, beta),
+                       functional_calculus_reference(m, f_ast, beta))
+
+
+@pytest.mark.parametrize("name", GRAPH_REGULAR)
+def test_bounded_transform_matches_reference(name):
+    m = SYMBOLS[name]
+    bt = bounded_transform_symbol(m)
+    probe, extendable = bounded_probe_reference(m)
+    assert_same_symbol(bt.z, probe)
+    assert bt.extendable_at == extendable
+    assert list(bt.extendable_at) == list(extendable)
+    assert bt.adjointable == all(extendable.values())
+
+
+@pytest.mark.parametrize("op", [ex.add, ex.sub, ex.mul, ex.div])
+@pytest.mark.parametrize("name", sorted(SYMBOLS))
+def test_combine_matches_reference_on_fill_free_symbols(name, op):
+    m = SYMBOLS[name]
+    for other in (m, conjugate_symbol(m), scaled(m, -1.5)):
+        assert_same_symbol(combine_symbols(m, other, op),
+                           combine_reference(m, other, op))
+
+
+def test_matrix_symbol_transform_matches_reference():
+    t, pattern = oscillating_column_example()
+    got = matrix_symbol_op(t, pattern)
+    ref_t = SymbolMatrixReference(t.entries)
+    ref_th = ref_t.adjoint()
+    ref_a = (ref_th @ ref_t).plus_identity().inverse()
+    ref_a_star = (ref_t @ ref_th).plus_identity().inverse()
+    ref_b = ref_t @ ref_a
+    for new, ref in ((got.a, ref_a), (got.a_star, ref_a_star), (got.b, ref_b)):
+        for i in range(2):
+            for j in range(2):
+                assert_same_symbol(new[i, j], ref.e[i][j])
+
+
+# -- fills are carried -------------------------------------------------------------------
+
+
+def sinc_hat():
+    """sin(x)/x on the line, declared reg_b with limit 1 at 0, hat-extended:
+    no puncture is left, and the filled point 0 breaks the pieces."""
+    t = ex.parse_expression("sin(x)/x")
+    m = PiecewiseSymbol(real_line(punctures=(0.0,)),
+                        ((-INF, 0.0, t), (0.0, INF, t)),
+                        (Declaration(0.0, PointClass.REG_B, 1.0),))
+    hat = hat_extension(m)
+    assert hat.domain.punctures == () and hat.fills == ((0.0, 1.0),)
+    return hat
+
+
+def test_hat_extension_passes_through_every_symbol_transform():
+    m = sinc_hat()
+    rep = regularity_report(m)
+    assert rep.graph_regular and rep.regular
+    assert rep.a_symbol.fill_value(0.0) == 0.5
+    assert rep.b_symbol.fill_value(0.0) == 0.5
+    triple = aab_forward_symbol(m)
+    assert triple.a.fill_value(0.0) == 0.5 and triple.b.fill_value(0.0) == 0.5
+    assert triple.symbol.fill_value(0.0) == 1.0
+    fw = functional_calculus_symbol(m, parse_expression("w"))
+    assert fw.fill_value(0.0) == 1.0
+    bt = bounded_transform_symbol(m)
+    assert bt.z.fill_value(0.0) == pytest.approx(1 / math.sqrt(2), abs=1e-16)
+    assert bt.extendable_at == {0.0: True} and bt.adjointable
+    # the maps are continuous across 0: the fills agree with the pieces
+    xs = np.array([-1e-4, 1e-4])
+    assert np.abs(rep.a_symbol(xs) - 0.5).max() < 1e-8
+    assert np.abs(fw(xs) - 1.0).max() < 1e-8
+
+
+def test_class_preserving_maps_carry_fills_and_limits():
+    m = sinc_hat()
+    assert absolute_value_symbol(m).fills == ((0.0, 1.0),)
+    i_sinc = PiecewiseSymbol(m.domain, m.pieces, (), ((0.0, 1j),))
+    assert conjugate_symbol(i_sinc).fills == ((0.0, -1j),)
+    declared = PiecewiseSymbol(real_line(punctures=(0.0,)), m.pieces,
+                               (Declaration(0.0, PointClass.REG_B, 1j),))
+    assert conjugate_symbol(declared).declarations == (
+        Declaration(0.0, PointClass.REG_B, -1j),)
+    assert absolute_value_symbol(declared).declarations == (
+        Declaration(0.0, PointClass.REG_B, 1.0),)
+
+
+def test_bounded_transform_extends_across_a_divergence_without_phase_jump():
+    # m = 1/x² diverges at 0 with constant phase, so z = m/√(1+|m|²) → 1
+    t = ex.parse_expression("1/x^2")
+    m = PiecewiseSymbol(real_line(punctures=(0.0,)),
+                        ((-INF, 0.0, t), (0.0, INF, t)),
+                        (Declaration(0.0, PointClass.REG_INF),))
+    bt = bounded_transform_symbol(m)
+    assert bt.extendable_at == {0.0: True} and bt.adjointable
+    assert bt.z.declarations == (Declaration(0.0, PointClass.SING_SUPP),)
+    _, extendable = bounded_probe_reference(m)
+    assert extendable == {0.0: True}

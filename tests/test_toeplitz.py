@@ -211,3 +211,33 @@ def test_structured_triple_matches_dense_products(p, q, n):
 def test_triple_size_bound():
     with pytest.raises(ValueError):
         toeplitz_aab([1.0], [1.0, -1.0], 1)
+
+
+def test_triple_coefficients_do_not_alias():
+    # r has a root at about 1.05, so the coefficients of q/r and p/r decay
+    # like 1.05^-k; sampling the circle at 8N points would fold f̂(d + 8N)
+    # into f̂(d).  2^16 samples make that fold negligible.
+    p, q, n = [0.05], [1.0, -1.0], 16
+    data = trig_data(p, q, n)
+    m = 2 ** 16
+    rv = circle_samples(data.r, m)
+    fv = circle_samples(data.q, m) / rv
+    gv = circle_samples(data.p, m) / rv
+    tf, tfb = toeplitz_truncation(fv, n), toeplitz_truncation(np.conj(fv), n)
+    tg, tgb = toeplitz_truncation(gv, n), toeplitz_truncation(np.conj(gv), n)
+    tri = toeplitz_aab(p, q, n)
+    assert np.abs(tri.a - tf @ tfb).max() < 1e-14
+    assert np.abs(tri.a_star - (np.eye(n) - tg @ tgb)).max() < 1e-14
+    assert np.abs(tri.b - tg @ tfb).max() < 1e-14
+
+
+@pytest.mark.parametrize("p, q", [([1.0], [1.0, -1.0]),
+                                  ([1.0, 0.0, 1.0], [6.0, -1.0, -1.0])])
+def test_triple_has_no_subnormal_entries(p, q):
+    # the coefficients decay geometrically; left unflushed, their far tail
+    # and its products are subnormal, which slows every dense product
+    tri = toeplitz_aab(p, q, 1024)
+    tiny = np.finfo(float).tiny
+    for mat in (tri.a, tri.a_star, tri.b):
+        parts = np.abs(np.concatenate([mat.real.ravel(), mat.imag.ravel()]))
+        assert not np.any((parts > 0) & (parts < tiny))
