@@ -41,7 +41,12 @@ from .experiments import (
 )
 from .matrix_symbols import matrix_symbol_op, oscillating_column_example
 from .symbols import regularity_report, symbol_from_dict, symbol_to_dict
-from .toeplitz import affiliation_verdict, toeplitz_aab
+from .toeplitz import (
+    TOEPLITZ_MIN_N,
+    affiliation_verdict,
+    check_truncation_size,
+    toeplitz_aab,
+)
 from .transforms import (
     aab_forward,
     aab_inverse,
@@ -114,6 +119,17 @@ def parse_poly(text: str, cfg: Config) -> np.ndarray:
         raise ValueError(f"cannot parse polynomial {text!r}: {err}") from err
 
 
+def check_parameter(name: str, value, lo=None):
+    """``value`` if it is finite and at least ``lo`` (if given); otherwise
+    BadParameters, which exits 1.  Sizes and numbers the library does not
+    range-check itself go through here before anything is computed from
+    them."""
+    if not np.isfinite(value) or (lo is not None and not value >= lo):
+        bound = "" if lo is None else f" and at least {lo}"
+        raise BadParameters(f"{name} must be finite{bound}; got {value}")
+    return value
+
+
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -138,8 +154,8 @@ def cmd_analyze(args, cfg: Config) -> tuple:
 
 
 def cmd_transform(args, cfg: Config) -> tuple:
+    n = check_parameter("--n", args.n, 1)
     rng = np.random.default_rng(args.seed)
-    n = args.n
     t = np.zeros((n, n), dtype=complex) if args.zero else random_operator(n, rng)
     if args.op in ("calc",):
         h = random_operator(n, rng)
@@ -198,7 +214,7 @@ def cmd_transform(args, cfg: Config) -> tuple:
         ok = all(r < 1e-9 * scale for r in results["residuals"].values())
     elif args.op == "calc":
         f = parse_expression(args.f)
-        beta = complex(args.beta)
+        beta = check_parameter("--beta", complex(args.beta))
         out = functional_calculus(triple, f, beta,
                                   np.random.default_rng(args.seed), cfg)
         results["f"] = args.f
@@ -209,12 +225,13 @@ def cmd_transform(args, cfg: Config) -> tuple:
 
 
 def cmd_toeplitz(args, cfg: Config) -> tuple:
+    check_truncation_size(args.N, TOEPLITZ_MIN_N)
     p = parse_poly(args.p, cfg)
     q = parse_poly(args.q, cfg)
     rep = affiliation_verdict(p, q, cfg)
     residuals = {}
     for n in sorted({args.N // 4, args.N // 2, args.N}):
-        if n >= 8:
+        if n >= TOEPLITZ_MIN_N:
             tri = toeplitz_aab(p, q, n, cfg)
             residuals[str(n)] = tri.interior_residuals()
     out = rep.to_dict()
@@ -278,15 +295,17 @@ def cmd_experiment(args, cfg: Config) -> tuple:
             ],
         }, 0
     if which == "resolvent":
+        lam = check_parameter("--lam-c", complex(args.lam_c))
         rng = np.random.default_rng(args.seed)
         if args.grid:
             a, _, ma = grid_model(3)
             t = constant_matrix(a, np.array([[0, 0], [1, 0]], complex))
-            rep = resolvent_affiliation_check(t, complex(args.lam_c), a, ma, cfg)
+            rep = resolvent_affiliation_check(t, lam, a, ma, cfg)
         else:
-            alg = matrix_algebra(args.n)
-            t = random_operator(args.n, rng) + 3 * np.eye(args.n)
-            rep = resolvent_affiliation_check(t, complex(args.lam_c), alg, None, cfg)
+            n = check_parameter("--n", args.n, 1)
+            alg = matrix_algebra(n)
+            t = random_operator(n, rng) + 3 * np.eye(n)
+            rep = resolvent_affiliation_check(t, lam, alg, None, cfg)
         return rep.to_dict(), 0
     if which == "matrix-symbols":
         t, pattern = oscillating_column_example()

@@ -73,6 +73,11 @@ class NotCoprime(GraphregError):
     """Polynomial pair shares a nontrivial common factor."""
 
 
+class NotRealFactor(GraphregError):
+    """Spectral factor of a real symbol kept more than rounding in its
+    imaginary part."""
+
+
 class InnerRoot(GraphregError):
     """Denominator polynomial has a root inside the open unit disc."""
 
@@ -86,4 +91,5 @@ class EpsilonBelowGrid(GraphregError):
 
 
 class BadParameters(GraphregError):
-    """Invalid experiment parameters."""
+    """Invalid command or experiment parameters: a size or value out of
+    range, or not finite."""

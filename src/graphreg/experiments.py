@@ -229,17 +229,24 @@ class WeylGrid:
 
 
 WEYL_MAX_M = 4096
+# admitted range of |α|, -β and L; beyond it the grid over- or underflows
+# and the report is no longer finite
+WEYL_SCALE = (1e-6, 1e6)
 
 
 def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     """Exact resolvent samples on a uniform midpoint grid of [-L, L].
 
     x is diagonal; y is the quadrature of the one-sided exponential
-    kernel of (P - βi)^{-1}, which requires β < 0.  The grid size is
-    checked before any M x M matrix is allocated.
+    kernel of (P - βi)^{-1}, which requires β < 0.  The parameters and
+    the grid size are checked before any M x M matrix is allocated.
     """
-    if alpha == 0 or beta >= 0:
-        raise BadParameters("need alpha != 0 and beta < 0")
+    lo, hi = WEYL_SCALE
+    if not (lo <= abs(alpha) <= hi and lo <= -beta <= hi):
+        raise BadParameters(f"need alpha != 0 and beta < 0, with |alpha| "
+                            f"and -beta in [{lo}, {hi}]")
+    if not lo <= length <= hi:
+        raise BadParameters(f"need L in [{lo}, {hi}], got {length}")
     if m < 256:
         raise BadParameters("need at least 256 grid points")
     if m > WEYL_MAX_M:
@@ -325,6 +332,8 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
     the character structure of the algebra.  Each A ω is a chain of
     matrix-vector products, x acting as its diagonal.
     """
+    if not -w.length <= lam <= w.length:
+        raise BadParameters(f"lam must lie on the grid [-L, L], got {lam}")
     rows = []
     d = np.diag(w.x)
     target = 1.0 / (lam - 1j * w.alpha)

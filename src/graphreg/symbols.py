@@ -443,8 +443,11 @@ def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, piece, value,
     Pieces go through the AST map ``piece`` and fills through the scalar
     map ``value``.  A divergence point becomes reg_b at ``at_divergence``
     and a finite limit l (the one detected in ``verified``, the result of
-    ``verify_symbol(m)``) becomes reg_b at value(l); a singular-support
-    point raises NotGraphRegular.  The hat extension re-verifies every
+    ``verify_symbol(m)``) becomes reg_b at value(l).  Bounded oscillation
+    at infinity leaves f∘m bounded there; it stays sing_supp unless the
+    detector finds that f∘m settles (|exp(ix)| does), in which case it
+    becomes reg_b at the detected limit.  A finite singular-support point
+    raises NotGraphRegular.  The hat extension re-verifies every
     declaration, so an f without the stated limit surfaces as a
     declaration mismatch rather than a silent wrong extension.
     """
@@ -455,12 +458,19 @@ def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, piece, value,
         elif d.cls.finite_limit:
             lim = verified[d.at].detected.limit
             decls.append(Declaration(d.at, PointClass.REG_B, value(lim)))
+        elif math.isinf(d.at):
+            decls.append(Declaration(d.at, PointClass.SING_SUPP))
         else:
             raise NotGraphRegular("symbol has singular-support points")
     pieces = tuple((a, b, piece(t)) for a, b, t in m.pieces)
     fills = tuple((p, value(complex(v))) for p, v in m.fills)
-    return hat_extension(PiecewiseSymbol(m.domain, pieces, tuple(decls), fills),
-                         cfg)
+    mapped = PiecewiseSymbol(m.domain, pieces, tuple(decls), fills)
+    for i, d in enumerate(decls):
+        if d.cls is PointClass.SING_SUPP:
+            det = detect_point(mapped, d.at, cfg)
+            if det.kind is PointClass.REG_B:
+                decls[i] = Declaration(d.at, PointClass.REG_B, det.limit)
+    return hat_extension(replace(mapped, declarations=tuple(decls)), cfg)
 
 
 def conjugate_symbol(m: PiecewiseSymbol) -> PiecewiseSymbol:

@@ -20,9 +20,25 @@ and each product is T_u T_v̄ for analytic u, v:
 
 a running sum along the diagonals of the outer product û ⊗ conj(v̂),
 X[j+1, k+1] = X[j, k] + û_{j+1} conj(v̂_{k+1}).  The truncated triple is
-built that way in O(N²) from the first N Taylor coefficients of q/r and
-p/r, found by power-series division (no circle sampling, so nothing
+built that way from the first N Taylor coefficients of q/r and p/r,
+found by power-series division (no circle sampling, so nothing
 aliases); the dense truncations are kept for checks.
+
+The triple lives in the smallest field and on the smallest support that
+hold it:
+
+* **Field.**  For real p and q the Laurent polynomial |p|² + |q|² has
+  real coefficients, its outer roots come in conjugate pairs and the
+  phase q(0)/|q(0)| is ±1, so r, f̂, ĝ and the whole triple are real.
+  Whether the symbol is real is read off the input coefficients; r then
+  differs from a real polynomial only by rounding, which is checked and
+  dropped.  Complex symbols give a complex triple.
+* **Band.**  f̂ and ĝ decay geometrically and are flushed to exact zeros
+  past the rounding of their largest coefficient, so with ``band`` the
+  last nonzero index of either, X[j, k] is an exact zero for
+  |j − k| > band.  The triple is built along that band only, and the
+  interior residuals contract over the columns the band reaches from the
+  central block.
 
 Truncations only converge strongly, so matrix identities are always
 measured on the central block with a decay-in-N requirement.
@@ -37,7 +53,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .config import DEFAULT, Config
-from .errors import CircleRoot, InnerRoot, NotCoprime
+from .errors import CircleRoot, InnerRoot, NotCoprime, NotRealFactor
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -79,13 +95,15 @@ def circle_samples(coeffs, m: int) -> np.ndarray:
 def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
     """Spectral factor r with |p|²+|q|² = |r|² on the circle.
 
-    r has degree max(deg p, deg q), no zeros in the closed unit disc, and
-    the phase is fixed so that q(0)/r(0) > 0.  Roots of the Laurent
-    polynomial within ``root_circle_tol`` of the circle abort the
-    factorization: under coprimality they can only arise from
-    ill-conditioning.
+    r has the Laurent degree of |p|²+|q|², at most max(deg p, deg q), no
+    zeros in the closed unit disc, and the phase is fixed so that
+    q(0)/r(0) > 0.  Roots of the Laurent polynomial within
+    ``root_circle_tol`` of the circle abort the factorization: under
+    coprimality they can only arise from ill-conditioning.
     """
     p, q = _trim(p), _trim(q)
+    if not np.any(q):
+        raise ValueError("q is the zero polynomial, so p/q is nowhere defined")
     check_coprime(p, q, cfg)
     d = max(len(p), len(q)) - 1
     if d > cfg.max_poly_degree:
@@ -94,10 +112,6 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
     lvals = np.abs(circle_samples(p, m)) ** 2 + np.abs(circle_samples(q, m)) ** 2
     if lvals.min() <= 1e-10:
         raise NotCoprime("|p|^2+|q|^2 reaches zero on the circle")
-    if d == 0:
-        gamma = np.sqrt(lvals.mean())
-        ph = q[0] / abs(q[0])
-        return np.array([gamma * ph])
     # Laurent coefficients c_k of p p~ + q q~,  k = -d..d
     c = np.zeros(2 * d + 1, dtype=complex)
     for coeffs in (p, q):
@@ -108,6 +122,15 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
                 if 0 <= j - k < len(a):
                     acc += a[j] * np.conj(a[j - k])
             c[k + d] += acc
+    # c_{±d} vanish when no coefficient pair spans the full degree (p = z/2
+    # over q = 1, say): |p|²+|q|² then has a lower Laurent degree, and so
+    # has r.  c_0 > 0, so the degree is well defined.
+    top = int(np.flatnonzero(c[d:])[-1])
+    c, d = c[d - top : d + top + 1], top
+    if d == 0:
+        gamma = np.sqrt(lvals.mean())
+        ph = q[0] / abs(q[0])
+        return np.array([gamma * ph])
     roots = np.roots(c[::-1])  # roots of z^d * L(z)
     if np.any(np.abs(np.abs(roots) - 1.0) < cfg.root_circle_tol):
         raise CircleRoot("Laurent factor has a root too close to the circle")
@@ -164,6 +187,20 @@ def trig_data(p, q, n: int = 64, cfg: Config = DEFAULT) -> TrigData:
 
 # -- truncations ----------------------------------------------------------------
 
+# the smallest truncation the toeplitz command reports, and the largest
+# any truncation may have (three N x N arrays, ~400 MB at the cap)
+TOEPLITZ_MIN_N = 8
+TOEPLITZ_MAX_N = 4096
+
+
+def check_truncation_size(n: int, lo: int = 2) -> int:
+    """n if lo <= n <= TOEPLITZ_MAX_N; refused with ValueError before
+    anything is allocated otherwise."""
+    if not lo <= n <= TOEPLITZ_MAX_N:
+        raise ValueError(f"truncation size must be between {lo} and "
+                         f"{TOEPLITZ_MAX_N}, got {n}")
+    return n
+
 
 def toeplitz_truncation(symbol_values: np.ndarray, n: int) -> np.ndarray:
     """N x N Toeplitz matrix T[j,k] = φ̂(j-k) from circle samples of φ."""
@@ -177,49 +214,65 @@ def toeplitz_truncation(symbol_values: np.ndarray, n: int) -> np.ndarray:
     return coeffs[idx]
 
 
+# A double root of |p|² + |q|² is found only to about √eps, so an
+# imaginary part of r above that is not rounding
+_REAL_FACTOR_TOL = float(np.sqrt(np.finfo(float).eps))
+
+
 @dataclass
 class ToeplitzTriple:
+    """Truncated transform triple; every entry with |j − k| > band is an
+    exact zero."""
+
     a: np.ndarray
     a_star: np.ndarray
     b: np.ndarray
     n: int
+    band: int
 
     def interior_residuals(self) -> dict:
-        """AB-axiom residuals restricted to the central N/2 block.
+        """AB-axiom residuals restricted to the central N/2 block c.
 
-        Only that block of each product is formed: (XY)[c,c] = X[c,:] Y[:,c].
+        Only that block of each product is formed, (XY)[c, c] =
+        X[c, w] Y[w, c], and the contraction runs over the window w =
+        [N/4 − band, 3N/4 + band) ∩ [0, N) alone: outside it the entries
+        of X[c, :] and Y[:, c] are exact zeros.  Each residual is the
+        exact spectral norm of its block.
         """
         n = self.n
         c = slice(n // 4, n // 4 + n // 2)
+        w = slice(max(0, c.start - self.band), min(n, c.stop + self.band))
         a, s, b = self.a, self.a_star, self.b
-        bh_c = b[:, c].conj().T          # (b*)[c, :]
-        bh_rows = b[c, :].conj().T       # (b*)[:, c]
+        bh_c = b[w, c].conj().T          # (b*)[c, w]
+        bh_rows = b[c, w].conj().T       # (b*)[w, c]
         return {
             "bstar_b": float(np.linalg.norm(
-                bh_c @ b[:, c] - (a[c, c] - a[c, :] @ a[:, c]), 2)),
+                bh_c @ b[w, c] - (a[c, c] - a[c, w] @ a[w, c]), 2)),
             "b_bstar": float(np.linalg.norm(
-                b[c, :] @ bh_rows - (s[c, c] - s[c, :] @ s[:, c]), 2)),
+                b[c, w] @ bh_rows - (s[c, c] - s[c, w] @ s[w, c]), 2)),
             "intertwine": float(np.linalg.norm(
-                a[c, :] @ bh_rows - bh_c @ s[:, c], 2)),
+                a[c, w] @ bh_rows - bh_c @ s[w, c], 2)),
         }
 
 
 def _taylor(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
     """First n Taylor coefficients of num/den at 0 by power-series
-    division, c_k = (num_k − Σ_{i≥1} den_i c_{k−i}) / den_0.  The
-    recurrence is stable when den has no zero in the closed disc: the c_k
-    then decay geometrically.
+    division, c_k = (num_k − Σ_{i≥1} den_i c_{k−i}) / den_0, in the field
+    of num and den.  The recurrence is stable when den has no zero in the
+    closed disc: the c_k then decay geometrically.
 
     Coefficients below the rounding of the largest one are set to 0.  No
     matrix entry they feed changes beyond rounding, and left in, their
     products reach subnormal numbers, which make the dense products of
-    ``interior_residuals`` several times slower.
+    ``interior_residuals`` several times slower.  The exact zeros also
+    bound the band of the triple.
     """
     d = len(den) - 1
-    rhs = np.zeros(n, dtype=complex)
+    dtype = np.result_type(num, den)
+    rhs = np.zeros(n, dtype=dtype)
     rhs[: min(n, len(num))] = num[:n]
     tail = den[:0:-1]                     # den_d, ..., den_1
-    c = np.zeros(d + n, dtype=complex)    # d leading zeros: c_{-d..-1}
+    c = np.zeros(d + n, dtype=dtype)      # d leading zeros: c_{-d..-1}
     for k in range(n):
         c[d + k] = (rhs[k] - tail @ c[k : d + k]) / den[0]
     c = c[d:]
@@ -227,14 +280,32 @@ def _taylor(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _analytic_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _analytic_product(u: np.ndarray, v: np.ndarray, band: int) -> np.ndarray:
     """N x N truncation of T_u T_v̄ for analytic u, v from their first N
     Fourier coefficients: X[j+1, k+1] = X[j, k] + u[j+1]·conj(v[k+1]),
-    starting from the first row and column of the outer product."""
+    starting from the first row and column of the outer product.  u and v
+    vanish past index ``band``, so only |j − k| ≤ band is summed; the
+    outer product is already an exact zero elsewhere."""
+    n = len(u)
     x = np.multiply.outer(u, v.conj())
-    for j in range(1, len(u)):
-        x[j, 1:] += x[j - 1, :-1]
+    for j in range(1, n):
+        lo, hi = max(1, j - band), min(n, j + band + 1)
+        x[j, lo:hi] += x[j - 1, lo - 1 : hi - 1]
     return x
+
+
+def _symbol_field(data: TrigData) -> tuple:
+    """(p, q, r) as real arrays when p and q have no imaginary part, as
+    they are otherwise.  r is then real up to rounding, which is checked
+    before it is dropped."""
+    if np.any(data.p.imag) or np.any(data.q.imag):
+        return data.p, data.q, data.r
+    drift = float(np.abs(data.r.imag).max() / np.abs(data.r).max())
+    if drift > _REAL_FACTOR_TOL:
+        raise NotRealFactor(
+            f"spectral factor of a real symbol has a relative imaginary "
+            f"part {drift:.1e}, above rounding ({_REAL_FACTOR_TOL:.1e})")
+    return data.p.real, data.q.real, data.r.real
 
 
 def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
@@ -243,18 +314,24 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
 
     f and g are analytic, so T_f and T_g are lower triangular and each
     product is a running sum along the diagonals of the outer product of
-    two coefficient vectors (see the module docstring), O(N²) from the
-    first N Taylor coefficients of f and g.  No dense T_f, T_g or N³
-    product is formed.
+    two coefficient vectors (see the module docstring), from the first N
+    Taylor coefficients of f and g.  No dense T_f, T_g or N³ product is
+    formed.  The triple is float64 for real p and q and complex128
+    otherwise, and it is stored with its band: the last nonzero index of
+    f̂ or ĝ.
     """
-    if n < 2:
-        raise ValueError("truncation size must be at least 2")
+    check_truncation_size(n)
     data = trig_data(p, q, n, cfg)
-    fhat = _taylor(data.q, data.r, n)
-    ghat = _taylor(data.p, data.r, n)
-    return ToeplitzTriple(_analytic_product(fhat, fhat),
-                          np.eye(n) - _analytic_product(ghat, ghat),
-                          _analytic_product(ghat, fhat), n)
+    p, q, r = _symbol_field(data)
+    fhat = _taylor(q, r, n)
+    ghat = _taylor(p, r, n)
+    # f̂_0 = q(0)/r(0) > 0, so the band is well defined
+    band = int(np.flatnonzero((fhat != 0) | (ghat != 0))[-1])
+    a_star = _analytic_product(ghat, ghat, band)
+    np.negative(a_star, out=a_star)
+    a_star.flat[:: n + 1] += 1.0
+    return ToeplitzTriple(_analytic_product(fhat, fhat, band), a_star,
+                          _analytic_product(ghat, fhat, band), n, band)
 
 
 # -- association vs affiliation ---------------------------------------------------

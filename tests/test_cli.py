@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -197,3 +198,90 @@ def test_config_reaches_hat_extension(tmp_path, monkeypatch, capsys):
     # the a and b symbols are hat-extended after the transform
     assert len(seen) >= 2
     assert all(c.vanish_window == 5000.0 for c in seen)
+
+
+@pytest.mark.parametrize("argv", [
+    ["toeplitz", "1", "1-z", "--N", "1"],
+    ["toeplitz", "1", "1-z", "--N", "-4"],
+    ["toeplitz", "1", "1-z", "--N", "7"],
+    ["transform", "--op", "aab", "--n", "0"],
+    ["transform", "--op", "calc", "--beta", "nan"],
+    ["experiment", "--which", "weyl", "--L", "0"],
+    ["experiment", "--which", "weyl", "--L", "-1"],
+    ["experiment", "--which", "weyl", "--alpha", "nan"],
+    ["experiment", "--which", "weyl", "--lam", "inf"],
+    ["experiment", "--which", "resolvent", "--lam-c", "nan"],
+    ["experiment", "--which", "resolvent", "--n", "0"],
+], ids=lambda argv: " ".join(argv[-3:]))
+def test_parameter_out_of_range_is_input_error(argv):
+    # each is refused at the boundary, not by a failure deeper down
+    proc = run_cli(*argv, expect=1)
+    assert proc.stderr.startswith("input error:")
+    assert "SVD" not in proc.stderr
+
+
+def test_zero_denominator_is_input_error():
+    proc = run_cli("toeplitz", "1", "0", expect=1)
+    assert "zero polynomial" in proc.stderr
+
+
+def test_symbol_with_lower_laurent_degree():
+    # |z/2|² + 1 is constant on the circle, so r is a constant
+    out = run_cli("toeplitz", "0,0.5", "1", "--N", "16")
+    results = json.loads(out.stdout)["results"]
+    assert results["verdict"] == "Affiliated"
+    assert len(results["r"]) == 1
+
+
+def test_bounded_oscillation_at_infinity_is_regular(tmp_path):
+    sym = tmp_path / "sin.json"
+    sym.write_text(json.dumps({
+        "domain": {"base": "realline"},
+        "pieces": [{"lo": None, "hi": None, "expr": "sin(x)"}],
+        "declarations": [{"at": "inf", "class": "sing_supp"}]}))
+    results = json.loads(run_cli("analyze", str(sym)).stdout)["results"]
+    assert results["graph_regular"] is True
+    assert results["regular"] is True
+    for key in ("a_symbol", "b_symbol"):
+        decls = results[key]["declarations"]
+        assert [(d["at"], d["class"]) for d in decls] == [("inf", "sing_supp")]
+        emitted = tmp_path / f"{key}.json"
+        emitted.write_text(json.dumps(results[key]))
+        run_cli("analyze", str(emitted))
+
+
+COEFF = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(
+    -4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+def _coefficients(draw_complex):
+    real = st.lists(COEFF, min_size=1, max_size=4)
+    if not draw_complex:
+        return real.map(lambda cs: ",".join(repr(c) for c in cs))
+    return st.lists(st.tuples(COEFF, COEFF), min_size=1, max_size=4).map(
+        lambda cs: ",".join(repr(complex(re, im)).strip("()") for re, im in cs))
+
+
+def _finite(text):
+    def refuse(token):
+        raise AssertionError(f"non-finite {token} in a report that exits 0")
+    json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cplx=st.booleans(), data=st.data(), n=st.integers(8, 64))
+def test_toeplitz_command_fuzz(cplx, data, n, capsys):
+    from graphreg import cli
+
+    p = data.draw(_coefficients(cplx))
+    q = data.draw(_coefficients(cplx))
+    try:
+        # "--": a list that starts with a minus sign is no option
+        code = cli.main(["toeplitz", "--N", str(n), "--", p, q])
+    except SystemExit as stop:   # argparse refuses the arguments
+        code = stop.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), (p, q, n)
+    if code == 0:
+        _finite(out)

@@ -103,6 +103,22 @@ class TestWeyl:
         with pytest.raises(BadParameters):
             weyl_build(1.0, 0.5, 512, 20.0)
 
+    @pytest.mark.parametrize("alpha, beta, length", [
+        (float("nan"), -1.0, 20.0), (1.0, float("nan"), 20.0),
+        (1.0, -1.0, 0.0), (1.0, -1.0, -1.0), (1.0, -1.0, float("inf")),
+        (1.0, -1.0, 1e200), (1.7e308, -1.0, 20.0), (1e-300, -1.0, 1e-300),
+    ])
+    def test_parameters_out_of_range(self, alpha, beta, length):
+        # refused before the grid is built: each of these overflows it
+        with pytest.raises(BadParameters):
+            weyl_build(alpha, beta, 256, length)
+
+    @pytest.mark.parametrize("lam", [float("nan"), -25.0, 25.0])
+    def test_window_point_off_the_grid(self, lam):
+        w = weyl_build(1.0, -1.0, 256, 20.0)
+        with pytest.raises(BadParameters):
+            weyl_limits_check(w, lam, [8 * w.dt])
+
     def test_grid_invariants(self):
         w = weyl_build(1.0, -1.0, 512, 20.0)
         assert np.abs(np.diag(w.x) - 1.0 / (w.t - 1j)).max() == 0.0

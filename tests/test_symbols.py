@@ -301,3 +301,28 @@ def test_scalar_evaluation_and_fills():
     m = hat_extension(catalog.x_exp_minus_i_over_x())
     assert m(0.0) == 0.0
     assert math.isnan(catalog.x_exp_minus_i_over_x()(0.0).real)
+
+
+def test_oscillation_at_infinity_keeps_the_bounded_operator_regular():
+    # sin(x) on the line: the paper's bounded multiplication operator
+    sym = symbol_from_dict({
+        "domain": {"base": "realline"},
+        "pieces": [{"lo": None, "hi": None, "expr": "sin(x)"}],
+        "declarations": [{"at": "inf", "class": "sing_supp"}]})
+    rep = regularity_report(sym)
+    assert rep.graph_regular and rep.regular
+    for out in (rep.a_symbol, rep.b_symbol):
+        assert out.declaration(INF).cls is PointClass.SING_SUPP
+
+
+def test_settled_transform_at_infinity_is_declared_by_its_limit():
+    # |exp(ix)| = 1, so a = 1/(1+|m|²) settles at 1/2 while b = m/2 oscillates
+    sym = symbol_from_dict({
+        "domain": {"base": "realline"},
+        "pieces": [{"lo": None, "hi": None, "expr": "exp(i*x)"}],
+        "declarations": [{"at": "inf", "class": "sing_supp"}]})
+    rep = regularity_report(sym)
+    assert rep.regular
+    a_decl = rep.a_symbol.declaration(INF)
+    assert a_decl.cls is PointClass.REG_B and abs(a_decl.limit - 0.5) < 1e-9
+    assert rep.b_symbol.declaration(INF).cls is PointClass.SING_SUPP

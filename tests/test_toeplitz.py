@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from graphreg.errors import CircleRoot, InnerRoot, NotCoprime
+from graphreg import toeplitz
+from graphreg.errors import CircleRoot, InnerRoot, NotCoprime, NotRealFactor
 from graphreg.toeplitz import (
+    TOEPLITZ_MAX_N,
     Verdict,
     affiliation_verdict,
     check_coprime,
+    check_truncation_size,
     circle_samples,
     fejer_riesz,
     toeplitz_aab,
@@ -54,6 +59,19 @@ def test_random_battery_invariants():
         assert data.unit_residual < 1e-8, k
         assert data.r_root_min_modulus > 1 + 1e-9
         assert data.f0.real > 0 and abs(data.f0.imag) < 1e-10
+
+
+@pytest.mark.parametrize("p, q, degree", [
+    ([0.0, 0.5], [1.0], 0),              # |z/2|² + 1 = 5/4 on the circle
+    ([0.0, 0.0, 1.0], [2.0, -1.0], 1),   # |z²|² + |2 - z|² = |2 - z|² + 1
+])
+def test_factor_has_the_laurent_degree(p, q, degree):
+    # the outer coefficients of p and q do not pair up, so |p|² + |q|²
+    # has a lower Laurent degree than max(deg p, deg q)
+    data = trig_data(p, q)
+    assert len(data.r) == degree + 1
+    assert data.factor_residual < 1e-12 and data.unit_residual < 1e-12
+    assert data.ok
 
 
 def test_coprime_guard():
@@ -241,3 +259,130 @@ def test_triple_has_no_subnormal_entries(p, q):
     for mat in (tri.a, tri.a_star, tri.b):
         parts = np.abs(np.concatenate([mat.real.ravel(), mat.imag.ravel()]))
         assert not np.any((parts > 0) & (parts < tiny))
+
+
+# -- field and band ----------------------------------------------------------------
+
+SYMBOLS = [
+    ([1.0], [1.0, -1.0]),
+    ([1.0, 0.0, 1.0], [6.0, -1.0, -1.0]),
+    ([1.0, 0.0, 1.0], [3.0, -2.0, -1.0]),
+    ([0.5 + 1.0j, 0.3], [1.0, 0.4j]),
+]
+SYMBOL_IDS = ["one_over_one_minus_z", "affiliated", "circle_and_outer_zero",
+              "complex"]
+
+
+def complex_triple(p, q, n):
+    """The complex construction: complex Taylor coefficients of q/r and
+    p/r (rounding-level coefficients flushed) and full running sums along
+    every diagonal of their outer products."""
+    data = trig_data(p, q, n)
+
+    def taylor(num, den):
+        d = len(den) - 1
+        rhs = np.zeros(n, dtype=complex)
+        rhs[: min(n, len(num))] = num[:n]
+        c = np.zeros(d + n, dtype=complex)
+        for k in range(n):
+            c[d + k] = (rhs[k] - den[:0:-1] @ c[k : d + k]) / den[0]
+        c = c[d:]
+        c[np.abs(c) < np.finfo(float).eps * np.abs(c).max()] = 0.0
+        return c
+
+    def product(u, v):
+        x = np.multiply.outer(u, v.conj())
+        for j in range(1, n):
+            x[j, 1:] += x[j - 1, :-1]
+        return x
+
+    fhat, ghat = taylor(data.q, data.r), taylor(data.p, data.r)
+    return (product(fhat, fhat), np.eye(n) - product(ghat, ghat),
+            product(ghat, fhat))
+
+
+@pytest.mark.parametrize("p, q", SYMBOLS, ids=SYMBOL_IDS)
+def test_triple_field_follows_the_symbol(p, q):
+    tri = toeplitz_aab(p, q, 32)
+    real = not np.iscomplexobj(p) and not np.iscomplexobj(q)
+    expect = np.float64 if real else np.complex128
+    for mat in (tri.a, tri.a_star, tri.b):
+        assert mat.dtype == expect
+
+
+@pytest.mark.parametrize("p, q", SYMBOLS, ids=SYMBOL_IDS)
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_triple_matches_complex_construction(p, q, n):
+    tri = toeplitz_aab(p, q, n)
+    for got, want in zip((tri.a, tri.a_star, tri.b), complex_triple(p, q, n)):
+        assert np.abs(got - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("p, q", SYMBOLS, ids=SYMBOL_IDS)
+@pytest.mark.parametrize("n", [64, 256])
+def test_triple_vanishes_outside_its_band(p, q, n):
+    tri = toeplitz_aab(p, q, n)
+    j, k = np.indices((n, n))
+    outside = np.abs(j - k) > tri.band
+    for mat in (tri.a, tri.a_star, tri.b):
+        assert np.all(mat[outside] == 0)
+
+
+def test_band_trims_the_window_at_moderate_n():
+    # the coefficients of 1/(1-z) reach rounding after about 37 terms, so
+    # at N = 256 the contraction window is shorter than N
+    tri = toeplitz_aab([1.0], [1.0, -1.0], 256)
+    assert 0 < tri.band < 256 // 4
+
+
+@pytest.mark.parametrize("p, q", [
+    ([1.0], [1.0, -1.0]), ([1.0, 0.0, 1.0], [6.0, -1.0, -1.0]),
+    ([0.5 + 1.0j, 0.3], [1.0, 0.4j]),
+    ([0.05], [1.0, -1.0]),            # band past N: the window is everything
+], ids=["one_over_one_minus_z", "affiliated", "complex", "near_degenerate"])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_banded_residuals_match_full_product_slice(p, q, n):
+    tri = toeplitz_aab(p, q, n)
+    a, s, b = tri.a, tri.a_star, tri.b
+    bh = b.conj().T
+    sl = (slice(n // 4, 3 * n // 4),) * 2
+    expect = {
+        "bstar_b": np.linalg.norm((bh @ b - (a - a @ a))[sl], 2),
+        "b_bstar": np.linalg.norm((b @ bh - (s - s @ s))[sl], 2),
+        "intertwine": np.linalg.norm((a @ bh - bh @ s)[sl], 2),
+    }
+    got = tri.interior_residuals()
+    for key, value in expect.items():
+        assert abs(got[key] - value) <= 1e-14 * max(1.0, value), key
+
+
+def test_real_triple_peak_memory():
+    # three float64 1024 x 1024 arrays are 25 MB; the complex triple and
+    # its temporaries peaked at about 59 MB
+    tracemalloc.start()
+    try:
+        toeplitz_aab([1.0], [1.0, -1.0], 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
+@pytest.mark.parametrize("drift, real", [(1e-15, True), (1e-6, False)])
+def test_real_symbol_factor_is_real_up_to_rounding(drift, real, monkeypatch):
+    exact = toeplitz.fejer_riesz
+    monkeypatch.setattr(toeplitz, "fejer_riesz",
+                        lambda p, q, cfg: exact(p, q, cfg) * (1 + drift * 1j))
+    if real:
+        assert toeplitz_aab([1.0], [1.0, -1.0], 16).a.dtype == np.float64
+    else:
+        with pytest.raises(NotRealFactor):
+            toeplitz_aab([1.0], [1.0, -1.0], 16)
+
+
+def test_truncation_size_cap():
+    # checked on the validator: a size past the cap is never run
+    assert check_truncation_size(TOEPLITZ_MAX_N) == TOEPLITZ_MAX_N
+    for n in (TOEPLITZ_MAX_N + 1, 10 ** 12, 1, -4):
+        with pytest.raises(ValueError):
+            check_truncation_size(n)
