@@ -7,14 +7,16 @@ verdict, and ``experiment`` runs the counterdensity / Weyl / resolvent
 demos.  Every report echoes the full numerical configuration and the
 seed, and identical invocations produce byte-identical JSON.
 
-Exit codes: 0 success, 1 input error, 2 verified failure (an axiom or
-declaration check that ran and failed), 3 internal error.
+Exit codes: 0 success, 1 input error (a usage error included), 2
+verified failure (an axiom, declaration or factorization check that ran
+and failed), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -110,7 +112,10 @@ def parse_poly(text: str, cfg: Config) -> np.ndarray:
         m = 2 * (cfg.max_poly_degree + 1)
         z = np.exp(2j * np.pi * np.arange(m) / m)
         coeffs = np.fft.fft(evaluate(ast, z) * np.ones(m)) / m
-        coeffs = np.where(np.abs(coeffs) < 1e-12, 0.0, coeffs)
+        # FFT rounding, in either part, is no coefficient: 1-z is the
+        # real list 1,-1
+        for part in (coeffs.real, coeffs.imag):
+            part[np.abs(part) < 1e-12] = 0.0
         nz = np.nonzero(np.abs(coeffs) > 0)[0]
         if nz.size and nz[-1] > cfg.max_poly_degree:
             raise ValueError("not a polynomial of admissible degree")
@@ -313,8 +318,22 @@ def cmd_experiment(args, cfg: Config) -> tuple:
     raise ValueError(f"unknown experiment {which!r}")
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse with the exit-code contract: a usage error is bad input
+    (exit 1), and an argument that starts with a minus sign and a digit,
+    such as the coefficient list ``-1,2``, is a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = ArgumentParser(
         prog="graphreg",
         description="Numerical laboratory for graph-regular operators on "
                     "Hilbert C*-modules")

@@ -69,6 +69,11 @@ class CircleRoot(GraphregError):
     """Spectral factorization hit a root too close to the unit circle."""
 
 
+class FactorizationFailed(GraphregError):
+    """Spectral factorization failed its residual checks; the message
+    names each failing residual."""
+
+
 class NotCoprime(GraphregError):
     """Polynomial pair shares a nontrivial common factor."""
 

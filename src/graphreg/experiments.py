@@ -10,17 +10,23 @@ the decaying diagonal.  At truncation K this shows up as two trends of a
 constrained least-squares residual: decreasing for x, floored for x*.
 Neither s nor r moves the second index j, so x is the direct sum over j
 of K blocks x_j = (S, diag(λ_{·j}); 0, Sᵀ) of size 2K, S the K x K
-shift, and every target column lives in a single block.  The residual
-is computed block by block; the dense 2K² x 2K² matrix is never needed.
-K is limited to [8, 64].
+shift, and every target column lives in a single block.  The K blocks
+go through one stacked SVD and their K least-squares problems are
+solved together; the dense 2K² x 2K² matrix is never needed.  K is
+limited to [8, 64].
 
 The Weyl demo samples the resolvents x = (Q - αi)^{-1} (diagonal) and
 y = (P - βi)^{-1} (exponential quadrature kernel, β < 0) on a uniform
 grid and measures the fraction-algebra relations and the window-state
-limits that identify the characters of the algebra.  Because x is
-diagonal, every product with x is a row or column scaling of y, the
-x-only relations are exact on the diagonal, and the window averages
-are matrix-vector products; only y and its products are dense.  The
+limits that identify the characters of the algebra.  The grid keeps
+the diagonal d of x and the real kernel k = i·y.  Every product with x
+is a row or column scaling, the x-only relations are exact on the
+diagonal, and the window averages are matrix-vector products.  The
+phases of d drop out of every 2-norm, so each residual of y is the
+spectral norm of a real matrix sandwiched by |D| = diag(|d|), and the
+commutator comes from x[y, Q]x since x⁻¹ = Q - αi (see
+``weyl_relations_check``).  Values the report may not read, the raw
+y-relation and the σ(yx) spectrum, are computed when first read.  The
 grid has between 256 and 4096 points.
 """
 
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,7 +114,7 @@ class TruncatedOperatorPair:
     """x = (s r; 0 s*) on a K x K truncation of l²(ℕ²).
 
     Only K and the diagonal λ of r are stored: x is the direct sum of
-    the K blocks ``block(j)``, and the dense matrix is assembled on access.
+    the K blocks ``blocks()``, and the dense matrix is assembled on access.
     """
 
     k: int
@@ -117,13 +124,18 @@ class TruncatedOperatorPair:
     def hilbert_dim(self) -> int:
         return self.k * self.k
 
-    def block(self, j: int) -> np.ndarray:
-        """x_j = (S, diag(λ_{·j}); 0, Sᵀ) on the span of the (i, j) basis
+    def blocks(self) -> np.ndarray:
+        """The K blocks x_j = (S, diag(λ_{·j}); 0, Sᵀ), stacked as a
+        K x 2K x 2K array; block j acts on the span of the (i, j) basis
         vectors of both halves, ordered by half, then by i."""
         k = self.k
+        blocks = np.zeros((k, 2 * k, 2 * k))
         shift = np.eye(k, k=-1)
-        return np.block([[shift, np.diag(self.lam[:, j])],
-                         [np.zeros((k, k)), shift.T]])
+        blocks[:, :k, :k] = shift
+        blocks[:, k:, k:] = shift.T
+        i = np.arange(k)
+        blocks[:, i, k + i] = self.lam.T
+        return blocks
 
     @property
     def x(self) -> np.ndarray:
@@ -131,9 +143,9 @@ class TruncatedOperatorPair:
         k, n = self.k, self.hilbert_dim
         x = np.zeros((2 * n, 2 * n), dtype=complex)
         rows = np.arange(k) * k
-        for j in range(k):
+        for j, block in enumerate(self.blocks()):
             idx = np.concatenate([rows + j, n + rows + j])
-            x[np.ix_(idx, idx)] = self.block(j)
+            x[np.ix_(idx, idx)] = block
         return x
 
     def decay_ok(self) -> bool:
@@ -174,43 +186,45 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
     block l, so each problem is solved through the SVD of that block
     alone.  Optimal preimage columns have disjoint supports, so the
     assembled y stays in the unit ball and the columnwise optimum is exact.
+
+    The K blocks go through one stacked SVD, and the K multipliers μ are
+    bisected together: each column still gets its own doubling start
+    and 200 halvings.
     """
     k = pair.k
-    e = np.zeros(2 * k)
-    e[k] = 1.0  # second half, i = 0: target column l inside block l
-    total = 0.0
-    for l in range(k):
-        mat = pair.block(l)
-        if side is Side.STAR:
-            mat = mat.conj().T
-        u, s, vh = np.linalg.svd(mat)
-        beta = u.conj().T @ e
-        # null directions only lengthen the preimage, so they get weight 0
-        # (the μ ↓ 0 limit of s / (s² + μ)); this also keeps μ = 0 finite
-        live = s > 0
+    mats = pair.blocks()  # real, so x* is the transpose
+    if side is Side.STAR:
+        mats = mats.transpose(0, 2, 1)
+    u, s, vh = np.linalg.svd(mats)
+    # Uᵀe for e the unit vector K (second half, i = 0) of every block
+    beta = u[:, k, :]
+    # null directions only lengthen the preimage, so they get weight 0
+    # (the μ ↓ 0 limit of s / (s² + μ)); this also keeps μ = 0 finite
+    live = s > 0
 
-        def gain(mu):
-            return np.divide(s, s ** 2 + mu, out=np.zeros_like(s), where=live)
+    def gain(mu):
+        return np.divide(s, s ** 2 + mu[:, None], out=np.zeros_like(s),
+                         where=live)
 
-        def vnorm(mu):
-            return float(np.linalg.norm(gain(mu) * beta))
+    def too_long(mu):
+        return np.linalg.norm(gain(mu) * beta, axis=1) > 1.0
 
-        if vnorm(0.0) <= 1.0:
-            mu = 0.0
-        else:
-            lo, hi = 0.0, 1.0
-            while vnorm(hi) > 1.0:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if vnorm(mid) > 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-            mu = hi
-        v = vh.conj().T @ (gain(mu) * beta)
-        total += float(np.linalg.norm(e - mat @ v) ** 2)
-    return float(np.sqrt(total) / np.sqrt(k))
+    constrained = too_long(np.zeros(k))
+    lo, hi = np.zeros(k), np.ones(k)
+    growing = constrained & too_long(hi)
+    while growing.any():
+        hi[growing] *= 2.0
+        growing &= too_long(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        high = too_long(mid)
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+    mu = np.where(constrained, hi, 0.0)
+    v = vh.transpose(0, 2, 1) @ (gain(mu) * beta)[..., None]
+    residual = -(mats @ v)[..., 0]
+    residual[:, k] += 1.0
+    return float(np.linalg.norm(residual) / np.sqrt(k))
 
 
 # -- Weyl fraction algebra ----------------------------------------------------------
@@ -218,14 +232,28 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
 
 @dataclass
 class WeylGrid:
+    """Samples of x = (Q - αi)^{-1} and y = (P - βi)^{-1} on the grid t.
+
+    Only the diagonal ``d`` of x and the real kernel k = i·y are stored;
+    the dense x and y are built on access.
+    """
+
     alpha: float
     beta: float
     m: int
     length: float
     t: np.ndarray
     dt: float
-    x: np.ndarray
-    y: np.ndarray
+    d: np.ndarray
+    kernel: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.diag(self.d)
+
+    @property
+    def y(self) -> np.ndarray:
+        return -1j * self.kernel
 
 
 WEYL_MAX_M = 4096
@@ -237,9 +265,11 @@ WEYL_SCALE = (1e-6, 1e6)
 def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     """Exact resolvent samples on a uniform midpoint grid of [-L, L].
 
-    x is diagonal; y is the quadrature of the one-sided exponential
-    kernel of (P - βi)^{-1}, which requires β < 0.  The parameters and
-    the grid size are checked before any M x M matrix is allocated.
+    x is diagonal; y = -i·k, where k is the quadrature of the one-sided
+    exponential kernel of (P - βi)^{-1}, which requires β < 0: real and
+    upper triangular, k_jl = e^{β(t_l - t_j)}·dt for l >= j.  The
+    parameters and the grid size are checked before any M x M matrix is
+    allocated.
     """
     lo, hi = WEYL_SCALE
     if not (lo <= abs(alpha) <= hi and lo <= -beta <= hi):
@@ -253,22 +283,47 @@ def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
         raise BadParameters(f"at most {WEYL_MAX_M} grid points")
     dt = 2 * length / m
     t = -length + (np.arange(m) + 0.5) * dt
-    x = np.diag(1.0 / (t - 1j * alpha))
+    d = 1.0 / (t - 1j * alpha)
     diff = t[None, :] - t[:, None]
     upper = np.arange(m)[None, :] >= np.arange(m)[:, None]
-    y = np.where(upper, -1j * np.exp(beta * diff) * dt, 0.0)
-    return WeylGrid(alpha, beta, m, length, t, dt, x, y)
+    kernel = np.where(upper, np.exp(beta * diff) * dt, 0.0)
+    return WeylGrid(alpha, beta, m, length, t, dt, d, kernel)
+
+
+def _norm2(mat: np.ndarray) -> float:
+    """Spectral norm: the largest singular value from LAPACK."""
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def _symmetric_norm(mat: np.ndarray) -> float:
+    """Spectral norm of a real symmetric matrix: its largest |eigenvalue|."""
+    return float(np.abs(np.linalg.eigvalsh(mat)).max())
 
 
 @dataclass
 class WeylRelationReport:
+    """Residuals of the fraction-algebra relations.  ``rel1_y`` and
+    ``yx_singular_values`` are computed the first time they are read."""
+
     rel1_x: float              # x - x* = 2αi x*x (exact for diagonals)
     rel1_x_chain: float        # 2αi x*x = 2αi xx*
-    rel1_y: float              # y - y* = 2βi y*y, raw (edge-limited, O(1))
     rel1_y_damped: float       # x(y - y* - 2βi y*y)x (shrinks with the grid)
     rel2: float                # xy - yx = i x y² x (quadrature error)
     rel2_star: float           # xy* - y*x = i x y*² x
-    yx_singular_values: np.ndarray
+    grid: WeylGrid = field(repr=False)
+    ydefect: np.ndarray = field(repr=False)   # S, with y - y* - 2βi y*y = -iS
+
+    @cached_property
+    def rel1_y(self) -> float:
+        """y - y* = 2βi y*y, raw (edge-limited, O(1))."""
+        return _symmetric_norm(self.ydefect)
+
+    @cached_property
+    def yx_singular_values(self) -> np.ndarray:
+        """σ(yx) = σ(k·|D|), in descending order."""
+        w = self.grid
+        return np.linalg.svd(w.kernel * np.abs(w.d)[None, :],
+                             compute_uv=False)
 
     def sigma_at(self, index: int) -> float:
         return float(self.yx_singular_values[index])
@@ -285,31 +340,44 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     O(1) tail mass near the right edge); its x-compressed version, which
     is what the fraction algebra actually sees, does.
 
-    x enters only through its diagonal d: products with x are row or
-    column scalings, and the x-only residuals are diagonal, so their
-    2-norm is a max-abs.
+    x is its diagonal d, and the x-only residuals are diagonal, so their
+    2-norm is a max-abs.  Every other residual is the exact spectral
+    norm of a real matrix, from LAPACK.  With d = u·|d| for a unitary
+    diagonal u, which drops out of a 2-norm, ‖x M x‖ = ‖|D| M |D|‖ for
+    |D| = diag(|d|).  With y = -i·k, k real, and T_jl = t_l - t_j:
+
+    * y - y* - 2βi y*y = -i·S with S = k + kᵀ + 2β kᵀk real symmetric,
+      so ``rel1_y`` and ``rel1_y_damped`` are largest |eigenvalues| of S
+      and |D| S |D|;
+    * x⁻¹ = Q - αi, so xy - yx = x[y, Q]x = x(T∘y)x, and ``rel2`` is
+      ‖|D|(T∘k - k@k)|D|‖ and ``rel2_star`` ‖|D|(T∘kᵀ + kᵀ@kᵀ)|D|‖,
+      each from the singular values of its own matrix;
+    * σ(yx) = σ(k·|D|).
+
+    ``rel1_y`` and the σ(yx) spectrum are computed when first read.
     """
-    d, y = np.diag(w.x), w.y
-    ds, ys = d.conj(), y.conj().T
+    d, k = w.d, w.kernel
+    ds = d.conj()
     a2 = 2j * w.alpha
     rel1_x = np.abs((d - ds) - a2 * (ds * d)).max()
     rel1_chain = np.abs(a2 * (ds * d) - a2 * (d * ds)).max()
-    ydefect = (y - ys) - 2j * w.beta * (ys @ y)
-    rel1_y = np.linalg.norm(ydefect, 2)
+    absd = np.abs(d)
 
-    def sandwich(mat):  # x·mat·x
-        return d[:, None] * mat * d[None, :]
+    def sandwich(mat):  # |D|·mat·|D|
+        return absd[:, None] * mat * absd[None, :]
 
-    rel1_y_damped = np.linalg.norm(sandwich(ydefect), 2)
-    yy = y @ y
-    comm = d[:, None] * y - y * d[None, :]
-    rel2 = np.linalg.norm(comm - 1j * sandwich(yy), 2)
-    comm_star = d[:, None] * ys - ys * d[None, :]
-    rel2_star = np.linalg.norm(comm_star - 1j * sandwich(yy.conj().T), 2)
-    sv = np.linalg.svd(y * d[None, :], compute_uv=False)
-    return WeylRelationReport(float(rel1_x), float(rel1_chain), float(rel1_y),
-                              float(rel1_y_damped), float(rel2),
-                              float(rel2_star), sv)
+    kt = k.T
+    ydefect = k + kt + 2 * w.beta * (kt @ k)
+    lag = w.t[None, :] - w.t[:, None]
+    return WeylRelationReport(
+        rel1_x=float(rel1_x),
+        rel1_x_chain=float(rel1_chain),
+        rel1_y_damped=_symmetric_norm(sandwich(ydefect)),
+        rel2=_norm2(sandwich(lag * k - k @ k)),
+        rel2_star=_norm2(sandwich(lag * kt + kt @ kt)),
+        grid=w,
+        ydefect=ydefect,
+    )
 
 
 @dataclass
@@ -335,7 +403,7 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
     if not -w.length <= lam <= w.length:
         raise BadParameters(f"lam must lie on the grid [-L, L], got {lam}")
     rows = []
-    d = np.diag(w.x)
+    d, y = w.d, w.y
     target = 1.0 / (lam - 1j * w.alpha)
     for eps in eps_seq:
         cells = int(round(eps / w.dt))
@@ -352,7 +420,7 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
             return complex((omega.conj() @ vec) * w.dt)
 
         xval = avg(d * omega)
-        y_omega = w.y @ omega
+        y_omega = y @ omega
         rows.append(WeylLimitRow(
             eps=float(eps),
             cells=cells,
@@ -361,9 +429,9 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
             x_error=float(abs(xval - target)),
             y_value=float(abs(avg(y_omega))),
             yx_values={
-                "1": float(abs(avg(w.y @ (d * omega)))),
-                "x": float(abs(avg(w.y @ (d * (d * omega))))),
-                "y": float(abs(avg(w.y @ (d * y_omega)))),
+                "1": float(abs(avg(y @ (d * omega)))),
+                "x": float(abs(avg(y @ (d * (d * omega))))),
+                "y": float(abs(avg(y @ (d * y_omega)))),
             },
         ))
     return rows

@@ -53,7 +53,13 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .config import DEFAULT, Config
-from .errors import CircleRoot, InnerRoot, NotCoprime, NotRealFactor
+from .errors import (
+    CircleRoot,
+    FactorizationFailed,
+    InnerRoot,
+    NotCoprime,
+    NotRealFactor,
+)
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -160,11 +166,32 @@ class TrigData:
     r_root_min_modulus: float
     f0: complex
 
+    def failures(self) -> list:
+        """The checks this factorization fails, each with its value."""
+        out = []
+        if not self.factor_residual < 1e-8:
+            out.append(f"factor_residual {self.factor_residual:.2e} "
+                       f"(must be below 1e-8)")
+        if not self.unit_residual < 1e-8:
+            out.append(f"unit_residual {self.unit_residual:.2e} "
+                       f"(must be below 1e-8)")
+        if not self.r_root_min_modulus > 1 + 1e-9:
+            out.append(f"smallest root modulus of r "
+                       f"{self.r_root_min_modulus:.12g} (must exceed 1)")
+        if not (abs(self.f0.imag) < 1e-10 and self.f0.real > 0):
+            out.append(f"f(0) = {self.f0:.3g} (must be real and positive)")
+        return out
+
     @property
     def ok(self) -> bool:
-        return (self.factor_residual < 1e-8 and self.unit_residual < 1e-8
-                and self.r_root_min_modulus > 1 + 1e-9
-                and abs(self.f0.imag) < 1e-10 and self.f0.real > 0)
+        return not self.failures()
+
+    def require_ok(self) -> None:
+        """FactorizationFailed, naming each failed check, unless ``ok``."""
+        if not self.ok:
+            raise FactorizationFailed(
+                "spectral factorization failed its check: "
+                + "; ".join(self.failures()))
 
 
 def trig_data(p, q, n: int = 64, cfg: Config = DEFAULT) -> TrigData:
@@ -318,11 +345,13 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     Taylor coefficients of f and g.  No dense T_f, T_g or N³ product is
     formed.  The triple is float64 for real p and q and complex128
     otherwise, and it is stored with its band: the last nonzero index of
-    f̂ or ĝ.
+    f̂ or ĝ.  A factorization that fails ``TrigData.ok`` raises
+    FactorizationFailed.
     """
     check_truncation_size(n)
     data = trig_data(p, q, n, cfg)
     p, q, r = _symbol_field(data)
+    data.require_ok()
     fhat = _taylor(q, r, n)
     ghat = _taylor(p, r, n)
     # f̂_0 = q(0)/r(0) > 0, so the band is well defined
@@ -364,12 +393,14 @@ class AffiliationReport:
 def affiliation_verdict(p, q, cfg: Config = DEFAULT) -> AffiliationReport:
     """Associated always; affiliated iff q has no zero on the circle.
 
-    Roots of q inside the open disc violate the construction and raise;
+    Roots of q inside the open disc violate the construction and raise,
+    and so does a factorization that fails ``TrigData.ok``;
     roots within ``root_circle_tol`` of the circle count as circle zeros
     and produce the character witness |f(λ)|² ≈ 0.
     """
     p, q = _trim(p), _trim(q)
     data = trig_data(p, q, cfg=cfg)
+    data.require_ok()
     qroots = np.roots(q[::-1]) if len(q) > 1 else np.array([])
     circle = [complex(z) for z in qroots
               if abs(abs(z) - 1.0) <= cfg.root_circle_tol]

@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -285,3 +286,43 @@ def test_toeplitz_command_fuzz(cplx, data, n, capsys):
     assert code in (0, 1, 2), (p, q, n)
     if code == 0:
         _finite(out)
+
+
+# -- exit-code contract for argument errors ----------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bogus"],
+    ["toeplitz", "1"],
+    ["transform", "--op", "nope"],
+    ["experiment", "--which", "weyl", "--M", "abc"],
+], ids=["unknown-option", "missing-argument", "bad-choice", "bad-type"])
+def test_usage_error_is_input_error(argv):
+    proc = run_cli(*argv, expect=1)
+    assert "usage:" in proc.stderr
+
+
+def test_leading_minus_coefficient_list_needs_no_separator(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli("--quiet", "--json", str(a), "toeplitz", "-1,2", "3-z", "--N", "16")
+    run_cli("--quiet", "--json", str(b), "toeplitz", "--N", "16", "--",
+            "-1,2", "3-z")
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["results"]["p"] == [[-1.0, 0.0],
+                                                         [2.0, 0.0]]
+
+
+def test_expression_and_coefficient_list_give_the_same_report(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli("--quiet", "--json", str(a), "toeplitz", "1", "1-z", "--N", "64")
+    run_cli("--quiet", "--json", str(b), "toeplitz", "1", "1,-1", "--N", "64")
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_factorization_is_a_named_check_failure():
+    # 0.01 over (1 - 0.9z)^12: the factorization misses by a residual ~5.7
+    q = ",".join(repr(float(c)) for c in np.polynomial.polynomial.polypow(
+        [1.0, -0.9], 12))
+    proc = run_cli("toeplitz", "0.01", q, "--N", "64", expect=2)
+    assert proc.stderr.startswith("verified failure:")
+    assert "factor_residual" in proc.stderr

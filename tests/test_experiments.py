@@ -372,3 +372,188 @@ def test_scaled_normal_relation():
     rhs = (1 / q) * np.linalg.inv(
         np.eye(n) + (1 / q - 1) * tr.a) @ tr.a
     assert opnorm(lhs - rhs) < 1e-10
+
+
+# -- the structured experiments against their previous implementations ---------------
+#
+# The Weyl residuals were dense complex 2-norms with x as its diagonal,
+# and the density defect bisected one column at a time.  Both are kept
+# here as references for the real-kernel residuals and the stacked
+# bisection.
+
+STRUCTURE_TOL = 1e-13
+
+
+def assert_close(value, ref):
+    assert abs(value - ref) <= STRUCTURE_TOL * max(1.0, abs(ref)), (value, ref)
+
+
+def complex_residuals(w):
+    """The residual matrices of the y-relations and yx, in complex
+    arithmetic with x as its diagonal."""
+    d, y = np.diag(w.x), w.y
+    ys = y.conj().T
+    ydefect = (y - ys) - 2j * w.beta * (ys @ y)
+
+    def sandwich(mat):
+        return d[:, None] * mat * d[None, :]
+
+    yy = y @ y
+    comm = d[:, None] * y - y * d[None, :]
+    comm_star = d[:, None] * ys - ys * d[None, :]
+    return {
+        "rel1_y": ydefect,
+        "rel1_y_damped": sandwich(ydefect),
+        "rel2": comm - 1j * sandwich(yy),
+        "rel2_star": comm_star - 1j * sandwich(yy.conj().T),
+        "yx": y * d[None, :],
+    }
+
+
+def complex_relations(w):
+    d = np.diag(w.x)
+    ds = d.conj()
+    a2 = 2j * w.alpha
+    mats = complex_residuals(w)
+    yx = mats.pop("yx")
+    ref = {key: float(np.linalg.norm(mat, 2)) for key, mat in mats.items()}
+    ref["rel1_x"] = float(np.abs((d - ds) - a2 * (ds * d)).max())
+    ref["rel1_x_chain"] = float(np.abs(a2 * (ds * d) - a2 * (d * ds)).max())
+    return ref, np.linalg.svd(yx, compute_uv=False)
+
+
+def columnwise_density_defect(pair, side):
+    k = pair.k
+    shift = np.eye(k, k=-1)
+    e = np.zeros(2 * k)
+    e[k] = 1.0
+    total = 0.0
+    for l in range(k):
+        mat = np.block([[shift, np.diag(pair.lam[:, l])],
+                        [np.zeros((k, k)), shift.T]])
+        if side is Side.STAR:
+            mat = mat.conj().T
+        u, s, vh = np.linalg.svd(mat)
+        beta = u.conj().T @ e
+        live = s > 0
+
+        def gain(mu):
+            return np.divide(s, s ** 2 + mu, out=np.zeros_like(s), where=live)
+
+        def vnorm(mu):
+            return float(np.linalg.norm(gain(mu) * beta))
+
+        if vnorm(0.0) <= 1.0:
+            mu = 0.0
+        else:
+            lo, hi = 0.0, 1.0
+            while vnorm(hi) > 1.0:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if vnorm(mid) > 1.0:
+                    lo = mid
+                else:
+                    hi = mid
+            mu = hi
+        v = vh.conj().T @ (gain(mu) * beta)
+        total += float(np.linalg.norm(e - mat @ v) ** 2)
+    return float(np.sqrt(total) / np.sqrt(k))
+
+
+WEYL_SETTINGS = [(1.0, -1.0, 20.0), (0.3, -2.5, 8.0), (2.0, -0.7, 12.0)]
+
+
+@pytest.mark.parametrize("m", [256, 512])
+@pytest.mark.parametrize("alpha, beta, length", WEYL_SETTINGS)
+def test_real_residuals_match_complex_ones(alpha, beta, length, m):
+    w = weyl_build(alpha, beta, m, length)
+    rep = weyl_relations_check(w)
+    ref, ref_sv = complex_relations(w)
+    for key, value in ref.items():
+        assert_close(getattr(rep, key), value)
+    assert rep.yx_singular_values.shape == ref_sv.shape
+    for value, sigma in zip(rep.yx_singular_values, ref_sv):
+        assert_close(value, sigma)
+
+
+def test_grid_keeps_the_real_kernel():
+    w = weyl_build(1.0, -1.0, 256, 20.0)
+    assert w.kernel.dtype == np.float64
+    assert np.array_equal(w.y, -1j * w.kernel)
+    assert np.array_equal(np.triu(w.kernel), w.kernel)
+    assert np.array_equal(w.x, np.diag(w.d))
+
+
+class LinalgSpy:
+    """Counts the SVDs and symmetric eigensolves numpy is asked for."""
+
+    def __init__(self, monkeypatch):
+        self.svd, self.eigvalsh = [], []
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+        def spy_svd(a, *args, **kwargs):
+            self.svd.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        def spy_eigvalsh(a, *args, **kwargs):
+            self.eigvalsh.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+
+
+def assert_same_moduli(real, ref):
+    # a diagonal unitary on either side changes the phases of the entries
+    # of a residual matrix, never their moduli
+    scale = np.abs(ref).max()
+    assert np.abs(np.abs(real) - np.abs(ref)).max() <= STRUCTURE_TOL * scale
+
+
+@pytest.mark.parametrize("alpha, beta, length", WEYL_SETTINGS)
+def test_each_norm_is_of_its_own_residual_and_unread_ones_wait(
+        alpha, beta, length, monkeypatch):
+    w = weyl_build(alpha, beta, 256, length)
+    ref = complex_residuals(w)
+    spy = LinalgSpy(monkeypatch)
+    rep = weyl_relations_check(w)
+    _ = rep.rel2, rep.rel2_star, rep.rel1_y_damped
+    # one SVD per commutator residual, one eigensolve for the damped one;
+    # neither the raw y-relation nor the σ(yx) spectrum
+    assert len(spy.svd) == 2 and len(spy.eigvalsh) == 1
+    assert_same_moduli(spy.svd[0], ref["rel2"])
+    assert_same_moduli(spy.svd[1], ref["rel2_star"])
+    assert_same_moduli(spy.eigvalsh[0], ref["rel1_y_damped"])
+    rep.sigma_at(64)
+    rep.sigma_at(128)
+    assert len(spy.svd) == 3
+    assert_same_moduli(spy.svd[2], ref["yx"])
+    rep.rel1_y
+    rep.rel1_y
+    assert len(spy.eigvalsh) == 2
+    assert_same_moduli(spy.eigvalsh[1], ref["rel1_y"])
+
+
+def test_refined_grid_reports_without_raw_relation_or_spectrum(
+        monkeypatch, tmp_path):
+    from graphreg import cli
+
+    spy = LinalgSpy(monkeypatch)
+    out = tmp_path / "weyl.json"
+    assert cli.main(["--quiet", "--json", str(out), "experiment", "--which",
+                     "weyl", "--M", "256"]) == 0
+    # M = 256: rel2, rel2_star and σ(yx); 2M = 512: rel2 and rel2_star
+    assert sorted(a.shape[0] for a in spy.svd) == [256, 256, 256, 512, 512]
+    # M = 256: the damped and the raw y-relation; 2M = 512: the damped one
+    assert sorted(a.shape[0] for a in spy.eigvalsh) == [256, 256, 512]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("identity_r", [False, True])
+@pytest.mark.parametrize("side", [Side.LEFT, Side.STAR])
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_stacked_bisection_matches_columnwise(k, side, identity_r):
+    pair = build_pair(k, identity_r)
+    assert_close(density_defect(pair, side),
+                 columnwise_density_defect(pair, side))

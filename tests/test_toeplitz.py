@@ -5,7 +5,13 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from graphreg import toeplitz
-from graphreg.errors import CircleRoot, InnerRoot, NotCoprime, NotRealFactor
+from graphreg.errors import (
+    CircleRoot,
+    FactorizationFailed,
+    InnerRoot,
+    NotCoprime,
+    NotRealFactor,
+)
 from graphreg.toeplitz import (
     TOEPLITZ_MAX_N,
     Verdict,
@@ -386,3 +392,32 @@ def test_truncation_size_cap():
     for n in (TOEPLITZ_MAX_N + 1, 10 ** 12, 1, -4):
         with pytest.raises(ValueError):
             check_truncation_size(n)
+
+
+# -- the factorization gate ------------------------------------------------------
+
+# 0.01 over (1 - 0.9z)^12: |q|² spans about 24 orders of magnitude on the
+# circle, and the root pairing loses |p|² + |q|² = |r|² (residual ~5.7)
+ILL_CONDITIONED = ([0.01], npoly.polypow([1.0, -0.9], 12))
+
+
+def test_failed_factorization_is_refused():
+    data = trig_data(*ILL_CONDITIONED)
+    assert not data.ok
+    assert data.failures()[0].startswith("factor_residual")
+    with pytest.raises(FactorizationFailed, match="factor_residual"):
+        affiliation_verdict(*ILL_CONDITIONED)
+    with pytest.raises(FactorizationFailed):
+        toeplitz_aab(*ILL_CONDITIONED, 64)
+
+
+@pytest.mark.parametrize("p, q", [
+    ([1.0], [1.0, -1.0]),
+    ([1.0], [2.0, -1.0]),
+    ([1.0, 0.0, 1.0], [3.0, -2.0, -1.0]),
+    ([1.0, 0.0, 1.0], [6.0, -1.0, -1.0]),
+], ids=["1/(1-z)", "1/(2-z)", "(1+z²)/((1-z)(3+z))", "affiliated"])
+def test_published_symbols_pass_the_gate(p, q):
+    data = trig_data(p, q)
+    assert data.ok and not data.failures()
+    assert data.factor_residual < 1e-12
