@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__, catalog
 from .algebras import constant_matrix, grid_model, matrix_algebra
-from .config import DEFAULT, Config
+from .config import ARRAY_BUDGET, COMPLEX_BYTES, DEFAULT, Config
 from .errors import (
     BadParameters,
     DeclarationMismatch,
@@ -124,13 +125,23 @@ def parse_poly(text: str, cfg: Config) -> np.ndarray:
         raise ValueError(f"cannot parse polynomial {text!r}: {err}") from err
 
 
-def check_parameter(name: str, value, lo=None):
-    """``value`` if it is finite and at least ``lo`` (if given); otherwise
-    BadParameters, which exits 1.  Sizes and numbers the library does not
-    range-check itself go through here before anything is computed from
-    them."""
-    if not np.isfinite(value) or (lo is not None and not value >= lo):
+# The largest array of each size stays within ARRAY_BUDGET: for
+# ``transform --n`` the nine stacked n x n complex residuals of an axiom
+# check, for ``experiment --which resolvent --n`` the n² x n² complex
+# left-multiplication map of M_n.
+TRANSFORM_MAX_N = math.isqrt(ARRAY_BUDGET // (9 * COMPLEX_BYTES))
+RESOLVENT_MAX_N = math.isqrt(math.isqrt(ARRAY_BUDGET // COMPLEX_BYTES))
+
+
+def check_parameter(name: str, value, lo=None, hi=None):
+    """``value`` if it is finite and lies in [lo, hi] (each bound if
+    given); otherwise BadParameters, which exits 1.  Sizes and numbers the
+    library does not range-check itself go through here before anything
+    is computed from them."""
+    if (not np.isfinite(value) or (lo is not None and not value >= lo)
+            or (hi is not None and not value <= hi)):
         bound = "" if lo is None else f" and at least {lo}"
+        bound += "" if hi is None else f" and at most {hi}"
         raise BadParameters(f"{name} must be finite{bound}; got {value}")
     return value
 
@@ -159,7 +170,7 @@ def cmd_analyze(args, cfg: Config) -> tuple:
 
 
 def cmd_transform(args, cfg: Config) -> tuple:
-    n = check_parameter("--n", args.n, 1)
+    n = check_parameter("--n", args.n, 1, TRANSFORM_MAX_N)
     rng = np.random.default_rng(args.seed)
     t = np.zeros((n, n), dtype=complex) if args.zero else random_operator(n, rng)
     if args.op in ("calc",):
@@ -307,7 +318,7 @@ def cmd_experiment(args, cfg: Config) -> tuple:
             t = constant_matrix(a, np.array([[0, 0], [1, 0]], complex))
             rep = resolvent_affiliation_check(t, lam, a, ma, cfg)
         else:
-            n = check_parameter("--n", args.n, 1)
+            n = check_parameter("--n", args.n, 1, RESOLVENT_MAX_N)
             alg = matrix_algebra(n)
             t = random_operator(n, rng) + 3 * np.eye(n)
             rep = resolvent_affiliation_check(t, lam, alg, None, cfg)
@@ -320,12 +331,21 @@ def cmd_experiment(args, cfg: Config) -> tuple:
 
 class ArgumentParser(argparse.ArgumentParser):
     """argparse with the exit-code contract: a usage error is bad input
-    (exit 1), and an argument that starts with a minus sign and a digit,
-    such as the coefficient list ``-1,2``, is a value, not an option."""
+    (exit 1), and an argument that starts with a minus sign and then a
+    digit, a point, ``z`` or ``(``, such as the coefficient list ``-1,2``
+    or the polynomial ``-z+2``, is a value, not an option.  The
+    subcommand is required after the options are parsed, so an unknown
+    option is named before a missing subcommand."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-[.\dz(]")
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        if getattr(parsed, "cmd", "") is None:
+            self.error("the following arguments are required: cmd")
+        return parsed
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -348,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--json", default=argparse.SUPPRESS)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
-    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub = ap.add_subparsers(dest="cmd")
 
     a = sub.add_parser("analyze", help="classify a piecewise symbol",
                        parents=[common])

@@ -11,6 +11,17 @@ import json
 import sys
 from dataclasses import dataclass
 
+# The largest array any size setting may allocate: 256 MiB, one complex
+# 4096 x 4096 Toeplitz truncation.  Every size cap is derived from it.
+ARRAY_BUDGET = 2 ** 28
+COMPLEX_BYTES = 16
+
+# Each of these sets the length of a sample vector that is evaluated in
+# complex128: the bulk grid, the points on the circle, the approach to a
+# puncture and its dyadic refinement.
+SIZE_CAPS = {name: ARRAY_BUDGET // COMPLEX_BYTES for name in (
+    "grid_points", "circle_samples", "approach_steps", "dyadic_depth")}
+
 
 @dataclass(frozen=True)
 class Config:
@@ -56,7 +67,8 @@ class Config:
     def from_dict(data: dict) -> "Config":
         """Overrides from a JSON object, each checked against its field:
         integer fields take integers (not booleans), float fields take
-        finite reals, and every value must be positive."""
+        finite reals, every value must be positive, and the sizes in
+        ``SIZE_CAPS`` must not exceed their caps."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
         defaults = {f.name: f.default for f in dataclasses.fields(Config)}
@@ -72,6 +84,9 @@ class Config:
                 raise ValueError(f"{key} must be {noun}, got {value!r}")
             if not 0 < value <= sys.float_info.max:
                 raise ValueError(f"{key} must be positive and finite, got {value!r}")
+            if key in SIZE_CAPS and value > SIZE_CAPS[key]:
+                raise ValueError(f"{key} must be at most {SIZE_CAPS[key]}, "
+                                 f"got {value!r}")
             values[key] = kind(value)
         return Config(**values)
 

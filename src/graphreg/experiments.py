@@ -21,13 +21,16 @@ grid and measures the fraction-algebra relations and the window-state
 limits that identify the characters of the algebra.  The grid keeps
 the diagonal d of x and the real kernel k = i·y.  Every product with x
 is a row or column scaling, the x-only relations are exact on the
-diagonal, and the window averages are matrix-vector products.  The
-phases of d drop out of every 2-norm, so each residual of y is the
+diagonal, and the window averages are matrix-vector products with k.
+The phases of d drop out of every 2-norm, so each residual of y is the
 spectral norm of a real matrix sandwiched by |D| = diag(|d|), and the
-commutator comes from x[y, Q]x since x⁻¹ = Q - αi (see
-``weyl_relations_check``).  Values the report may not read, the raw
-y-relation and the σ(yx) spectrum, are computed when first read.  The
-grid has between 256 and 4096 points.
+commutator comes from x[y, Q]x since x⁻¹ = Q - αi.  The residual of
+xy* - y*x is then -Mᵀ for the matrix M of xy - yx, so both relations
+share one SVD: a grid costs one SVD of M and one ``eigvalsh`` of the
+damped y-relation (see ``weyl_relations_check``).  Values the report
+may not read, the raw y-relation and the σ(yx) spectrum, are computed
+when first read.  k, S and M are each formed in one buffer.  The grid
+has between 256 and 4096 points.
 """
 
 from __future__ import annotations
@@ -284,9 +287,13 @@ def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     dt = 2 * length / m
     t = -length + (np.arange(m) + 0.5) * dt
     d = 1.0 / (t - 1j * alpha)
-    diff = t[None, :] - t[:, None]
-    upper = np.arange(m)[None, :] >= np.arange(m)[:, None]
-    kernel = np.where(upper, np.exp(beta * diff) * dt, 0.0)
+    # k is built in its own buffer: (t_j - t_l)·(-β) = β(t_l - t_j), and
+    # the strict lower triangle is sent to exp(-inf) = 0
+    kernel = np.subtract.outer(t, t)
+    kernel *= -beta
+    np.copyto(kernel, -np.inf, where=np.tri(m, k=-1, dtype=bool))
+    np.exp(kernel, out=kernel)
+    kernel *= dt
     return WeylGrid(alpha, beta, m, length, t, dt, d, kernel)
 
 
@@ -309,9 +316,14 @@ class WeylRelationReport:
     rel1_x_chain: float        # 2αi x*x = 2αi xx*
     rel1_y_damped: float       # x(y - y* - 2βi y*y)x (shrinks with the grid)
     rel2: float                # xy - yx = i x y² x (quadrature error)
-    rel2_star: float           # xy* - y*x = i x y*² x
     grid: WeylGrid = field(repr=False)
     ydefect: np.ndarray = field(repr=False)   # S, with y - y* - 2βi y*y = -iS
+
+    @property
+    def rel2_star(self) -> float:
+        """xy* - y*x = i x y*² x.  Its residual is -Mᵀ for the matrix M
+        of ``rel2``, so its norm is ``rel2``."""
+        return self.rel2
 
     @cached_property
     def rel1_y(self) -> float:
@@ -350,11 +362,15 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
       so ``rel1_y`` and ``rel1_y_damped`` are largest |eigenvalues| of S
       and |D| S |D|;
     * x⁻¹ = Q - αi, so xy - yx = x[y, Q]x = x(T∘y)x, and ``rel2`` is
-      ‖|D|(T∘k - k@k)|D|‖ and ``rel2_star`` ‖|D|(T∘kᵀ + kᵀ@kᵀ)|D|‖,
-      each from the singular values of its own matrix;
+      ‖M‖ for M = |D|(T∘k - k@k)|D|.  The residual of ``rel2_star`` is
+      |D|(T∘kᵀ + kᵀ@kᵀ)|D| = -Mᵀ for any kernel k, since Tᵀ = -T and
+      (k@k)ᵀ = kᵀ@kᵀ, so it is the same largest singular value;
     * σ(yx) = σ(k·|D|).
 
-    ``rel1_y`` and the σ(yx) spectrum are computed when first read.
+    The matrices decomposed are |D| S |D| (``eigvalsh``) and M (one SVD);
+    S itself and k·|D| follow when ``rel1_y`` and the σ(yx) spectrum are
+    first read.  S and M are each formed in one buffer and sandwiched in
+    place; |D| S |D| is a copy, since S is kept for ``rel1_y``.
     """
     d, k = w.d, w.kernel
     ds = d.conj()
@@ -363,18 +379,24 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     rel1_chain = np.abs(a2 * (ds * d) - a2 * (d * ds)).max()
     absd = np.abs(d)
 
-    def sandwich(mat):  # |D|·mat·|D|
-        return absd[:, None] * mat * absd[None, :]
+    def sandwich(mat):  # mat ← |D|·mat·|D|
+        mat *= absd[:, None]
+        mat *= absd[None, :]
+        return mat
 
     kt = k.T
-    ydefect = k + kt + 2 * w.beta * (kt @ k)
-    lag = w.t[None, :] - w.t[:, None]
+    ydefect = kt @ k
+    ydefect *= 2 * w.beta
+    ydefect += k + kt
+    rel1_y_damped = _symmetric_norm(sandwich(ydefect.copy()))
+    comm = np.subtract.outer(w.t, w.t).T   # T, T_jl = t_l - t_j
+    comm *= k
+    comm -= k @ k
     return WeylRelationReport(
         rel1_x=float(rel1_x),
         rel1_x_chain=float(rel1_chain),
-        rel1_y_damped=_symmetric_norm(sandwich(ydefect)),
-        rel2=_norm2(sandwich(lag * k - k @ k)),
-        rel2_star=_norm2(sandwich(lag * kt + kt @ kt)),
+        rel1_y_damped=rel1_y_damped,
+        rel2=_norm2(sandwich(comm)),
         grid=w,
         ydefect=ydefect,
     )
@@ -398,12 +420,20 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
     below 8 grid cells are refused.  As ε ↓ 0 the x-average approaches
     (λ - αi)^{-1} while every y- and yx-average drains to zero, which is
     the character structure of the algebra.  Each A ω is a chain of
-    matrix-vector products, x acting as its diagonal.
+    matrix-vector products, x acting as its diagonal and y = -i·k as
+    the real kernel k, applied to the real and imaginary parts of a
+    vector; the dense complex y is never formed.
     """
     if not -w.length <= lam <= w.length:
         raise BadParameters(f"lam must lie on the grid [-L, L], got {lam}")
     rows = []
-    d, y = w.d, w.y
+    d, k = w.d, w.kernel
+
+    def y(vec):  # y @ vec
+        if np.iscomplexobj(vec):
+            return -1j * (k @ vec.real + 1j * (k @ vec.imag))
+        return -1j * (k @ vec)
+
     target = 1.0 / (lam - 1j * w.alpha)
     for eps in eps_seq:
         cells = int(round(eps / w.dt))
@@ -420,7 +450,7 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
             return complex((omega.conj() @ vec) * w.dt)
 
         xval = avg(d * omega)
-        y_omega = y @ omega
+        y_omega = y(omega)
         rows.append(WeylLimitRow(
             eps=float(eps),
             cells=cells,
@@ -429,9 +459,9 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
             x_error=float(abs(xval - target)),
             y_value=float(abs(avg(y_omega))),
             yx_values={
-                "1": float(abs(avg(y @ (d * omega)))),
-                "x": float(abs(avg(y @ (d * (d * omega))))),
-                "y": float(abs(avg(y @ (d * y_omega)))),
+                "1": float(abs(avg(y(d * omega)))),
+                "x": float(abs(avg(y(d * (d * omega))))),
+                "y": float(abs(avg(y(d * y_omega)))),
             },
         ))
     return rows

@@ -387,8 +387,9 @@ def bounded_transform_symbol(m, cfg: Config = DEFAULT) -> SymbolBoundedTransform
     across a divergence point (the modulus tends to 1 but the phase can
     jump), in which case no adjointable element represents t and z lives
     on the core module only; the flags record this per puncture.  z is
-    built on the hat extension of m, whose surviving punctures are marked
-    singular for re-detection.
+    built on the hat extension of m; each surviving puncture is detected
+    once on z and declared reg_b at the detected limit where z extends,
+    sing_supp elsewhere, so z passes its own hat extension.
     """
     mh = hat_extension(m, cfg)
     if any(d.cls is PointClass.SING_SUPP and math.isfinite(d.at)
@@ -399,11 +400,15 @@ def bounded_transform_symbol(m, cfg: Config = DEFAULT) -> SymbolBoundedTransform
     z = map_symbol(replace(mh, declarations=redetect),
                    lambda t: ex.div(t, ex.call("sqrt", ex.add(ex.ONE, ex.abs2(t)))),
                    lambda w: w / math.sqrt(1 + abs(w) ** 2))
+    detected = {p: detect_point(z, p, cfg) for p in mh.domain.punctures}
+    z = replace(z, declarations=tuple(
+        Declaration(p, PointClass.REG_B, det.limit)
+        if det.kind is PointClass.REG_B else Declaration(p, PointClass.SING_SUPP)
+        for p, det in detected.items()))
     # a point absorbed by the hat is a fill: z is continuous there
     filled = {p for p, _ in mh.fills}
-    extendable = {
-        p: p in filled or detect_point(z, p, cfg).kind is PointClass.REG_B
-        for p in sorted(filled | set(mh.domain.punctures))}
+    extendable = {p: p in filled or detected[p].kind is PointClass.REG_B
+                  for p in sorted(filled | set(detected))}
     return SymbolBoundedTransform(z, extendable, all(extendable.values()))
 
 

@@ -302,6 +302,28 @@ def test_usage_error_is_input_error(argv):
     assert "usage:" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["--bogus"], ["--bogus", "toeplitz", "1", "2"], ["toeplitz", "--bogus", "1", "2"],
+], ids=["alone", "before-command", "after-command"])
+def test_unknown_option_is_named(argv):
+    proc = run_cli(*argv, expect=1)
+    assert "unrecognized arguments: --bogus" in proc.stderr
+    assert "required" not in proc.stderr
+
+
+def test_missing_command_is_named():
+    proc = run_cli("--quiet", expect=1)
+    assert "the following arguments are required: cmd" in proc.stderr
+
+
+@pytest.mark.parametrize("p", ["-z+2", "-(z-2)", "-.5,1"])
+def test_leading_minus_expression_needs_no_separator(p, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run_cli("--quiet", "--json", str(a), "toeplitz", p, "1", "--N", "16")
+    run_cli("--quiet", "--json", str(b), "toeplitz", "--N", "16", "--", p, "1")
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_leading_minus_coefficient_list_needs_no_separator(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("--quiet", "--json", str(a), "toeplitz", "-1,2", "3-z", "--N", "16")
@@ -326,3 +348,77 @@ def test_failed_factorization_is_a_named_check_failure():
     proc = run_cli("toeplitz", "0.01", q, "--N", "64", expect=2)
     assert proc.stderr.startswith("verified failure:")
     assert "factor_residual" in proc.stderr
+
+
+# -- size caps, each refused by its validator before anything is allocated ----------
+
+
+def test_size_caps_follow_the_array_budget():
+    from graphreg import cli
+    from graphreg.config import ARRAY_BUDGET, SIZE_CAPS
+
+    # the nine stacked complex residuals of an axiom check
+    n = cli.TRANSFORM_MAX_N
+    assert 9 * 16 * n ** 2 <= ARRAY_BUDGET < 9 * 16 * (n + 1) ** 2
+    # the complex n² x n² left-multiplication map of M_n
+    n = cli.RESOLVENT_MAX_N
+    assert 16 * n ** 4 <= ARRAY_BUDGET < 16 * (n + 1) ** 4
+    # one complex sample vector
+    assert set(SIZE_CAPS.values()) == {ARRAY_BUDGET // 16}
+
+
+@pytest.mark.parametrize("key", ["grid_points", "circle_samples",
+                                 "approach_steps", "dyadic_depth"])
+def test_config_size_above_its_cap_is_refused(key):
+    from graphreg.config import SIZE_CAPS, Config
+
+    cap = SIZE_CAPS[key]
+    assert getattr(Config.from_dict({key: cap}), key) == cap
+    with pytest.raises(ValueError, match=f"{key} must be at most {cap}"):
+        Config.from_dict({key: cap + 1})
+    with pytest.raises(ValueError, match=f"{key} must be at most {cap}"):
+        Config.from_dict({key: 10 ** 30})
+
+
+def test_config_size_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # the cap is lowered so that a failed refusal would still be small
+    from graphreg import cli, config
+
+    monkeypatch.setitem(config.SIZE_CAPS, "grid_points", 100)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_points": 101}))
+    assert cli.main(["--quiet", "--config", str(cfg), "analyze",
+                     "--catalog", "x"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: grid_points must be at most 100")
+
+
+@pytest.mark.parametrize("name, value, lo, hi, ok", [
+    ("--n", 1365, 1, 1365, True), ("--n", 1366, 1, 1365, False),
+    ("--n", 0, 1, 1365, False), ("--n", 10 ** 12, 1, 64, False),
+    ("--beta", 1e300, None, None, True),
+])
+def test_check_parameter_bounds(name, value, lo, hi, ok):
+    from graphreg.cli import check_parameter
+    from graphreg.errors import BadParameters
+
+    if ok:
+        assert check_parameter(name, value, lo, hi) == value
+    else:
+        with pytest.raises(BadParameters, match=name):
+            check_parameter(name, value, lo, hi)
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["transform", "--op", "aab", "--n", "5"], "TRANSFORM_MAX_N"),
+    (["experiment", "--which", "resolvent", "--n", "5"], "RESOLVENT_MAX_N"),
+])
+def test_cli_size_above_its_cap_is_an_input_error(argv, cap, monkeypatch,
+                                                  capsys):
+    # the cap is lowered so that a failed refusal would still be small
+    from graphreg import cli
+
+    monkeypatch.setattr(cli, cap, 4)
+    assert cli.main(["--quiet", *argv]) == 1
+    assert "--n must be finite and at least 1 and at most 4" in (
+        capsys.readouterr().err)

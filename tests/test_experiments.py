@@ -519,16 +519,17 @@ def test_each_norm_is_of_its_own_residual_and_unread_ones_wait(
     spy = LinalgSpy(monkeypatch)
     rep = weyl_relations_check(w)
     _ = rep.rel2, rep.rel2_star, rep.rel1_y_damped
-    # one SVD per commutator residual, one eigensolve for the damped one;
-    # neither the raw y-relation nor the σ(yx) spectrum
-    assert len(spy.svd) == 2 and len(spy.eigvalsh) == 1
+    # one SVD for both commutator residuals, whose matrices are each
+    # other's negative transpose, and one eigensolve for the damped
+    # y-relation; neither the raw y-relation nor the σ(yx) spectrum
+    assert len(spy.svd) == 1 and len(spy.eigvalsh) == 1
     assert_same_moduli(spy.svd[0], ref["rel2"])
-    assert_same_moduli(spy.svd[1], ref["rel2_star"])
+    assert_same_moduli(spy.svd[0].T, ref["rel2_star"])
     assert_same_moduli(spy.eigvalsh[0], ref["rel1_y_damped"])
     rep.sigma_at(64)
     rep.sigma_at(128)
-    assert len(spy.svd) == 3
-    assert_same_moduli(spy.svd[2], ref["yx"])
+    assert len(spy.svd) == 2
+    assert_same_moduli(spy.svd[1], ref["yx"])
     rep.rel1_y
     rep.rel1_y
     assert len(spy.eigvalsh) == 2
@@ -543,10 +544,69 @@ def test_refined_grid_reports_without_raw_relation_or_spectrum(
     out = tmp_path / "weyl.json"
     assert cli.main(["--quiet", "--json", str(out), "experiment", "--which",
                      "weyl", "--M", "256"]) == 0
-    # M = 256: rel2, rel2_star and σ(yx); 2M = 512: rel2 and rel2_star
-    assert sorted(a.shape[0] for a in spy.svd) == [256, 256, 256, 512, 512]
+    # M = 256: the commutators and σ(yx); 2M = 512: the commutators
+    assert sorted(a.shape[0] for a in spy.svd) == [256, 256, 512]
     # M = 256: the damped and the raw y-relation; 2M = 512: the damped one
     assert sorted(a.shape[0] for a in spy.eigvalsh) == [256, 256, 512]
+
+
+def star_commutator_residual(w):
+    """The residual matrix of xy* - y*x = i x y*² x, real and up to
+    diagonal unitaries: |D|(T∘kᵀ + kᵀ@kᵀ)|D|, from its own products."""
+    k, absd = w.kernel, np.abs(w.d)
+    lag = w.t[None, :] - w.t[:, None]
+    return absd[:, None] * (lag * k.T + k.T @ k.T) * absd[None, :]
+
+
+def commutator_residual(w):
+    """The same for xy - yx = i x y² x: M = |D|(T∘k - k@k)|D|."""
+    k, absd = w.kernel, np.abs(w.d)
+    lag = w.t[None, :] - w.t[:, None]
+    return absd[:, None] * (lag * k - k @ k) * absd[None, :]
+
+
+@pytest.mark.parametrize("m", [256, 512, 1024])
+@pytest.mark.parametrize("alpha, beta, length", WEYL_SETTINGS)
+def test_star_commutator_is_minus_the_transpose(alpha, beta, length, m):
+    w = weyl_build(alpha, beta, m, length)
+    star, comm = star_commutator_residual(w), commutator_residual(w)
+    # Tᵀ = -T exactly; kᵀ@kᵀ and (k@k)ᵀ differ by the order of the sums
+    assert np.abs(star + comm.T).max() <= STRUCTURE_TOL * np.abs(comm).max()
+    assert_close(weyl_relations_check(w).rel2_star,
+                 float(np.linalg.norm(star, 2)))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+MIB = 2 ** 20
+
+
+def test_weyl_build_peak_memory():
+    # k is 8 MiB at M = 1024; the where-build with its difference,
+    # exponential and mask temporaries peaked at about 25 MiB
+    assert traced_peak(weyl_build, 1.0, -1.0, 1024, 20.0) < 12 * MIB
+
+
+def test_weyl_relations_peak_memory():
+    # S, its damped copy, k@k and the commutator, 8 MiB each at M = 1024,
+    # never all at once; the out-of-place residuals peaked at about 40 MiB
+    w = weyl_build(1.0, -1.0, 1024, 20.0)
+    assert traced_peak(weyl_relations_check, w) < 28 * MIB
+
+
+def test_weyl_limits_peak_memory():
+    # matrix-vector products with k; the dense complex y alone is 4 MiB
+    w = weyl_build(1.0, -1.0, 512, 20.0)
+    eps_seq = [32 * w.dt, 16 * w.dt, 8 * w.dt]
+    assert traced_peak(weyl_limits_check, w, 0.0, eps_seq) < 1 * MIB
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

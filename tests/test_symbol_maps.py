@@ -348,14 +348,46 @@ def test_class_preserving_maps_carry_fills_and_limits():
         Declaration(0.0, PointClass.REG_B, 1.0),)
 
 
+def one_over_x_squared():
+    t = ex.parse_expression("1/x^2")
+    return PiecewiseSymbol(real_line(punctures=(0.0,)),
+                           ((-INF, 0.0, t), (0.0, INF, t)),
+                           (Declaration(0.0, PointClass.REG_INF),))
+
+
 def test_bounded_transform_extends_across_a_divergence_without_phase_jump():
     # m = 1/x² diverges at 0 with constant phase, so z = m/√(1+|m|²) → 1
-    t = ex.parse_expression("1/x^2")
-    m = PiecewiseSymbol(real_line(punctures=(0.0,)),
-                        ((-INF, 0.0, t), (0.0, INF, t)),
-                        (Declaration(0.0, PointClass.REG_INF),))
+    m = one_over_x_squared()
     bt = bounded_transform_symbol(m)
     assert bt.extendable_at == {0.0: True} and bt.adjointable
-    assert bt.z.declarations == (Declaration(0.0, PointClass.SING_SUPP),)
+    (decl,) = bt.z.declarations
+    assert decl.at == 0.0 and decl.cls is PointClass.REG_B
+    assert abs(decl.limit - 1.0) < 1e-6
     _, extendable = bounded_probe_reference(m)
     assert extendable == {0.0: True}
+    # z verifies as declared, and its hat absorbs the point at the limit
+    hat = hat_extension(bt.z)
+    assert hat.domain.punctures == () and hat.fills == ((0.0, decl.limit),)
+
+
+@pytest.mark.parametrize("name", GRAPH_REGULAR + ["one_over_x_squared"])
+def test_bounded_transform_passes_its_own_hat_extension(name, monkeypatch):
+    from graphreg import transforms
+
+    m = SYMBOLS.get(name) or one_over_x_squared()
+    detect = transforms.detect_point
+    seen = []
+
+    def spy(symbol, p, cfg):
+        seen.append(p)
+        return detect(symbol, p, cfg)
+
+    monkeypatch.setattr(transforms, "detect_point", spy)
+    bt = bounded_transform_symbol(m)
+    # one detector call per surviving puncture, none to declare z
+    assert seen == list(hat_extension(m).domain.punctures)
+    for d in bt.z.declarations:
+        assert (d.cls is PointClass.REG_B) == bt.extendable_at[d.at]
+        assert d.cls in (PointClass.REG_B, PointClass.SING_SUPP)
+    hat = hat_extension(bt.z)
+    assert all(d.cls is PointClass.SING_SUPP for d in hat.declarations)
