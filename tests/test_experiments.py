@@ -319,7 +319,7 @@ class TestStructuredAgainstDense:
                 assert_agrees(row.yx_values[key], value)
 
 
-# -- size limits checked before allocation -------------------------------------------
+# -- size limits checked before allocation, and memory peaks ----------------------
 
 
 def test_build_pair_refuses_huge_k_before_allocating():
@@ -327,16 +327,43 @@ def test_build_pair_refuses_huge_k_before_allocating():
         build_pair(10_000)
 
 
-def test_build_pair_stays_small():
-    # the dense x at K = 24 alone would take 2·24² squared complex entries
-    # (21 MB); the pair keeps only λ
+def traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        build_pair(24)
+        fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    return peak
+
+
+MIB = 2 ** 20
+
+
+def test_build_pair_stays_small():
+    # the dense x at K = 24 alone would take 2·24² squared complex entries
+    # (21 MB); the pair keeps only λ
+    assert traced_peak(build_pair, 24) < 1_000_000
+
+
+def test_weyl_build_peak_memory():
+    # k is 8 MiB at M = 1024; the where-build with its difference,
+    # exponential and mask temporaries peaked at about 25 MiB
+    assert traced_peak(weyl_build, 1.0, -1.0, 1024, 20.0) < 12 * MIB
+
+
+def test_weyl_relations_peak_memory():
+    # 8 MiB matrices at M = 1024, at most three alive at once (S, k@k and
+    # the commutator); the out-of-place residuals peaked at about 40 MiB
+    w = weyl_build(1.0, -1.0, 1024, 20.0)
+    assert traced_peak(weyl_relations_check, w) < 28 * MIB
+
+
+def test_weyl_limits_peak_memory():
+    # matrix-vector products with k; the dense complex y alone is 4 MiB
+    w = weyl_build(1.0, -1.0, 512, 20.0)
+    eps_seq = [32 * w.dt, 16 * w.dt, 8 * w.dt]
+    assert traced_peak(weyl_limits_check, w, 0.0, eps_seq) < 1 * MIB
 
 
 def test_weyl_build_refuses_huge_grid_before_allocating():
@@ -574,39 +601,6 @@ def test_star_commutator_is_minus_the_transpose(alpha, beta, length, m):
     assert np.abs(star + comm.T).max() <= STRUCTURE_TOL * np.abs(comm).max()
     assert_close(weyl_relations_check(w).rel2_star,
                  float(np.linalg.norm(star, 2)))
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-MIB = 2 ** 20
-
-
-def test_weyl_build_peak_memory():
-    # k is 8 MiB at M = 1024; the where-build with its difference,
-    # exponential and mask temporaries peaked at about 25 MiB
-    assert traced_peak(weyl_build, 1.0, -1.0, 1024, 20.0) < 12 * MIB
-
-
-def test_weyl_relations_peak_memory():
-    # S, its damped copy, k@k and the commutator, 8 MiB each at M = 1024,
-    # never all at once; the out-of-place residuals peaked at about 40 MiB
-    w = weyl_build(1.0, -1.0, 1024, 20.0)
-    assert traced_peak(weyl_relations_check, w) < 28 * MIB
-
-
-def test_weyl_limits_peak_memory():
-    # matrix-vector products with k; the dense complex y alone is 4 MiB
-    w = weyl_build(1.0, -1.0, 512, 20.0)
-    eps_seq = [32 * w.dt, 16 * w.dt, 8 * w.dt]
-    assert traced_peak(weyl_limits_check, w, 0.0, eps_seq) < 1 * MIB
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
