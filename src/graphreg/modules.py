@@ -31,7 +31,7 @@ from .errors import (
     NotOrthogonallyClosed,
 )
 from .symbols import PiecewiseSymbol, regularity_report
-from .transforms import QuotientPair
+from .transforms import QuotientPair, opnorm
 
 
 def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
@@ -63,8 +63,8 @@ def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
     if b1.shape[1] == 0:
         return True
     # projection residual of each basis onto the other span
-    r1 = np.linalg.norm(b1 - b2 @ (b2.conj().T @ b1), 2)
-    r2 = np.linalg.norm(b2 - b1 @ (b1.conj().T @ b2), 2)
+    r1 = opnorm(b1 - b2 @ (b2.conj().T @ b1))
+    r2 = opnorm(b2 - b1 @ (b1.conj().T @ b2))
     return max(r1, r2) < tol
 
 
@@ -125,7 +125,7 @@ class Submodule:
         if images.size == 0:
             return 0.0
         p = self.basis @ self.basis.conj().T
-        return float(np.linalg.norm(images - p @ images, 2, axis=(1, 2)).max())
+        return float(opnorm(images - p @ images).max())
 
     def equals(self, other: "Submodule", cfg: Config = DEFAULT) -> bool:
         return same_span(self.basis, other.basis, cfg.subspace_tol)
@@ -186,10 +186,10 @@ class Projection:
     matrix: np.ndarray
 
     def idempotency_residual(self) -> float:
-        return float(np.linalg.norm(self.matrix @ self.matrix - self.matrix, 2))
+        return opnorm(self.matrix @ self.matrix - self.matrix)
 
     def selfadjoint_residual(self) -> float:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T, 2))
+        return opnorm(self.matrix - self.matrix.conj().T)
 
 
 def projection_onto(g: Submodule, cfg: Config = DEFAULT) -> Projection:

@@ -162,6 +162,15 @@ class PiecewiseSymbol:
                 return t
         return None
 
+    def in_pieces(self, xs) -> np.ndarray:
+        """Mask of the points of ``xs`` that lie in some open piece: the
+        array form of ``piece_at(x) is not None``."""
+        xs = np.asarray(xs, dtype=float)
+        mask = np.zeros(xs.shape, dtype=bool)
+        for a, b, _ in self.pieces:
+            mask |= (xs > a) & (xs < b)
+        return mask
+
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x):
@@ -344,8 +353,7 @@ def symbol_equivalent(m1: PiecewiseSymbol, m2: PiecewiseSymbol,
     if c1 != c2:
         return False
     grid = sample_grid(h1, cfg)
-    grid = grid[[h2.piece_at(x) is not None or h2.fill_value(x) is not None
-                 for x in grid]]
+    grid = grid[h2.in_pieces(grid) | np.isin(grid, [p for p, _ in h2.fills])]
     v1, v2 = h1(grid), h2(grid)
     good = ~(np.isnan(v1) | np.isnan(v2))
     return bool(np.all(np.abs(v1[good] - v2[good]) <= cfg.value_agreement_tol
@@ -375,8 +383,7 @@ def sample_grid(symbol: PiecewiseSymbol, cfg: Config = DEFAULT,
         if math.isfinite(b):
             pts.append(b - dy)
     out = np.unique(np.concatenate(pts))
-    keep = [symbol.piece_at(x) is not None for x in out]
-    return out[keep]
+    return out[symbol.in_pieces(out)]
 
 
 # -- symbol arithmetic ---------------------------------------------------------

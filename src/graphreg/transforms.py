@@ -46,23 +46,28 @@ from .symbols import (
 )
 
 
+def _adj(m):
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _herm(m):
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _adj(m))
 
 
 def _spectral_apply(h, f, floor=None) -> np.ndarray:
     """f(h) = V f(w) V* for h = V diag(w) V*, the eigendecomposition of
-    the Hermitian part of h; h may also be given as that pair (w, V).
+    the Hermitian part of h.  A stack (..., n, n) gives the stack of the
+    f(h), each from its own eigendecomposition.
 
     ``floor(w)`` checks the spectrum first and raises when it is out of
-    range; f then sees w clipped at 0.  An f that returns a stack
-    (..., n) of spectral values gives the stack (..., n, n) of matrices.
+    range; f then sees w clipped at 0.
     """
-    w, v = h if isinstance(h, tuple) else np.linalg.eigh(_herm(h))
+    w, v = np.linalg.eigh(_herm(h))
     if floor is not None:
         floor(w)
-    fw = f(np.clip(w, 0.0, None))
-    return (v * fw[..., None, :]) @ v.conj().T
+    fw = f(np.maximum(w, 0.0))
+    return (v * fw[..., None, :]) @ _adj(v)
 
 
 def _kernel_floor(kernel_tol: float, message: str):
@@ -91,8 +96,20 @@ def hermitian_inv_sqrt(h: np.ndarray, kernel_tol: float = 1e-12) -> np.ndarray:
     return _spectral_apply(h, lambda w: 1.0 / np.sqrt(w), floor)
 
 
-def opnorm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+def opnorm(m: np.ndarray):
+    """Spectral norm ‖m‖₂, the largest singular value, from LAPACK.
+
+    This is the routine ``np.linalg.norm(m, 2)`` runs inside its wrapper,
+    called directly, so the value is the same bit for bit.  A matrix
+    gives a float, a stack (..., m, n) the array of its norms; an empty
+    matrix has norm 0.
+    """
+    m = np.asarray(m)
+    if m.size:
+        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    else:
+        norms = np.zeros(m.shape[:-2])
+    return float(norms) if m.ndim == 2 else norms
 
 
 def random_operator(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,7 +148,7 @@ class QuotientPair:
         null = vh[r:].conj().T
         if null.shape[1] == 0:
             return 0.0
-        return float(np.linalg.norm(self.b @ null, 2))
+        return opnorm(self.b @ null)
 
     def reconstruct(self, kernel_tol: float = 1e-12) -> np.ndarray:
         floor = _kernel_floor(kernel_tol, "a has a nontrivial kernel")
@@ -157,12 +174,12 @@ class AxiomReport:
 
 
 def aab_forward(t: np.ndarray, cfg: Config = DEFAULT) -> AabTriple:
-    """(a, a_*, b) of a matrix operator; exact inverses via solves."""
+    """(a, a_*, b) of a matrix operator; exact inverses of 1 + t*t and
+    1 + tt* from one stacked solve."""
     t = np.asarray(t, dtype=complex)
-    n = t.shape[0]
-    eye = np.eye(n)
-    a = _herm(np.linalg.solve(eye + t.conj().T @ t, eye))
-    a_star = _herm(np.linalg.solve(eye + t @ t.conj().T, eye))
+    th = _adj(t)
+    eye = np.eye(t.shape[0])
+    a, a_star = _herm(np.linalg.solve(np.stack([eye + th @ t, eye + t @ th]), eye))
     return AabTriple(a, a_star, t @ a)
 
 
@@ -179,37 +196,41 @@ def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
     """Residuals of the defining identities plus positivity/kernel flags
     and the commutation family f(a_*) b = b f(a) for f in {√, ², ³}.
 
-    One eigendecomposition each of a and a_* gives the [0, 1] spectrum
-    flags, the kernel minima and every f(a), f(a_*).  The nine matrices
-    whose 2-norms are read (b*b − (a − a²), bb* − (a_* − a_*²),
-    ab* − b*a_*, a − a*, a_* − a_*^*, the three commutators and b) go
-    through one stacked ``np.linalg.svd(..., compute_uv=False)``: the
-    same LAPACK routine as ``np.linalg.norm(m, 2)``, so each norm is the
-    exact largest singular value.
+    One eigendecomposition each of a = V_a diag(w_a) V_a* and a_* gives
+    the [0, 1] spectrum flags and the kernel minima, read as w[0] and
+    w[-1] of the sorted spectra.  The commutators are formed in the eigenbases,
+    V_s f(w_s)(V_s* b) − (b V_a) f(w_a) V_a*, so no f(a) or f(a_*) is
+    built.  The nine matrices whose 2-norms are read (b*b − (a − a²),
+    bb* − (a_* − a_*²), ab* − b*a_*, a − a*, a_* − a_*^*, the three
+    commutators and b) are written into one (9, n, n) buffer and go
+    through one stacked ``np.linalg.svd(..., compute_uv=False)``, the
+    LAPACK routine of ``opnorm``, so each norm is the exact largest
+    singular value.
     """
     a, a_star, b = triple.a, triple.a_star, triple.b
-    bh = b.conj().T
-    eig_a = np.linalg.eigh(_herm(a))
-    eig_s = np.linalg.eigh(_herm(a_star))
-    wa, ws = eig_a[0], eig_s[0]
-    fa = _spectral_apply(eig_a, _commutation_values)
-    fas = _spectral_apply(eig_s, _commutation_values)
-    stack = np.stack([
-        bh @ b - (a - a @ a),
-        b @ bh - (a_star - a_star @ a_star),
-        a @ bh - bh @ a_star,
-        a - a.conj().T,
-        a_star - a_star.conj().T,
-        *(fas @ b - b @ fa),
-        b,
-    ])
+    bh = _adj(b)
+    wa, va = np.linalg.eigh(_herm(a))
+    ws, vs = np.linalg.eigh(_herm(a_star))
+    fa = _commutation_values(np.maximum(wa, 0.0))[:, None, :]
+    fs = _commutation_values(np.maximum(ws, 0.0))[:, None, :]
+    n = b.shape[-1]
+    stack = np.empty((9, n, n), dtype=np.result_type(a, a_star, b, 1.0))
+    np.subtract(bh @ b, a - a @ a, out=stack[0])
+    np.subtract(b @ bh, a_star - a_star @ a_star, out=stack[1])
+    np.subtract(a @ bh, bh @ a_star, out=stack[2])
+    np.subtract(a, _adj(a), out=stack[3])
+    np.subtract(a_star, _adj(a_star), out=stack[4])
+    np.subtract((vs * fs) @ (_adj(vs) @ b), ((b @ va) * fa) @ _adj(va),
+                out=stack[5:8])
+    stack[8] = b
     norms = [float(x) for x in np.linalg.svd(stack, compute_uv=False)[:, 0]]
     r_bb, r_bbs, r_int, skew_a, skew_s = norms[:5]
     comm = {name: v for (name, _), v in zip(_COMMUTATION_FAMILY, norms[5:8])}
     norm_b = norms[8]
+    wa_min, ws_min = float(wa[0]), float(ws[0])
     tol = cfg.residual_tol
-    a_ok = bool(wa.min() > -tol and wa.max() < 1 + tol and skew_a < tol)
-    s_ok = bool(ws.min() > -tol and ws.max() < 1 + tol and skew_s < tol)
+    a_ok = bool(wa_min > -tol and wa[-1] < 1 + tol and skew_a < tol)
+    s_ok = bool(ws_min > -tol and ws[-1] < 1 + tol and skew_s < tol)
     failures = []
     if r_bb > tol:
         failures.append("b*b != a - a^2")
@@ -221,17 +242,16 @@ def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
         failures.append("a outside [0,1] or not self-adjoint")
     if not s_ok:
         failures.append("a_* outside [0,1] or not self-adjoint")
-    if wa.min() <= cfg.kernel_tol:
+    if wa_min <= cfg.kernel_tol:
         failures.append("ker(a) nontrivial")
-    if ws.min() <= cfg.kernel_tol:
+    if ws_min <= cfg.kernel_tol:
         failures.append("ker(a_*) nontrivial")
     if norm_b > 1 + tol:
         failures.append("||b|| > 1")
     if any(v > max(10 * tol, 1e-9) for v in comm.values()):
         failures.append("f(a_*) b != b f(a)")
-    return AxiomReport(r_bb, r_bbs, r_int, a_ok, s_ok,
-                       float(wa.min()), float(ws.min()), norm_b,
-                       comm, failures)
+    return AxiomReport(r_bb, r_bbs, r_int, a_ok, s_ok, wa_min, ws_min,
+                       norm_b, comm, failures)
 
 
 def aab_inverse(triple: AabTriple, cfg: Config = DEFAULT) -> QuotientPair:
@@ -275,10 +295,15 @@ class BoundedTransform:
 
 
 def bounded_transform(t: np.ndarray, cfg: Config = DEFAULT) -> BoundedTransform:
-    """z = t (1 + t*t)^(-1/2); on the matrix backend E_0 = E."""
-    triple = aab_forward(t, cfg)
-    z = t @ hermitian_sqrt(triple.a)
-    gram = np.eye(t.shape[0]) - z.conj().T @ z
+    """z = t (1 + t*t)^(-1/2); on the matrix backend E_0 = E.
+
+    From one SVD t = UΣV*, z = U·diag(σ/√(1 + σ²))·V*.  ``in_z`` is read
+    off the matrix z: the least eigenvalue of 1 − z*z (eigvalsh) must
+    exceed ``kernel_tol``.
+    """
+    u, s, vh = np.linalg.svd(np.asarray(t, dtype=complex))
+    z = (u * (s / np.sqrt(1.0 + s * s))) @ vh
+    gram = np.eye(z.shape[-1]) - _adj(z) @ z
     wmin = float(np.linalg.eigvalsh(_herm(gram)).min())
     in_z = wmin > cfg.kernel_tol
     return BoundedTransform(z, in_z)

@@ -252,6 +252,54 @@ class TestRangeMembership:
         assert range_membership_one_plus_tt(m, g) is True
 
 
+# -- vectorised piece mask against the per-point piece_at loop -------------------------
+
+
+def _catalog_and_hats():
+    for name in catalog.names():
+        sym = catalog.get(name)
+        yield name, sym
+        yield name + " hat", hat_extension(sym)
+
+
+def _in_pieces_loop(symbol, xs):
+    """The oracle: piece_at once per point."""
+    return np.array([symbol.piece_at(x) is not None for x in xs], dtype=bool)
+
+
+def _edge_points(symbol):
+    """Piece ends, fills, one ulp either side of each, and points off the
+    domain, where a mask can disagree with the open intervals."""
+    ends = [e for a, b, _ in symbol.pieces for e in (a, b)]
+    ends += [p for p, _ in symbol.fills] + [-5.0, 0.0, 5.0]
+    finite = np.array([e for e in ends if math.isfinite(e)])
+    return np.concatenate([finite, np.nextafter(finite, -INF),
+                           np.nextafter(finite, INF), [-INF, INF, np.nan]])
+
+
+def test_piece_mask_matches_piece_at_loop(monkeypatch):
+    grids = {}
+    for label, sym in _catalog_and_hats():
+        xs = np.concatenate([sample_grid(sym, bulk=256), _edge_points(sym)])
+        assert np.array_equal(sym.in_pieces(xs), _in_pieces_loop(sym, xs)), label
+        grids[label] = sample_grid(sym)
+    monkeypatch.setattr(PiecewiseSymbol, "in_pieces", _in_pieces_loop)
+    for label, sym in _catalog_and_hats():
+        want = sample_grid(sym)
+        assert want.dtype == grids[label].dtype, label
+        assert np.array_equal(grids[label], want), label
+
+
+def test_equivalence_reads_fills_on_the_grid():
+    # a fill that lands exactly on a grid point is compared there
+    mx = catalog.identity_symbol()
+    g = float(sample_grid(mx)[7])
+    split = ((-INF, g, ex.VAR), (g, INF, ex.VAR))
+    assert symbol_equivalent(mx, PiecewiseSymbol(mx.domain, split, (), ((g, g + 0j),)))
+    assert not symbol_equivalent(
+        mx, PiecewiseSymbol(mx.domain, split, (), ((g, g + 5.0 + 0j),)))
+
+
 # -- serialization ---------------------------------------------------------------------
 
 

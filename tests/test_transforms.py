@@ -15,6 +15,7 @@ from graphreg.modules import GraphOperator, projection_onto
 from graphreg.transforms import (
     AabTriple,
     QuotientPair,
+    _spectral_apply,
     aab_forward,
     aab_inverse,
     ab_axioms_check,
@@ -640,6 +641,76 @@ def test_axiom_check_one_eigh_per_operator_and_one_svd(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     ab_axioms_check(aab_forward(random_operator(5, np.random.default_rng(1))))
     assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 1, "norm": 0}
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the np.linalg decompositions, solves and norms called."""
+    calls = dict.fromkeys(("svd", "eigh", "eigvalsh", "solve", "eig", "qr", "norm"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_bounded_transform_is_one_svd(linalg_calls):
+    bounded_transform(random_operator(5, np.random.default_rng(2)))
+    assert linalg_calls == {"svd": 1, "eigh": 0, "eigvalsh": 1, "solve": 0,
+                            "eig": 0, "qr": 0, "norm": 0}
+
+
+def test_forward_is_one_solve(linalg_calls):
+    aab_forward(random_operator(5, np.random.default_rng(2)))
+    assert linalg_calls == {"svd": 0, "eigh": 0, "eigvalsh": 0, "solve": 1,
+                            "eig": 0, "qr": 0, "norm": 0}
+
+
+def test_transform_battery_decomposition_budget(linalg_calls):
+    # the library-sweep battery on one operator; its own residual norms
+    # are left out, so every count here is made inside the library
+    rng = np.random.default_rng(3)
+    t, k = random_operator(4, rng), random_operator(4, rng)
+    h = k + k.conj().T
+    tr = aab_forward(t)
+    ab_axioms_check(tr)
+    aab_inverse(tr).reconstruct()
+    graph_projection(tr)
+    from_bounded(bounded_transform(t).z)
+    ab_axioms_check(absolute_value(tr))
+    polar_decompose(t)
+    functional_calculus(aab_forward(h), parse_expression("w"), 0.0, rng)
+    assert linalg_calls == {"svd": 10, "eigh": 13, "eigvalsh": 1, "solve": 2,
+                            "eig": 1, "qr": 1, "norm": 0}
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5), (4, 3, 3), (2, 5, 2),
+                                   (0, 0), (0, 3), (3, 0), (2, 0, 0)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_opnorm_is_numpy_spectral_norm_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    m = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        m += 1j * rng.standard_normal(shape)
+    got, want = opnorm(m), np.linalg.norm(m, 2, axis=(-2, -1))
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert isinstance(got, float) == (len(shape) == 2)
+
+
+def test_spectral_apply_on_a_stack_matches_separate_calls():
+    rng = np.random.default_rng(8)
+    k = np.stack([random_operator(4, rng) for _ in range(2)])
+    hs = k @ k.conj().swapaxes(-1, -2)
+    got = _spectral_apply(hs, np.sqrt)
+    assert got.shape == (2, 4, 4)
+    for j in range(2):
+        want = _spectral_apply(hs[j], np.sqrt)
+        assert opnorm(got[j] - want) <= 1e-14 * opnorm(want)
 
 
 def functional_calculus_reference(triple, f_ast, beta, rng, cfg=DEFAULT):
