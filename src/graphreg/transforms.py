@@ -179,7 +179,10 @@ def aab_forward(t: np.ndarray, cfg: Config = DEFAULT) -> AabTriple:
     t = np.asarray(t, dtype=complex)
     th = _adj(t)
     eye = np.eye(t.shape[0])
-    a, a_star = _herm(np.linalg.solve(np.stack([eye + th @ t, eye + t @ th]), eye))
+    # the right-hand side has the stack's ndim, so numpy 1.x reads it as a
+    # matrix (a b of ndim a.ndim - 1 would there be a stack of vectors)
+    a, a_star = _herm(np.linalg.solve(np.stack([eye + th @ t, eye + t @ th]),
+                                      eye[None]))
     return AabTriple(a, a_star, t @ a)
 
 
@@ -202,8 +205,8 @@ def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
     V_s f(w_s)(V_s* b) − (b V_a) f(w_a) V_a*, so no f(a) or f(a_*) is
     built.  The nine matrices whose 2-norms are read (b*b − (a − a²),
     bb* − (a_* − a_*²), ab* − b*a_*, a − a*, a_* − a_*^*, the three
-    commutators and b) are written into one (9, n, n) buffer and go
-    through one stacked ``np.linalg.svd(..., compute_uv=False)``, the
+    commutators and b) form one (9, n, n) stack and go through one
+    stacked ``np.linalg.svd(..., compute_uv=False)``, the
     LAPACK routine of ``opnorm``, so each norm is the exact largest
     singular value.
     """
@@ -213,16 +216,14 @@ def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
     ws, vs = np.linalg.eigh(_herm(a_star))
     fa = _commutation_values(np.maximum(wa, 0.0))[:, None, :]
     fs = _commutation_values(np.maximum(ws, 0.0))[:, None, :]
-    n = b.shape[-1]
-    stack = np.empty((9, n, n), dtype=np.result_type(a, a_star, b, 1.0))
-    np.subtract(bh @ b, a - a @ a, out=stack[0])
-    np.subtract(b @ bh, a_star - a_star @ a_star, out=stack[1])
-    np.subtract(a @ bh, bh @ a_star, out=stack[2])
-    np.subtract(a, _adj(a), out=stack[3])
-    np.subtract(a_star, _adj(a_star), out=stack[4])
-    np.subtract((vs * fs) @ (_adj(vs) @ b), ((b @ va) * fa) @ _adj(va),
-                out=stack[5:8])
-    stack[8] = b
+    commutators = (vs * fs) @ (_adj(vs) @ b) - ((b @ va) * fa) @ _adj(va)
+    stack = np.stack([bh @ b - (a - a @ a),
+                      b @ bh - (a_star - a_star @ a_star),
+                      a @ bh - bh @ a_star,
+                      a - _adj(a),
+                      a_star - _adj(a_star),
+                      *commutators,
+                      b])
     norms = [float(x) for x in np.linalg.svd(stack, compute_uv=False)[:, 0]]
     r_bb, r_bbs, r_int, skew_a, skew_s = norms[:5]
     comm = {name: v for (name, _), v in zip(_COMMUTATION_FAMILY, norms[5:8])}

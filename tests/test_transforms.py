@@ -689,6 +689,25 @@ def test_transform_battery_decomposition_budget(linalg_calls):
                             "eig": 1, "qr": 1, "norm": 0}
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_forward_solve_right_hand_side_is_a_matrix_on_every_numpy(monkeypatch, n):
+    # numpy < 2 reads a b of ndim a.ndim - 1 as a stack of vectors, so the
+    # stacked solve must pass b with the stack's ndim to mean eye on both
+    solve, shapes = np.linalg.solve, []
+
+    def recording(a, b):
+        shapes.append((np.ndim(a), np.ndim(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    t = random_operator(n, np.random.default_rng(n))
+    tr = aab_forward(t)
+    assert shapes and all(na == nb for na, nb in shapes)
+    eye = np.eye(n)
+    assert opnorm(tr.a @ (eye + t.conj().T @ t) - eye) < 1e-12
+    assert opnorm(tr.a_star @ (eye + t @ t.conj().T) - eye) < 1e-12
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5), (4, 3, 3), (2, 5, 2),
                                    (0, 0), (0, 3), (3, 0), (2, 0, 0)])
 @pytest.mark.parametrize("dtype", [float, complex])
