@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DescriptorMismatch
+from .transforms import opnorm
 
 
 class BlockAlgebra:
@@ -210,7 +211,7 @@ class ModuleElement:
 
     def norm(self) -> float:
         """Module norm ||x|| = ||<x,x>||^(1/2) = largest singular value."""
-        return float(np.linalg.norm(self.matrix, 2))
+        return opnorm(self.matrix)
 
     def __repr__(self):
         return f"ModuleElement({self.algebra!r})"

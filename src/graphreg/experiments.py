@@ -44,6 +44,7 @@ import numpy as np
 from .algebras import BlockAlgebra
 from .config import DEFAULT, Config
 from .errors import BadParameters, EpsilonBelowGrid, LambdaInSpectrum
+from .transforms import opnorm
 
 
 # -- resolvent affiliation ------------------------------------------------------
@@ -87,7 +88,7 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     if smin <= 1e-8:
         raise LambdaInSpectrum(f"min singular value {smin:.2e} at λ={lam}")
     res = np.linalg.inv(shifted)
-    direct = np.linalg.norm(res @ shifted - np.eye(n), 2)
+    direct = opnorm(res @ shifted - np.eye(n))
     pattern = mult_pattern if mult_pattern is not None else algebra
     mult_ok = bool(pattern.contains(res) and pattern.contains(res.conj().T)
                    and algebra.is_multiplier(res) and
@@ -106,7 +107,7 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     if rks < algebra.dim:
         failed.append("adjoint resolvent action not dense")
     return ResolventReport(not failed, mult_ok, rk, rks, algebra.dim,
-                           float(direct), failed)
+                           direct, failed)
 
 
 # -- counterdensity experiment ----------------------------------------------------

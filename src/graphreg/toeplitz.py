@@ -60,6 +60,7 @@ from .errors import (
     NotCoprime,
     NotRealFactor,
 )
+from .transforms import hermitian_opnorm, opnorm
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -264,7 +265,10 @@ class ToeplitzTriple:
         X[c, w] Y[w, c], and the contraction runs over the window w =
         [N/4 − band, 3N/4 + band) ∩ [0, N) alone: outside it the entries
         of X[c, :] and Y[:, c] are exact zeros.  Each residual is the
-        exact spectral norm of its block.
+        exact spectral norm of its block.  a and a_* are Hermitian by
+        construction, so the blocks of b*b − (a − a²) and bb* − (a_* −
+        a_*²) are too, and their norms come from ``eigvalsh``; the
+        intertwining block is not, and takes an SVD.
         """
         n = self.n
         c = slice(n // 4, n // 4 + n // 2)
@@ -273,12 +277,11 @@ class ToeplitzTriple:
         bh_c = b[w, c].conj().T          # (b*)[c, w]
         bh_rows = b[c, w].conj().T       # (b*)[w, c]
         return {
-            "bstar_b": float(np.linalg.norm(
-                bh_c @ b[w, c] - (a[c, c] - a[c, w] @ a[w, c]), 2)),
-            "b_bstar": float(np.linalg.norm(
-                b[c, w] @ bh_rows - (s[c, c] - s[c, w] @ s[w, c]), 2)),
-            "intertwine": float(np.linalg.norm(
-                a[c, w] @ bh_rows - bh_c @ s[w, c], 2)),
+            "bstar_b": hermitian_opnorm(
+                bh_c @ b[w, c] - (a[c, c] - a[c, w] @ a[w, c])),
+            "b_bstar": hermitian_opnorm(
+                b[c, w] @ bh_rows - (s[c, c] - s[c, w] @ s[w, c])),
+            "intertwine": opnorm(a[c, w] @ bh_rows - bh_c @ s[w, c]),
         }
 
 
@@ -315,6 +318,11 @@ def _analytic_product(u: np.ndarray, v: np.ndarray, band: int) -> np.ndarray:
     outer product is already an exact zero elsewhere."""
     n = len(u)
     x = np.multiply.outer(u, v.conj())
+    if v is u and np.iscomplexobj(x):
+        # complex products with fused multiply-adds can round u_j·conj(u_k)
+        # and u_k·conj(u_j) apart; the mean with the adjoint is exactly
+        # Hermitian, and the running sums keep it so
+        x = 0.5 * (x + x.conj().T)
     for j in range(1, n):
         lo, hi = max(1, j - band), min(n, j + band + 1)
         x[j, lo:hi] += x[j - 1, lo - 1 : hi - 1]

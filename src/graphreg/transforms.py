@@ -13,12 +13,18 @@ a bijection onto triples of adjointable elements satisfying
 
 with a, a_* self-adjoint, 0 ≤ a, a_* ≤ 1 and trivial kernels.  The
 inverse transform realizes t as the quotient t(ax) = bx.
+
+A matrix with an inf or NaN entry is refused with NonFiniteValue where
+it enters: ``aab_forward``, ``bounded_transform``, ``from_bounded``,
+``polar_decompose`` and ``ab_axioms_check``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,6 +118,28 @@ def opnorm(m: np.ndarray):
     return float(norms) if m.ndim == 2 else norms
 
 
+def hermitian_opnorm(h: np.ndarray):
+    """Spectral norm of a Hermitian matrix, max |λ| over the ``eigvalsh``
+    spectrum of its Hermitian part.
+
+    The singular values of a Hermitian matrix are the moduli of its
+    eigenvalues, so this is the norm ``opnorm`` gives, to rounding, from
+    a cheaper decomposition.  Stacks and empty matrices behave as in
+    ``opnorm``.
+    """
+    h = np.asarray(h)
+    if not h.size:
+        return opnorm(h)
+    w = np.linalg.eigvalsh(_herm(h))
+    norms = np.maximum(-w[..., 0], w[..., -1])
+    return float(norms) if h.ndim == 2 else norms
+
+
+def _require_finite(where: str, *ms) -> None:
+    if not all(np.isfinite(m).all() for m in ms):
+        raise NonFiniteValue(f"{where}: matrix has a non-finite entry")
+
+
 def random_operator(n: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Ginibre matrix; on M_n every such operator is regular."""
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -120,18 +148,33 @@ def random_operator(n: int, rng: np.random.Generator) -> np.ndarray:
 # -- triples -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AabTriple:
+    """A transform triple (a, a_*, b) as a value.
+
+    The matrices are read-only copies of the ones given, so nothing can
+    change them after construction, and ``ab_axioms_check`` keeps the
+    report it computes for each ``Config`` on the triple.
+    """
+
     a: np.ndarray
     a_star: np.ndarray
     b: np.ndarray
+    _reports: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("a", "a_star", "b"):
+            m = np.array(getattr(self, name))
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
     def is_normal(self, tol: float = 1e-10) -> bool:
-        return opnorm(self.a - self.a_star) <= tol * max(1.0, opnorm(self.a))
+        skew, norm_a = opnorm(np.stack([self.a - self.a_star, self.a]))
+        return bool(skew <= tol * max(1.0, norm_a))
 
 
 @dataclass
@@ -155,8 +198,11 @@ class QuotientPair:
         return self.b @ _spectral_apply(self.a, np.reciprocal, floor)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomReport:
+    """Residuals and verdict of one triple under one ``Config``; shared by
+    every caller that checks that triple, so it is read-only."""
+
     residual_bb: float
     residual_bbstar: float
     residual_intertwine: float
@@ -165,8 +211,8 @@ class AxiomReport:
     kernel_a: float
     kernel_a_star: float
     norm_b: float
-    commutation_residuals: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    commutation_residuals: Mapping[str, float]
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -177,6 +223,7 @@ def aab_forward(t: np.ndarray, cfg: Config = DEFAULT) -> AabTriple:
     """(a, a_*, b) of a matrix operator; exact inverses of 1 + t*t and
     1 + tt* from one stacked solve."""
     t = np.asarray(t, dtype=complex)
+    _require_finite("aab_forward", t)
     th = _adj(t)
     eye = np.eye(t.shape[0])
     # the right-hand side has the stack's ndim, so numpy 1.x reads it as a
@@ -199,6 +246,19 @@ def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
     """Residuals of the defining identities plus positivity/kernel flags
     and the commutation family f(a_*) b = b f(a) for f in {√, ², ³}.
 
+    The report is computed the first time it is asked for with ``cfg``
+    and kept on the triple; later calls return that report.  The
+    triple's matrices are read-only, so it cannot go stale.
+    """
+    report = triple._reports.get(cfg)
+    if report is None:
+        report = triple._reports[cfg] = _axiom_report(triple, cfg)
+    return report
+
+
+def _axiom_report(triple: AabTriple, cfg: Config) -> AxiomReport:
+    """The report ``ab_axioms_check`` keeps, computed from the matrices.
+
     One eigendecomposition each of a = V_a diag(w_a) V_a* and a_* gives
     the [0, 1] spectrum flags and the kernel minima, read as w[0] and
     w[-1] of the sorted spectra.  The commutators are formed in the eigenbases,
@@ -211,6 +271,7 @@ def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
     singular value.
     """
     a, a_star, b = triple.a, triple.a_star, triple.b
+    _require_finite("ab_axioms_check", a, a_star, b)
     bh = _adj(b)
     wa, va = np.linalg.eigh(_herm(a))
     ws, vs = np.linalg.eigh(_herm(a_star))
@@ -252,7 +313,7 @@ def ab_axioms_check(triple: AabTriple, cfg: Config = DEFAULT) -> AxiomReport:
     if any(v > max(10 * tol, 1e-9) for v in comm.values()):
         failures.append("f(a_*) b != b f(a)")
     return AxiomReport(r_bb, r_bbs, r_int, a_ok, s_ok, wa_min, ws_min,
-                       norm_b, comm, failures)
+                       norm_b, MappingProxyType(comm), tuple(failures))
 
 
 def aab_inverse(triple: AabTriple, cfg: Config = DEFAULT) -> QuotientPair:
@@ -302,7 +363,9 @@ def bounded_transform(t: np.ndarray, cfg: Config = DEFAULT) -> BoundedTransform:
     off the matrix z: the least eigenvalue of 1 − z*z (eigvalsh) must
     exceed ``kernel_tol``.
     """
-    u, s, vh = np.linalg.svd(np.asarray(t, dtype=complex))
+    t = np.asarray(t, dtype=complex)
+    _require_finite("bounded_transform", t)
+    u, s, vh = np.linalg.svd(t)
     z = (u * (s / np.sqrt(1.0 + s * s))) @ vh
     gram = np.eye(z.shape[-1]) - _adj(z) @ z
     wmin = float(np.linalg.eigvalsh(_herm(gram)).min())
@@ -313,6 +376,7 @@ def bounded_transform(t: np.ndarray, cfg: Config = DEFAULT) -> BoundedTransform:
 def from_bounded(z: np.ndarray, cfg: Config = DEFAULT) -> np.ndarray:
     """t_z = z (1 - z*z)^(-1/2); requires ker(1 - z*z) = {0}."""
     z = np.asarray(z, dtype=complex)
+    _require_finite("from_bounded", z)
     gram = np.eye(z.shape[1]) - z.conj().T @ z
     return z @ hermitian_inv_sqrt(gram, cfg.kernel_tol)
 
@@ -323,12 +387,13 @@ def absolute_value(triple: AabTriple, cfg: Config = DEFAULT) -> AabTriple:
     if not report.ok:
         raise AxiomsFailed("; ".join(report.failures))
     absb = hermitian_sqrt(triple.b.conj().T @ triple.b)
-    return AabTriple(triple.a, triple.a.copy(), absb)
+    return AabTriple(triple.a, triple.a, absb)
 
 
 def polar_decompose(t: np.ndarray, cfg: Config = DEFAULT):
     """t = v|t| with a partial isometry v; null directions of t are zeroed."""
     t = np.asarray(t, dtype=complex)
+    _require_finite("polar_decompose", t)
     u, s, vh = np.linalg.svd(t)
     r = int(np.sum(s > cfg.subspace_tol * max(1.0, s[0] if len(s) else 1.0)))
     v = u[:, :r] @ vh[:r]

@@ -317,6 +317,14 @@ def test_triple_field_follows_the_symbol(p, q):
 
 
 @pytest.mark.parametrize("p, q", SYMBOLS, ids=SYMBOL_IDS)
+def test_a_and_a_star_are_exactly_hermitian(p, q):
+    # interior_residuals takes the b*b and bb* norms from eigvalsh
+    tri = toeplitz_aab(p, q, 128)
+    for mat in (tri.a, tri.a_star):
+        assert np.array_equal(mat, mat.conj().T)
+
+
+@pytest.mark.parametrize("p, q", SYMBOLS, ids=SYMBOL_IDS)
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_triple_matches_complex_construction(p, q, n):
     tri = toeplitz_aab(p, q, n)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from graphreg.transforms import (
     functional_calculus,
     graph_projection,
     hermitian_inv_sqrt,
+    hermitian_opnorm,
     hermitian_sqrt,
     joint_diagonalize,
     opnorm,
@@ -606,7 +609,7 @@ def test_axiom_check_matches_per_matrix_reference():
     for label, tr in oracle_triples():
         rep = ab_axioms_check(tr)
         ref = axioms_check_reference(tr)
-        assert rep.failures == ref["failures"], label
+        assert rep.failures == tuple(ref["failures"]), label
         assert rep.a_spectrum_ok == ref["a_spectrum_ok"], label
         assert rep.a_star_spectrum_ok == ref["a_star_spectrum_ok"], label
         for key in ("residual_bb", "residual_bbstar", "residual_intertwine",
@@ -685,8 +688,82 @@ def test_transform_battery_decomposition_budget(linalg_calls):
     ab_axioms_check(absolute_value(tr))
     polar_decompose(t)
     functional_calculus(aab_forward(h), parse_expression("w"), 0.0, rng)
-    assert linalg_calls == {"svd": 10, "eigh": 13, "eigvalsh": 1, "solve": 2,
+    assert linalg_calls == {"svd": 6, "eigh": 7, "eigvalsh": 1, "solve": 2,
                             "eig": 1, "qr": 1, "norm": 0}
+
+
+def test_one_axiom_check_per_triple(linalg_calls):
+    # aab_inverse, graph_projection and absolute_value each check the
+    # triple again and get the report the first check kept: the axioms
+    # cost their two eigh and one stacked svd once
+    tr = aab_forward(random_operator(4, np.random.default_rng(4)))
+    rep = ab_axioms_check(tr)
+    aab_inverse(tr)
+    graph_projection(tr)
+    assert ab_axioms_check(tr) is rep
+    assert linalg_calls == {"svd": 1, "eigh": 2, "eigvalsh": 0, "solve": 1,
+                            "eig": 0, "qr": 0, "norm": 0}
+    absolute_value(tr)      # one more eigh, for |b| = (b*b)^(1/2)
+    assert linalg_calls == {"svd": 1, "eigh": 3, "eigvalsh": 0, "solve": 1,
+                            "eig": 0, "qr": 0, "norm": 0}
+
+
+def test_axiom_report_is_kept_per_config():
+    tr = aab_forward(random_operator(4, np.random.default_rng(5)))
+    strict = replace(DEFAULT, residual_tol=1e-30)
+    loose = ab_axioms_check(tr)
+    tight = ab_axioms_check(tr, strict)
+    assert loose.ok and not tight.ok
+    assert "b*b != a - a^2" in tight.failures
+    assert ab_axioms_check(tr, replace(DEFAULT, residual_tol=1e-30)) is tight
+    assert ab_axioms_check(tr, DEFAULT) is loose
+    with pytest.raises(AxiomsFailed):
+        aab_inverse(tr, strict)
+
+
+def test_triple_matrices_are_read_only_copies():
+    a, s, b = np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2))
+    tr = AabTriple(a, s, b)
+    with pytest.raises(ValueError):
+        tr.a[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        tr.b = np.ones((2, 2))
+    a[0, 0] = 7.0       # the caller's array is not the triple's
+    assert tr.a[0, 0] == 1.0
+    rep = ab_axioms_check(tr)
+    assert isinstance(rep.failures, tuple)
+    with pytest.raises(TypeError):
+        rep.commutation_residuals["sqrt"] = 0.0
+
+
+@pytest.mark.parametrize("entry", ["aab_forward", "bounded_transform",
+                                   "from_bounded", "polar_decompose",
+                                   "ab_axioms_check"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_is_refused(entry, bad):
+    m = np.diag([bad, 0.5])
+    calls = {
+        "aab_forward": lambda: aab_forward(m),
+        "bounded_transform": lambda: bounded_transform(m),
+        "from_bounded": lambda: from_bounded(m),
+        "polar_decompose": lambda: polar_decompose(m),
+        "ab_axioms_check": lambda: ab_axioms_check(AabTriple(np.eye(2), np.eye(2), m)),
+    }
+    with pytest.raises(NonFiniteValue, match=entry):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5, 5), (0, 0)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_opnorm_is_the_spectral_norm(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    k = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        k += 1j * rng.standard_normal(shape)
+    h = k + k.conj().swapaxes(-1, -2)
+    got, want = hermitian_opnorm(h), opnorm(h)
+    assert isinstance(got, float) == (len(shape) == 2)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
 
 
 @pytest.mark.parametrize("n", [2, 5])
