@@ -58,6 +58,7 @@ from .transforms import (
     bounded_transform,
     from_bounded,
     functional_calculus,
+    hermitian_spectrum,
     opnorm,
     polar_decompose,
     random_operator,
@@ -187,13 +188,13 @@ def cmd_transform(args, cfg: Config) -> tuple:
             "bstar_b": rep.residual_bb,
             "b_bstar": rep.residual_bbstar,
             "intertwine": rep.residual_intertwine,
-            "roundtrip": opnorm(qp.reconstruct() - t),
+            "roundtrip": opnorm(qp.reconstruct(cfg.kernel_tol) - t),
         }
         results["axioms_ok"] = rep.ok
         ok = rep.ok and results["residuals"]["roundtrip"] < 1e-9 * scale
     elif args.op == "inverse":
         qp = aab_inverse(triple, cfg)
-        t2 = qp.reconstruct()
+        t2 = qp.reconstruct(cfg.kernel_tol)
         again = aab_forward(t2, cfg)
         results["residuals"] = {
             "operator": opnorm(t2 - t),
@@ -217,7 +218,7 @@ def cmd_transform(args, cfg: Config) -> tuple:
               and results["residuals"]["reconstruction"] < 1e-8 * scale ** 2)
     elif args.op == "abs":
         at = absolute_value(triple, cfg)
-        w = np.linalg.eigvalsh(0.5 * (at.b + at.b.conj().T))
+        w = hermitian_spectrum(at.b)
         results["axioms_ok"] = ab_axioms_check(at, cfg).ok
         results["b_psd_min_eig"] = float(w.min())
         ok = results["axioms_ok"] and results["b_psd_min_eig"] > -1e-10

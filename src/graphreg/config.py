@@ -1,7 +1,10 @@
 """Global numerical configuration.
 
-Every tolerance, window and grid size used anywhere in the package lives
-here so that reports can echo the exact settings they were produced with.
+``Config`` holds the settings a user may override with ``--config``: the
+rank and residual tolerances, the detector's windows and thresholds, and
+the grid and sample sizes.  Every report echoes them.  Fixed thresholds
+(the CLI verdict gates, the tiling slack of symbol pieces, the Toeplitz
+factorization checks and others) are still literals at their call sites.
 """
 
 from __future__ import annotations

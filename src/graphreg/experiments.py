@@ -44,7 +44,7 @@ import numpy as np
 from .algebras import BlockAlgebra
 from .config import DEFAULT, Config
 from .errors import BadParameters, EpsilonBelowGrid, LambdaInSpectrum
-from .transforms import opnorm
+from .transforms import _require_finite, hermitian_opnorm, numerical_rank, opnorm
 
 
 # -- resolvent affiliation ------------------------------------------------------
@@ -79,8 +79,12 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     must multiply the algebra densely from both sides.
 
     ``mult_pattern`` is the mask of M(A) when it differs from A's own
-    mask (unital full-block algebras have M(A) = A).
+    mask (unital full-block algebras have M(A) = A).  The pattern and
+    multiplier checks allow entries up to ``cfg.subspace_tol`` off the
+    mask, and the density ranks are ``numerical_rank`` at that tolerance.
+    A t or λ with an inf or NaN entry is refused with NonFiniteValue.
     """
+    _require_finite("resolvent_affiliation_check", t, lam)
     t = np.asarray(t, dtype=complex)
     n = t.shape[0]
     shifted = t - lam * np.eye(n)
@@ -90,13 +94,14 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     res = np.linalg.inv(shifted)
     direct = opnorm(res @ shifted - np.eye(n))
     pattern = mult_pattern if mult_pattern is not None else algebra
-    mult_ok = bool(pattern.contains(res) and pattern.contains(res.conj().T)
-                   and algebra.is_multiplier(res) and
-                   algebra.is_multiplier(res.conj().T))
+    tol = cfg.subspace_tol
+    mult_ok = bool(pattern.contains(res, tol) and pattern.contains(res.conj().T, tol)
+                   and algebra.is_multiplier(res, tol) and
+                   algebra.is_multiplier(res.conj().T, tol))
     # density of R·A and R*·A as ranks of the left actions
     def rank_of(mat):
         action = algebra.left_mult_map(mat, onto=algebra.blocks)
-        return int(np.linalg.matrix_rank(action, tol=cfg.subspace_tol))
+        return numerical_rank(np.linalg.svd(action, compute_uv=False), tol)
 
     rk, rks = rank_of(res), rank_of(res.conj().T)
     failed = []
@@ -298,16 +303,6 @@ def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     return WeylGrid(alpha, beta, m, length, t, dt, d, kernel)
 
 
-def _norm2(mat: np.ndarray) -> float:
-    """Spectral norm: the largest singular value from LAPACK."""
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def _symmetric_norm(mat: np.ndarray) -> float:
-    """Spectral norm of a real symmetric matrix: its largest |eigenvalue|."""
-    return float(np.abs(np.linalg.eigvalsh(mat)).max())
-
-
 @dataclass
 class WeylRelationReport:
     """Residuals of the fraction-algebra relations.  ``rel1_y`` and
@@ -329,7 +324,7 @@ class WeylRelationReport:
     @cached_property
     def rel1_y(self) -> float:
         """y - y* = 2βi y*y, raw (edge-limited, O(1))."""
-        return _symmetric_norm(self.ydefect)
+        return hermitian_opnorm(self.ydefect)
 
     @cached_property
     def yx_singular_values(self) -> np.ndarray:
@@ -389,7 +384,7 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     ydefect = kt @ k
     ydefect *= 2 * w.beta
     ydefect += k + kt
-    rel1_y_damped = _symmetric_norm(sandwich(ydefect.copy()))
+    rel1_y_damped = hermitian_opnorm(sandwich(ydefect.copy()))
     comm = np.subtract.outer(w.t, w.t).T   # T, T_jl = t_l - t_j
     comm *= k
     comm -= k @ k
@@ -397,7 +392,7 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
         rel1_x=float(rel1_x),
         rel1_x_chain=float(rel1_chain),
         rel1_y_damped=rel1_y_damped,
-        rel2=_norm2(sandwich(comm)),
+        rel2=opnorm(sandwich(comm)),
         grid=w,
         ydefect=ydefect,
     )

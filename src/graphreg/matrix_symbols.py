@@ -30,6 +30,8 @@ from .symbols import (
     PiecewiseSymbol,
     PointClass,
     _side_sequences,
+    _tail_limit,
+    _vanishes_at_infinity,
     combine_symbols,
     conjugate_symbol,
     detect_point,
@@ -121,25 +123,15 @@ def entry_profile(sym: PiecewiseSymbol, cfg: Config = DEFAULT) -> EntryProfile:
     vals = sym(grid)
     sup = float(np.nanmax(np.abs(vals))) if vals.size else 0.0
     limits = []
-    tails_small = True
     for seq in _side_sequences(sym, INF, cfg):
         tvals = np.asarray(sym(seq))
-        k = cfg.tail_samples
-        tail = tvals[-k:]
         sup = max(sup, float(np.abs(tvals).max()))
-        if np.abs(np.diff(tail)).max() < cfg.limit_tol:
-            limits.append(complex(tail[-3:].mean()))
-        else:
-            limits.append(None)
-        far = tvals[np.abs(seq) >= cfg.vanish_window]
-        if far.size and np.abs(far).max() > cfg.vanish_tol:
-            tails_small = False
+        limits.append(_tail_limit(tvals[-cfg.tail_samples:], cfg))
     limit_pos = limits[0] if limits else None
     limit_neg = limits[1] if len(limits) > 1 else limit_pos
     bounded = sup < cfg.blowup
-    # C0 test per the vanishing-window criterion: small wherever |x| > R
     return EntryProfile(continuous, bounded, sup, limit_pos, limit_neg,
-                        tails_small)
+                        _vanishes_at_infinity(sym, cfg))
 
 
 # -- symbol matrices -------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     NotOrthogonallyClosed,
 )
 from .symbols import PiecewiseSymbol, regularity_report
-from .transforms import QuotientPair, opnorm
+from .transforms import QuotientPair, _require_finite, numerical_rank, opnorm
 
 
 def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
@@ -39,8 +39,7 @@ def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    r = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
-    return u[:, :r]
+    return u[:, :numerical_rank(s, tol)]
 
 
 def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
@@ -52,9 +51,7 @@ def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
-    r = int(np.sum(s > cutoff))
-    return vh[r:].conj().T
+    return vh[numerical_rank(s, tol):].conj().T
 
 
 def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
@@ -269,13 +266,12 @@ class GraphOperator:
         """Graph of left multiplication by an ambient matrix on ``domain``.
 
         The domain defaults to all of E intersected with the exact
-        multiplication domain {x in A : T·x in A}.
+        multiplication domain {x in A : T·x in A}.  A matrix with an inf
+        or NaN entry is refused with NonFiniteValue.
         """
+        _require_finite("GraphOperator.from_matrix", matrix)
         if domain is None:
-            # exact multiplication domain: x with T·x supported on the mask
-            cons = algebra.left_mult_map(matrix, onto=~algebra.allowed)
-            null = nullspace(cons, cfg.subspace_tol)
-            domain = Submodule.from_vectors(algebra, 1, null.T, cfg)
+            domain = GraphOperator.mult_domain(algebra, [matrix], cfg)
         x = domain.basis
         y = algebra.to_coords(matrix @ algebra.to_matrix(x.T)).T
         basis = orthonormal_columns(np.vstack([x, y]), cfg.subspace_tol)
@@ -327,8 +323,7 @@ class GraphOperator:
         y = self.graph.basis[d:]
         if y.size == 0 or self.graph.dim == 0:
             return np.pi / 2
-        s = np.linalg.svd(y, compute_uv=False)
-        return float(np.arccos(min(1.0, s[0] if len(s) else 0.0)))
+        return float(np.arccos(min(1.0, opnorm(y))))
 
     def is_graph(self, cfg: Config = DEFAULT) -> bool:
         return self.graph_angle() > cfg.graph_angle_tol

@@ -78,10 +78,13 @@ class DomainSpec:
         elif self.base == "halfline":
             if not math.isfinite(self.lo):
                 raise ValueError("halfline needs a finite left endpoint")
-            object.__setattr__(self, "hi", INF)
+            if self.hi != INF:
+                raise ValueError(f"halfline reaches +inf; it takes no right "
+                                 f"endpoint, got hi = {self.hi}")
         elif self.base == "realline":
-            object.__setattr__(self, "lo", -INF)
-            object.__setattr__(self, "hi", INF)
+            if (self.lo, self.hi) != (-INF, INF):
+                raise ValueError(f"realline reaches -inf and +inf; it takes no "
+                                 f"endpoints, got lo = {self.lo}, hi = {self.hi}")
         else:
             raise ValueError(f"unknown base {self.base!r}")
         ps = tuple(sorted(float(p) for p in self.punctures))
@@ -124,8 +127,9 @@ class PiecewiseSymbol:
         # pieces must tile the base, breaking only at punctures or fills
         breaks = set(self.domain.punctures) | {p for p, _ in self.fills}
         lo, hi = self.domain.lo, self.domain.hi
-        if not math.isinf(lo) and abs(pieces[0][0] - lo) > 1e-12:
-            raise ValueError("pieces do not reach the left endpoint")
+        # -inf - (-inf) is nan, so an infinite end must be met exactly
+        if not (pieces[0][0] == lo or abs(pieces[0][0] - lo) <= 1e-12):
+            raise ValueError(f"pieces do not reach the left endpoint {lo}")
         for (a1, b1, _), (a2, b2, _) in zip(pieces, pieces[1:]):
             if b1 > a2 + 1e-12:
                 raise ValueError("pieces overlap")
@@ -133,8 +137,8 @@ class PiecewiseSymbol:
                 raise ValueError(f"gap between pieces at ({b1}, {a2})")
             if not any(abs(b1 - p) <= 1e-12 for p in breaks):
                 raise ValueError(f"piece break at {b1} is not a declared puncture")
-        if not math.isinf(hi) and abs(pieces[-1][1] - hi) > 1e-12:
-            raise ValueError("pieces do not reach the right endpoint")
+        if not (pieces[-1][1] == hi or abs(pieces[-1][1] - hi) <= 1e-12):
+            raise ValueError(f"pieces do not reach the right endpoint {hi}")
         decl_at = [d.at for d in self.declarations]
         if len(set(decl_at)) != len(decl_at):
             raise ValueError("duplicate declarations")
@@ -200,27 +204,34 @@ class Detection:
 
 def _side_sequences(symbol: PiecewiseSymbol, p: float, cfg: Config):
     """Geometric sample sequences approaching p (or infinity) along each
-    available side, innermost sample last."""
+    available side, innermost sample last: towards +∞ then −∞ they double
+    from beyond every finite point, towards a puncture from the left then
+    the right the offsets halve."""
+    dom = symbol.domain
+    if math.isinf(p):
+        signs = [sign for end, sign in ((dom.hi, 1.0), (dom.lo, -1.0))
+                 if math.isinf(end)]
+        if not signs:
+            return []
+        finite = [e for e in (dom.lo, dom.hi, *dom.punctures) if math.isfinite(e)]
+        x0 = max(cfg.inf_start, *(2 * abs(e) for e in finite), 1.0)
+        n = min(cfg.approach_steps, int(math.log2(cfg.inf_reach / x0)) + 1)
+        return [sign * x0 * 2.0 ** np.arange(n) for sign in signs]
     seqs = []
-    if p is INF or (isinstance(p, float) and math.isinf(p)):
-        if symbol.domain.hi == INF:
-            x0 = max(cfg.inf_start, abs(symbol.domain.lo) * 2 if math.isfinite(symbol.domain.lo) else 1.0,
-                     *(2 * abs(q) for q in symbol.domain.punctures), 1.0)
-            n = min(cfg.approach_steps, int(math.log2(cfg.inf_reach / x0)) + 1)
-            seqs.append(x0 * 2.0 ** np.arange(n))
-        if symbol.domain.lo == -INF:
-            x0 = max(cfg.inf_start, *(2 * abs(q) for q in symbol.domain.punctures), 1.0)
-            n = min(cfg.approach_steps, int(math.log2(cfg.inf_reach / x0)) + 1)
-            seqs.append(-x0 * 2.0 ** np.arange(n))
-        return seqs
     for a, b, _ in symbol.pieces:
-        if abs(b - p) <= 1e-12:  # approach from the left
-            d0 = min(cfg.approach_start, (b - a) / 4)
-            seqs.append(p - d0 * 0.5 ** np.arange(cfg.approach_steps))
-        if abs(a - p) <= 1e-12:  # approach from the right
-            d0 = min(cfg.approach_start, (b - a) / 4)
-            seqs.append(p + d0 * 0.5 ** np.arange(cfg.approach_steps))
+        for end, sign in ((b, -1.0), (a, 1.0)):
+            if abs(end - p) <= 1e-12:
+                d0 = min(cfg.approach_start, (b - a) / 4)
+                seqs.append(p + sign * d0 * 0.5 ** np.arange(cfg.approach_steps))
     return seqs
+
+
+def _tail_limit(tail: np.ndarray, cfg: Config) -> complex | None:
+    """Mean of the last three samples if the tail is Cauchy to within
+    ``limit_tol``, else None."""
+    if np.abs(np.diff(tail)).max() < cfg.limit_tol:
+        return complex(tail[-3:].mean())
+    return None
 
 
 def detect_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Detection:
@@ -241,11 +252,10 @@ def detect_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Detection
     union = np.concatenate(tails)
 
     # finite limit on every side, all sides agreeing
-    cauchy = all(np.abs(np.diff(t)).max() < cfg.limit_tol for t in tails)
-    if cauchy:
-        limits = [t[-3:].mean() for t in tails]
-        if all(abs(l - limits[0]) < 10 * cfg.limit_tol for l in limits):
-            return Detection(PointClass.REG_B, complex(limits[0]), len(seqs))
+    limits = [_tail_limit(t, cfg) for t in tails]
+    cauchy = None not in limits
+    if cauchy and all(abs(l - limits[0]) < 10 * cfg.limit_tol for l in limits):
+        return Detection(PointClass.REG_B, limits[0], len(seqs))
 
     # divergence of the modulus
     mags = [np.abs(t) for t in tails]
@@ -554,6 +564,9 @@ def regularity_report(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> RegularityRe
 
 
 def _vanishes_at_infinity(sym: PiecewiseSymbol, cfg: Config) -> bool:
+    """The C0 test at infinity: |sym| <= ``vanish_tol`` at every sample of
+    each approach with |x| >= ``vanish_window``, or at its last three
+    samples when none reaches the window.  A compact base passes."""
     if sym.domain.compact:
         return True
     ok = True

@@ -60,7 +60,7 @@ from .errors import (
     NotCoprime,
     NotRealFactor,
 )
-from .transforms import hermitian_opnorm, opnorm
+from .transforms import _require_finite, hermitian_opnorm, opnorm
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -106,8 +106,10 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
     zeros in the closed unit disc, and the phase is fixed so that
     q(0)/r(0) > 0.  Roots of the Laurent polynomial within
     ``root_circle_tol`` of the circle abort the factorization: under
-    coprimality they can only arise from ill-conditioning.
+    coprimality they can only arise from ill-conditioning.  A coefficient
+    that is inf or NaN is refused with NonFiniteValue.
     """
+    _require_finite("fejer_riesz", p, q)
     p, q = _trim(p), _trim(q)
     if not np.any(q):
         raise ValueError("q is the zero polynomial, so p/q is nowhere defined")
@@ -119,16 +121,11 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
     lvals = np.abs(circle_samples(p, m)) ** 2 + np.abs(circle_samples(q, m)) ** 2
     if lvals.min() <= 1e-10:
         raise NotCoprime("|p|^2+|q|^2 reaches zero on the circle")
-    # Laurent coefficients c_k of p p~ + q q~,  k = -d..d
+    # Laurent coefficients c_k = Σ_j a_j conj(a_{j-k}) of p p~ + q q~,
+    # k = -d..d: the full autocorrelation of each coefficient vector
     c = np.zeros(2 * d + 1, dtype=complex)
-    for coeffs in (p, q):
-        a = coeffs
-        for k in range(-d, d + 1):
-            acc = 0.0 + 0j
-            for j in range(len(a)):
-                if 0 <= j - k < len(a):
-                    acc += a[j] * np.conj(a[j - k])
-            c[k + d] += acc
+    for a in (p, q):
+        c[d - len(a) + 1 : d + len(a)] += np.correlate(a, a, "full")
     # c_{±d} vanish when no coefficient pair spans the full degree (p = z/2
     # over q = 1, say): |p|²+|q|² then has a lower Laurent degree, and so
     # has r.  c_0 > 0, so the degree is well defined.
@@ -196,6 +193,9 @@ class TrigData:
 
 
 def trig_data(p, q, n: int = 64, cfg: Config = DEFAULT) -> TrigData:
+    """Spectral factorization of |p|² + |q|² with its residuals.  A
+    coefficient that is inf or NaN is refused with NonFiniteValue."""
+    _require_finite("trig_data", p, q)
     p, q = _trim(p), _trim(q)
     for root in np.roots(q[::-1]) if len(q) > 1 else []:
         if abs(root) < 1 - 1e-9:
@@ -406,9 +406,9 @@ def affiliation_verdict(p, q, cfg: Config = DEFAULT) -> AffiliationReport:
     roots within ``root_circle_tol`` of the circle count as circle zeros
     and produce the character witness |f(λ)|² ≈ 0.
     """
-    p, q = _trim(p), _trim(q)
     data = trig_data(p, q, cfg=cfg)
     data.require_ok()
+    q = data.q
     qroots = np.roots(q[::-1]) if len(q) > 1 else np.array([])
     circle = [complex(z) for z in qroots
               if abs(abs(z) - 1.0) <= cfg.root_circle_tol]

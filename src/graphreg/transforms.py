@@ -118,9 +118,22 @@ def opnorm(m: np.ndarray):
     return float(norms) if m.ndim == 2 else norms
 
 
+def numerical_rank(s: np.ndarray, tol: float) -> int:
+    """The package's one rank cut: how many of the descending singular
+    values ``s`` exceed tol·max(1, σ₁)."""
+    return int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
+
+
+def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (or stack), from
+    ``eigvalsh`` of h as given: LAPACK reads one triangle, so no
+    symmetrised copy of h is formed."""
+    return np.linalg.eigvalsh(h)
+
+
 def hermitian_opnorm(h: np.ndarray):
-    """Spectral norm of a Hermitian matrix, max |λ| over the ``eigvalsh``
-    spectrum of its Hermitian part.
+    """Spectral norm of a Hermitian matrix, max |λ| over its
+    ``hermitian_spectrum``.
 
     The singular values of a Hermitian matrix are the moduli of its
     eigenvalues, so this is the norm ``opnorm`` gives, to rounding, from
@@ -130,14 +143,14 @@ def hermitian_opnorm(h: np.ndarray):
     h = np.asarray(h)
     if not h.size:
         return opnorm(h)
-    w = np.linalg.eigvalsh(_herm(h))
+    w = hermitian_spectrum(h)
     norms = np.maximum(-w[..., 0], w[..., -1])
     return float(norms) if h.ndim == 2 else norms
 
 
 def _require_finite(where: str, *ms) -> None:
     if not all(np.isfinite(m).all() for m in ms):
-        raise NonFiniteValue(f"{where}: matrix has a non-finite entry")
+        raise NonFiniteValue(f"{where}: input has a non-finite entry")
 
 
 def random_operator(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -187,8 +200,7 @@ class QuotientPair:
     def kernel_inclusion_residual(self) -> float:
         """How far ker(a) escapes ker(b); must be ~0 for well-definedness."""
         _, s, vh = np.linalg.svd(self.a)
-        r = int(np.sum(s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)))
-        null = vh[r:].conj().T
+        null = vh[numerical_rank(s, 1e-10):].conj().T
         if null.shape[1] == 0:
             return 0.0
         return opnorm(self.b @ null)
@@ -266,9 +278,7 @@ def _axiom_report(triple: AabTriple, cfg: Config) -> AxiomReport:
     built.  The nine matrices whose 2-norms are read (b*b − (a − a²),
     bb* − (a_* − a_*²), ab* − b*a_*, a − a*, a_* − a_*^*, the three
     commutators and b) form one (9, n, n) stack and go through one
-    stacked ``np.linalg.svd(..., compute_uv=False)``, the
-    LAPACK routine of ``opnorm``, so each norm is the exact largest
-    singular value.
+    stacked ``opnorm``, so each norm is the exact largest singular value.
     """
     a, a_star, b = triple.a, triple.a_star, triple.b
     _require_finite("ab_axioms_check", a, a_star, b)
@@ -285,7 +295,7 @@ def _axiom_report(triple: AabTriple, cfg: Config) -> AxiomReport:
                       a_star - _adj(a_star),
                       *commutators,
                       b])
-    norms = [float(x) for x in np.linalg.svd(stack, compute_uv=False)[:, 0]]
+    norms = [float(x) for x in opnorm(stack)]
     r_bb, r_bbs, r_int, skew_a, skew_s = norms[:5]
     comm = {name: v for (name, _), v in zip(_COMMUTATION_FAMILY, norms[5:8])}
     norm_b = norms[8]
@@ -316,19 +326,22 @@ def _axiom_report(triple: AabTriple, cfg: Config) -> AxiomReport:
                        norm_b, MappingProxyType(comm), tuple(failures))
 
 
-def aab_inverse(triple: AabTriple, cfg: Config = DEFAULT) -> QuotientPair:
-    """Quotient-pair realization t(a x) = b x of a valid triple."""
+def _require_axioms(triple: AabTriple, cfg: Config) -> None:
+    """AxiomsFailed, naming each failure, unless the triple passes."""
     report = ab_axioms_check(triple, cfg)
     if not report.ok:
         raise AxiomsFailed("; ".join(report.failures))
+
+
+def aab_inverse(triple: AabTriple, cfg: Config = DEFAULT) -> QuotientPair:
+    """Quotient-pair realization t(a x) = b x of a valid triple."""
+    _require_axioms(triple, cfg)
     return QuotientPair(triple.a, triple.b)
 
 
 def graph_projection(triple: AabTriple, cfg: Config = DEFAULT) -> np.ndarray:
     """Block projection (a b*; b 1-a_*) onto the graph of t."""
-    report = ab_axioms_check(triple, cfg)
-    if not report.ok:
-        raise AxiomsFailed("; ".join(report.failures))
+    _require_axioms(triple, cfg)
     n = triple.n
     p = np.zeros((2 * n, 2 * n), dtype=complex)
     p[:n, :n] = triple.a
@@ -360,16 +373,15 @@ def bounded_transform(t: np.ndarray, cfg: Config = DEFAULT) -> BoundedTransform:
     """z = t (1 + t*t)^(-1/2); on the matrix backend E_0 = E.
 
     From one SVD t = UΣV*, z = U·diag(σ/√(1 + σ²))·V*.  ``in_z`` is read
-    off the matrix z: the least eigenvalue of 1 − z*z (eigvalsh) must
-    exceed ``kernel_tol``.
+    off the matrix z: the least eigenvalue of 1 − z*z
+    (``hermitian_spectrum``) must exceed ``kernel_tol``.
     """
     t = np.asarray(t, dtype=complex)
     _require_finite("bounded_transform", t)
     u, s, vh = np.linalg.svd(t)
     z = (u * (s / np.sqrt(1.0 + s * s))) @ vh
     gram = np.eye(z.shape[-1]) - _adj(z) @ z
-    wmin = float(np.linalg.eigvalsh(_herm(gram)).min())
-    in_z = wmin > cfg.kernel_tol
+    in_z = float(hermitian_spectrum(gram).min()) > cfg.kernel_tol
     return BoundedTransform(z, in_z)
 
 
@@ -383,9 +395,7 @@ def from_bounded(z: np.ndarray, cfg: Config = DEFAULT) -> np.ndarray:
 
 def absolute_value(triple: AabTriple, cfg: Config = DEFAULT) -> AabTriple:
     """Triple of |t|: (a, a, |b|) with |b| = (b*b)^(1/2)."""
-    report = ab_axioms_check(triple, cfg)
-    if not report.ok:
-        raise AxiomsFailed("; ".join(report.failures))
+    _require_axioms(triple, cfg)
     absb = hermitian_sqrt(triple.b.conj().T @ triple.b)
     return AabTriple(triple.a, triple.a, absb)
 
@@ -395,7 +405,7 @@ def polar_decompose(t: np.ndarray, cfg: Config = DEFAULT):
     t = np.asarray(t, dtype=complex)
     _require_finite("polar_decompose", t)
     u, s, vh = np.linalg.svd(t)
-    r = int(np.sum(s > cfg.subspace_tol * max(1.0, s[0] if len(s) else 1.0)))
+    r = numerical_rank(s, cfg.subspace_tol)
     v = u[:, :r] @ vh[:r]
     absval = (vh.conj().T[:, :r] * s[:r]) @ vh[:r]
     return v, absval
@@ -419,7 +429,7 @@ def joint_diagonalize(a: np.ndarray, b: np.ndarray, rng: np.random.Generator,
     db = q.conj().T @ b @ q
     # the four 2-norms from one stacked SVD
     stack = np.stack([da - np.diag(np.diag(da)), db - np.diag(np.diag(db)), a, b])
-    off_a, off_b, norm_a, norm_b = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    off_a, off_b, norm_a, norm_b = opnorm(stack)
     off = float(max(off_a, off_b))
     if off > 1e-8 * max(1.0, norm_a, norm_b):
         raise NonCommutingPair(f"joint diagonalization residual {off:.3e}")

@@ -422,3 +422,17 @@ def test_cli_size_above_its_cap_is_an_input_error(argv, cap, monkeypatch,
     assert cli.main(["--quiet", *argv]) == 1
     assert "--n must be finite and at least 1 and at most 4" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("domain, end", [
+    ({"base": "realline", "lo": -1, "hi": 1, "punctures": [0.0]}, "lo = -1.0"),
+    ({"base": "realline", "punctures": [0.0]}, "left endpoint -inf"),
+], ids=["given-ends", "pieces-short"])
+def test_symbol_that_misses_an_infinite_end_is_input_error(domain, end, tmp_path):
+    sym = tmp_path / "s.json"
+    sym.write_text(json.dumps({
+        "domain": domain,
+        "pieces": [{"lo": -1, "hi": 0, "expr": "x"}, {"lo": 0, "hi": 1, "expr": "x"}],
+        "declarations": [{"at": 0.0, "class": "reg_b"}]}))
+    proc = run_cli("analyze", str(sym), expect=1)
+    assert proc.stderr.startswith("input error:") and end in proc.stderr

@@ -1,10 +1,17 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from graphreg.algebras import constant_matrix, grid_model, matrix_algebra
-from graphreg.errors import BadParameters, EpsilonBelowGrid, LambdaInSpectrum
+from graphreg.config import DEFAULT
+from graphreg.errors import (
+    BadParameters,
+    EpsilonBelowGrid,
+    LambdaInSpectrum,
+    NonFiniteValue,
+)
 from graphreg.experiments import (
     Side,
     build_pair,
@@ -14,7 +21,8 @@ from graphreg.experiments import (
     weyl_limits_check,
     weyl_relations_check,
 )
-from graphreg.transforms import aab_forward, opnorm, random_operator
+from graphreg.modules import nullspace, orthonormal_columns
+from graphreg.transforms import aab_forward, opnorm, polar_decompose, random_operator
 
 RNG = np.random.default_rng(5150)
 
@@ -611,3 +619,48 @@ def test_stacked_bisection_matches_columnwise(k, side, identity_r):
     pair = build_pair(k, identity_r)
     assert_close(density_defect(pair, side),
                  columnwise_density_defect(pair, side))
+
+
+# -- one rank cut ------------------------------------------------------------------
+
+
+def test_rank_cut_is_the_same_everywhere():
+    # σ₁ = 2 and σ₂ = 1.5e-10: σ₂ lies above subspace_tol but below
+    # subspace_tol·σ₁, so every rank decision must drop it
+    tol = DEFAULT.subspace_tol
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    mat = u @ np.diag([2.0, 1.5e-10]) @ u.T
+    v, _ = polar_decompose(mat)
+    assert orthonormal_columns(mat, tol).shape[1] == 1
+    assert 2 - nullspace(mat, tol).shape[1] == 1
+    assert round(float(np.trace(v.conj().T @ v).real)) == 1
+    # the resolvent of t is diag(2, 1.5e-10); on M2 it acts on each of
+    # the two columns of x, so its density rank is 2·1
+    alg = matrix_algebra(2)
+    t = np.diag([0.5, 1 / 1.5e-10]) + 1j * np.eye(2)
+    rep = resolvent_affiliation_check(t, 1j, alg)
+    action = alg.left_mult_map(np.linalg.inv(t - 1j * np.eye(2)), onto=alg.blocks)
+    assert rep.density_rank == orthonormal_columns(action, tol).shape[1] == 2
+
+
+def test_config_reaches_resolvent_mask_checks():
+    # the resolvent leaves the M(A) pattern at the point at infinity by
+    # about 1e-7, which subspace_tol = 1e-5 forgives and the default does not
+    a, _, ma = grid_model(3)
+    t = constant_matrix(a, np.array([[0, 0], [1e-7, 0]], complex))
+    default = resolvent_affiliation_check(t, 1j, a, ma)
+    loose = resolvent_affiliation_check(t, 1j, a, ma,
+                                        replace(DEFAULT, subspace_tol=1e-5))
+    assert not default.multiplier_ok
+    assert loose.multiplier_ok and loose.affiliated
+
+
+@pytest.mark.parametrize("t, lam", [
+    (np.diag([np.nan, 1.0]), 1j),
+    (np.diag([np.inf, 1.0]), 1j),
+    (np.eye(2), complex("nan")),
+], ids=["nan-entry", "inf-entry", "nan-lambda"])
+def test_resolvent_check_refuses_non_finite_input(t, lam):
+    with pytest.raises(NonFiniteValue, match="resolvent_affiliation_check"):
+        resolvent_affiliation_check(t, lam, matrix_algebra(2))

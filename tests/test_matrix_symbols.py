@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from graphreg import cli
+from graphreg.config import Config
 from graphreg.matrix_symbols import (
     EntryClass,
     SymbolMatrix,
@@ -14,6 +18,7 @@ from graphreg.matrix_symbols import (
     scalar_symbol,
     zero_symbol,
 )
+from graphreg.symbols import _vanishes_at_infinity
 
 C0, C0U, CB = EntryClass.C0, EntryClass.C0U, EntryClass.CB
 
@@ -124,3 +129,21 @@ def test_constant_lower_corner_violates_multiplier_class():
     assert not verdict.in_algebra
     # but it IS a left multiplier: LM allows Cb at (2,1)
     assert verdict.in_left_multiplier
+
+
+def test_vanishing_window_that_no_sample_reaches():
+    # with inf_reach below vanish_window no sample lies in the window;
+    # x must still not vanish, and the profile asks the symbol layer
+    cfg = Config(inf_reach=1000.0)
+    x = expr_symbol("x")
+    assert entry_profile(x, cfg).vanishes is False
+    assert _vanishes_at_infinity(x, cfg) is False
+
+
+def test_matrix_symbols_experiment_honours_inf_reach(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inf_reach": 1000}))
+    argv = ["--config", str(cfg), "experiment", "--which", "matrix-symbols"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["t"]["in_A"] is False

@@ -10,7 +10,11 @@ from graphreg.algebras import (
     matrix_algebra,
 )
 from graphreg.config import DEFAULT
-from graphreg.errors import DescriptorMismatch, NotOrthogonallyClosed
+from graphreg.errors import (
+    DescriptorMismatch,
+    NonFiniteValue,
+    NotOrthogonallyClosed,
+)
 from graphreg import modules
 from graphreg.modules import (
     GraphOperator,
@@ -557,3 +561,9 @@ class TestGatheredAgainstLoops:
         op.regularity()
         # Def(t)^⊥, Graph(t)^⊥ and Graph(t)^⊥⊥
         assert calls == [1, 2, 2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_matrix_refuses_non_finite_entry(bad):
+    with pytest.raises(NonFiniteValue, match="GraphOperator.from_matrix"):
+        GraphOperator.from_matrix(matrix_algebra(2), np.diag([bad, 1.0]))

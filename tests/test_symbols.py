@@ -5,11 +5,14 @@ import pytest
 
 from graphreg import catalog
 from graphreg import expressions as ex
+from graphreg.config import Config
 from graphreg.errors import DeclarationMismatch
 from graphreg.symbols import (
     Declaration,
+    DomainSpec,
     PiecewiseSymbol,
     PointClass,
+    _side_sequences,
     classify_point,
     conjugate_symbol,
     detect_point,
@@ -374,3 +377,47 @@ def test_settled_transform_at_infinity_is_declared_by_its_limit():
     a_decl = rep.a_symbol.declaration(INF)
     assert a_decl.cls is PointClass.REG_B and abs(a_decl.limit - 0.5) < 1e-9
     assert rep.b_symbol.declaration(INF).cls is PointClass.SING_SUPP
+
+
+# -- approach sequences and ends ------------------------------------------------
+
+
+def test_approach_sequences_keep_their_samples():
+    # the detected limits end up in the golden a/b symbols, so the sample
+    # points are pinned bit for bit
+    cfg = Config(approach_steps=4, approach_start=0.3, inf_start=1.3,
+                 inf_reach=100.0)
+    x = ex.parse_expression("x")
+    half = PiecewiseSymbol(DomainSpec("halfline", 0.7), ((0.7, INF, x),))
+    line = PiecewiseSymbol(real_line([-0.7]), ((-INF, -0.7, x), (-0.7, INF, x)),
+                           (Declaration(-0.7, PointClass.REG_B),))
+    punct = PiecewiseSymbol(interval(-1, 1, [0.1]), ((-1, 0.1, x), (0.1, 1, x)),
+                            (Declaration(0.1, PointClass.REG_B),))
+    cases = [
+        (half, INF, [[1.4, 2.8, 5.6, 11.2]]),
+        (line, INF, [[1.4, 2.8, 5.6, 11.2], [-1.4, -2.8, -5.6, -11.2]]),
+        (punct, 0.1, [[-0.17500000000000002, -0.037500000000000006, 0.03125,
+                       0.065625],
+                      [0.325, 0.21250000000000002, 0.15625,
+                       0.12812500000000002]]),
+    ]
+    for sym, p, want in cases:
+        assert [s.tolist() for s in _side_sequences(sym, p, cfg)] == want
+
+
+@pytest.mark.parametrize("domain, pieces, end", [
+    ({"base": "realline", "lo": -1, "hi": 1},
+     [{"lo": -1, "hi": 1, "expr": "x"}], "lo = -1.0, hi = 1.0"),
+    ({"base": "halfline", "lo": 0, "hi": 1},
+     [{"lo": 0, "hi": 1, "expr": "x"}], "hi = 1.0"),
+    ({"base": "realline", "punctures": [0.0]},
+     [{"lo": -1, "hi": 0, "expr": "x"}, {"lo": 0, "hi": 1, "expr": "x"}],
+     "left endpoint -inf"),
+    ({"base": "halfline", "lo": 0},
+     [{"lo": 0, "hi": 1, "expr": "x"}], "right endpoint inf"),
+], ids=["realline-ends", "halfline-end", "realline-pieces", "halfline-pieces"])
+def test_symbol_must_reach_its_infinite_ends(domain, pieces, end):
+    decls = [{"at": p, "class": "reg_b"} for p in domain.get("punctures", [])]
+    with pytest.raises(ValueError, match=end):
+        symbol_from_dict({"domain": domain, "pieces": pieces,
+                          "declarations": decls})

@@ -9,6 +9,7 @@ from graphreg.errors import (
     CircleRoot,
     FactorizationFailed,
     InnerRoot,
+    NonFiniteValue,
     NotCoprime,
     NotRealFactor,
 )
@@ -429,3 +430,18 @@ def test_published_symbols_pass_the_gate(p, q):
     data = trig_data(p, q)
     assert data.ok and not data.failures()
     assert data.factor_residual < 1e-12
+
+
+@pytest.mark.parametrize("entry, call", [
+    ("trig_data", lambda: toeplitz_aab([np.nan], [1, -1], 16)),
+    ("trig_data", lambda: toeplitz_aab([1], [np.inf, -1], 16)),
+    ("trig_data", lambda: affiliation_verdict([1], [np.nan, -1])),
+    ("trig_data", lambda: affiliation_verdict([1], [1, np.nan])),
+    ("trig_data", lambda: trig_data([1, np.inf], [1, -0.5])),
+    ("fejer_riesz", lambda: fejer_riesz([np.nan], [1, -0.5])),
+], ids=["toeplitz_aab-p", "toeplitz_aab-q", "affiliation_verdict",
+        "trailing-nan", "trig_data", "fejer_riesz"])
+def test_non_finite_coefficient_is_refused_where_it_enters(entry, call):
+    # a trailing nan must not be trimmed away as a zero coefficient
+    with pytest.raises(NonFiniteValue, match=entry):
+        call()
