@@ -9,9 +9,10 @@ of the point at infinity (entries in C_0 must vanish there, a unitized
 corner need not).
 
 Elements are stored as dense block-diagonal "ambient" matrices; the
-algebra is the set of those supported on the mask.  The ambient product
-of two masked elements is assumed to stay on the mask (true for every
-algebra constructed here; ``closed_under_product`` lets tests verify it).
+algebra is the set of those supported on the mask.  A mask closed under
+products and adjoints is an equivalence relation on the indices it uses,
+so the algebra is ⊕_c M_{|c|} over its classes c, and the constructor
+refuses any other mask.  The module backend works class by class.
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ class BlockAlgebra:
 
     sizes  -- block dimensions n_p (all >= 1)
     masks  -- optional list of boolean n_p x n_p arrays, True = entry allowed;
-              None means every entry of every block is allowed.
+              None means every entry of every block is allowed.  A mask
+              must be closed under products and adjoints.
+
+    ``classes`` are the index arrays of the classes c of the mask and
+    ``class_coords`` the |c| x |c| coordinate indices of each c-block.
     """
 
     def __init__(self, sizes, masks=None, label=""):
@@ -56,6 +61,23 @@ class BlockAlgebra:
         self._entries = np.nonzero(self.allowed)
         self._offmask = np.nonzero(~self.allowed)
         self.dim = len(self._entries[0])
+        # label each used index with the first index of its row; the mask
+        # must be exactly "same label" on the used indices
+        rows, cols = self._entries
+        head = np.ones(self.dim, dtype=bool)  # first entry of a row
+        head[1:] = rows[1:] != rows[:-1]
+        label, first = np.full(self.N, -1), np.zeros(self.N, dtype=int)
+        label[rows[head]], first[rows[head]] = cols[head], np.flatnonzero(head)
+        self._used = self.allowed.diagonal()
+        same = (label[:, None] == label) & self._used[:, None] & self._used
+        if not np.array_equal(same, self.allowed):
+            raise ValueError("mask is not closed under products and adjoints")
+        self.classes = tuple(np.flatnonzero(label == s)
+                             for s in np.flatnonzero(label == np.arange(self.N)))
+        # row c[a] of the mask is the class c, so entry (c[a], c[b]) is
+        # coordinate first[c[a]] + b
+        self.class_coords = tuple(first[c][:, None] + np.arange(len(c))
+                                  for c in self.classes)
 
     def __eq__(self, other):
         return (
@@ -103,20 +125,16 @@ class BlockAlgebra:
         return self.offmask_residual(matrix) <= tol
 
     def is_left_multiplier(self, matrix, tol=1e-10) -> bool:
-        """T with T·A ⊆ A: no T·e leaves the mask, e a matrix unit."""
-        return _max_abs(self.left_mult_map(matrix, onto=~self.allowed)) <= tol
+        """T with T·A ⊆ A: T[k, i] = 0 for every used i and every k
+        outside the class of i."""
+        m = np.asarray(matrix, dtype=complex)[:, self._used]
+        return _max_abs(m[~self.allowed[:, self._used]]) <= tol
 
     def is_multiplier(self, matrix, tol=1e-10) -> bool:
-        """T with T·A ⊆ A and A·T ⊆ A.
-
-        Entry (k,l) of e_ij·T is T[j,l] when k = i, and 0 otherwise.
-        """
-        if not self.is_left_multiplier(matrix, tol):
-            return False
-        (k, l), (i, j) = self._offmask, self._entries
+        """T with T·A ⊆ A and A·T ⊆ A; the mask is symmetric, so A·T ⊆ A
+        iff Tᵀ·A ⊆ A."""
         m = np.asarray(matrix, dtype=complex)
-        right = np.where(k[:, None] == i, m[j, l[:, None]], 0)
-        return _max_abs(right) <= tol
+        return self.is_left_multiplier(m, tol) and self.is_left_multiplier(m.T, tol)
 
     def closed_under_product(self) -> bool:
         """e_ij·e_jl = e_il must stay on the mask for all allowed units."""
@@ -124,22 +142,6 @@ class BlockAlgebra:
         return not np.any(reach & ~self.allowed)
 
     # -- operators as scalar-linear maps on coordinates -----------------
-
-    def left_mult_map(self, matrix, onto=None) -> np.ndarray:
-        """Matrix of x ↦ T·x from algebra coordinates to the ambient
-        entries selected by the boolean N x N mask ``onto`` (default: the
-        algebra's own coordinates).
-
-        Column (i,j) is T·e_ij, whose entry (k,l) is T[k,i] when l = j.
-        A stack of matrices (..., N, N) gives a stack of maps.  With the
-        default target T·A ⊆ A is required; entries that leave the mask
-        are dropped, so callers should check multiplier membership first
-        when it matters.
-        """
-        k, l = self._entries if onto is None else np.nonzero(onto)
-        i, j = self._entries
-        m = np.asarray(matrix, dtype=complex)
-        return np.where(l[:, None] == j, m[..., k[:, None], i], 0)
 
     def right_mult_maps(self) -> np.ndarray:
         """Coordinate matrices of x ↦ x·e for every basis unit e, stacked

@@ -128,10 +128,10 @@ def parse_poly(text: str, cfg: Config) -> np.ndarray:
 
 # The largest array of each size stays within ARRAY_BUDGET: for
 # ``transform --n`` the nine stacked n x n complex residuals of an axiom
-# check, for ``experiment --which resolvent --n`` the n² x n² complex
-# left-multiplication map of M_n.
+# check, for ``experiment --which resolvent --n`` one n x n complex
+# matrix (the coordinate index pair of M_n has the same size).
 TRANSFORM_MAX_N = math.isqrt(ARRAY_BUDGET // (9 * COMPLEX_BYTES))
-RESOLVENT_MAX_N = math.isqrt(math.isqrt(ARRAY_BUDGET // COMPLEX_BYTES))
+RESOLVENT_MAX_N = math.isqrt(ARRAY_BUDGET // COMPLEX_BYTES)
 
 
 def check_parameter(name: str, value, lo=None, hi=None):

@@ -25,6 +25,10 @@ COMPLEX_BYTES = 16
 SIZE_CAPS = {name: ARRAY_BUDGET // COMPLEX_BYTES for name in (
     "grid_points", "circle_samples", "approach_steps", "dyadic_depth")}
 
+# The detector's Cauchy test compares successive samples of an approach,
+# so an approach and its classification window need two of them.
+SIZE_FLOORS = {"approach_steps": 2, "tail_samples": 2}
+
 
 @dataclass(frozen=True)
 class Config:
@@ -33,7 +37,6 @@ class Config:
     graph_angle_tol: float = 1e-8    # minimal principal angle (radians) for graph-ness
     kernel_tol: float = 1e-12        # smallest admitted singular value of a, a_*
     residual_tol: float = 1e-10      # operator identity residuals (finite dim)
-    symbol_residual_tol: float = 1e-9  # pointwise identity residuals (symbols)
 
     # singularity detector
     limit_tol: float = 1e-6          # Cauchy / declared-limit agreement
@@ -70,8 +73,9 @@ class Config:
     def from_dict(data: dict) -> "Config":
         """Overrides from a JSON object, each checked against its field:
         integer fields take integers (not booleans), float fields take
-        finite reals, every value must be positive, and the sizes in
-        ``SIZE_CAPS`` must not exceed their caps."""
+        finite reals, every value must be positive, the sizes in
+        ``SIZE_CAPS`` must not exceed their caps and those in
+        ``SIZE_FLOORS`` must reach their floors."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
         defaults = {f.name: f.default for f in dataclasses.fields(Config)}
@@ -89,6 +93,9 @@ class Config:
                 raise ValueError(f"{key} must be positive and finite, got {value!r}")
             if key in SIZE_CAPS and value > SIZE_CAPS[key]:
                 raise ValueError(f"{key} must be at most {SIZE_CAPS[key]}, "
+                                 f"got {value!r}")
+            if value < SIZE_FLOORS.get(key, 0):
+                raise ValueError(f"{key} must be at least {SIZE_FLOORS[key]}, "
                                  f"got {value!r}")
             values[key] = kind(value)
         return Config(**values)

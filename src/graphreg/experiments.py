@@ -78,6 +78,10 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     """Affiliation via the resolvent: (t-λ)^{-1} must be a multiplier and
     must multiply the algebra densely from both sides.
 
+    λ is in the spectrum when t - λ has ``numerical_rank`` below n at
+    ``cfg.kernel_tol``, the smallest singular value the package admits
+    for an operator it inverts.
+
     ``mult_pattern`` is the mask of M(A) when it differs from A's own
     mask (unital full-block algebras have M(A) = A).  The pattern and
     multiplier checks allow entries up to ``cfg.subspace_tol`` off the
@@ -88,9 +92,9 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     t = np.asarray(t, dtype=complex)
     n = t.shape[0]
     shifted = t - lam * np.eye(n)
-    smin = float(np.linalg.svd(shifted, compute_uv=False).min())
-    if smin <= 1e-8:
-        raise LambdaInSpectrum(f"min singular value {smin:.2e} at λ={lam}")
+    sv = np.linalg.svd(shifted, compute_uv=False)
+    if numerical_rank(sv, cfg.kernel_tol) < n:
+        raise LambdaInSpectrum(f"min singular value {sv[-1]:.2e} at λ={lam}")
     res = np.linalg.inv(shifted)
     direct = opnorm(res @ shifted - np.eye(n))
     pattern = mult_pattern if mult_pattern is not None else algebra
@@ -98,10 +102,13 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     mult_ok = bool(pattern.contains(res, tol) and pattern.contains(res.conj().T, tol)
                    and algebra.is_multiplier(res, tol) and
                    algebra.is_multiplier(res.conj().T, tol))
-    # density of R·A and R*·A as ranks of the left actions
+    # density of R·A and R*·A: on each column of a c-block R acts as
+    # R[rows of the block of c, c]; the class with the largest σ₁ goes first
     def rank_of(mat):
-        action = algebra.left_mult_map(mat, onto=algebra.blocks)
-        return numerical_rank(np.linalg.svd(action, compute_uv=False), tol)
+        s = [np.repeat(np.linalg.svd(mat[np.ix_(algebra.blocks[c[0]], c)],
+                                     compute_uv=False), len(c))
+             for c in algebra.classes]
+        return numerical_rank(np.concatenate(sorted(s, key=lambda x: -x[0])), tol)
 
     rk, rks = rank_of(res), rank_of(res.conj().T)
     failed = []

@@ -119,8 +119,8 @@ def opnorm(m: np.ndarray):
 
 
 def numerical_rank(s: np.ndarray, tol: float) -> int:
-    """The package's one rank cut: how many of the descending singular
-    values ``s`` exceed tol·max(1, σ₁)."""
+    """The package's one rank cut: how many of the singular values ``s``
+    exceed tol·max(1, σ₁), with σ₁ = s[0] the largest."""
     return int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
 
 

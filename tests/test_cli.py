@@ -360,9 +360,9 @@ def test_size_caps_follow_the_array_budget():
     # the nine stacked complex residuals of an axiom check
     n = cli.TRANSFORM_MAX_N
     assert 9 * 16 * n ** 2 <= ARRAY_BUDGET < 9 * 16 * (n + 1) ** 2
-    # the complex n² x n² left-multiplication map of M_n
+    # one complex n x n matrix of M_n
     n = cli.RESOLVENT_MAX_N
-    assert 16 * n ** 4 <= ARRAY_BUDGET < 16 * (n + 1) ** 4
+    assert 16 * n ** 2 <= ARRAY_BUDGET < 16 * (n + 1) ** 2
     # one complex sample vector
     assert set(SIZE_CAPS.values()) == {ARRAY_BUDGET // 16}
 
@@ -378,6 +378,29 @@ def test_config_size_above_its_cap_is_refused(key):
         Config.from_dict({key: cap + 1})
     with pytest.raises(ValueError, match=f"{key} must be at most {cap}"):
         Config.from_dict({key: 10 ** 30})
+
+
+@pytest.mark.parametrize("key", ["tail_samples", "approach_steps"])
+def test_config_size_below_two_is_refused(key, tmp_path, capsys):
+    from graphreg import cli
+    from graphreg.config import Config
+
+    assert getattr(Config.from_dict({key: 2}), key) == 2
+    with pytest.raises(ValueError, match=f"{key} must be at least 2, got 1"):
+        Config.from_dict({key: 1})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert cli.main(["--quiet", "--config", str(cfg), "analyze",
+                     "--catalog", "one_over_x"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: {key} must be at least 2")
+
+
+def test_removed_symbol_residual_tol_is_an_unknown_key():
+    from graphreg.config import Config
+
+    with pytest.raises(ValueError, match="unknown config keys"):
+        Config.from_dict({"symbol_residual_tol": 1e-9})
 
 
 def test_config_size_cap_is_a_config_error(tmp_path, monkeypatch, capsys):

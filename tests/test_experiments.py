@@ -23,6 +23,7 @@ from graphreg.experiments import (
 )
 from graphreg.modules import nullspace, orthonormal_columns
 from graphreg.transforms import aab_forward, opnorm, polar_decompose, random_operator
+from test_modules import loop_left_mult_map
 
 RNG = np.random.default_rng(5150)
 
@@ -44,6 +45,13 @@ def test_lambda_in_spectrum_rejected():
     with pytest.raises(LambdaInSpectrum):
         resolvent_affiliation_check(np.diag([1.0, 2.0, 3.0]).astype(complex),
                                     2.0, alg)
+
+
+def test_small_invertible_shift_is_not_in_the_spectrum():
+    # 1e-9·diag(1, 2) has condition number 2: full rank under the rank rule
+    rep = resolvent_affiliation_check(1e-9 * np.diag([1.0, 2.0]), 0.0,
+                                      matrix_algebra(2))
+    assert rep.affiliated and rep.density_rank == 4
 
 
 def test_grid_model_resolvent_mask_failure():
@@ -640,7 +648,7 @@ def test_rank_cut_is_the_same_everywhere():
     alg = matrix_algebra(2)
     t = np.diag([0.5, 1 / 1.5e-10]) + 1j * np.eye(2)
     rep = resolvent_affiliation_check(t, 1j, alg)
-    action = alg.left_mult_map(np.linalg.inv(t - 1j * np.eye(2)), onto=alg.blocks)
+    action = loop_left_mult_map(alg, np.linalg.inv(t - 1j * np.eye(2)), full=True)
     assert rep.density_rank == orthonormal_columns(action, tol).shape[1] == 2
 
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphreg.algebras import (
     BlockAlgebra,
@@ -10,6 +13,7 @@ from graphreg.algebras import (
     matrix_algebra,
 )
 from graphreg.config import DEFAULT
+from graphreg.experiments import resolvent_affiliation_check
 from graphreg.errors import (
     DescriptorMismatch,
     NonFiniteValue,
@@ -19,7 +23,6 @@ from graphreg import modules
 from graphreg.modules import (
     GraphOperator,
     Submodule,
-    _constraint_rows,
     compose_relations,
     is_graph_regular,
     module_sum,
@@ -31,6 +34,7 @@ from graphreg.modules import (
     relation_range,
     same_span,
 )
+from graphreg.transforms import numerical_rank
 
 RNG = np.random.default_rng(20240811)
 
@@ -177,7 +181,7 @@ def test_adjoint_equals_conjugate_transpose():
         t = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
         op = GraphOperator.from_matrix(alg, t)
         adj = op.adjoint()
-        expect = alg.left_mult_map(t.conj().T)
+        expect = loop_left_mult_map(alg, t.conj().T)
         assert np.linalg.norm(adj.action_matrix() - expect, 2) < 1e-12
 
 
@@ -260,8 +264,8 @@ class TestGridModel:
         t = constant_matrix(self.A, np.array([[0, 0], [1, 0]], complex))
         op = GraphOperator.from_matrix(self.A, t)
         adj = op.adjoint()
-        expect = self.A.left_mult_map(
-            constant_matrix(self.A, np.array([[0, 1], [0, 0]], complex)))
+        expect = loop_left_mult_map(
+            self.A, constant_matrix(self.A, np.array([[0, 1], [0, 0]], complex)))
         resid = np.linalg.norm(
             (adj.action_matrix() - expect) @ self.a0_in_a.basis, 2)
         assert resid < 1e-10
@@ -344,6 +348,13 @@ def loop_units(alg):
     return [loop_to_matrix(alg, e) for e in np.eye(alg.dim, dtype=complex)]
 
 
+def loop_left_mult_map(alg, m, full=False):
+    """x ↦ m·x from coordinates to the coordinates (or, with ``full``, to
+    every block entry), one matrix unit at a time."""
+    return np.column_stack([loop_to_coords(alg, m @ u, full)
+                            for u in loop_units(alg)])
+
+
 def loop_right_mult_maps(alg):
     units = loop_units(alg)
     return [np.column_stack([loop_to_coords(alg, f @ e) for f in units])
@@ -390,31 +401,49 @@ def loop_complement(sub):
     return Submodule(sub.algebra, sub.ncomp, basis)
 
 
+def reduced_loop_complement(sub):
+    """``loop_complement`` with the nullspace from the reduced SVD, whose
+    memory stays small for the constraint matrices of larger examples."""
+    if sub.dim == 0:
+        return Submodule.full(sub.algebra, sub.ncomp)
+    return Submodule(sub.algebra, sub.ncomp,
+                     nullspace(loop_constraint_rows(sub), TOL))
+
+
+def loop_mult_domain(alg, t):
+    allowed = np.zeros((alg.N, alg.N), dtype=bool)
+    for i, j in loop_entries(alg):
+        allowed[i, j] = True
+    units = loop_units(alg)
+    cons = np.column_stack([np.where(allowed, 0.0, t @ u).ravel()
+                            for u in units])
+    null = full_svd_nullspace(cons)
+    if null.shape[1] == 0:
+        return Submodule.zero(alg)
+    return loop_closure(alg, 1, list(null.T))
+
+
 def loop_graph(alg, t, domain=None):
     if domain is None:
-        allowed = np.zeros((alg.N, alg.N), dtype=bool)
-        for i, j in loop_entries(alg):
-            allowed[i, j] = True
-        units = loop_units(alg)
-        cons = np.column_stack([np.where(allowed, 0.0, t @ u).ravel()
-                                for u in units])
-        domain = loop_closure(alg, 1, list(full_svd_nullspace(cons).T))
+        domain = loop_mult_domain(alg, t)
     cols = [np.concatenate([c, loop_to_coords(alg, t @ loop_to_matrix(alg, c))])
             for c in domain.basis.T]
+    if not cols:
+        return Submodule.zero(alg, 2)
     return Submodule(alg, 2, orthonormal_columns(np.column_stack(cols), TOL))
 
 
-def loop_regularity(alg, t, domain=None):
+def loop_regularity(alg, t, domain=None, complement=loop_complement):
     """Graph, verdict fields and diagnostics, each complement formed anew."""
     graph = loop_graph(alg, t, domain)
     d = alg.dim
     dom = Submodule(alg, 1, orthonormal_columns(graph.basis[:d], TOL))
-    essential = loop_complement(dom).dim == 0
-    closed = graph.equals(loop_complement(loop_complement(graph)))
+    essential = complement(dom).dim == 0
+    closed = graph.equals(complement(complement(graph)))
     diagnostics = {}
     graph_regular = False
     if essential and closed:
-        perp = loop_complement(graph)
+        perp = complement(graph)
         adj = np.vstack([-perp.basis[d:], perp.basis[:d]])
         tstar_t = compose_relations(adj, graph.basis, (d, d, d))
         t_tstar = compose_relations(graph.basis, adj, (d, d, d))
@@ -469,12 +498,6 @@ class TestGatheredAgainstLoops:
         assert np.array_equal(alg.to_matrix(c), loop_to_matrix(alg, c))
         assert np.array_equal(np.asarray(alg.right_mult_maps()),
                               np.asarray(loop_right_mult_maps(alg)))
-        units = loop_units(alg)
-        left = np.column_stack([loop_to_coords(alg, m @ u) for u in units])
-        assert np.array_equal(alg.left_mult_map(m), left)
-        left_full = np.column_stack([loop_to_coords(alg, m @ u, full=True)
-                                     for u in units])
-        assert np.array_equal(alg.left_mult_map(m, onto=alg.blocks), left_full)
 
     @pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)
     def test_membership_matches_unit_products(self, alg):
@@ -497,13 +520,15 @@ class TestGatheredAgainstLoops:
     def test_constraint_rows_equal_loop_version(self, alg):
         rng = np.random.default_rng(9)
         for sub in oracle_submodules(alg, rng):
-            assert np.array_equal(_constraint_rows(sub), loop_constraint_rows(sub))
+            comp, ref = orthogonal_complement(sub), loop_complement(sub)
+            assert comp.dim == ref.dim
+            assert same_span(comp.basis, ref.basis, 1e-9)
 
     @pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)
     def test_reduced_nullspace_spans_full_svd_nullspace(self, alg):
         rng = np.random.default_rng(10)
         for sub in oracle_submodules(alg, rng):
-            rows = _constraint_rows(sub)
+            rows = loop_constraint_rows(sub)
             ns, ref = nullspace(rows, TOL), full_svd_nullspace(rows)
             assert ns.shape == ref.shape
             assert same_span(ns, ref, 1e-9)
@@ -567,3 +592,82 @@ class TestGatheredAgainstLoops:
 def test_from_matrix_refuses_non_finite_entry(bad):
     with pytest.raises(NonFiniteValue, match="GraphOperator.from_matrix"):
         GraphOperator.from_matrix(matrix_algebra(2), np.diag([bad, 1.0]))
+
+
+# -- the class-by-class path against the loop oracle ----------------------------
+
+
+@pytest.mark.parametrize("mask", [
+    [[1, 1], [0, 1]], [[1, 1], [1, 0]], [[0, 1], [1, 0]],
+], ids=["not-adjoint-closed", "unused-index", "no-diagonal"])
+def test_mask_that_is_no_equivalence_is_refused(mask):
+    with pytest.raises(ValueError, match="closed under products and adjoints"):
+        BlockAlgebra((2,), [np.array(mask, dtype=bool)])
+
+
+@st.composite
+def masked_algebras(draw):
+    """1-3 blocks of size 1-4; each index in a class (a label) or unused."""
+    masks = []
+    for n in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        label = np.array(draw(st.lists(st.integers(-1, n - 1),
+                                       min_size=n, max_size=n)))
+        masks.append((label[:, None] == label) & (label >= 0))
+    return BlockAlgebra([len(m) for m in masks], masks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alg=masked_algebras().filter(lambda a: a.dim > 0), data=st.data())
+def test_class_path_matches_loop_oracle(alg, data):
+    # block-diagonal t and a generator x; zeroed columns keep classes in
+    # the domain of t and out of the module x generates
+    def zeroed(m):
+        m[:, data.draw(st.lists(st.booleans(), min_size=alg.N, max_size=alg.N))] = 0
+        return m
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    t = zeroed(random_element(alg, rng))
+    x = zeroed(alg.to_matrix(alg.to_coords(random_element(alg, rng))))
+    gen, ref_gen = Submodule.from_elements(alg, [x]), loop_closure(alg, 1, [alg.to_coords(x)])
+    dom, ref_dom = GraphOperator.mult_domain(alg, [t]), loop_mult_domain(alg, t)
+    for sub, ref in ((gen, ref_gen), (dom, ref_dom)):
+        assert sub.dim == ref.dim and same_span(sub.basis, ref.basis, 1e-9)
+    for domain in (None, gen):
+        op = GraphOperator.from_matrix(alg, t, domain)
+        dim, verdict = loop_regularity(alg, t, domain, reduced_loop_complement)
+        assert op.graph.dim == dim
+        assert verdict_tuple(op.regularity()) == verdict
+        for sub in (op.graph, op.domain(), gen):
+            comp, ref = orthogonal_complement(sub), reduced_loop_complement(sub)
+            assert comp.dim == ref.dim and same_span(comp.basis, ref.basis, 1e-9)
+    lam = 1j * (1 + np.linalg.norm(t, 2))
+    rep = resolvent_affiliation_check(t, lam, alg)
+    res = np.linalg.inv(t - lam * np.eye(alg.N))
+    for rank, r in ((rep.density_rank, res), (rep.density_rank_star, res.conj().T)):
+        s = np.linalg.svd(loop_left_mult_map(alg, r, full=True), compute_uv=False)
+        assert rank == numerical_rank(s, TOL)
+
+
+def test_resolvent_ranks_read_the_rows_of_the_whole_block():
+    # the diagonal of M2 has two classes, and the resolvent of the swap at
+    # λ = 0 maps each class column into the other class's row
+    alg = BlockAlgebra((2,), [np.eye(2, dtype=bool)])
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    rep = resolvent_affiliation_check(swap, 0.0, alg)
+    s = np.linalg.svd(loop_left_mult_map(alg, swap, full=True), compute_uv=False)
+    assert rep.density_rank == rep.density_rank_star == numerical_rank(s, TOL) == 2
+
+
+@pytest.mark.parametrize("alg, block", [
+    (matrix_algebra(12), None), (grid_model(32)[0], "lower"),
+], ids=["M12", "grid32-lower"])
+def test_regularity_memory_stays_small(alg, block):
+    t = (random_operator(12, np.random.default_rng(3)) if block is None else
+         constant_matrix(alg, np.array(GRID_BLOCKS[block], complex)))
+    tracemalloc.start()
+    try:
+        GraphOperator.from_matrix(alg, t).regularity()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

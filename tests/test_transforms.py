@@ -34,6 +34,7 @@ from graphreg.transforms import (
     polar_decompose,
     random_operator,
 )
+from test_modules import loop_left_mult_map
 
 RNG = np.random.default_rng(99)
 
@@ -195,10 +196,10 @@ def test_graph_projection_matches_module_projection():
     # translate the block projection to coordinate space: it acts blockwise
     d = alg.dim
     big = np.zeros((2 * d, 2 * d), dtype=complex)
-    big[:d, :d] = alg.left_mult_map(p_block[:n, :n])
-    big[:d, d:] = alg.left_mult_map(p_block[:n, n:])
-    big[d:, :d] = alg.left_mult_map(p_block[n:, :n])
-    big[d:, d:] = alg.left_mult_map(p_block[n:, n:])
+    big[:d, :d] = loop_left_mult_map(alg, p_block[:n, :n])
+    big[:d, d:] = loop_left_mult_map(alg, p_block[:n, n:])
+    big[d:, :d] = loop_left_mult_map(alg, p_block[n:, :n])
+    big[d:, d:] = loop_left_mult_map(alg, p_block[n:, n:])
     assert opnorm(big - p_module) < 1e-9
 
 
