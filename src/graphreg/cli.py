@@ -246,11 +246,11 @@ def cmd_toeplitz(args, cfg: Config) -> tuple:
     p = parse_poly(args.p, cfg)
     q = parse_poly(args.q, cfg)
     rep = affiliation_verdict(p, q, cfg)
-    residuals = {}
-    for n in sorted({args.N // 4, args.N // 2, args.N}):
-        if n >= TOEPLITZ_MIN_N:
-            tri = toeplitz_aab(p, q, n, cfg)
-            residuals[str(n)] = tri.interior_residuals()
+    # one triple at N: the N/4 and N/2 truncations are its leading blocks
+    tri = toeplitz_aab(p, q, args.N, cfg)
+    residuals = {str(n): tri.interior_residuals(n)
+                 for n in (args.N // 4, args.N // 2, args.N)
+                 if n >= TOEPLITZ_MIN_N}
     out = rep.to_dict()
     out["p"] = [_c for _c in p]
     out["q"] = [_c for _c in q]

@@ -34,7 +34,6 @@ SIZE_FLOORS = {"approach_steps": 2, "tail_samples": 2}
 class Config:
     # linear-algebra thresholds
     subspace_tol: float = 1e-10      # rank / subspace-equality cutoff
-    graph_angle_tol: float = 1e-8    # minimal principal angle (radians) for graph-ness
     kernel_tol: float = 1e-12        # smallest admitted singular value of a, a_*
     residual_tol: float = 1e-10      # operator identity residuals (finite dim)
 

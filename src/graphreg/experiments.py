@@ -24,13 +24,13 @@ is a row or column scaling, the x-only relations are exact on the
 diagonal, and the window averages are matrix-vector products with k.
 The phases of d drop out of every 2-norm, so each residual of y is the
 spectral norm of a real matrix sandwiched by |D| = diag(|d|), and the
-commutator comes from x[y, Q]x since x⁻¹ = Q - αi.  The residual of
-xy* - y*x is then -Mᵀ for the matrix M of xy - yx, so both relations
-share one SVD: a grid costs one SVD of M and one ``eigvalsh`` of the
-damped y-relation (see ``weyl_relations_check``).  Values the report
-may not read, the raw y-relation and the σ(yx) spectrum, are computed
-when first read.  k, S and M are each formed in one buffer.  The grid
-has between 256 and 4096 points.
+commutator comes from x[y, Q]x since x⁻¹ = Q - αi.  On the grid
+T∘k - k@k = -dt·k, so the residual M of xy - yx is -dt·x y x and that
+of xy* - y*x is -Mᵀ: a grid costs one SVD of dt·|D| k |D| and one
+``eigvalsh`` of the damped y-relation (see ``weyl_relations_check``).
+Values the report may not read, the raw y-relation and the σ(yx)
+spectrum, are computed when first read.  The grid has between 256 and
+4096 points.
 """
 
 from __future__ import annotations
@@ -87,21 +87,26 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     multiplier checks allow entries up to ``cfg.subspace_tol`` off the
     mask, and the density ranks are ``numerical_rank`` at that tolerance.
     A t or λ with an inf or NaN entry is refused with NonFiniteValue.
+    Each n x n array is formed once, and t - λ is let go once read.
     """
     _require_finite("resolvent_affiliation_check", t, lam)
-    t = np.asarray(t, dtype=complex)
-    n = t.shape[0]
-    shifted = t - lam * np.eye(n)
+    shifted = np.array(t, dtype=complex)
+    n = shifted.shape[0]
+    shifted.flat[:: n + 1] -= lam
     sv = np.linalg.svd(shifted, compute_uv=False)
     if numerical_rank(sv, cfg.kernel_tol) < n:
         raise LambdaInSpectrum(f"min singular value {sv[-1]:.2e} at λ={lam}")
     res = np.linalg.inv(shifted)
-    direct = opnorm(res @ shifted - np.eye(n))
+    defect = res @ shifted
+    defect.flat[:: n + 1] -= 1.0
+    direct = opnorm(defect)
+    del shifted, defect
+    res_h = res.conj().T
     pattern = mult_pattern if mult_pattern is not None else algebra
     tol = cfg.subspace_tol
-    mult_ok = bool(pattern.contains(res, tol) and pattern.contains(res.conj().T, tol)
+    mult_ok = bool(pattern.contains(res, tol) and pattern.contains(res_h, tol)
                    and algebra.is_multiplier(res, tol) and
-                   algebra.is_multiplier(res.conj().T, tol))
+                   algebra.is_multiplier(res_h, tol))
     # density of R·A and R*·A: on each column of a c-block R acts as
     # R[rows of the block of c, c]; the class with the largest σ₁ goes first
     def rank_of(mat):
@@ -110,7 +115,7 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
              for c in algebra.classes]
         return numerical_rank(np.concatenate(sorted(s, key=lambda x: -x[0])), tol)
 
-    rk, rks = rank_of(res), rank_of(res.conj().T)
+    rk, rks = rank_of(res), rank_of(res_h)
     failed = []
     if not mult_ok:
         failed.append("resolvent not a multiplier (pattern-mask violation)")
@@ -365,7 +370,10 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
       so ``rel1_y`` and ``rel1_y_damped`` are largest |eigenvalues| of S
       and |D| S |D|;
     * x⁻¹ = Q - αi, so xy - yx = x[y, Q]x = x(T∘y)x, and ``rel2`` is
-      ‖M‖ for M = |D|(T∘k - k@k)|D|.  The residual of ``rel2_star`` is
+      ‖M‖ for M = |D|(T∘k - k@k)|D|.  On the grid k_jl = dt·e^{β(t_l - t_j)}
+      for l ≥ j and t_l - t_j = (l - j)·dt, so (k@k)_jl = (l - j + 1)·dt·k_jl
+      and T∘k - k@k = -dt·k: the residual is -dt·x y x, and ``rel2`` =
+      dt·‖|D| k |D|‖ falls as O(Δ).  The residual of ``rel2_star`` is
       |D|(T∘kᵀ + kᵀ@kᵀ)|D| = -Mᵀ for any kernel k, since Tᵀ = -T and
       (k@k)ᵀ = kᵀ@kᵀ, so it is the same largest singular value;
     * σ(yx) = σ(k·|D|).
@@ -392,14 +400,11 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     ydefect *= 2 * w.beta
     ydefect += k + kt
     rel1_y_damped = hermitian_opnorm(sandwich(ydefect.copy()))
-    comm = np.subtract.outer(w.t, w.t).T   # T, T_jl = t_l - t_j
-    comm *= k
-    comm -= k @ k
     return WeylRelationReport(
         rel1_x=float(rel1_x),
         rel1_x_chain=float(rel1_chain),
         rel1_y_damped=rel1_y_damped,
-        rel2=opnorm(sandwich(comm)),
+        rel2=opnorm(sandwich(w.dt * k)),
         grid=w,
         ydefect=ydefect,
     )

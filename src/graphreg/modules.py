@@ -318,7 +318,11 @@ class GraphOperator:
         return float(np.arccos(min(1.0, opnorm(y))))
 
     def is_graph(self, cfg: Config = DEFAULT) -> bool:
-        return self.graph_angle() > cfg.graph_angle_tol
+        """sin(``graph_angle``) = σ_min(X) for the orthonormal basis [X; Y]:
+        X has full rank under ``numerical_rank`` at ``subspace_tol``."""
+        x = self.graph.basis[: self.dim]
+        return numerical_rank(np.linalg.svd(x, compute_uv=False),
+                              cfg.subspace_tol) == self.graph.dim
 
     def action_matrix(self, cfg: Config = DEFAULT) -> np.ndarray:
         """Scalar matrix T with T x = t(x) on the domain (coordinates)."""

@@ -22,7 +22,8 @@ a running sum along the diagonals of the outer product û ⊗ conj(v̂),
 X[j+1, k+1] = X[j, k] + û_{j+1} conj(v̂_{k+1}).  The truncated triple is
 built that way from the first N Taylor coefficients of q/r and p/r,
 found by power-series division (no circle sampling, so nothing
-aliases); the dense truncations are kept for checks.
+aliases).  X[j, k] reads û, v̂ only up to max(j, k), so T_n(u)T_n(v̄) is
+the leading n x n block of T_N(u)T_N(v̄) for n ≤ N (Böttcher–Silbermann).
 
 The triple lives in the smallest field and on the smallest support that
 hold it:
@@ -119,7 +120,7 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
         raise ValueError(f"degree {d} exceeds the cap {cfg.max_poly_degree}")
     m = cfg.circle_samples
     lvals = np.abs(circle_samples(p, m)) ** 2 + np.abs(circle_samples(q, m)) ** 2
-    if lvals.min() <= 1e-10:
+    if lvals.min() <= cfg.coprime_tol:
         raise NotCoprime("|p|^2+|q|^2 reaches zero on the circle")
     # Laurent coefficients c_k = Σ_j a_j conj(a_{j-k}) of p p~ + q q~,
     # k = -d..d: the full autocorrelation of each coefficient vector
@@ -153,12 +154,12 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
 
 @dataclass
 class TrigData:
-    """Validated factorization data for T_{p/q} at truncation size N."""
+    """Validated factorization data for T_{p/q}, with the roots of q."""
 
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    n: int
+    q_roots: np.ndarray
     factor_residual: float
     unit_residual: float
     r_root_min_modulus: float
@@ -192,14 +193,17 @@ class TrigData:
                 + "; ".join(self.failures()))
 
 
-def trig_data(p, q, n: int = 64, cfg: Config = DEFAULT) -> TrigData:
-    """Spectral factorization of |p|² + |q|² with its residuals.  A
-    coefficient that is inf or NaN is refused with NonFiniteValue."""
+def trig_data(p, q, cfg: Config = DEFAULT) -> TrigData:
+    """Spectral factorization of |p|² + |q|² with its residuals and the
+    roots of q; a root below modulus 1 − ``root_circle_tol`` raises
+    InnerRoot.  A coefficient that is inf or NaN is refused with
+    NonFiniteValue."""
     _require_finite("trig_data", p, q)
     p, q = _trim(p), _trim(q)
-    for root in np.roots(q[::-1]) if len(q) > 1 else []:
-        if abs(root) < 1 - 1e-9:
-            raise InnerRoot(f"q has root {root} inside the unit disc")
+    q_roots = np.roots(q[::-1]) if len(q) > 1 else np.array([], dtype=complex)
+    inner = q_roots[np.abs(q_roots) < 1 - cfg.root_circle_tol]
+    if inner.size:
+        raise InnerRoot(f"q has root {inner[0]} inside the unit disc")
     r = fejer_riesz(p, q, cfg)
     m = cfg.circle_samples
     pv, qv, rv = (circle_samples(c, m) for c in (p, q, r))
@@ -209,7 +213,7 @@ def trig_data(p, q, n: int = 64, cfg: Config = DEFAULT) -> TrigData:
     unit_residual = float(np.max(np.abs(np.abs(fv) ** 2 + np.abs(gv) ** 2 - 1)))
     rroots = np.roots(r[::-1]) if len(r) > 1 else np.array([np.inf])
     f0 = complex(npoly.polyval(0.0, q) / npoly.polyval(0.0, r))
-    return TrigData(p, q, r, n, factor_residual, unit_residual,
+    return TrigData(p, q, r, q_roots, factor_residual, unit_residual,
                     float(np.min(np.abs(rroots))), f0)
 
 
@@ -258,19 +262,22 @@ class ToeplitzTriple:
     n: int
     band: int
 
-    def interior_residuals(self) -> dict:
-        """AB-axiom residuals restricted to the central N/2 block c.
+    def interior_residuals(self, n: int | None = None) -> dict:
+        """AB-axiom residuals of the n x n truncation, read as the leading
+        block (n = N by default, 2 ≤ n ≤ N), on its central n/2 block c.
 
         Only that block of each product is formed, (XY)[c, c] =
         X[c, w] Y[w, c], and the contraction runs over the window w =
-        [N/4 − band, 3N/4 + band) ∩ [0, N) alone: outside it the entries
+        [n/4 − band, 3n/4 + band) ∩ [0, n) alone: outside it the entries
         of X[c, :] and Y[:, c] are exact zeros.  Each residual is the
         exact spectral norm of its block.  a and a_* are Hermitian by
         construction, so the blocks of b*b − (a − a²) and bb* − (a_* −
         a_*²) are too, and their norms come from ``eigvalsh``; the
         intertwining block is not, and takes an SVD.
         """
-        n = self.n
+        n = self.n if n is None else n
+        if not 2 <= n <= self.n:
+            raise ValueError(f"leading block n={n} outside [2, {self.n}]")
         c = slice(n // 4, n // 4 + n // 2)
         w = slice(max(0, c.start - self.band), min(n, c.stop + self.band))
         a, s, b = self.a, self.a_star, self.b
@@ -357,7 +364,7 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     FactorizationFailed.
     """
     check_truncation_size(n)
-    data = trig_data(p, q, n, cfg)
+    data = trig_data(p, q, cfg)
     p, q, r = _symbol_field(data)
     data.require_ok()
     fhat = _taylor(q, r, n)
@@ -406,11 +413,9 @@ def affiliation_verdict(p, q, cfg: Config = DEFAULT) -> AffiliationReport:
     roots within ``root_circle_tol`` of the circle count as circle zeros
     and produce the character witness |f(λ)|² ≈ 0.
     """
-    data = trig_data(p, q, cfg=cfg)
+    data = trig_data(p, q, cfg)
     data.require_ok()
-    q = data.q
-    qroots = np.roots(q[::-1]) if len(q) > 1 else np.array([])
-    circle = [complex(z) for z in qroots
+    circle = [complex(z) for z in data.q_roots
               if abs(abs(z) - 1.0) <= cfg.root_circle_tol]
     witnesses = []
     for lam in circle:

@@ -76,15 +76,6 @@ def _spectral_apply(h, f, floor=None) -> np.ndarray:
     return (v * fw[..., None, :]) @ _adj(v)
 
 
-def _kernel_floor(kernel_tol: float, message: str):
-    """Spectrum check: every eigenvalue above ``kernel_tol``, else
-    KernelNotTrivial with ``message`` formatted with wmin and tol."""
-    def check(w):
-        if w.min() <= kernel_tol:
-            raise KernelNotTrivial(message.format(wmin=w.min(), tol=kernel_tol))
-    return check
-
-
 def hermitian_sqrt(h: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
     """Positive square root via eigendecomposition.
 
@@ -95,11 +86,6 @@ def hermitian_sqrt(h: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
         if w.min() < -clamp * max(1.0, abs(w).max()):
             raise AxiomsFailed(f"matrix not PSD: min eigenvalue {w.min():.3e}")
     return _spectral_apply(h, np.sqrt, psd)
-
-
-def hermitian_inv_sqrt(h: np.ndarray, kernel_tol: float = 1e-12) -> np.ndarray:
-    floor = _kernel_floor(kernel_tol, "min eigenvalue {wmin:.3e} below {tol:.0e}")
-    return _spectral_apply(h, lambda w: 1.0 / np.sqrt(w), floor)
 
 
 def opnorm(m: np.ndarray):
@@ -206,7 +192,9 @@ class QuotientPair:
         return opnorm(self.b @ null)
 
     def reconstruct(self, kernel_tol: float = 1e-12) -> np.ndarray:
-        floor = _kernel_floor(kernel_tol, "a has a nontrivial kernel")
+        def floor(w):
+            if w.min() <= kernel_tol:
+                raise KernelNotTrivial("a has a nontrivial kernel")
         return self.b @ _spectral_apply(self.a, np.reciprocal, floor)
 
 
@@ -372,25 +360,29 @@ class BoundedTransform:
 def bounded_transform(t: np.ndarray, cfg: Config = DEFAULT) -> BoundedTransform:
     """z = t (1 + t*t)^(-1/2); on the matrix backend E_0 = E.
 
-    From one SVD t = UΣV*, z = U·diag(σ/√(1 + σ²))·V*.  ``in_z`` is read
-    off the matrix z: the least eigenvalue of 1 − z*z
-    (``hermitian_spectrum``) must exceed ``kernel_tol``.
+    From one SVD t = UΣV*, z = U·diag(σ/√(1 + σ²))·V*.  The same SVD
+    gives 1 − z*z = V·diag(1/(1 + σ²))·V*, whose least eigenvalue is
+    1/(1 + σ₁²); ``in_z`` is that value above ``kernel_tol``.
     """
     t = np.asarray(t, dtype=complex)
     _require_finite("bounded_transform", t)
     u, s, vh = np.linalg.svd(t)
     z = (u * (s / np.sqrt(1.0 + s * s))) @ vh
-    gram = np.eye(z.shape[-1]) - _adj(z) @ z
-    in_z = float(hermitian_spectrum(gram).min()) > cfg.kernel_tol
+    in_z = bool(1.0 / (1.0 + s[0] ** 2) > cfg.kernel_tol)
     return BoundedTransform(z, in_z)
 
 
 def from_bounded(z: np.ndarray, cfg: Config = DEFAULT) -> np.ndarray:
-    """t_z = z (1 - z*z)^(-1/2); requires ker(1 - z*z) = {0}."""
+    """t_z = z (1 - z*z)^(-1/2) = U·diag(σ/√((1 − σ)(1 + σ)))·V* from one
+    SVD z = UΣV*; KernelNotTrivial unless the least eigenvalue
+    (1 − σ₁)(1 + σ₁) of 1 − z*z exceeds ``kernel_tol``."""
     z = np.asarray(z, dtype=complex)
     _require_finite("from_bounded", z)
-    gram = np.eye(z.shape[1]) - z.conj().T @ z
-    return z @ hermitian_inv_sqrt(gram, cfg.kernel_tol)
+    u, s, vh = np.linalg.svd(z)
+    gap = (1.0 - s) * (1.0 + s)
+    if gap[0] <= cfg.kernel_tol:
+        raise KernelNotTrivial(f"1 - z*z has least eigenvalue {gap[0]:.3e}")
+    return (u * (s / np.sqrt(gap))) @ vh
 
 
 def absolute_value(triple: AabTriple, cfg: Config = DEFAULT) -> AabTriple:
@@ -416,15 +408,15 @@ def polar_decompose(t: np.ndarray, cfg: Config = DEFAULT):
 
 def joint_diagonalize(a: np.ndarray, b: np.ndarray, rng: np.random.Generator,
                       cfg: Config = DEFAULT):
-    """Common eigenbasis of a commuting normal pair.
+    """Common eigenbasis of a commuting normal pair, a Hermitian.
 
-    Diagonalizes a + κ·b for a random complex κ (distinct eigenvalues with
-    probability one), re-orthonormalizes, and validates both conjugations.
+    Re b and Im b then commute with each other and with a, so one ``eigh``
+    of a + (κ₁ + 1)·Re b + κ₂·Im b = a + Re(κ̄b), κ = κ₁ + 1 + iκ₂ random
+    (distinct eigenvalues with probability one), gives an orthonormal
+    common eigenbasis q; both conjugations are validated.
     """
-    n = a.shape[0]
     kappa = complex(*rng.standard_normal(2)) + 1.0
-    _, vecs = np.linalg.eig(a + kappa * b)
-    q, _ = np.linalg.qr(vecs)
+    _, q = np.linalg.eigh(_herm(a + kappa.conjugate() * b))
     da = q.conj().T @ a @ q
     db = q.conj().T @ b @ q
     # the four 2-norms from one stacked SVD

@@ -403,6 +403,40 @@ def test_removed_symbol_residual_tol_is_an_unknown_key():
         Config.from_dict({"symbol_residual_tol": 1e-9})
 
 
+def test_removed_graph_angle_tol_is_an_unknown_key(tmp_path, capsys):
+    from graphreg import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph_angle_tol": 1e-8}))
+    assert cli.main(["--quiet", "--config", str(cfg), "analyze",
+                     "--catalog", "x"]) == 1
+    assert "unknown config keys: ['graph_angle_tol']" in capsys.readouterr().err
+
+
+def test_toeplitz_command_builds_one_triple(monkeypatch, capsys):
+    # the N/4 and N/2 residuals are read from the leading blocks of the
+    # triple at N; the factorization runs once for the verdict and once
+    # for that triple
+    from graphreg import cli, toeplitz
+
+    built, factored = [], []
+    aab, trig = cli.toeplitz_aab, toeplitz.trig_data
+    monkeypatch.setattr(cli, "toeplitz_aab",
+                        lambda p, q, n, cfg: built.append(n) or aab(p, q, n, cfg))
+    monkeypatch.setattr(toeplitz, "trig_data",
+                        lambda p, q, cfg: factored.append(1) or trig(p, q, cfg))
+    assert cli.main(["toeplitz", "1", "1-z", "--N", "64"]) == 0
+    assert built == [64] and len(factored) == 2
+    residuals = json.loads(capsys.readouterr().out)["results"]["residuals"]
+    assert sorted(residuals, key=int) == ["16", "32", "64"]
+
+
+def test_toeplitz_root_near_the_circle_is_associated_only():
+    # q = 1 - 1.00000005z has its root at 1 - 5e-8, within root_circle_tol
+    out = run_cli("toeplitz", "1", "1-1.00000005*z", "--N", "32")
+    assert json.loads(out.stdout)["results"]["verdict"] == "AssociatedOnly"
+
+
 def test_config_size_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
     # the cap is lowered so that a failed refusal would still be small
     from graphreg import cli, config

@@ -672,3 +672,14 @@ def test_config_reaches_resolvent_mask_checks():
 def test_resolvent_check_refuses_non_finite_input(t, lam):
     with pytest.raises(NonFiniteValue, match="resolvent_affiliation_check"):
         resolvent_affiliation_check(t, lam, matrix_algebra(2))
+
+
+@pytest.mark.parametrize("m", [256, 512])
+@pytest.mark.parametrize("alpha, beta, length", WEYL_SETTINGS)
+def test_grid_commutator_is_minus_dt_times_the_kernel(alpha, beta, length, m):
+    # k_jl = dt·e^{β(t_l - t_j)} for l >= j, so (k@k)_jl = (l - j + 1)·dt·k_jl
+    # and T∘k - k@k = -dt·k: rel2 needs neither T nor k@k
+    w = weyl_build(alpha, beta, m, length)
+    k = w.kernel
+    dense = np.subtract.outer(w.t, w.t).T * k - k @ k
+    assert np.abs(dense + w.dt * k).max() <= 1e-13 * np.abs(dense).max()

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,6 +312,15 @@ def test_graph_angle_separates_graphs_from_nongraphs():
     nongraph = GraphOperator(alg, Submodule(alg, 2, bad))
     assert nongraph.graph_angle() < 1e-8
     assert not nongraph.is_graph()
+
+
+def test_is_graph_is_the_rank_cut_of_the_domain_block():
+    # Graph(10⁶·1) has σ_min(X) = 1/√(1 + 10¹²) ≈ 1e-6: above the default
+    # subspace_tol, below a loosened one
+    alg = matrix_algebra(2)
+    op = GraphOperator.from_matrix(alg, 1e6 * np.eye(2, dtype=complex))
+    assert op.is_graph()
+    assert not op.is_graph(replace(DEFAULT, subspace_tol=1e-5))
 
 
 # -- gathered coordinate maps against the per-entry loops they replaced ---------

@@ -220,7 +220,7 @@ def test_truncation_size_bound():
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_structured_triple_matches_dense_products(p, q, n):
     # reference: the four dense truncations and their three N³ products
-    data = trig_data(p, q, n)
+    data = trig_data(p, q)
     m = 8 * n
     rv = circle_samples(data.r, m)
     fv = circle_samples(data.q, m) / rv
@@ -243,7 +243,7 @@ def test_triple_coefficients_do_not_alias():
     # like 1.05^-k; sampling the circle at 8N points would fold f̂(d + 8N)
     # into f̂(d).  2^16 samples make that fold negligible.
     p, q, n = [0.05], [1.0, -1.0], 16
-    data = trig_data(p, q, n)
+    data = trig_data(p, q)
     m = 2 ** 16
     rv = circle_samples(data.r, m)
     fv = circle_samples(data.q, m) / rv
@@ -284,7 +284,7 @@ def complex_triple(p, q, n):
     """The complex construction: complex Taylor coefficients of q/r and
     p/r (rounding-level coefficients flushed) and full running sums along
     every diagonal of their outer products."""
-    data = trig_data(p, q, n)
+    data = trig_data(p, q)
 
     def taylor(num, den):
         d = len(den) - 1
@@ -445,3 +445,47 @@ def test_non_finite_coefficient_is_refused_where_it_enters(entry, call):
     # a trailing nan must not be trimmed away as a zero coefficient
     with pytest.raises(NonFiniteValue, match=entry):
         call()
+
+
+# -- nested truncations and the root rule ------------------------------------------
+
+
+@pytest.mark.parametrize("p, q", SYMBOLS, ids=SYMBOL_IDS)
+@pytest.mark.parametrize("big", [64, 256])
+def test_leading_blocks_are_the_smaller_truncations(p, q, big):
+    # T_n(u)T_n(v̄) is the leading n x n block of T_N(u)T_N(v̄) for
+    # analytic u, v: the residuals read off the blocks are those of a
+    # separately built n triple, bit for bit
+    tri = toeplitz_aab(p, q, big)
+    for n in (big // 4, big // 2):
+        small = toeplitz_aab(p, q, n)
+        for got, want in zip((tri.a, tri.a_star, tri.b),
+                             (small.a, small.a_star, small.b)):
+            assert np.array_equal(got[:n, :n], want)
+        assert tri.interior_residuals(n) == small.interior_residuals()
+    assert tri.interior_residuals(big) == tri.interior_residuals()
+
+
+def test_leading_block_larger_than_the_triple_is_refused():
+    tri = toeplitz_aab([1.0], [1.0, -1.0], 32)
+    for n in (33, 1, 0):
+        with pytest.raises(ValueError, match="leading block"):
+            tri.interior_residuals(n)
+
+
+def test_root_within_circle_tolerance_is_a_circle_root():
+    # a root at 1 - 5e-8 lies within root_circle_tol = 1e-7 of the circle
+    rep = affiliation_verdict([1.0], [1.0, -1.00000005])
+    assert rep.verdict is Verdict.ASSOCIATED_ONLY
+    assert len(rep.circle_roots) == 1
+    assert toeplitz_aab([1.0], [1.0, -1.00000005], 64).interior_residuals()
+
+
+def test_q_roots_are_computed_once(monkeypatch):
+    # the InnerRoot check and the verdict's circle roots read one root set
+    q = np.array([1.0, -0.5, 0.06])
+    seen = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: seen.append(np.array(c)) or roots(c))
+    affiliation_verdict([1.0], q)
+    assert sum(np.array_equal(c, q[::-1]) for c in seen) == 1

@@ -26,7 +26,6 @@ from graphreg.transforms import (
     from_bounded,
     functional_calculus,
     graph_projection,
-    hermitian_inv_sqrt,
     hermitian_opnorm,
     hermitian_sqrt,
     joint_diagonalize,
@@ -243,6 +242,38 @@ def test_from_bounded_rejects_isometry():
         from_bounded(np.eye(2, dtype=complex))
 
 
+@pytest.mark.parametrize("top", [None, 1e5, 1e7])
+def test_in_z_from_the_svd_matches_the_gram_spectrum(top):
+    # 1 - z*z = V·diag(1/(1+σ²))·V*: in_z is 1/(1+σ₁²) > kernel_tol, the
+    # verdict the least eigenvalue of the formed matrix gives
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        t = random_operator(5, rng)
+        if top is not None:
+            t *= top / opnorm(t)
+        z = bounded_transform(t).z
+        gram = np.eye(5) - z.conj().T @ z
+        oracle = bool(np.linalg.eigvalsh(gram).min() > DEFAULT.kernel_tol)
+        assert bounded_transform(t).in_z is oracle is (top != 1e7)
+
+
+@pytest.mark.parametrize("norm", [0.5, 0.9, 0.999])
+def test_from_bounded_matches_eigen_oracle(norm):
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        z = random_operator(4, rng)
+        z *= norm / opnorm(z)
+        w, v = np.linalg.eigh(np.eye(4) - z.conj().T @ z)
+        oracle = z @ ((v / np.sqrt(w)) @ v.conj().T)
+        assert opnorm(from_bounded(z) - oracle) <= 1e-10 * opnorm(oracle)
+
+
+def test_from_bounded_refusal_names_the_least_eigenvalue():
+    z = np.diag([1.0 - 1e-14, 0.5]).astype(complex)
+    with pytest.raises(KernelNotTrivial, match="1 - z\\*z has least eigenvalue"):
+        from_bounded(z)
+
+
 def test_bounded_round_trip_on_range_a_squared():
     t = random_operator(5, RNG)
     tr = aab_forward(t)
@@ -380,6 +411,21 @@ def test_calculus_star_homomorphism_property():
         pconj = functional_calculus(tr, ast_conj(fa), 0.0,
                                     np.random.default_rng(8))
         assert opnorm(pconj - pf.conj().T) < 1e-8
+
+
+def test_joint_diagonalize_repeated_eigenvalue():
+    # a repeated eigenvalue of t gives a two-dimensional joint eigenspace,
+    # of which eigh returns an orthonormal basis; 1, i and -i share the
+    # eigenvalue 1/2 of a, and only Im b tells i and -i apart
+    rng = np.random.default_rng(13)
+    u, _ = np.linalg.qr(random_operator(5, rng))
+    d = np.array([0.3 + 0.2j, 0.3 + 0.2j, 1.0, 1.0j, -1.0j])
+    tr = aab_forward((u * d) @ u.conj().T)
+    q, la, lb = joint_diagonalize(tr.a, tr.b, np.random.default_rng(0))
+    assert opnorm(q.conj().T @ q - np.eye(5)) < 1e-13
+    assert opnorm(q.conj().T @ tr.a @ q - np.diag(la)) < 1e-12
+    assert opnorm(q.conj().T @ tr.b @ q - np.diag(lb)) < 1e-12
+    assert np.allclose(np.sort_complex(lb / la), np.sort_complex(d))
 
 
 def test_joint_diagonalize_rejects_noncommuting():
@@ -665,7 +711,7 @@ def linalg_calls(monkeypatch):
 
 def test_bounded_transform_is_one_svd(linalg_calls):
     bounded_transform(random_operator(5, np.random.default_rng(2)))
-    assert linalg_calls == {"svd": 1, "eigh": 0, "eigvalsh": 1, "solve": 0,
+    assert linalg_calls == {"svd": 1, "eigh": 0, "eigvalsh": 0, "solve": 0,
                             "eig": 0, "qr": 0, "norm": 0}
 
 
@@ -689,8 +735,8 @@ def test_transform_battery_decomposition_budget(linalg_calls):
     ab_axioms_check(absolute_value(tr))
     polar_decompose(t)
     functional_calculus(aab_forward(h), parse_expression("w"), 0.0, rng)
-    assert linalg_calls == {"svd": 6, "eigh": 7, "eigvalsh": 1, "solve": 2,
-                            "eig": 1, "qr": 1, "norm": 0}
+    assert linalg_calls == {"svd": 7, "eigh": 7, "eigvalsh": 0, "solve": 2,
+                            "eig": 0, "qr": 0, "norm": 0}
 
 
 def test_one_axiom_check_per_triple(linalg_calls):
@@ -866,13 +912,10 @@ def test_functional_calculus_rejects_non_finite_values():
 def test_spectral_helpers_keep_their_errors():
     with pytest.raises(AxiomsFailed, match="matrix not PSD"):
         hermitian_sqrt(np.diag([1.0, -0.5]))
-    with pytest.raises(KernelNotTrivial, match="min eigenvalue .* below"):
-        hermitian_inv_sqrt(np.diag([1.0, 0.0]))
     with pytest.raises(KernelNotTrivial, match="a has a nontrivial kernel"):
         QuotientPair(np.diag([1.0, 0.0]), np.eye(2)).reconstruct()
     h = np.diag([4.0, 0.25])
     assert opnorm(hermitian_sqrt(h) - np.diag([2.0, 0.5])) < 1e-15
-    assert opnorm(hermitian_inv_sqrt(h) - np.diag([0.5, 2.0])) < 1e-15
     assert opnorm(QuotientPair(h, np.eye(2)).reconstruct()
                   - np.diag([0.25, 4.0])) < 1e-15
 
