@@ -15,7 +15,8 @@ import sys
 from dataclasses import dataclass
 
 # The largest array any size setting may allocate: 256 MiB, one complex
-# 4096 x 4096 Toeplitz truncation.  Every size cap is derived from it.
+# 4096 x 4096 matrix (the resolvent check at its cap).  Every size cap is
+# derived from it.
 ARRAY_BUDGET = 2 ** 28
 COMPLEX_BYTES = 16
 

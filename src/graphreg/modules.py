@@ -309,21 +309,6 @@ class GraphOperator:
         basis = relation_kernel(self.graph.basis, self.dim, cfg)
         return Submodule(self.algebra, 1, basis)
 
-    def graph_angle(self) -> float:
-        """Smallest principal angle between the graph and 0 ⊕ F."""
-        d = self.dim
-        y = self.graph.basis[d:]
-        if y.size == 0 or self.graph.dim == 0:
-            return np.pi / 2
-        return float(np.arccos(min(1.0, opnorm(y))))
-
-    def is_graph(self, cfg: Config = DEFAULT) -> bool:
-        """sin(``graph_angle``) = σ_min(X) for the orthonormal basis [X; Y]:
-        X has full rank under ``numerical_rank`` at ``subspace_tol``."""
-        x = self.graph.basis[: self.dim]
-        return numerical_rank(np.linalg.svd(x, compute_uv=False),
-                              cfg.subspace_tol) == self.graph.dim
-
     def action_matrix(self, cfg: Config = DEFAULT) -> np.ndarray:
         """Scalar matrix T with T x = t(x) on the domain (coordinates)."""
         d = self.dim

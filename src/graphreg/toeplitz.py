@@ -13,21 +13,22 @@ It is *affiliated* precisely when q has no zero on the circle; a zero
 λ there is witnessed by the character T_φ + K ↦ φ(λ), which kills
 |f(λ)|² and with it the density of a·T.
 
-Since f and g are analytic in the disc, T_f and T_g are lower triangular
-and each product is T_u T_v̄ for analytic u, v:
+Since f and g are analytic in the disc, T_f and T_g are lower triangular.
+With L_u the N x N truncation of T_u, the truncated triple is
 
-    X[j, k] = Σ_{l ≤ min(j, k)} û_{j-l} conj(v̂_{k-l}),
+    a = L_f L_f*,   a_* = 1 − L_g L_g*,   b = L_g L_f*,
 
-a running sum along the diagonals of the outer product û ⊗ conj(v̂),
-X[j+1, k+1] = X[j, k] + û_{j+1} conj(v̂_{k+1}).  The truncated triple is
-built that way from the first N Taylor coefficients of q/r and p/r,
-found by power-series division (no circle sampling, so nothing
-aliases).  X[j, k] reads û, v̂ only up to max(j, k), so T_n(u)T_n(v̄) is
-the leading n x n block of T_N(u)T_N(v̄) for n ≤ N (Böttcher–Silbermann).
+and it is kept as its generators: the Taylor coefficients of q/r and
+p/r, found by power-series division (no circle sampling, so nothing
+aliases).  L_u[j, k] = û_{j−k} reads û only up to j, so T_n(u)T_n(v̄)
+is the leading n x n block of T_N(u)T_N(v̄) for n ≤ N
+(Böttcher–Silbermann).
 
-The triple lives in the smallest field and on the smallest support that
-hold it:
-
+* **Residuals in closed form.**  Widom's formula turns the AB-axiom
+  residuals into the Gram K of the Taylor tails past N, which has rank
+  at most 2·max(deg p, deg q) (Kronecker), so each is the norm of a thin
+  matrix and no N x N array is formed (``interior_residuals``).  They
+  read the exact truncation defect where dense products read rounding.
 * **Field.**  For real p and q the Laurent polynomial |p|² + |q|² has
   real coefficients, its outer roots come in conjugate pairs and the
   phase q(0)/|q(0)| is ±1, so r, f̂, ĝ and the whole triple are real.
@@ -36,10 +37,9 @@ hold it:
   dropped.  Complex symbols give a complex triple.
 * **Band.**  f̂ and ĝ decay geometrically and are flushed to exact zeros
   past the rounding of their largest coefficient, so with ``band`` the
-  last nonzero index of either, X[j, k] is an exact zero for
-  |j − k| > band.  The triple is built along that band only, and the
-  interior residuals contract over the columns the band reaches from the
-  central block.
+  last nonzero index of either, the dense a, a_* and b (built only when
+  read) vanish for |j − k| > band, and the residuals contract over the
+  lags up to the band alone.
 
 Truncations only converge strongly, so matrix identities are always
 measured on the central block with a decay-in-N requirement.
@@ -49,8 +49,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
 
 from .config import DEFAULT, Config
@@ -61,7 +63,7 @@ from .errors import (
     NotCoprime,
     NotRealFactor,
 )
-from .transforms import _require_finite, hermitian_opnorm, opnorm
+from .transforms import _require_finite, opnorm
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -220,7 +222,9 @@ def trig_data(p, q, cfg: Config = DEFAULT) -> TrigData:
 # -- truncations ----------------------------------------------------------------
 
 # the smallest truncation the toeplitz command reports, and the largest
-# any truncation may have (three N x N arrays, ~400 MB at the cap)
+# any truncation may have.  A triple holds O(N·deg) numbers; the cap
+# bounds its dense a, a_* and b, which are built only when read (three
+# N x N arrays: 384 MiB real, 768 MiB complex at the cap)
 TOEPLITZ_MIN_N = 8
 TOEPLITZ_MAX_N = 4096
 
@@ -234,62 +238,97 @@ def check_truncation_size(n: int, lo: int = 2) -> int:
     return n
 
 
-def toeplitz_truncation(symbol_values: np.ndarray, n: int) -> np.ndarray:
-    """N x N Toeplitz matrix T[j,k] = φ̂(j-k) from circle samples of φ."""
-    if n < 2:
-        raise ValueError("truncation size must be at least 2")
-    m = len(symbol_values)
-    if m < 8 * n:
-        raise ValueError("need at least 8N circle samples")
-    coeffs = np.fft.fft(symbol_values) / m
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % m
-    return coeffs[idx]
-
-
 # A double root of |p|² + |q|² is found only to about √eps, so an
 # imaginary part of r above that is not rounding
 _REAL_FACTOR_TOL = float(np.sqrt(np.finfo(float).eps))
 
+# 2^64 tail terms: past the decay of every root of r that TrigData.ok
+# admits (a root just outside its gate needs about 40 doublings)
+_MAX_DOUBLINGS = 64
+
 
 @dataclass
 class ToeplitzTriple:
-    """Truncated transform triple; every entry with |j − k| > band is an
-    exact zero."""
+    """Truncated transform triple, kept as its generators: the Taylor
+    coefficients ``fhat`` of f = q/r and ``ghat`` of g = p/r through
+    index n + d − 1, d the order of ``tail``, the Cholesky factor of the
+    Gram of their tails (see ``_tail_factor``).  ``band`` is the last
+    nonzero index of either below n.
 
-    a: np.ndarray
-    a_star: np.ndarray
-    b: np.ndarray
+    The dense a, a_* and b are built from f̂ and ĝ when first read, for
+    tests and scripts; every entry with |j − k| > band is an exact zero.
+    ``interior_residuals`` reads none of them.
+    """
+
+    fhat: np.ndarray
+    ghat: np.ndarray
     n: int
     band: int
+    tail: np.ndarray
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        f = self.fhat[: self.n]
+        return _analytic_product(f, f, self.band)
+
+    @cached_property
+    def a_star(self) -> np.ndarray:
+        g = self.ghat[: self.n]
+        s = _analytic_product(g, g, self.band)
+        np.negative(s, out=s)
+        s.flat[:: self.n + 1] += 1.0
+        return s
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return _analytic_product(self.ghat[: self.n], self.fhat[: self.n],
+                                 self.band)
 
     def interior_residuals(self, n: int | None = None) -> dict:
         """AB-axiom residuals of the n x n truncation, read as the leading
-        block (n = N by default, 2 ≤ n ≤ N), on its central n/2 block c.
+        block (n = N by default, 2 ≤ n ≤ N), on its central n/2 block c,
+        in closed form.
 
-        Only that block of each product is formed, (XY)[c, c] =
-        X[c, w] Y[w, c], and the contraction runs over the window w =
-        [n/4 − band, 3n/4 + band) ∩ [0, n) alone: outside it the entries
-        of X[c, :] and Y[:, c] are exact zeros.  Each residual is the
-        exact spectral norm of its block.  a and a_* are Hermitian by
-        construction, so the blocks of b*b − (a − a²) and bb* − (a_* −
-        a_*²) are too, and their norms come from ``eigvalsh``; the
-        intertwining block is not, and takes an SVD.
+        With L_u the n x n truncation of T(u), a = L_f L_f*, b = L_g L_f*
+        and a_* = 1 − L_g L_g*.  Widom's formula T(ū)T(u) = T(|u|²) and
+        |f|² + |g|² = 1 give L_f*L_f + L_g*L_g = 1 − K, with K = H_f*H_f +
+        H_g*H_g the Gram of the Taylor tails past n, H_u[i, k] = û_{n+i−k}.
+        The residuals are therefore exactly
+
+            b*b − (a − a²)     = −L_f K L_f*,
+            bb* − (a_* − a_*²) = −L_g K L_g*,
+            ab* − b*a_*        = −L_f K L_g*
+
+        on c.  K = W W*, where row k of the n x 2d matrix W is the
+        conjugated window (û_{n−k}, ..., û_{n−k+d−1}) of each of f̂ and ĝ
+        times ``tail``.  With X = (L_f W)[c, :] and Y = (L_g W)[c, :] the
+        norms are ‖X‖², ‖Y‖² and ‖XY*‖, read off the triangular factors
+        of one QR each.  Rows of c reach W only through the lags up to
+        the last nonzero coefficient below c.stop, so each column of X
+        and Y is one short convolution: O(n·band·d) time, O(n·d) memory.
         """
         n = self.n if n is None else n
         if not 2 <= n <= self.n:
             raise ValueError(f"leading block n={n} outside [2, {self.n}]")
         c = slice(n // 4, n // 4 + n // 2)
-        w = slice(max(0, c.start - self.band), min(n, c.stop + self.band))
-        a, s, b = self.a, self.a_star, self.b
-        bh_c = b[w, c].conj().T          # (b*)[c, w]
-        bh_rows = b[c, w].conj().T       # (b*)[w, c]
-        return {
-            "bstar_b": hermitian_opnorm(
-                bh_c @ b[w, c] - (a[c, c] - a[c, w] @ a[w, c])),
-            "b_bstar": hermitian_opnorm(
-                b[c, w] @ bh_rows - (s[c, c] - s[c, w] @ s[w, c])),
-            "intertwine": opnorm(a[c, w] @ bh_rows - bh_c @ s[w, c]),
-        }
+        coeffs = (self.fhat, self.ghat)
+        # read below c.stop, not from band, so that a leading block does
+        # the arithmetic of a separately built n triple
+        lag = int(np.flatnonzero((self.fhat[: c.stop] != 0)
+                                 | (self.ghat[: c.stop] != 0))[-1])
+        lo = c.start - lag               # first row of W that c reaches
+        first = max(lo, 0)               # rows of W before 0 are zero
+        d = len(self.tail)
+        w = np.zeros((c.stop - lo, 2 * d), np.result_type(self.fhat, self.tail))
+        for i, u in enumerate(coeffs):
+            windows = sliding_window_view(u[n - c.stop + 1 : n - first + d], d)
+            w[first - lo :, i * d : (i + 1) * d] = windows[::-1].conj() @ self.tail
+        # R of (L_u W)[c, :] = Q R, each column one convolution over the lags
+        rx, ry = (np.linalg.qr(np.stack([np.convolve(u[: lag + 1], col, "valid")
+                                         for col in w.T], axis=1), mode="r")
+                  for u in coeffs)
+        return {"bstar_b": opnorm(rx) ** 2, "b_bstar": opnorm(ry) ** 2,
+                "intertwine": opnorm(rx @ ry.conj().T)}
 
 
 def _taylor(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
@@ -299,10 +338,10 @@ def _taylor(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
     closed disc: the c_k then decay geometrically.
 
     Coefficients below the rounding of the largest one are set to 0.  No
-    matrix entry they feed changes beyond rounding, and left in, their
-    products reach subnormal numbers, which make the dense products of
-    ``interior_residuals`` several times slower.  The exact zeros also
-    bound the band of the triple.
+    matrix entry or residual they feed changes beyond rounding; the exact
+    zeros bound the band of the triple and the lags of
+    ``interior_residuals``, and keep the products of the far tail from
+    reaching subnormal numbers.
     """
     d = len(den) - 1
     dtype = np.result_type(num, den)
@@ -315,6 +354,36 @@ def _taylor(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
     c = c[d:]
     c[np.abs(c) < np.finfo(float).eps * np.abs(c).max()] = 0.0
     return c
+
+
+def _tail_factor(r: np.ndarray, d: int) -> np.ndarray:
+    """Cholesky factor of the Gram of the Taylor tails of num/r, for any
+    num of degree at most d (d ≥ deg r, d ≥ 1).
+
+    The coefficients obey r_0 c_k = −Σ_{i≥1} r_i c_{k−i} past deg num, so
+    the companion matrix A of that recurrence, padded with zero
+    coefficients to order d, maps the window (c_k, ..., c_{k+d−1}) to the
+    next one for every k ≥ 1, and c_{k+i} = e₀*A^i(window at k).  The
+    tail (c_{k+i})_{i≥0} therefore has the Gram window*·G·window, with
+    G = Σ_i (A*)^i e₀e₀* A^i the solution of the Stein equation
+    G − A*GA = e₀e₀*.  It is summed by doubling, G ← G + A*GA and
+    A ← A², until ‖A‖_F² is below eps, so a root of r at modulus 1 + δ
+    costs about log₂(1/δ) steps, not 1/δ terms, and repeated roots need
+    no diagonal form.  The first d terms sum to the identity, so G ≥ 1
+    and has a Cholesky factor.
+    """
+    rho = np.zeros(d, dtype=r.dtype)
+    rho[: len(r) - 1] = r[1:] / r[0]
+    comp = np.eye(d, k=1, dtype=r.dtype)
+    comp[-1] = -rho[::-1]
+    gram = np.zeros((d, d), dtype=r.dtype)
+    gram[0, 0] = 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        if np.vdot(comp, comp).real <= np.finfo(float).eps:
+            break
+        gram = gram + comp.conj().T @ gram @ comp
+        comp = comp @ comp
+    return np.linalg.cholesky(0.5 * (gram + gram.conj().T))
 
 
 def _analytic_product(u: np.ndarray, v: np.ndarray, band: int) -> np.ndarray:
@@ -354,28 +423,24 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     """Truncated transform triple of T_{p/q}:
     A = T_f T_f̄, A_* = 1 - T_g T_ḡ, B = T_g T_f̄ with f = q/r, g = p/r.
 
-    f and g are analytic, so T_f and T_g are lower triangular and each
-    product is a running sum along the diagonals of the outer product of
-    two coefficient vectors (see the module docstring), from the first N
-    Taylor coefficients of f and g.  No dense T_f, T_g or N³ product is
-    formed.  The triple is float64 for real p and q and complex128
-    otherwise, and it is stored with its band: the last nonzero index of
-    f̂ or ĝ.  A factorization that fails ``TrigData.ok`` raises
-    FactorizationFailed.
+    The triple is kept as its generators (see ``ToeplitzTriple``): the
+    Taylor coefficients of f and g through index n + d − 1, with d =
+    max(deg p, deg q, 1), and the Cholesky factor of their tail Gram, so
+    it holds O(n·d) numbers and no N x N array.  It is real for real p
+    and q and complex otherwise, and it is stored with its band: the
+    last nonzero index of f̂ or ĝ below n.  A factorization that fails
+    ``TrigData.ok`` raises FactorizationFailed.
     """
     check_truncation_size(n)
     data = trig_data(p, q, cfg)
     p, q, r = _symbol_field(data)
     data.require_ok()
-    fhat = _taylor(q, r, n)
-    ghat = _taylor(p, r, n)
+    d = max(len(p), len(q), 2) - 1
+    fhat = _taylor(q, r, n + d)
+    ghat = _taylor(p, r, n + d)
     # f̂_0 = q(0)/r(0) > 0, so the band is well defined
-    band = int(np.flatnonzero((fhat != 0) | (ghat != 0))[-1])
-    a_star = _analytic_product(ghat, ghat, band)
-    np.negative(a_star, out=a_star)
-    a_star.flat[:: n + 1] += 1.0
-    return ToeplitzTriple(_analytic_product(fhat, fhat, band), a_star,
-                          _analytic_product(ghat, fhat, band), n, band)
+    band = int(np.flatnonzero((fhat[:n] != 0) | (ghat[:n] != 0))[-1])
+    return ToeplitzTriple(fhat, ghat, n, band, _tail_factor(r, d))
 
 
 # -- association vs affiliation ---------------------------------------------------

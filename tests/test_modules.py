@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,29 +297,6 @@ class TestGridModel:
         assert dom.equals(Submodule.full(self.A))
         assert dom2.equals(self.a0_in_a)
         assert dom2.dim < dom.dim
-
-
-def test_graph_angle_separates_graphs_from_nongraphs():
-    alg = matrix_algebra(2)
-    op = GraphOperator.from_matrix(alg, np.eye(2, dtype=complex))
-    assert op.graph_angle() > 1e-8
-    assert op.is_graph()
-    # a subspace containing (0, y) is not a graph
-    d = alg.dim
-    bad = np.zeros((2 * d, 1), dtype=complex)
-    bad[d] = 1.0
-    nongraph = GraphOperator(alg, Submodule(alg, 2, bad))
-    assert nongraph.graph_angle() < 1e-8
-    assert not nongraph.is_graph()
-
-
-def test_is_graph_is_the_rank_cut_of_the_domain_block():
-    # Graph(10⁶·1) has σ_min(X) = 1/√(1 + 10¹²) ≈ 1e-6: above the default
-    # subspace_tol, below a loosened one
-    alg = matrix_algebra(2)
-    op = GraphOperator.from_matrix(alg, 1e6 * np.eye(2, dtype=complex))
-    assert op.is_graph()
-    assert not op.is_graph(replace(DEFAULT, subspace_tol=1e-5))
 
 
 # -- gathered coordinate maps against the per-entry loops they replaced ---------
