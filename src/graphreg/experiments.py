@@ -132,10 +132,8 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
 
 @dataclass
 class TruncatedOperatorPair:
-    """x = (s r; 0 s*) on a K x K truncation of l²(ℕ²).
-
-    Only K and the diagonal λ of r are stored: x is the direct sum of
-    the K blocks ``blocks()``, and the dense matrix is assembled on access.
+    """x = (s r; 0 s*) on a K x K truncation of l²(ℕ²), stored as K and
+    the diagonal λ of r: x is the direct sum of the K blocks ``blocks()``.
     """
 
     k: int
@@ -157,17 +155,6 @@ class TruncatedOperatorPair:
         i = np.arange(k)
         blocks[:, i, k + i] = self.lam.T
         return blocks
-
-    @property
-    def x(self) -> np.ndarray:
-        """The dense 2K² x 2K² operator, index (half, i, j) ↦ half·K² + i·K + j."""
-        k, n = self.k, self.hilbert_dim
-        x = np.zeros((2 * n, 2 * n), dtype=complex)
-        rows = np.arange(k) * k
-        for j, block in enumerate(self.blocks()):
-            idx = np.concatenate([rows + j, n + rows + j])
-            x[np.ix_(idx, idx)] = block
-        return x
 
     def decay_ok(self) -> bool:
         """λ > 0 with anti-diagonal maxima vanishing as k+l grows."""
@@ -253,11 +240,8 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
 
 @dataclass
 class WeylGrid:
-    """Samples of x = (Q - αi)^{-1} and y = (P - βi)^{-1} on the grid t.
-
-    Only the diagonal ``d`` of x and the real kernel k = i·y are stored;
-    the dense x and y are built on access.
-    """
+    """Samples of x = (Q - αi)^{-1} and y = (P - βi)^{-1} on the grid t,
+    stored as the diagonal ``d`` of x and the real kernel k = i·y."""
 
     alpha: float
     beta: float
@@ -267,14 +251,6 @@ class WeylGrid:
     dt: float
     d: np.ndarray
     kernel: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.diag(self.d)
-
-    @property
-    def y(self) -> np.ndarray:
-        return -1j * self.kernel
 
 
 WEYL_MAX_M = 4096

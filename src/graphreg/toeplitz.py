@@ -35,11 +35,6 @@ is the leading n x n block of T_N(u)T_N(v̄) for n ≤ N
   Whether the symbol is real is read off the input coefficients; r then
   differs from a real polynomial only by rounding, which is checked and
   dropped.  Complex symbols give a complex triple.
-* **Band.**  f̂ and ĝ decay geometrically and are flushed to exact zeros
-  past the rounding of their largest coefficient, so with ``band`` the
-  last nonzero index of either, the dense a, a_* and b (built only when
-  read) vanish for |j − k| > band, and the residuals contract over the
-  lags up to the band alone.
 
 Truncations only converge strongly, so matrix identities are always
 measured on the central block with a decay-in-N requirement.
@@ -49,7 +44,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -131,8 +125,10 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
         c[d - len(a) + 1 : d + len(a)] += np.correlate(a, a, "full")
     # c_{±d} vanish when no coefficient pair spans the full degree (p = z/2
     # over q = 1, say): |p|²+|q|² then has a lower Laurent degree, and so
-    # has r.  c_0 > 0, so the degree is well defined.
-    top = int(np.flatnonzero(c[d:])[-1])
+    # has r.  c_0 = ‖p‖² + ‖q‖² > 0 bounds every |c_k|, so a c_k below its
+    # rounding is no degree the root pairing could resolve
+    live = np.abs(c[d:]) > np.finfo(float).eps * c[d].real
+    top = int(np.flatnonzero(live)[-1])
     c, d = c[d - top : d + top + 1], top
     if d == 0:
         gamma = np.sqrt(lvals.mean())
@@ -222,9 +218,7 @@ def trig_data(p, q, cfg: Config = DEFAULT) -> TrigData:
 # -- truncations ----------------------------------------------------------------
 
 # the smallest truncation the toeplitz command reports, and the largest
-# any truncation may have.  A triple holds O(N·deg) numbers; the cap
-# bounds its dense a, a_* and b, which are built only when read (three
-# N x N arrays: 384 MiB real, 768 MiB complex at the cap)
+# any truncation may have
 TOEPLITZ_MIN_N = 8
 TOEPLITZ_MAX_N = 4096
 
@@ -254,10 +248,6 @@ class ToeplitzTriple:
     index n + d − 1, d the order of ``tail``, the Cholesky factor of the
     Gram of their tails (see ``_tail_factor``).  ``band`` is the last
     nonzero index of either below n.
-
-    The dense a, a_* and b are built from f̂ and ĝ when first read, for
-    tests and scripts; every entry with |j − k| > band is an exact zero.
-    ``interior_residuals`` reads none of them.
     """
 
     fhat: np.ndarray
@@ -265,24 +255,6 @@ class ToeplitzTriple:
     n: int
     band: int
     tail: np.ndarray
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        f = self.fhat[: self.n]
-        return _analytic_product(f, f, self.band)
-
-    @cached_property
-    def a_star(self) -> np.ndarray:
-        g = self.ghat[: self.n]
-        s = _analytic_product(g, g, self.band)
-        np.negative(s, out=s)
-        s.flat[:: self.n + 1] += 1.0
-        return s
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        return _analytic_product(self.ghat[: self.n], self.fhat[: self.n],
-                                 self.band)
 
     def interior_residuals(self, n: int | None = None) -> dict:
         """AB-axiom residuals of the n x n truncation, read as the leading
@@ -384,25 +356,6 @@ def _tail_factor(r: np.ndarray, d: int) -> np.ndarray:
         gram = gram + comp.conj().T @ gram @ comp
         comp = comp @ comp
     return np.linalg.cholesky(0.5 * (gram + gram.conj().T))
-
-
-def _analytic_product(u: np.ndarray, v: np.ndarray, band: int) -> np.ndarray:
-    """N x N truncation of T_u T_v̄ for analytic u, v from their first N
-    Fourier coefficients: X[j+1, k+1] = X[j, k] + u[j+1]·conj(v[k+1]),
-    starting from the first row and column of the outer product.  u and v
-    vanish past index ``band``, so only |j − k| ≤ band is summed; the
-    outer product is already an exact zero elsewhere."""
-    n = len(u)
-    x = np.multiply.outer(u, v.conj())
-    if v is u and np.iscomplexobj(x):
-        # complex products with fused multiply-adds can round u_j·conj(u_k)
-        # and u_k·conj(u_j) apart; the mean with the adjoint is exactly
-        # Hermitian, and the running sums keep it so
-        x = 0.5 * (x + x.conj().T)
-    for j in range(1, n):
-        lo, hi = max(1, j - band), min(n, j + band + 1)
-        x[j, lo:hi] += x[j - 1, lo - 1 : hi - 1]
-    return x
 
 
 def _symbol_field(data: TrigData) -> tuple:

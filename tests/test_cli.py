@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from graphreg.config import DEFAULT
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -234,6 +236,15 @@ def test_symbol_with_lower_laurent_degree():
     assert len(results["r"]) == 1
 
 
+def test_rounding_level_coefficient_is_no_degree():
+    # 1.7e-86·z² is below the rounding of |p|² + |q|²: the factor and the
+    # verdict are those of 1 + z over 1
+    tiny, plain = (json.loads(run_cli("toeplitz", p, "1", "--N", "16").stdout)
+                   ["results"] for p in ("1,1,1.7e-86", "1,1"))
+    assert tiny["verdict"] == plain["verdict"] == "Affiliated"
+    assert tiny["r"] == plain["r"]
+
+
 def test_bounded_oscillation_at_infinity_is_regular(tmp_path):
     sym = tmp_path / "sin.json"
     sym.write_text(json.dumps({
@@ -284,6 +295,90 @@ def test_toeplitz_command_fuzz(cplx, data, n, capsys):
         code = stop.code
     out = capsys.readouterr().out
     assert code in (0, 1, 2), (p, q, n)
+    if code == 0:
+        _finite(out)
+
+
+# symbol files: a well-formed tiling of pieces and declarations, then up to
+# two fields replaced by a value of any JSON type
+POINT = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1e-9, -1e15])
+EXPRS = st.sampled_from([
+    "x", "1/x", "exp(i/x)", "exp(i/x)/x", "x*exp(-i/x)", "sin(x)", "sin(1/x)^2",
+    "sqrt(x)", "abs(x)", "1/(x-1)", "cos(x)/x", "exp(x)", "exp(1/x)", "1/x^2",
+    "conj(x)", "0", "x^300", "exp(exp(x))", "1e308*x", "(x", "y*x", "sin",
+]) | st.text("x1/()+-*^ie.", max_size=10)
+NUMBER = POINT | st.floats() | st.integers(-10 ** 400, 10 ** 400)
+JUNK = (NUMBER | st.none() | st.booleans() | st.text(max_size=4)
+        | st.lists(st.integers(), max_size=2)
+        | st.sampled_from(["inf", [0.0, 1.0], {}]))
+CLASSES = st.sampled_from(["reg_b", "reg_inf", "sing_supp", "bogus"])
+DOMAIN_KEYS = ("base", "lo", "hi", "punctures", "infinity")
+
+
+@st.composite
+def symbol_files(draw):
+    compact = draw(st.booleans())
+    cuts = sorted(set(draw(st.lists(POINT, max_size=2))))
+    lo, hi = (-2.0, 2.0) if compact else (None, None)
+    ends = [lo, *cuts, hi]
+    decls = []
+    for at in cuts + ([] if compact else ["inf"]):
+        decl = {"at": at, "class": draw(CLASSES)}
+        if draw(st.booleans()):
+            decl["limit"] = [draw(NUMBER), draw(NUMBER)]
+        decls.append(decl)
+    sym = {"domain": {"base": "interval" if compact else "realline",
+                      "lo": lo, "hi": hi, "punctures": cuts,
+                      "infinity": not compact},
+           "pieces": [{"lo": a, "hi": b, "expr": draw(EXPRS)}
+                      for a, b in zip(ends, ends[1:])],
+           "declarations": decls}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        where = draw(st.sampled_from(["domain", *DOMAIN_KEYS, "pieces",
+                                      "piece", "piece_lo", "declarations",
+                                      "at", "class", "limit"]))
+        value = draw(JUNK)
+        dom, pieces = sym["domain"], sym["pieces"]
+        if where in DOMAIN_KEYS:
+            if isinstance(dom, dict):
+                dom[where] = value
+        elif where in ("domain", "pieces", "declarations"):
+            sym[where] = value
+        elif where == "piece" and isinstance(pieces, list):
+            pieces[0] = value
+        elif where == "piece_lo":
+            if isinstance(pieces, list) and isinstance(pieces[0], dict):
+                pieces[0]["lo"] = value
+        elif decls:
+            decls[0][where] = value
+    return sym
+
+
+def _config_value(key):
+    kind = type(getattr(DEFAULT, key, 0.0))
+    valid = st.integers(2, 64) if kind is int else st.floats(1e-15, 1e15)
+    junk = st.sampled_from([0, 0.0, -1, 1e-320, True, None, "1", 1e300])
+    return valid | valid | valid | junk
+
+
+CONFIG_KEYS = [*DEFAULT.to_dict(), "bogus"]
+CONFIG_FILES = st.lists(st.sampled_from(CONFIG_KEYS), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _config_value(k) for k in keys}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(sym=symbol_files(), cfg=CONFIG_FILES)
+def test_analyze_command_fuzz(sym, cfg, tmp_path, capsys):
+    from graphreg import cli
+
+    sym_path, cfg_path = tmp_path / "symbol.json", tmp_path / "config.json"
+    sym_path.write_text(json.dumps(sym))
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(["--config", str(cfg_path), "analyze", str(sym_path)])
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), (sym, cfg)
     if code == 0:
         _finite(out)
 

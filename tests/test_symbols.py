@@ -28,6 +28,11 @@ from graphreg.symbols import (
     symbol_from_dict,
     symbol_to_dict,
 )
+from graphreg.transforms import (
+    absolute_value_symbol,
+    bounded_transform_symbol,
+    functional_calculus_symbol,
+)
 
 INF = float("inf")
 
@@ -304,6 +309,56 @@ def test_equivalence_reads_fills_on_the_grid():
 
 
 # -- serialization ---------------------------------------------------------------------
+
+
+def derived_symbols(name):
+    """A catalog symbol with the symbols derived from it: its hat extension
+    and modulus, and for a graph regular one its a and b, the bounded
+    transform z and a functional calculus."""
+    sym = catalog.get(name)
+    out = {"symbol": sym, "hat": hat_extension(sym),
+           "abs": absolute_value_symbol(sym)}
+    rep = regularity_report(sym)
+    if rep.graph_regular:
+        out.update(a=rep.a_symbol, b=rep.b_symbol,
+                   z=bounded_transform_symbol(sym).z,
+                   calculus=functional_calculus_symbol(
+                       sym, ex.parse_expression("w/(1+abs(w)^2)"), 0.5 - 0.25j))
+    return out
+
+
+FILLS_DROPPED = pytest.mark.xfail(
+    strict=True, raises=ValueError,
+    reason="ROADMAP item 1(a): symbol_to_dict drops fills, and the filled "
+           "point 0 breaks the pieces without a puncture")
+KNOWN_FAILURES = {
+    ("one_over_x", "a"): FILLS_DROPPED,
+    ("one_over_x", "b"): FILLS_DROPPED,
+    ("one_over_x", "calculus"): FILLS_DROPPED,
+    ("exp_i_over_x", "abs"): pytest.mark.xfail(
+        strict=True, raises=DeclarationMismatch,
+        reason="|e^{i/x}| = 1 is continuous at 0, but the modulus keeps the "
+               "sing_supp declaration, which its own hat extension refuses"),
+}
+# exp_i_over_x has singular support, so it has no a, b, z or calculus
+ROUND_TRIPS = [
+    pytest.param(name, kind, marks=KNOWN_FAILURES.get((name, kind), ()))
+    for name in catalog.names()
+    for kind in ("symbol", "hat", "abs", "a", "b", "z", "calculus")
+    if name != "exp_i_over_x" or kind in ("symbol", "hat", "abs")
+]
+
+
+@pytest.mark.parametrize("name, kind", ROUND_TRIPS)
+def test_derived_symbol_reads_back(name, kind):
+    sym = derived_symbols(name)[kind]
+    assert symbol_equivalent(symbol_from_dict(symbol_to_dict(sym)), sym)
+
+
+def test_only_exp_i_over_x_lacks_the_graph_regular_derivations():
+    assert [name for name in catalog.names()
+            if not regularity_report(catalog.get(name)).graph_regular] == [
+        "exp_i_over_x"]
 
 
 def test_symbol_file_round_trip():
