@@ -7,91 +7,10 @@ the (a, a_*, b)-transform, the bounded transform, absolute values, polar
 decompositions and a functional calculus for normal operators, together
 with classification machinery deciding essential definedness, orthogonal
 closedness, graph regularity and regularity.
+
+The package root holds only ``__version__``: import from the layer
+modules (``graphreg.transforms``, ``graphreg.modules``, ...), so that a
+process loads only the layers it uses.
 """
 
 __version__ = "0.1.0"
-
-from .algebras import (
-    BlockAlgebra,
-    ModuleElement,
-    constant_matrix,
-    grid_model,
-    inner_product,
-    matrix_algebra,
-)
-from .config import DEFAULT, Config
-from .modules import (
-    GraphOperator,
-    Projection,
-    RegularityVerdict,
-    Submodule,
-    is_graph_regular,
-    orthogonal_complement,
-    projection_onto,
-)
-from .symbols import (
-    Declaration,
-    DomainSpec,
-    PiecewiseSymbol,
-    PointClass,
-    classify_point,
-    domain_membership,
-    hat_extension,
-    range_membership_one_plus_tt,
-    regularity_report,
-    symbol_equivalent,
-)
-from .transforms import (
-    AabTriple,
-    BoundedTransform,
-    QuotientPair,
-    aab_forward,
-    aab_inverse,
-    ab_axioms_check,
-    absolute_value,
-    bounded_transform,
-    from_bounded,
-    functional_calculus,
-    graph_projection,
-    polar_decompose,
-)
-
-__all__ = [
-    "AabTriple",
-    "BlockAlgebra",
-    "BoundedTransform",
-    "Config",
-    "DEFAULT",
-    "Declaration",
-    "DomainSpec",
-    "GraphOperator",
-    "ModuleElement",
-    "PiecewiseSymbol",
-    "PointClass",
-    "Projection",
-    "QuotientPair",
-    "RegularityVerdict",
-    "Submodule",
-    "aab_forward",
-    "aab_inverse",
-    "ab_axioms_check",
-    "absolute_value",
-    "bounded_transform",
-    "classify_point",
-    "constant_matrix",
-    "domain_membership",
-    "from_bounded",
-    "functional_calculus",
-    "graph_projection",
-    "grid_model",
-    "hat_extension",
-    "inner_product",
-    "is_graph_regular",
-    "matrix_algebra",
-    "orthogonal_complement",
-    "polar_decompose",
-    "projection_onto",
-    "range_membership_one_plus_tt",
-    "regularity_report",
-    "symbol_equivalent",
-]

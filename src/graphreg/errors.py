@@ -2,46 +2,57 @@
 
 
 class GraphregError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  Every concrete error derives
+    from exactly one of the two bases below, which fix its CLI exit
+    code."""
 
 
-class DescriptorMismatch(GraphregError):
+class InputError(GraphregError):
+    """The input cannot be used: bad text, parameters or a precondition
+    the caller must meet.  The CLI exits 1."""
+
+
+class CheckFailed(GraphregError):
+    """A check ran on usable input and failed.  The CLI exits 2."""
+
+
+class DescriptorMismatch(CheckFailed):
     """Operands live over different algebras."""
 
 
-class NotEssentialDomain(GraphregError):
+class NotEssentialDomain(CheckFailed):
     """Domain has a nontrivial orthogonal complement."""
 
 
-class NotOrthogonallyClosed(GraphregError):
+class NotOrthogonallyClosed(CheckFailed):
     """Submodule differs from its double orthogonal complement."""
 
 
-class NotGraphRegular(GraphregError):
+class NotGraphRegular(CheckFailed):
     """Operator failed the graph-regularity test."""
 
 
-class NotNormal(GraphregError):
+class NotNormal(CheckFailed):
     """Functional calculus requires a normal triple (a == a_*)."""
 
 
-class NonCommutingPair(GraphregError):
+class NonCommutingPair(CheckFailed):
     """Joint diagonalization residual too large."""
 
 
-class AxiomsFailed(GraphregError):
+class AxiomsFailed(CheckFailed):
     """Triple violates the defining operator identities."""
 
 
-class KernelNotTrivial(GraphregError):
+class KernelNotTrivial(CheckFailed):
     """1 - z*z has a nontrivial kernel."""
 
 
-class NonFiniteValue(GraphregError):
+class NonFiniteValue(CheckFailed):
     """A computed value is NaN or infinite; the message names the stage."""
 
 
-class ExprSyntaxError(GraphregError):
+class ExprSyntaxError(InputError):
     """Expression text failed to parse; carries the offending position."""
 
     def __init__(self, message, position):
@@ -49,52 +60,52 @@ class ExprSyntaxError(GraphregError):
         self.position = position
 
 
-class DeclarationMismatch(GraphregError):
+class DeclarationMismatch(CheckFailed):
     """Numerically detected class differs from the declared one."""
 
 
-class InconclusiveClassification(GraphregError):
+class InconclusiveClassification(CheckFailed):
     """None of the detector patterns fired for this point."""
 
 
-class UnverifiedDeclaration(GraphregError):
+class UnverifiedDeclaration(CheckFailed):
     """Symbol used before its declarations were verified."""
 
 
-class ClassCheckFailed(GraphregError):
+class ClassCheckFailed(CheckFailed):
     """A matrix entry failed its declared function-class check."""
 
 
-class CircleRoot(GraphregError):
+class CircleRoot(CheckFailed):
     """Spectral factorization hit a root too close to the unit circle."""
 
 
-class FactorizationFailed(GraphregError):
+class FactorizationFailed(CheckFailed):
     """Spectral factorization failed its residual checks; the message
     names each failing residual."""
 
 
-class NotCoprime(GraphregError):
+class NotCoprime(CheckFailed):
     """Polynomial pair shares a nontrivial common factor."""
 
 
-class NotRealFactor(GraphregError):
+class NotRealFactor(CheckFailed):
     """Spectral factor of a real symbol kept more than rounding in its
     imaginary part."""
 
 
-class InnerRoot(GraphregError):
+class InnerRoot(CheckFailed):
     """Denominator polynomial has a root inside the open unit disc."""
 
 
-class LambdaInSpectrum(GraphregError):
+class LambdaInSpectrum(InputError):
     """Requested resolvent point is (numerically) in the spectrum."""
 
 
-class EpsilonBelowGrid(GraphregError):
+class EpsilonBelowGrid(CheckFailed):
     """Window width not resolvable on the current grid."""
 
 
-class BadParameters(GraphregError):
+class BadParameters(InputError):
     """Invalid command or experiment parameters: a size or value out of
     range, or not finite."""

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,6 +182,65 @@ def test_symbol_missing_or_mistyped_key_is_input_error(content, key, tmp_path):
 def test_non_finite_calculus_is_a_named_check_failure():
     proc = run_cli("transform", "--op", "calc", "--f", "1/(w-w)", expect=2)
     assert "functional calculus: f is not finite" in proc.stderr
+
+
+def test_expression_syntax_error_is_input_error():
+    # a parse error is bad input, in --f as in a polynomial
+    proc = run_cli("transform", "--op", "calc", "--f", "(w", expect=1)
+    assert proc.stderr.startswith("input error: expected ')'")
+    proc = run_cli("toeplitz", "1", "(1-z", expect=1)
+    assert proc.stderr.startswith("input error:")
+
+
+def test_every_error_derives_from_one_exit_code_base():
+    from graphreg import errors
+    from graphreg.errors import CheckFailed, GraphregError, InputError
+
+    assert set(GraphregError.__subclasses__()) == {InputError, CheckFailed}
+    defined = [obj for obj in vars(errors).values() if isinstance(obj, type)
+               and issubclass(obj, GraphregError)
+               and obj not in (GraphregError, InputError, CheckFailed)]
+    for cls in defined:
+        assert issubclass(cls, InputError) != issubclass(cls, CheckFailed), cls
+    # the README's input errors; every other error is a failed check
+    assert {cls.__name__ for cls in defined if issubclass(cls, InputError)} == {
+        "ExprSyntaxError", "BadParameters", "LambdaInSpectrum"}
+
+
+SHOW_LAYERS = """
+import sys
+import graphreg.cli
+code = graphreg.cli.main(["--quiet", *sys.argv[1:]])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("graphreg."))))
+sys.exit(code)
+"""
+FRONT = {"catalog", "cli", "config", "errors", "expressions", "symbols"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["analyze", "--catalog", "x"], set()),
+    (["transform", "--op", "aab"], {"transforms"}),
+    (["toeplitz", "1", "1-z"], {"toeplitz", "transforms"}),
+    (["experiment", "--which", "resolvent", "--grid"],
+     {"algebras", "experiments", "transforms"}),
+    (["experiment", "--which", "matrix-symbols"], {"matrix_symbols"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_command_loads_only_its_layers(argv, layers):
+    # a fresh interpreter per command: the front end's own modules and the
+    # layers the command runs, nothing else
+    proc = subprocess.run([sys.executable, "-c", SHOW_LAYERS, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("graphreg.") for m in proc.stdout.split()}
+    assert loaded == FRONT | layers
+
+
+def test_package_import_loads_no_layer():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, graphreg; print(sorted("
+         "m for m in sys.modules if m.startswith('graphreg')))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "['graphreg']"
 
 
 def test_config_reaches_hat_extension(tmp_path, monkeypatch, capsys):
@@ -371,16 +431,36 @@ CONFIG_FILES = st.lists(st.sampled_from(CONFIG_KEYS), max_size=3, unique=True).f
                                  HealthCheck.too_slow])
 @given(sym=symbol_files(), cfg=CONFIG_FILES)
 def test_analyze_command_fuzz(sym, cfg, tmp_path, capsys):
-    from graphreg import cli
+    from graphreg import cli, symbols
+    from graphreg.errors import CheckFailed
+
+    # an exit 2 comes from an error the command catches into its report
+    # (raised by regularity_report) or one that main catches
+    raised = []
+
+    def spy(fn):
+        def call(*args):
+            try:
+                return fn(*args)
+            except Exception as err:
+                raised.append(err)
+                raise
+        return call
 
     sym_path, cfg_path = tmp_path / "symbol.json", tmp_path / "config.json"
     sym_path.write_text(json.dumps(sym))
     cfg_path.write_text(json.dumps(cfg))
-    code = cli.main(["--config", str(cfg_path), "analyze", str(sym_path)])
+    with mock.patch.object(cli, "cmd_analyze", spy(cli.cmd_analyze)), \
+            mock.patch.object(symbols, "regularity_report",
+                              spy(symbols.regularity_report)):
+        code = cli.main(["--config", str(cfg_path), "analyze", str(sym_path)])
     out = capsys.readouterr().out
     assert code in (0, 1, 2), (sym, cfg)
     if code == 0:
         _finite(out)
+    if code == 2:
+        assert raised and all(isinstance(e, CheckFailed) for e in raised), (
+            sym, cfg, raised)
 
 
 # -- exit-code contract for argument errors ----------------------------------------
@@ -455,9 +535,9 @@ def test_size_caps_follow_the_array_budget():
     # the nine stacked complex residuals of an axiom check
     n = cli.TRANSFORM_MAX_N
     assert 9 * 16 * n ** 2 <= ARRAY_BUDGET < 9 * 16 * (n + 1) ** 2
-    # one complex n x n matrix of M_n
+    # the eight complex n x n arrays of a resolvent check at its peak
     n = cli.RESOLVENT_MAX_N
-    assert 16 * n ** 2 <= ARRAY_BUDGET < 16 * (n + 1) ** 2
+    assert 8 * 16 * n ** 2 <= ARRAY_BUDGET < 8 * 16 * (n + 1) ** 2
     # one complex sample vector
     assert set(SIZE_CAPS.values()) == {ARRAY_BUDGET // 16}
 
@@ -515,8 +595,8 @@ def test_toeplitz_command_builds_one_triple(monkeypatch, capsys):
     from graphreg import cli, toeplitz
 
     built, factored = [], []
-    aab, trig = cli.toeplitz_aab, toeplitz.trig_data
-    monkeypatch.setattr(cli, "toeplitz_aab",
+    aab, trig = toeplitz.toeplitz_aab, toeplitz.trig_data
+    monkeypatch.setattr(toeplitz, "toeplitz_aab",
                         lambda p, q, n, cfg: built.append(n) or aab(p, q, n, cfg))
     monkeypatch.setattr(toeplitz, "trig_data",
                         lambda p, q, cfg: factored.append(1) or trig(p, q, cfg))
