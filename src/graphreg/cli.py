@@ -279,11 +279,16 @@ def cmd_experiment(args, cfg: Config) -> tuple:
                         "density itself is an asymptotic statement"}, 0
     if which == "weyl":
         from .experiments import (
+            WEYL_SCALE,
             weyl_build,
             weyl_limits_check,
             weyl_relations_check,
         )
 
+        # the window point λ must lie on the grid [-L, L]: L and then λ
+        # are checked before either grid is built
+        length = check_parameter("--L", args.L, *WEYL_SCALE)
+        check_parameter("--lam", args.lam, -length, length)
         # the refined grid first: its size check is the one that can
         # refuse, and it must do so before anything is allocated
         w2 = weyl_build(args.alpha, args.beta, 2 * args.M, args.L)

@@ -26,11 +26,12 @@ The phases of d drop out of every 2-norm, so each residual of y is the
 spectral norm of a real matrix sandwiched by |D| = diag(|d|), and the
 commutator comes from x[y, Q]x since x⁻¹ = Q - αi.  On the grid
 T∘k - k@k = -dt·k, so the residual M of xy - yx is -dt·x y x and that
-of xy* - y*x is -Mᵀ: a grid costs one SVD of dt·|D| k |D| and one
-``eigvalsh`` of the damped y-relation (see ``weyl_relations_check``).
-Values the report may not read, the raw y-relation and the σ(yx)
-spectrum, are computed when first read.  The grid has between 256 and
-4096 points.
+of xy* - y*x is -Mᵀ.  k is dt times a Toeplitz matrix whose inverse is
+bidiagonal, so ‖M‖ and each σ(yx) are read off a bidiagonal inverse by
+bisection, and a grid costs one ``eigvalsh``, of the damped y-relation
+(see ``weyl_relations_check``).  The raw y-relation, which the report
+may not read, is decomposed when first read.  The grid has between 256
+and 4096 points.
 """
 
 from __future__ import annotations
@@ -44,7 +45,13 @@ import numpy as np
 from .algebras import BlockAlgebra
 from .config import DEFAULT, Config
 from .errors import BadParameters, EpsilonBelowGrid, LambdaInSpectrum
-from .transforms import _require_finite, hermitian_opnorm, numerical_rank, opnorm
+from .transforms import (
+    _require_finite,
+    bidiagonal_singular_value,
+    hermitian_opnorm,
+    numerical_rank,
+    opnorm,
+)
 
 
 # -- resolvent affiliation ------------------------------------------------------
@@ -291,10 +298,19 @@ def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     return WeylGrid(alpha, beta, m, length, t, dt, d, kernel)
 
 
+def _yx_inverse(w: WeylGrid) -> tuple:
+    """The diagonal and superdiagonal of (k·|D|)⁻¹ = |D|⁻¹R⁻¹/dt, upper
+    bidiagonal: k = dt·R with R_jl = ρ^{l-j} for l ≥ j and ρ = e^{β·dt},
+    so R⁻¹ = I - ρ·(shift).  They are 1/(dt·|d_j|) and -ρ/(dt·|d_j|)."""
+    inv = 1.0 / (w.dt * np.abs(w.d))
+    return inv, -np.exp(w.beta * w.dt) * inv[:-1]
+
+
 @dataclass
 class WeylRelationReport:
-    """Residuals of the fraction-algebra relations.  ``rel1_y`` and
-    ``yx_singular_values`` are computed the first time they are read."""
+    """Residuals of the fraction-algebra relations.  ``rel1_y`` is
+    computed the first time it is read, each σ_i(yx) when it is asked
+    for."""
 
     rel1_x: float              # x - x* = 2αi x*x (exact for diagonals)
     rel1_x_chain: float        # 2αi x*x = 2αi xx*
@@ -314,15 +330,11 @@ class WeylRelationReport:
         """y - y* = 2βi y*y, raw (edge-limited, O(1))."""
         return hermitian_opnorm(self.ydefect)
 
-    @cached_property
-    def yx_singular_values(self) -> np.ndarray:
-        """σ(yx) = σ(k·|D|), in descending order."""
-        w = self.grid
-        return np.linalg.svd(w.kernel * np.abs(w.d)[None, :],
-                             compute_uv=False)
-
     def sigma_at(self, index: int) -> float:
-        return float(self.yx_singular_values[index])
+        """σ_index(yx) = σ_index(k·|D|), 0 being the largest: 1 over the
+        index-th smallest singular value of the bidiagonal (k·|D|)⁻¹.  An
+        index outside [0, M) raises BadParameters."""
+        return 1.0 / bidiagonal_singular_value(*_yx_inverse(self.grid), index)
 
 
 def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
@@ -338,7 +350,7 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
 
     x is its diagonal d, and the x-only residuals are diagonal, so their
     2-norm is a max-abs.  Every other residual is the exact spectral
-    norm of a real matrix, from LAPACK.  With d = u·|d| for a unitary
+    norm of a real matrix.  With d = u·|d| for a unitary
     diagonal u, which drops out of a 2-norm, ‖x M x‖ = ‖|D| M |D|‖ for
     |D| = diag(|d|).  With y = -i·k, k real, and T_jl = t_l - t_j:
 
@@ -354,10 +366,16 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
       (k@k)ᵀ = kᵀ@kᵀ, so it is the same largest singular value;
     * σ(yx) = σ(k·|D|).
 
-    The matrices decomposed are |D| S |D| (``eigvalsh``) and M (one SVD);
-    S itself and k·|D| follow when ``rel1_y`` and the σ(yx) spectrum are
-    first read.  S and M are each formed in one buffer and sandwiched in
-    place; |D| S |D| is a copy, since S is kept for ``rel1_y``.
+    k = dt·R with R_jl = ρ^{l-j} for l ≥ j and ρ = e^{β·dt}, so R⁻¹ =
+    I - ρ·(shift) and (dt·|D| k |D|)⁻¹ is upper bidiagonal, with diagonal
+    1/(dt²|d_j|²) and superdiagonal -ρ/(dt²|d_j||d_{j+1}|): ``rel2`` is 1
+    over its smallest singular value, found by bisection
+    (``bidiagonal_singular_value``), and M is never formed.  The one
+    matrix decomposed is |D| S |D| (``eigvalsh``); S itself follows when
+    ``rel1_y`` is first read, and σ(yx) comes from a bidiagonal inverse
+    too (``WeylRelationReport.sigma_at``).  S is formed in one buffer;
+    |D| S |D| is a copy sandwiched in place, since S is kept for
+    ``rel1_y``.
     """
     d, k = w.d, w.kernel
     ds = d.conj()
@@ -365,22 +383,21 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     rel1_x = np.abs((d - ds) - a2 * (ds * d)).max()
     rel1_chain = np.abs(a2 * (ds * d) - a2 * (d * ds)).max()
     absd = np.abs(d)
-
-    def sandwich(mat):  # mat ← |D|·mat·|D|
-        mat *= absd[:, None]
-        mat *= absd[None, :]
-        return mat
-
     kt = k.T
     ydefect = kt @ k
     ydefect *= 2 * w.beta
     ydefect += k + kt
-    rel1_y_damped = hermitian_opnorm(sandwich(ydefect.copy()))
+    damped = ydefect.copy()
+    damped *= absd[:, None]
+    damped *= absd[None, :]
+    # (dt·|D| k |D|)⁻¹ = (k·|D|)⁻¹·|D|⁻¹/dt scales column j by 1/(dt·|d_j|)
+    diag, sup = _yx_inverse(w)
+    rel2 = 1.0 / bidiagonal_singular_value(diag * diag, sup * diag[1:], 0)
     return WeylRelationReport(
         rel1_x=float(rel1_x),
         rel1_x_chain=float(rel1_chain),
-        rel1_y_damped=rel1_y_damped,
-        rel2=opnorm(sandwich(w.dt * k)),
+        rel1_y_damped=hermitian_opnorm(damped),
+        rel2=rel2,
         grid=w,
         ydefect=ydefect,
     )

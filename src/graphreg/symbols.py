@@ -482,12 +482,21 @@ def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, piece, value,
     pieces = tuple((a, b, piece(t)) for a, b, t in m.pieces)
     fills = tuple((p, value(complex(v))) for p, v in m.fills)
     mapped = PiecewiseSymbol(m.domain, pieces, tuple(decls), fills)
-    for i, d in enumerate(decls):
+    return hat_extension(redetect_sing_supp(mapped, cfg), cfg)
+
+
+def redetect_sing_supp(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> PiecewiseSymbol:
+    """m with each sing_supp point detected anew: declared reg_b at the
+    detected limit where m settles, and kept sing_supp otherwise.  A map
+    applied to an oscillating symbol can settle it: |exp(i/x)| = 1."""
+    decls = []
+    for d in m.declarations:
         if d.cls is PointClass.SING_SUPP:
-            det = detect_point(mapped, d.at, cfg)
+            det = detect_point(m, d.at, cfg)
             if det.kind is PointClass.REG_B:
-                decls[i] = Declaration(d.at, PointClass.REG_B, det.limit)
-    return hat_extension(replace(mapped, declarations=tuple(decls)), cfg)
+                d = Declaration(d.at, PointClass.REG_B, det.limit)
+        decls.append(d)
+    return replace(m, declarations=tuple(decls))
 
 
 def conjugate_symbol(m: PiecewiseSymbol) -> PiecewiseSymbol:

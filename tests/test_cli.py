@@ -283,6 +283,23 @@ def test_parameter_out_of_range_is_input_error(argv):
     assert "SVD" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--lam", "25"], "--lam must be finite and at least -20.0 and at most 20.0"),
+    (["--L", "nan", "--lam", "25"], "--L must be finite"),
+], ids=["lam-off-grid", "L-nan"])
+def test_weyl_window_point_is_refused_before_any_grid(argv, message,
+                                                      monkeypatch, capsys):
+    from graphreg import cli, experiments
+
+    built = []
+    monkeypatch.setattr(experiments, "weyl_build",
+                        lambda *args: built.append(args))
+    assert cli.main(["--quiet", "experiment", "--which", "weyl", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+    assert built == []
+
+
 def test_zero_denominator_is_input_error():
     proc = run_cli("toeplitz", "1", "0", expect=1)
     assert "zero polynomial" in proc.stderr

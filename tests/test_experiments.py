@@ -158,10 +158,16 @@ class TestWeyl:
         # singular values of yx decay like ~1/n (kernel with a diagonal
         # jump); frozen scale so the trend is pinned
         rep = weyl_relations_check(weyl_build(1.0, -1.0, 512, 20.0))
-        sv = rep.yx_singular_values
-        assert sv[128] < 0.05
-        assert sv[128] < 0.6 * sv[64]
-        assert sv[256] < 0.6 * sv[128]
+        sv64, sv128, sv256 = (rep.sigma_at(i) for i in (64, 128, 256))
+        assert sv128 < 0.05
+        assert sv128 < 0.6 * sv64
+        assert sv256 < 0.6 * sv128
+
+    @pytest.mark.parametrize("index", [-1, 256, 10**6])
+    def test_sigma_index_outside_the_grid_is_refused(self, index):
+        rep = weyl_relations_check(weyl_build(1.0, -1.0, 256, 20.0))
+        with pytest.raises(BadParameters):
+            rep.sigma_at(index)
 
     def test_window_normalization_exact(self):
         w = weyl_build(1.0, -1.0, 1024, 8.0)
@@ -202,6 +208,12 @@ class TestWeyl:
 # was used.
 
 ORACLE_TOL = 1e-12
+
+
+def sigma_indices(m):
+    """The σ(yx) indices checked against a full spectrum: both ends,
+    their neighbours and the quarter points."""
+    return (0, 1, m // 8, m // 4, m // 2, m - 2, m - 1)
 
 
 def assert_agrees(value, ref):
@@ -318,7 +330,8 @@ class TestStructuredAgainstDense:
         ref, ref_sv = dense_relations(w)
         for key, value in ref.items():
             assert_agrees(getattr(rep, key), value)
-        assert np.abs(rep.yx_singular_values - ref_sv).max() <= ORACLE_TOL
+        for i in sigma_indices(w.m):
+            assert abs(rep.sigma_at(i) - ref_sv[i]) <= ORACLE_TOL, i
 
     def test_limits_match_dense_products(self):
         w = weyl_build(1.0, -1.0, 256, 20.0)
@@ -365,8 +378,8 @@ def test_weyl_build_peak_memory():
 
 
 def test_weyl_relations_peak_memory():
-    # 8 MiB matrices at M = 1024, at most three alive at once (S, k@k and
-    # the commutator); the out-of-place residuals peaked at about 40 MiB
+    # 8 MiB matrices at M = 1024, two alive at once (S and its damped
+    # copy, 16 MiB); the out-of-place residuals peaked at about 40 MiB
     w = weyl_build(1.0, -1.0, 1024, 20.0)
     assert traced_peak(weyl_relations_check, w) < 28 * MIB
 
@@ -511,9 +524,8 @@ def test_real_residuals_match_complex_ones(alpha, beta, length, m):
     ref, ref_sv = complex_relations(w)
     for key, value in ref.items():
         assert_close(getattr(rep, key), value)
-    assert rep.yx_singular_values.shape == ref_sv.shape
-    for value, sigma in zip(rep.yx_singular_values, ref_sv):
-        assert_close(value, sigma)
+    for i in sigma_indices(m):
+        assert_close(rep.sigma_at(i), ref_sv[i])
 
 
 def test_grid_keeps_the_real_kernel():
@@ -554,20 +566,18 @@ def test_each_norm_is_of_its_own_residual_and_unread_ones_wait(
         alpha, beta, length, monkeypatch):
     w = weyl_build(alpha, beta, 256, length)
     ref = complex_residuals(w)
+    rel2 = float(np.linalg.norm(ref["rel2"], 2))
     spy = LinalgSpy(monkeypatch)
     rep = weyl_relations_check(w)
     _ = rep.rel2, rep.rel2_star, rep.rel1_y_damped
-    # one SVD for both commutator residuals, whose matrices are each
-    # other's negative transpose, and one eigensolve for the damped
-    # y-relation; neither the raw y-relation nor the σ(yx) spectrum
-    assert len(spy.svd) == 1 and len(spy.eigvalsh) == 1
-    assert_same_moduli(spy.svd[0], ref["rel2"])
-    assert_same_moduli(spy.svd[0].T, ref["rel2_star"])
+    # the commutator norms come from a bidiagonal inverse, not an SVD; one
+    # eigensolve for the damped y-relation and none for the raw one
+    assert len(spy.svd) == 0 and len(spy.eigvalsh) == 1
+    assert_close(rep.rel2, rel2)
     assert_same_moduli(spy.eigvalsh[0], ref["rel1_y_damped"])
     rep.sigma_at(64)
     rep.sigma_at(128)
-    assert len(spy.svd) == 2
-    assert_same_moduli(spy.svd[1], ref["yx"])
+    assert len(spy.svd) == 0 and len(spy.eigvalsh) == 1
     rep.rel1_y
     rep.rel1_y
     assert len(spy.eigvalsh) == 2
@@ -582,8 +592,8 @@ def test_refined_grid_reports_without_raw_relation_or_spectrum(
     out = tmp_path / "weyl.json"
     assert cli.main(["--quiet", "--json", str(out), "experiment", "--which",
                      "weyl", "--M", "256"]) == 0
-    # M = 256: the commutators and σ(yx); 2M = 512: the commutators
-    assert sorted(a.shape[0] for a in spy.svd) == [256, 256, 512]
+    # the commutators and σ(yx) come from bidiagonal inverses on both grids
+    assert spy.svd == []
     # M = 256: the damped and the raw y-relation; 2M = 512: the damped one
     assert sorted(a.shape[0] for a in spy.eigvalsh) == [256, 256, 512]
 

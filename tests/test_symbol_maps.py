@@ -86,13 +86,21 @@ def functional_calculus_reference(m, f_ast, beta=0.0):
 
 
 def absolute_value_reference(m):
+    """|m|, each sing_supp point detected on |m|, where the modulus can
+    settle an oscillation."""
     pieces = tuple((a, b, ex.call("abs", t)) for a, b, t in m.pieces)
     decls = tuple(
         Declaration(d.at, d.cls,
                     None if d.limit is None else abs(complex(d.limit)))
         for d in m.declarations)
     fills = tuple((p, abs(complex(v))) for p, v in m.fills)
-    return PiecewiseSymbol(m.domain, pieces, decls, fills)
+    mapped = PiecewiseSymbol(m.domain, pieces, decls, fills)
+    settled = {d.at: detect_point(mapped, d.at) for d in decls
+               if d.cls is PointClass.SING_SUPP}
+    return replace(mapped, declarations=tuple(
+        Declaration(d.at, PointClass.REG_B, settled[d.at].limit)
+        if d.at in settled and settled[d.at].kind is PointClass.REG_B else d
+        for d in decls))
 
 
 def conjugate_reference(m):
@@ -346,6 +354,30 @@ def test_class_preserving_maps_carry_fills_and_limits():
         Declaration(0.0, PointClass.REG_B, -1j),)
     assert absolute_value_symbol(declared).declarations == (
         Declaration(0.0, PointClass.REG_B, 1.0),)
+
+
+@pytest.mark.parametrize("left, settles", [("-1", True), ("1/2", False)])
+def test_modulus_redetects_singular_support(left, settles):
+    # c/sqrt(1+x²) on the left of 0 and 1/sqrt(1+x²) on the right jumps at
+    # 0; its modulus is continuous there when |c| = 1
+    m = PiecewiseSymbol(
+        real_line(punctures=(0.0,)),
+        ((-INF, 0.0, parse_expression(f"({left})/sqrt(1+x^2)")),
+         (0.0, INF, parse_expression("1/sqrt(1+x^2)"))),
+        (Declaration(0.0, PointClass.SING_SUPP),))
+    (decl,) = absolute_value_symbol(m).declarations
+    if settles:
+        assert decl.cls is PointClass.REG_B and abs(decl.limit - 1) < 1e-9
+    else:
+        assert decl == Declaration(0.0, PointClass.SING_SUPP)
+
+
+def test_modulus_of_exp_i_over_x_passes_its_hat_extension():
+    # |e^{i/x}| = 1, so the oscillation at 0 is gone from the modulus
+    absm = absolute_value_symbol(catalog.exp_i_over_x())
+    (decl,) = absm.declarations
+    assert decl.cls is PointClass.REG_B and abs(decl.limit - 1) < 1e-9
+    assert hat_extension(absm).domain.punctures == ()
 
 
 def one_over_x_squared():

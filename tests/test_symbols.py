@@ -335,10 +335,6 @@ KNOWN_FAILURES = {
     ("one_over_x", "a"): FILLS_DROPPED,
     ("one_over_x", "b"): FILLS_DROPPED,
     ("one_over_x", "calculus"): FILLS_DROPPED,
-    ("exp_i_over_x", "abs"): pytest.mark.xfail(
-        strict=True, raises=DeclarationMismatch,
-        reason="|e^{i/x}| = 1 is continuous at 0, but the modulus keeps the "
-               "sing_supp declaration, which its own hat extension refuses"),
 }
 # exp_i_over_x has singular support, so it has no a, b, z or calculus
 ROUND_TRIPS = [
