@@ -59,7 +59,6 @@ class BlockAlgebra:
             self.allowed[off : off + n, off : off + n] = m
             self.blocks[off : off + n, off : off + n] = True
         self._entries = np.nonzero(self.allowed)
-        self._offmask = np.nonzero(~self.allowed)
         self.dim = len(self._entries[0])
         # label each used index with the first index of its row; the mask
         # must be exactly "same label" on the used indices
@@ -119,7 +118,7 @@ class BlockAlgebra:
 
     def offmask_residual(self, matrix) -> float:
         """Largest |entry| of ``matrix`` outside the mask (incl. off-block)."""
-        return _max_abs(np.asarray(matrix, dtype=complex)[self._offmask])
+        return _max_abs(np.asarray(matrix, dtype=complex)[~self.allowed])
 
     def contains(self, matrix, tol=1e-10) -> bool:
         return self.offmask_residual(matrix) <= tol

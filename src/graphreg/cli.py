@@ -279,25 +279,30 @@ def cmd_experiment(args, cfg: Config) -> tuple:
                         "density itself is an asymptotic statement"}, 0
     if which == "weyl":
         from .experiments import (
+            WEYL_FLOOR_CELLS,
+            WEYL_MAX_M,
+            WEYL_MIN_M,
             WEYL_SCALE,
             weyl_build,
             weyl_limits_check,
             weyl_relations_check,
         )
 
-        # the window point λ must lie on the grid [-L, L]: L and then λ
-        # are checked before either grid is built
+        # L, λ ∈ [-L, L], M and the widest window are checked before either
+        # grid is built.  A window starts at the first grid point t_j =
+        # -L + (j + ½)·dt at or past λ, so it fits when λ ≤ t[M - widths[0]]
         length = check_parameter("--L", args.L, *WEYL_SCALE)
         check_parameter("--lam", args.lam, -length, length)
-        # the refined grid first: its size check is the one that can
-        # refuse, and it must do so before anything is allocated
-        w2 = weyl_build(args.alpha, args.beta, 2 * args.M, args.L)
-        w = weyl_build(args.alpha, args.beta, args.M, args.L)
+        m = check_parameter("--M", args.M, WEYL_MIN_M, WEYL_MAX_M // 2)
+        widths = [k * WEYL_FLOOR_CELLS for k in (4, 2, 1)]  # cells, widest first
+        if args.lam > -length + (m - widths[0] + 0.5) * (2 * length / m):
+            raise BadParameters(f"--lam {args.lam}: the widest window, "
+                                f"{widths[0]} grid cells, leaves the grid")
+        w2 = weyl_build(args.alpha, args.beta, 2 * m, length)
+        w = weyl_build(args.alpha, args.beta, m, length)
         rel = weyl_relations_check(w)
         rel2 = weyl_relations_check(w2)
-        floor = 8 * w.dt
-        eps_seq = [floor * 4, floor * 2, floor]
-        rows = weyl_limits_check(w, args.lam, eps_seq)
+        rows = weyl_limits_check(w, args.lam, [c * w.dt for c in widths])
         return {
             "relations": {
                 "M": args.M,

@@ -24,10 +24,6 @@ class NotEssentialDomain(CheckFailed):
     """Domain has a nontrivial orthogonal complement."""
 
 
-class NotOrthogonallyClosed(CheckFailed):
-    """Submodule differs from its double orthogonal complement."""
-
-
 class NotGraphRegular(CheckFailed):
     """Operator failed the graph-regularity test."""
 

@@ -260,7 +260,9 @@ class WeylGrid:
     kernel: np.ndarray
 
 
-WEYL_MAX_M = 4096
+WEYL_MIN_M, WEYL_MAX_M = 256, 4096
+# window states ω_{ε,λ} narrower than this many grid cells are refused
+WEYL_FLOOR_CELLS = 8
 # admitted range of |α|, -β and L; beyond it the grid over- or underflows
 # and the report is no longer finite
 WEYL_SCALE = (1e-6, 1e6)
@@ -281,8 +283,8 @@ def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
                             f"and -beta in [{lo}, {hi}]")
     if not lo <= length <= hi:
         raise BadParameters(f"need L in [{lo}, {hi}], got {length}")
-    if m < 256:
-        raise BadParameters("need at least 256 grid points")
+    if m < WEYL_MIN_M:
+        raise BadParameters(f"need at least {WEYL_MIN_M} grid points")
     if m > WEYL_MAX_M:
         raise BadParameters(f"at most {WEYL_MAX_M} grid points")
     dt = 2 * length / m
@@ -418,12 +420,12 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
     """Window-state limits ⟨A ω_{ε,λ}, ω⟩ for A in {x, y, yx·b}.
 
     ω is the L²-normalized indicator of [λ, λ+ε] on the grid; widths
-    below 8 grid cells are refused.  As ε ↓ 0 the x-average approaches
-    (λ - αi)^{-1} while every y- and yx-average drains to zero, which is
-    the character structure of the algebra.  Each A ω is a chain of
-    matrix-vector products, x acting as its diagonal and y = -i·k as
-    the real kernel k, applied to the real and imaginary parts of a
-    vector; the dense complex y is never formed.
+    below ``WEYL_FLOOR_CELLS`` grid cells are refused.  As ε ↓ 0 the
+    x-average approaches (λ - αi)^{-1} while every y- and yx-average
+    drains to zero, which is the character structure of the algebra.
+    Each A ω is a chain of matrix-vector products, x acting as its
+    diagonal and y = -i·k as the real kernel k, applied to the real and
+    imaginary parts of a vector; the dense complex y is never formed.
     """
     if not -w.length <= lam <= w.length:
         raise BadParameters(f"lam must lie on the grid [-L, L], got {lam}")
@@ -436,10 +438,12 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
         return -1j * (k @ vec)
 
     target = 1.0 / (lam - 1j * w.alpha)
+    floor = WEYL_FLOOR_CELLS * w.dt
     for eps in eps_seq:
         cells = int(round(eps / w.dt))
-        if eps < 8 * w.dt - 1e-12 or cells < 8:
-            raise EpsilonBelowGrid(f"eps={eps} below the 8-cell floor {8*w.dt}")
+        if eps < floor - 1e-12 or cells < WEYL_FLOOR_CELLS:
+            raise EpsilonBelowGrid(f"eps={eps} below the {WEYL_FLOOR_CELLS}-cell "
+                                   f"floor {floor}")
         j0 = int(np.searchsorted(w.t, lam))
         if j0 + cells > w.m:
             raise BadParameters("window leaves the grid")

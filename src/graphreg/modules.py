@@ -1,31 +1,27 @@
 """Submodules, orthogonal complements and graph operators over the
 finite-dimensional backend.
 
-A right submodule of E = A^k is stored as an orthonormal basis (w.r.t.
-the Hilbert-Schmidt inner product) of its coordinate span.  Over
-A = ⊕_c M_{|c|}, one summand per class c of the mask, it is {X : the
-columns of each c-block of X lie in a subspace V_c of ℂ^{k|c|}}, and the
-A-valued complement {x : <g,x> = 0 for all g} has the spaces V_c^⊥
-(Lance, *Hilbert C*-modules*, 1995).  So every module operation gathers
-a coordinate basis into per-class column matrices (``_class_columns``),
-does column-space algebra there, and expands the per-class spaces back
-into a coordinate basis (``_expand``).  Graphs of operators are
-submodules of E ⊕ E; adjoints come from the unitary v(x,y) = (-y,x)
-applied to the complement of the graph.
+Over A = ⊕_c M_{|c|}, one summand per class c of the mask, a right
+submodule of E = A^k is {X : the columns of each c-block of X lie in a
+subspace V_c of ℂ^{k|c|}}, and the A-valued complement {x : <g,x> = 0
+for all g} has the spaces V_c^⊥ (Lance, *Hilbert C*-modules*, 1995).  So
+a ``Submodule`` holds one orthonormal matrix per class, spanning V_c, and
+nothing else: every operation is column-space algebra on those matrices,
+and the coordinate basis ``Submodule.basis`` is a view computed on
+demand.  Graphs of operators are submodules of E ⊕ E; adjoints come from
+the unitary v(x,y) = (-y,x) applied to the complement of the graph.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebras import BlockAlgebra, matrix_algebra
 from .config import DEFAULT, Config
-from .errors import (
-    NotEssentialDomain,
-    NotOrthogonallyClosed,
-)
+from .errors import NotEssentialDomain
 from .symbols import PiecewiseSymbol, regularity_report
 from .transforms import QuotientPair, _require_finite, numerical_rank, opnorm
 
@@ -62,18 +58,36 @@ def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
 
 
 class Submodule:
-    """Right submodule of E = A^ncomp as an orthonormal coordinate basis."""
+    """Right submodule of E = A^ncomp: per class c of A, an orthonormal
+    (ncomp·|c|) × m_c matrix whose columns span V_c ⊆ ℂ^(ncomp·|c|)."""
 
-    def __init__(self, algebra: BlockAlgebra, ncomp: int, basis: np.ndarray):
+    def __init__(self, algebra: BlockAlgebra, ncomp: int, spaces):
         self.algebra = algebra
         self.ncomp = ncomp
-        self.basis = np.asarray(basis, dtype=complex)
-        if self.basis.shape[0] != ncomp * algebra.dim:
-            raise ValueError("basis row count does not match the module")
+        self.spaces = tuple(np.asarray(v, dtype=complex) for v in spaces)
+        if len(self.spaces) != len(algebra.classes) or any(
+                v.shape[0] != ncomp * len(c)
+                for v, c in zip(self.spaces, algebra.classes)):
+            raise ValueError("class spaces do not match the module")
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return sum(len(c) * v.shape[1]
+                   for c, v in zip(self.algebra.classes, self.spaces))
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Coordinate view: an orthonormal basis of the span in
+        ℂ^(ncomp·dim A), one vector per class column and space column."""
+        alg = self.algebra
+        out = np.zeros((self.ncomp, alg.dim, self.dim), dtype=complex)
+        k = 0
+        for idx, v in zip(alg.class_coords, self.spaces):
+            n, m = len(idx), v.shape[1]
+            cols = k + np.arange(n * m).reshape(1, n, m)
+            out[:, idx[:, :, None], cols] = v.reshape(self.ncomp, n, 1, m)
+            k += n * m
+        return out.reshape(self.ncomp * alg.dim, self.dim)
 
     def __repr__(self):
         return f"Submodule(dim={self.dim} of {self.ncomp}x{self.algebra.dim})"
@@ -82,21 +96,27 @@ class Submodule:
 
     @staticmethod
     def full(algebra: BlockAlgebra, ncomp: int = 1) -> "Submodule":
-        return Submodule(algebra, ncomp, np.eye(ncomp * algebra.dim, dtype=complex))
+        return Submodule(algebra, ncomp, [np.eye(ncomp * len(c), dtype=complex)
+                                          for c in algebra.classes])
 
     @staticmethod
     def zero(algebra: BlockAlgebra, ncomp: int = 1) -> "Submodule":
-        return Submodule(algebra, ncomp, np.zeros((ncomp * algebra.dim, 0), complex))
+        return Submodule(algebra, ncomp, [np.zeros((ncomp * len(c), 0), complex)
+                                          for c in algebra.classes])
 
     @staticmethod
     def from_vectors(algebra, ncomp, vectors, cfg: Config = DEFAULT) -> "Submodule":
         """Right submodule generated by coordinate vectors: per class, the
-        span of the columns of their class blocks."""
+        span of the columns of their class blocks, stacked over the
+        components."""
         if len(vectors) == 0:
             return Submodule.zero(algebra, ncomp)
         v = np.column_stack([np.asarray(x, complex).ravel() for x in vectors])
-        return _expand(algebra, ncomp, [orthonormal_columns(x, cfg.subspace_tol)
-                                        for x in _class_columns(algebra, ncomp, v)])
+        comps = v.reshape(ncomp, algebra.dim, -1)
+        return Submodule(algebra, ncomp, [
+            orthonormal_columns(comps[:, idx].reshape(ncomp * len(idx), -1),
+                                cfg.subspace_tol)
+            for idx in algebra.class_coords])
 
     @staticmethod
     def from_elements(algebra, matrices, cfg: Config = DEFAULT) -> "Submodule":
@@ -106,14 +126,9 @@ class Submodule:
 
     # -- predicates -------------------------------------------------------
 
-    def right_action_residual(self) -> float:
-        """How far the right submodule generated by the basis leaves the
-        stored span; < tol certifies closure."""
-        gen = Submodule.from_vectors(self.algebra, self.ncomp, self.basis.T)
-        return opnorm(gen.basis - self.basis @ (self.basis.conj().T @ gen.basis))
-
     def equals(self, other: "Submodule", cfg: Config = DEFAULT) -> bool:
-        return same_span(self.basis, other.basis, cfg.subspace_tol)
+        return all(same_span(a, b, cfg.subspace_tol)
+                   for a, b in zip(self.spaces, other.spaces))
 
     def is_essential(self, cfg: Config = DEFAULT) -> bool:
         return orthogonal_complement(self, cfg).dim == 0
@@ -123,43 +138,20 @@ class Submodule:
         return self.equals(cc, cfg)
 
 
-def _class_columns(algebra: BlockAlgebra, ncomp: int, basis: np.ndarray):
-    """Per class c, the columns of the c-blocks of every basis vector,
-    stacked over the components: ncomp·|c| rows, |c| per vector."""
-    comps = basis.reshape(ncomp, algebra.dim, -1)
-    return [comps[:, idx].reshape(ncomp * len(idx), -1)
-            for idx in algebra.class_coords]
-
-
-def _expand(algebra: BlockAlgebra, ncomp: int, spaces) -> Submodule:
-    """{X : the columns of each c-block of X lie in the orthonormal spaces[c]},
-    with one basis vector per class column and space column."""
-    total = sum(len(idx) * v.shape[1] for idx, v in zip(algebra.class_coords, spaces))
-    out = np.zeros((ncomp, algebra.dim, total), dtype=complex)
-    k = 0
-    for idx, v in zip(algebra.class_coords, spaces):
-        n, m = len(idx), v.shape[1]
-        cols = k + np.arange(n * m).reshape(1, n, m)
-        out[:, idx[:, :, None], cols] = v.reshape(ncomp, n, 1, m)
-        k += n * m
-    return Submodule(algebra, ncomp, out.reshape(ncomp * algebra.dim, total))
-
-
 def orthogonal_complement(sub: Submodule, cfg: Config = DEFAULT) -> Submodule:
     """A-valued complement F^⊥ = {x | <g,x> = 0 for all g in F}.
 
-    The c-block of <g,x> is G_c^*·X_c: per class, the nullspace of the
-    conjugate transpose of F's gathered columns.  Exact up to the SVD
-    rank cut, and a right submodule even when F is only a subspace.
+    The c-block of <g,x> is G_c^*·X_c, so the complement's class space
+    is V_c^⊥: the nullspace of V_c^*.  Exact up to the SVD rank cut.
     """
-    return _expand(sub.algebra, sub.ncomp, [
-        nullspace(x.conj().T, cfg.subspace_tol)
-        for x in _class_columns(sub.algebra, sub.ncomp, sub.basis)])
+    return Submodule(sub.algebra, sub.ncomp, [
+        nullspace(v.conj().T, cfg.subspace_tol) for v in sub.spaces])
 
 
 def module_sum(a: Submodule, b: Submodule, cfg: Config = DEFAULT) -> Submodule:
-    basis = orthonormal_columns(np.hstack([a.basis, b.basis]), cfg.subspace_tol)
-    return Submodule(a.algebra, a.ncomp, basis)
+    return Submodule(a.algebra, a.ncomp, [
+        orthonormal_columns(np.hstack([u, v]), cfg.subspace_tol)
+        for u, v in zip(a.spaces, b.spaces)])
 
 
 # -- projections -----------------------------------------------------------
@@ -179,20 +171,12 @@ class Projection:
         return opnorm(self.matrix - self.matrix.conj().T)
 
 
-def projection_onto(g: Submodule, cfg: Config = DEFAULT) -> Projection:
-    """The projection p_G with range G; G must equal G^⊥⊥."""
-    comp = orthogonal_complement(g, cfg)
-    cc = orthogonal_complement(comp, cfg)
-    if not g.equals(cc, cfg):
-        raise NotOrthogonallyClosed(
-            f"G has dim {g.dim} but G^⊥⊥ has dim {cc.dim} (or spans differ)"
-        )
-    total = g.dim + comp.dim
-    if total != g.basis.shape[0]:
-        raise NotOrthogonallyClosed(
-            f"G ⊕ G^⊥ has dimension {total} < {g.basis.shape[0]}; not complemented"
-        )
-    return Projection(g, g.basis @ g.basis.conj().T)
+def projection_onto(g: Submodule) -> Projection:
+    """The projection p_G with range G.  Every submodule held by its class
+    spaces V_c is orthogonally closed, (V_c^⊥)^⊥ = V_c, and complemented,
+    V_c ⊕ V_c^⊥ = ℂ^(ncomp·|c|), so every one has it."""
+    basis = g.basis
+    return Projection(g, basis @ basis.conj().T)
 
 
 # -- linear relations (graphs) ---------------------------------------------
@@ -263,10 +247,9 @@ class GraphOperator:
         if domain is None:
             domain = GraphOperator.mult_domain(algebra, [matrix], cfg)
         m = np.asarray(matrix, dtype=complex)
-        cols = _class_columns(algebra, 1, domain.basis)
-        return GraphOperator(algebra, _expand(algebra, 2, [
-            orthonormal_columns(np.vstack([x, m[np.ix_(c, c)] @ x]), cfg.subspace_tol)
-            for c, x in zip(algebra.classes, cols)]))
+        return GraphOperator(algebra, Submodule(algebra, 2, [
+            orthonormal_columns(np.vstack([v, m[np.ix_(c, c)] @ v]), cfg.subspace_tol)
+            for c, v in zip(algebra.classes, domain.spaces)]))
 
     @staticmethod
     def identity(algebra, cfg: Config = DEFAULT) -> "GraphOperator":
@@ -283,11 +266,9 @@ class GraphOperator:
         finite-dimensional model cannot see.  Per class c the domain is
         the nullspace of the stacked S[~c, c] over the partial products S.
         """
-        stage, stages = np.eye(algebra.N, dtype=complex), []
-        for m in matrices:
-            stage = np.asarray(m, complex) @ stage
-            stages.append(stage)
-        return _expand(algebra, 1, [
+        stages = list(itertools.accumulate(
+            (np.asarray(m, complex) for m in matrices), lambda s, m: m @ s))
+        return Submodule(algebra, 1, [
             nullspace(np.vstack([np.delete(s[:, c], c, axis=0) for s in stages]),
                       cfg.subspace_tol) for c in algebra.classes])
 
@@ -297,33 +278,40 @@ class GraphOperator:
     def dim(self) -> int:
         return self.algebra.dim
 
+    def _half(self, half: int, cfg: Config) -> Submodule:
+        """The submodule of E whose class spaces are spanned by the top
+        (0: the domain) or bottom (1: the range) half of the graph's."""
+        return Submodule(self.algebra, 1, [
+            orthonormal_columns(g[half * len(c): (half + 1) * len(c)],
+                                cfg.subspace_tol)
+            for c, g in zip(self.algebra.classes, self.graph.spaces)])
+
     def domain(self, cfg: Config = DEFAULT) -> Submodule:
-        return Submodule.from_vectors(self.algebra, 1,
-                                      self.graph.basis[: self.dim].T, cfg)
+        return self._half(0, cfg)
 
     def range(self, cfg: Config = DEFAULT) -> Submodule:
-        return Submodule.from_vectors(self.algebra, 1,
-                                      self.graph.basis[self.dim :].T, cfg)
+        return self._half(1, cfg)
 
     def kernel(self, cfg: Config = DEFAULT) -> Submodule:
-        basis = relation_kernel(self.graph.basis, self.dim, cfg)
-        return Submodule(self.algebra, 1, basis)
+        return Submodule(self.algebra, 1, [
+            relation_kernel(g, len(c), cfg)
+            for c, g in zip(self.algebra.classes, self.graph.spaces)])
 
     def action_matrix(self, cfg: Config = DEFAULT) -> np.ndarray:
         """Scalar matrix T with T x = t(x) on the domain (coordinates)."""
         d = self.dim
-        x, y = self.graph.basis[:d], self.graph.basis[d:]
-        return y @ np.linalg.pinv(x, rcond=cfg.subspace_tol)
+        basis = self.graph.basis
+        return basis[d:] @ np.linalg.pinv(basis[:d], rcond=cfg.subspace_tol)
 
     # -- adjoints and regularity -------------------------------------------
 
     def adjoint(self, cfg: Config = DEFAULT) -> "GraphOperator":
-        """Graph(t^*) = v·Graph(t)^⊥ with v(x,y) = (-y, x)."""
+        """Graph(t^*) = v·Graph(t)^⊥ with v(x,y) = (-y, x), class by class."""
         if not self.domain(cfg).is_essential(cfg):
             raise NotEssentialDomain("Def(t)^⊥ ≠ {0}; adjoint is multivalued")
-        perp = orthogonal_complement(self.graph, cfg).basis
-        swapped = np.vstack([-perp[self.dim :], perp[: self.dim]])
-        return GraphOperator(self.algebra, Submodule(self.algebra, 2, swapped))
+        perp = orthogonal_complement(self.graph, cfg)
+        return GraphOperator(self.algebra, Submodule(
+            self.algebra, 2, [_swap(p) for p in perp.spaces]))
 
     def regularity(self, cfg: Config = DEFAULT) -> RegularityVerdict:
         """Graph-regularity via Range(1+t^*t) = E and Range(1+tt^*) = F.
@@ -342,11 +330,9 @@ class GraphOperator:
         graph_regular = False
         if essential and closed:
             ranks = [0, 0]
-            for g, p in zip(_class_columns(self.algebra, 2, self.graph.basis),
-                            _class_columns(self.algebra, 2, perp.basis)):
-                n = len(g) // 2
-                g, p = (orthonormal_columns(x, cfg.subspace_tol) for x in (g, p))
-                adj = np.vstack([-p[n:], p[:n]])
+            for c, g, p in zip(self.algebra.classes, self.graph.spaces,
+                               perp.spaces):
+                n, adj = len(c), _swap(p)
                 for i, (r2, r1) in enumerate([(adj, g), (g, adj)]):
                     rel = compose_relations(r2, r1, (n, n, n), cfg)
                     rel = one_plus_relation(rel, n)
@@ -363,6 +349,12 @@ class GraphOperator:
             domain_dense=dense,
             diagnostics=diagnostics,
         )
+
+
+def _swap(space: np.ndarray) -> np.ndarray:
+    """v(x, y) = (-y, x) on a class space of ℂ^|c| ⊕ ℂ^|c|."""
+    n = len(space) // 2
+    return np.vstack([-space[n:], space[:n]])
 
 
 def is_graph_regular(op, cfg: Config = DEFAULT) -> RegularityVerdict:

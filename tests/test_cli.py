@@ -286,7 +286,9 @@ def test_parameter_out_of_range_is_input_error(argv):
 @pytest.mark.parametrize("argv, message", [
     (["--lam", "25"], "--lam must be finite and at least -20.0 and at most 20.0"),
     (["--L", "nan", "--lam", "25"], "--L must be finite"),
-], ids=["lam-off-grid", "L-nan"])
+    (["--lam", "19.99"], "window, 32 grid cells, leaves the grid"),
+    (["--lam", "17.54"], "window, 32 grid cells, leaves the grid"),
+], ids=["lam-off-grid", "L-nan", "window-off-grid", "window-past-last-start"])
 def test_weyl_window_point_is_refused_before_any_grid(argv, message,
                                                       monkeypatch, capsys):
     from graphreg import cli, experiments
@@ -298,6 +300,25 @@ def test_weyl_window_point_is_refused_before_any_grid(argv, message,
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err
     assert built == []
+
+
+def test_weyl_window_from_the_last_fitting_point_is_built(monkeypatch, capsys):
+    # at L = 20, M = 512 the 32-cell window fits from t[480] = 17.5390625,
+    # the grid point -L + 480.5·2L/M, and from no later one
+    from graphreg import cli, experiments
+    from graphreg.errors import BadParameters
+
+    built = []
+
+    def build(*args):
+        built.append(args)
+        raise BadParameters("stop after the checks")
+
+    monkeypatch.setattr(experiments, "weyl_build", build)
+    argv = ["--quiet", "experiment", "--which", "weyl", "--lam", "17.5390625"]
+    assert cli.main(argv) == 1
+    assert "stop after the checks" in capsys.readouterr().err
+    assert len(built) == 1
 
 
 def test_zero_denominator_is_input_error():

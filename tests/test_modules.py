@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from graphreg.experiments import resolvent_affiliation_check
 from graphreg.errors import (
     DescriptorMismatch,
     NonFiniteValue,
-    NotOrthogonallyClosed,
+    NotEssentialDomain,
 )
 from graphreg import modules
 from graphreg.modules import (
@@ -128,10 +129,15 @@ def test_complement_triple_equals_single():
     assert c.equals(ccc)
 
 
-def test_submodule_closed_under_right_action():
+def test_equals_compares_spans_not_dimensions():
     alg = matrix_algebra(3)
-    f = Submodule.from_elements(alg, [random_element(alg)])
-    assert f.right_action_residual() < 1e-10
+    t = random_element(alg)
+    graph, scaled = (GraphOperator.from_matrix(alg, m).graph for m in (t, 2 * t))
+    assert graph.dim == scaled.dim and not graph.equals(scaled)
+    # e11 and e22 generate the first and the second row
+    row1, row2 = (Submodule.from_elements(alg, [np.outer(e, e)])
+                  for e in np.eye(3)[:2])
+    assert row1.dim == row2.dim == 3 and not row1.equals(row2)
 
 
 # -- projections -----------------------------------------------------------------
@@ -154,15 +160,6 @@ def test_projection_identities_and_range():
     assert p.selfadjoint_residual() < 1e-10
     for col in op.graph.basis.T:
         assert np.linalg.norm(p.matrix @ col - col) < 1e-10
-
-
-def test_projection_requires_orthogonally_closed():
-    # a scalar-linear but not right-invariant subspace: span of one unit
-    alg = matrix_algebra(2)
-    vec = np.zeros(4); vec[1] = 1.0  # e12 alone, not right-closed
-    sub = Submodule(alg, 1, vec.reshape(-1, 1).astype(complex))
-    with pytest.raises(NotOrthogonallyClosed):
-        projection_onto(sub)
 
 
 # -- adjoints via graphs -----------------------------------------------------------
@@ -209,7 +206,7 @@ def test_graph_plus_vgraph_adjoint_essential():
     adj = op.adjoint()
     d = alg.dim
     v_adj = np.vstack([-adj.graph.basis[d:], adj.graph.basis[:d]])
-    total = module_sum(op.graph, Submodule(alg, 2, v_adj))
+    total = module_sum(op.graph, Submodule.from_vectors(alg, 2, v_adj.T))
     assert orthogonal_complement(total).dim == 0
 
 
@@ -269,6 +266,14 @@ class TestGridModel:
         resid = np.linalg.norm(
             (adj.action_matrix() - expect) @ self.a0_in_a.basis, 2)
         assert resid < 1e-10
+
+    def test_adjoint_on_a0_is_refused(self):
+        # Def(t) = A0 ⊂ A has A0^⊥ ≠ {0}, so Graph(t)^⊥ holds (0, y) pairs
+        # and the adjoint would be multivalued
+        t = constant_matrix(self.A, np.array(GRID_BLOCKS["lower"], complex))
+        op = GraphOperator.from_matrix(self.A, t, domain=self.a0_in_a)
+        with pytest.raises(NotEssentialDomain, match="multivalued"):
+            op.adjoint()
 
     def test_b_transform_escapes_multiplier_algebra(self):
         b = constant_matrix(self.A, np.array([[0, 0], [0.5, 0]], complex))
@@ -369,6 +374,27 @@ def full_svd_nullspace(mat, tol=TOL):
     return vh[r:].conj().T
 
 
+@dataclass
+class LoopModule:
+    """A submodule as the loop oracles hold it: an orthonormal basis of
+    its coordinate span in ℂ^(ncomp·dim A)."""
+
+    algebra: BlockAlgebra
+    ncomp: int
+    basis: np.ndarray
+
+    @property
+    def dim(self):
+        return self.basis.shape[1]
+
+    def equals(self, other):
+        return same_span(self.basis, other.basis, TOL)
+
+
+def loop_full(alg, ncomp):
+    return LoopModule(alg, ncomp, np.eye(ncomp * alg.dim, dtype=complex))
+
+
 def loop_closure(alg, ncomp, vectors):
     basis = orthonormal_columns(np.column_stack(vectors), TOL)
     rmaps = loop_right_mult_maps(alg)
@@ -376,24 +402,24 @@ def loop_closure(alg, ncomp, vectors):
         images = [basis] + [np.kron(np.eye(ncomp), r) @ basis for r in rmaps]
         new = orthonormal_columns(np.hstack(images), TOL)
         if new.shape[1] == basis.shape[1]:
-            return Submodule(alg, ncomp, new)
+            return LoopModule(alg, ncomp, new)
         basis = new
 
 
 def loop_complement(sub):
     if sub.dim == 0:
-        return Submodule.full(sub.algebra, sub.ncomp)
+        return loop_full(sub.algebra, sub.ncomp)
     basis = full_svd_nullspace(loop_constraint_rows(sub))
-    return Submodule(sub.algebra, sub.ncomp, basis)
+    return LoopModule(sub.algebra, sub.ncomp, basis)
 
 
 def reduced_loop_complement(sub):
     """``loop_complement`` with the nullspace from the reduced SVD, whose
     memory stays small for the constraint matrices of larger examples."""
     if sub.dim == 0:
-        return Submodule.full(sub.algebra, sub.ncomp)
-    return Submodule(sub.algebra, sub.ncomp,
-                     nullspace(loop_constraint_rows(sub), TOL))
+        return loop_full(sub.algebra, sub.ncomp)
+    return LoopModule(sub.algebra, sub.ncomp,
+                      nullspace(loop_constraint_rows(sub), TOL))
 
 
 def loop_mult_domain(alg, t):
@@ -405,7 +431,7 @@ def loop_mult_domain(alg, t):
                             for u in units])
     null = full_svd_nullspace(cons)
     if null.shape[1] == 0:
-        return Submodule.zero(alg)
+        return LoopModule(alg, 1, np.zeros((alg.dim, 0), complex))
     return loop_closure(alg, 1, list(null.T))
 
 
@@ -415,15 +441,15 @@ def loop_graph(alg, t, domain=None):
     cols = [np.concatenate([c, loop_to_coords(alg, t @ loop_to_matrix(alg, c))])
             for c in domain.basis.T]
     if not cols:
-        return Submodule.zero(alg, 2)
-    return Submodule(alg, 2, orthonormal_columns(np.column_stack(cols), TOL))
+        return LoopModule(alg, 2, np.zeros((2 * alg.dim, 0), complex))
+    return LoopModule(alg, 2, orthonormal_columns(np.column_stack(cols), TOL))
 
 
 def loop_regularity(alg, t, domain=None, complement=loop_complement):
     """Graph, verdict fields and diagnostics, each complement formed anew."""
     graph = loop_graph(alg, t, domain)
     d = alg.dim
-    dom = Submodule(alg, 1, orthonormal_columns(graph.basis[:d], TOL))
+    dom = LoopModule(alg, 1, orthonormal_columns(graph.basis[:d], TOL))
     essential = complement(dom).dim == 0
     closed = graph.equals(complement(complement(graph)))
     diagnostics = {}
@@ -646,9 +672,10 @@ def test_resolvent_ranks_read_the_rows_of_the_whole_block():
 
 @pytest.mark.parametrize("alg, block", [
     (matrix_algebra(12), None), (grid_model(32)[0], "lower"),
-], ids=["M12", "grid32-lower"])
+    (matrix_algebra(128), None), (grid_model(256)[0], "lower"),
+], ids=["M12", "grid32-lower", "M128", "grid256-lower"])
 def test_regularity_memory_stays_small(alg, block):
-    t = (random_operator(12, np.random.default_rng(3)) if block is None else
+    t = (random_operator(alg.N, np.random.default_rng(3)) if block is None else
          constant_matrix(alg, np.array(GRID_BLOCKS[block], complex)))
     tracemalloc.start()
     try:
