@@ -19,24 +19,27 @@ The Weyl demo samples the resolvents x = (Q - αi)^{-1} (diagonal) and
 y = (P - βi)^{-1} (exponential quadrature kernel, β < 0) on a uniform
 grid and measures the fraction-algebra relations and the window-state
 limits that identify the characters of the algebra.  The grid keeps
-the diagonal d of x and the real kernel k = i·y.  Every product with x
-is a row or column scaling, the x-only relations are exact on the
-diagonal, and the window averages are matrix-vector products with k.
-The phases of d drop out of every 2-norm, so each residual of y is the
-spectral norm of a real matrix sandwiched by |D| = diag(|d|), and the
-commutator comes from x[y, Q]x since x⁻¹ = Q - αi.  On the grid
-T∘k - k@k = -dt·k, so the residual M of xy - yx is -dt·x y x and that
-of xy* - y*x is -Mᵀ.  k is dt times a Toeplitz matrix whose inverse is
-bidiagonal, so ‖M‖ and each σ(yx) are read off a bidiagonal inverse by
-bisection, and a grid costs one ``eigvalsh``, of the damped y-relation
-(see ``weyl_relations_check``).  The raw y-relation, which the report
-may not read, is decomposed when first read.  The grid has between 256
-and 4096 points.
+the diagonal d of x, and the real kernel k = i·y only once it is read.
+Every product with x is a row or column scaling, the x-only relations
+are exact on the diagonal, and the window averages are matrix-vector
+products with k, which is the one M x M matrix of the demo.  The phases
+of d drop out of every 2-norm, so each residual of y is the spectral
+norm of a real matrix sandwiched by |D| = diag(|d|), and the commutator
+comes from x[y, Q]x since x⁻¹ = Q - αi.  On the grid T∘k - k@k = -dt·k,
+so the residual M of xy - yx is -dt·x y x and that of xy* - y*x is -Mᵀ.
+k is dt times a Toeplitz matrix whose inverse is bidiagonal, so ‖M‖ and
+each σ(yx) are read off a bidiagonal inverse by bisection, and each
+y-relation off a tridiagonal congruent to it, by a Sturm count in
+differential form (see ``weyl_relations_check``): the relations read
+neither k nor any other M x M matrix, and take no SVD and no
+eigensolve.  The raw y-relation, which the report may not read, is
+counted when first read.  The grid has between 256 and 4096 points.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,8 +50,8 @@ from .config import DEFAULT, Config
 from .errors import BadParameters, EpsilonBelowGrid, LambdaInSpectrum
 from .transforms import (
     _require_finite,
+    _smallest_covering,
     bidiagonal_singular_value,
-    hermitian_opnorm,
     numerical_rank,
     opnorm,
 )
@@ -202,9 +205,11 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
     alone.  Optimal preimage columns have disjoint supports, so the
     assembled y stays in the unit ball and the columnwise optimum is exact.
 
-    The K blocks go through one stacked SVD, and the K multipliers μ are
-    bisected together: each column still gets its own doubling start
-    and 200 halvings.
+    The K blocks go through one stacked SVD, and the multipliers μ of the
+    constrained columns are bisected together: each gets its own
+    doubling start and up to 200 halvings, which stop once a halving
+    moves no bracket end, since every later one would repeat it.  An
+    unconstrained column keeps μ = 0 and is not bisected.
     """
     k = pair.k
     mats = pair.blocks()  # real, so x* is the transpose
@@ -217,25 +222,29 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
     # (the μ ↓ 0 limit of s / (s² + μ)); this also keeps μ = 0 finite
     live = s > 0
 
-    def gain(mu):
-        return np.divide(s, s ** 2 + mu[:, None], out=np.zeros_like(s),
-                         where=live)
+    def gain(mu, rows=slice(None)):
+        return np.divide(s[rows], s[rows] ** 2 + mu[:, None],
+                         out=np.zeros_like(s[rows]), where=live[rows])
 
-    def too_long(mu):
-        return np.linalg.norm(gain(mu) * beta, axis=1) > 1.0
+    def too_long(mu, rows=slice(None)):
+        return np.linalg.norm(gain(mu, rows) * beta[rows], axis=1) > 1.0
 
-    constrained = too_long(np.zeros(k))
-    lo, hi = np.zeros(k), np.ones(k)
-    growing = constrained & too_long(hi)
+    mu = np.zeros(k)
+    rows = np.flatnonzero(too_long(mu))  # the constrained columns
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    growing = too_long(hi, rows)
     while growing.any():
         hi[growing] *= 2.0
-        growing &= too_long(hi)
+        growing &= too_long(hi, rows)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        high = too_long(mid)
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    mu = np.where(constrained, hi, 0.0)
+        high = too_long(mid, rows)
+        new_lo = np.where(high, mid, lo)
+        new_hi = np.where(high, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break  # a fixed point: every later halving would repeat it
+        lo, hi = new_lo, new_hi
+    mu[rows] = hi
     v = vh.transpose(0, 2, 1) @ (gain(mu) * beta)[..., None]
     residual = -(mats @ v)[..., 0]
     residual[:, k] += 1.0
@@ -248,7 +257,8 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
 @dataclass
 class WeylGrid:
     """Samples of x = (Q - αi)^{-1} and y = (P - βi)^{-1} on the grid t,
-    stored as the diagonal ``d`` of x and the real kernel k = i·y."""
+    stored as the diagonal ``d`` of x; the real kernel k = i·y is built
+    when first read."""
 
     alpha: float
     beta: float
@@ -257,7 +267,18 @@ class WeylGrid:
     t: np.ndarray
     dt: float
     d: np.ndarray
-    kernel: np.ndarray
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """k_jl = e^{β(t_l - t_j)}·dt for l >= j and 0 below the diagonal,
+        built in its own buffer: (t_j - t_l)·(-β) = β(t_l - t_j), and the
+        strict lower triangle is sent to exp(-inf) = 0."""
+        kernel = np.subtract.outer(self.t, self.t)
+        kernel *= -self.beta
+        np.copyto(kernel, -np.inf, where=np.tri(self.m, k=-1, dtype=bool))
+        np.exp(kernel, out=kernel)
+        kernel *= self.dt
+        return kernel
 
 
 WEYL_MIN_M, WEYL_MAX_M = 256, 4096
@@ -274,8 +295,8 @@ def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     x is diagonal; y = -i·k, where k is the quadrature of the one-sided
     exponential kernel of (P - βi)^{-1}, which requires β < 0: real and
     upper triangular, k_jl = e^{β(t_l - t_j)}·dt for l >= j.  The
-    parameters and the grid size are checked before any M x M matrix is
-    allocated.
+    parameters and the grid size are checked first; the M x M kernel is
+    built only when ``WeylGrid.kernel`` is read.
     """
     lo, hi = WEYL_SCALE
     if not (lo <= abs(alpha) <= hi and lo <= -beta <= hi):
@@ -290,14 +311,7 @@ def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     dt = 2 * length / m
     t = -length + (np.arange(m) + 0.5) * dt
     d = 1.0 / (t - 1j * alpha)
-    # k is built in its own buffer: (t_j - t_l)·(-β) = β(t_l - t_j), and
-    # the strict lower triangle is sent to exp(-inf) = 0
-    kernel = np.subtract.outer(t, t)
-    kernel *= -beta
-    np.copyto(kernel, -np.inf, where=np.tri(m, k=-1, dtype=bool))
-    np.exp(kernel, out=kernel)
-    kernel *= dt
-    return WeylGrid(alpha, beta, m, length, t, dt, d, kernel)
+    return WeylGrid(alpha, beta, m, length, t, dt, d)
 
 
 def _yx_inverse(w: WeylGrid) -> tuple:
@@ -306,6 +320,74 @@ def _yx_inverse(w: WeylGrid) -> tuple:
     so R⁻¹ = I - ρ·(shift).  They are 1/(dt·|d_j|) and -ρ/(dt·|d_j|)."""
     inv = 1.0 / (w.dt * np.abs(w.d))
     return inv, -np.exp(w.beta * w.dt) * inv[:-1]
+
+
+def _y_relation_norm(w: WeylGrid, damped: bool) -> float:
+    """‖|D| S |D|‖ (``damped``) or ‖S‖ for the y-relation S = k + kᵀ +
+    2βkᵀk, the largest |eigenvalue|, by bisection on a Sturm count; S is
+    never formed.
+
+    With k = dt·R, R⁻¹ = I - ρN (N the upper shift), c = 2β·dt and
+    e = 1 - ρ² + c, S = dt·Rᵀ(R⁻ᵀR⁻¹ + E)R for E = diag(1 + c, e, …, e).
+    So |D| S |D| - σ·dt·I is congruent, through C = R|D|, to the
+    tridiagonal R⁻ᵀ(I - σ|D|⁻²)R⁻¹ + E, and by Sylvester's law of
+    inertia its negative pivots count the eigenvalues of |D| S |D|
+    below σ·dt (|D| = I for the raw relation).  With w_j = 1 - σ/|d_j|²
+    the pivots are q_j = w_j + s_j, s₀ = 1 + c and s_j = e + ρ²·w_{j-1}
+    s_{j-1}/q_{j-1}: the differential form (Fernando & Parlett, *Accurate
+    singular values and differential qd algorithms*, Numer. Math. 67,
+    1994), which never forms the entries 2 + c and -ρ of the tridiagonal
+    and so loses nothing to their cancellation where |β|·dt is small.
+    e = -(expm1(2β·dt) - 2β·dt) keeps its digits there too.
+
+    Every eigenvalue lies below σ·dt when every pivot is negative, and
+    none at or below -σ·dt when every pivot at -σ is positive, so each
+    count stops at the first pivot of the other sign.  A pivot smaller
+    in modulus than pivmin = tiny·max(1, max w²) counts as of the other
+    sign, so |w·s/q| ≤ max|w| + 1/tiny and no s overflows.
+    ``_smallest_covering`` bisects the largest eigenvalue from the bound
+    ‖S‖ ≤ 2‖k‖ + 2|β|‖k‖², with ‖k‖ ≤ dt·Σ_{j<M} ρ^j by the Schur test.
+    One more count tells whether an eigenvalue lies below minus that;
+    only then is the smallest one bisected too.
+    """
+    x = w.beta * w.dt
+    rho2 = math.exp(2.0 * x)
+    s0 = 1.0 + 2.0 * x
+    e = -(math.expm1(2.0 * x) - 2.0 * x)
+    if damped:
+        gain = 1.0 / np.abs(w.d) ** 2
+        g_lo, g_hi = float(gain.min()), float(gain.max())
+        gain = gain.tolist()
+    else:
+        gain, g_lo, g_hi = [1.0] * w.m, 1.0, 1.0
+    # n = Σ_{j<M} ρ^j bounds ‖k‖/dt, so ‖|D| S |D|‖/dt ≤ 2n(1 + |x|·n)·max|d|²;
+    # twice that covers its rounding
+    n = math.expm1(w.m * x) / math.expm1(x)
+    hi = 4.0 * n * (1.0 - x * n) / g_lo
+    tiny = float(np.finfo(float).tiny)
+
+    def definite(shift, sign):
+        # whether every pivot at σ = shift has the sign ``sign`` and a
+        # modulus of at least pivmin: the first one that has not ends it
+        pivmin = tiny * max(1.0, (1.0 - shift * g_lo) ** 2,
+                            (1.0 - shift * g_hi) ** 2)
+        s = s0
+        for g in gain:
+            wj = 1.0 - shift * g
+            q = wj + s
+            if sign * q < pivmin:
+                return False
+            s = e + rho2 * wj * (s / q)
+        return True
+
+    def none_below(sigma):  # no eigenvalue at or below -σ·dt
+        return definite(-sigma, 1.0)
+
+    # the largest eigenvalue, then the smallest if it is larger in modulus
+    top = _smallest_covering(lambda sigma: definite(sigma, -1.0), hi)
+    if not none_below(top):
+        top = _smallest_covering(none_below, hi)
+    return top * w.dt
 
 
 @dataclass
@@ -319,7 +401,6 @@ class WeylRelationReport:
     rel1_y_damped: float       # x(y - y* - 2βi y*y)x (shrinks with the grid)
     rel2: float                # xy - yx = i x y² x (quadrature error)
     grid: WeylGrid = field(repr=False)
-    ydefect: np.ndarray = field(repr=False)   # S, with y - y* - 2βi y*y = -iS
 
     @property
     def rel2_star(self) -> float:
@@ -330,7 +411,7 @@ class WeylRelationReport:
     @cached_property
     def rel1_y(self) -> float:
         """y - y* = 2βi y*y, raw (edge-limited, O(1))."""
-        return hermitian_opnorm(self.ydefect)
+        return _y_relation_norm(self.grid, damped=False)
 
     def sigma_at(self, index: int) -> float:
         """σ_index(yx) = σ_index(k·|D|), 0 being the largest: 1 over the
@@ -372,36 +453,27 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     I - ρ·(shift) and (dt·|D| k |D|)⁻¹ is upper bidiagonal, with diagonal
     1/(dt²|d_j|²) and superdiagonal -ρ/(dt²|d_j||d_{j+1}|): ``rel2`` is 1
     over its smallest singular value, found by bisection
-    (``bidiagonal_singular_value``), and M is never formed.  The one
-    matrix decomposed is |D| S |D| (``eigvalsh``); S itself follows when
-    ``rel1_y`` is first read, and σ(yx) comes from a bidiagonal inverse
-    too (``WeylRelationReport.sigma_at``).  S is formed in one buffer;
-    |D| S |D| is a copy sandwiched in place, since S is kept for
-    ``rel1_y``.
+    (``bidiagonal_singular_value``), and M is never formed.  σ(yx) comes
+    from a bidiagonal inverse too (``WeylRelationReport.sigma_at``).  The
+    y-relations come from a Sturm count on a tridiagonal congruent to
+    |D| S |D| - σ·dt·I (``_y_relation_norm``), the raw one when
+    ``rel1_y`` is first read.  No M x M matrix is formed, and the kernel
+    of the grid is not read.
     """
-    d, k = w.d, w.kernel
+    d = w.d
     ds = d.conj()
     a2 = 2j * w.alpha
     rel1_x = np.abs((d - ds) - a2 * (ds * d)).max()
     rel1_chain = np.abs(a2 * (ds * d) - a2 * (d * ds)).max()
-    absd = np.abs(d)
-    kt = k.T
-    ydefect = kt @ k
-    ydefect *= 2 * w.beta
-    ydefect += k + kt
-    damped = ydefect.copy()
-    damped *= absd[:, None]
-    damped *= absd[None, :]
     # (dt·|D| k |D|)⁻¹ = (k·|D|)⁻¹·|D|⁻¹/dt scales column j by 1/(dt·|d_j|)
     diag, sup = _yx_inverse(w)
     rel2 = 1.0 / bidiagonal_singular_value(diag * diag, sup * diag[1:], 0)
     return WeylRelationReport(
         rel1_x=float(rel1_x),
         rel1_x_chain=float(rel1_chain),
-        rel1_y_damped=hermitian_opnorm(damped),
+        rel1_y_damped=_y_relation_norm(w, damped=True),
         rel2=rel2,
         grid=w,
-        ydefect=ydefect,
     )
 
 

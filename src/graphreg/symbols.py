@@ -392,7 +392,9 @@ def sample_grid(symbol: PiecewiseSymbol, cfg: Config = DEFAULT,
             pts.append(a + dy)
         if math.isfinite(b):
             pts.append(b - dy)
-    out = np.unique(np.concatenate(pts))
+    # np.unique, spelled out: it would import numpy.ma on first use
+    out = np.sort(np.concatenate(pts))
+    out = out[np.concatenate(([True], out[1:] != out[:-1]))]
     return out[symbol.in_pieces(out)]
 
 

@@ -106,6 +106,29 @@ def opnorm(m: np.ndarray):
     return float(norms) if m.ndim == 2 else norms
 
 
+def _smallest_covering(covers, hi: float) -> float:
+    """The smallest x in (tiny, hi] at which the monotone predicate
+    ``covers`` holds, to adjacent floats; 0 when it holds at ``tiny``.
+
+    The bracket (tiny, hi] is split at its geometric mean while its ends
+    are more than a factor 2 apart and at its midpoint after, until the
+    ends are adjacent floats: the relative width is then at most 2ε.
+    This is the bisection of every Sturm count in the package.
+    """
+    lo = float(np.finfo(float).tiny)
+    if covers(lo):
+        return 0.0
+    while True:
+        mid = (math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo
+               else 0.5 * (lo + hi))
+        if not lo < mid < hi:
+            return hi
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def bidiagonal_singular_value(diag, sup, index: int) -> float:
     """The ``index``-th smallest singular value (0 is the smallest) of the
     upper bidiagonal matrix with diagonal ``diag`` and superdiagonal
@@ -125,14 +148,12 @@ def bidiagonal_singular_value(diag, sup, index: int) -> float:
     11, 1990).
 
     The matrix is first scaled by a power of two, which is exact, so
-    that its largest entry lies in [1/2, 1).  The bracket is split at its
-    geometric mean while its ends are more than a factor 2 apart and at
-    its midpoint after, until the ends are adjacent floats: the relative
-    width is then at most 2ε.  A singular value at or below ``tiny`` of
-    the scaled matrix reads 0, so a zero one ends the search at once.
-    With a zero superdiagonal the values are exactly the sorted |diag|.
-    An index outside [0, n) raises BadParameters, a non-finite entry
-    NonFiniteValue.
+    that its largest entry lies in [1/2, 1), and the count is bisected
+    by ``_smallest_covering`` from the Gershgorin bound down.  A
+    singular value at or below ``tiny`` of the scaled matrix reads 0, so
+    a zero one ends the search at once.  With a zero superdiagonal the
+    values are exactly the sorted |diag|.  An index outside [0, n)
+    raises BadParameters, a non-finite entry NonFiniteValue.
     """
     diag = np.asarray(diag, dtype=float)
     sup = np.asarray(sup, dtype=float)
@@ -148,8 +169,8 @@ def bidiagonal_singular_value(diag, sup, index: int) -> float:
     top = float(offdiag.max())
     scale = math.ldexp(1.0, -math.frexp(top)[1]) if top else 1.0
     offdiag = (offdiag * scale).tolist()
-    tiny = float(np.finfo(float).tiny)
-    pivmin = tiny  # dstebz's tiny·max(1, max g²), as every g < 1
+    # dstebz's pivmin, tiny·max(1, max g²), is tiny as every g < 1
+    pivmin = float(np.finfo(float).tiny)
 
     def at_most(x):  # how many singular values are ≤ x, for x ≥ pivmin
         q = -x  # the first pivot, negative
@@ -162,20 +183,9 @@ def bidiagonal_singular_value(diag, sup, index: int) -> float:
                     q = -pivmin
         return count
 
-    if at_most(tiny) > index:
-        return 0.0
     # Gershgorin bounds the spectrum of the tridiagonal
-    lo = tiny
     hi = 2.0 * max(a + b for a, b in zip([0.0, *offdiag], [*offdiag, 0.0]))
-    while True:
-        mid = (math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo
-               else 0.5 * (lo + hi))
-        if not lo < mid < hi:
-            return hi / scale
-        if at_most(mid) > index:
-            hi = mid
-        else:
-            lo = mid
+    return _smallest_covering(lambda x: at_most(x) > index, hi) / scale
 
 
 def numerical_rank(s: np.ndarray, tol: float) -> int:
@@ -189,23 +199,6 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     ``eigvalsh`` of h as given: LAPACK reads one triangle, so no
     symmetrised copy of h is formed."""
     return np.linalg.eigvalsh(h)
-
-
-def hermitian_opnorm(h: np.ndarray):
-    """Spectral norm of a Hermitian matrix, max |λ| over its
-    ``hermitian_spectrum``.
-
-    The singular values of a Hermitian matrix are the moduli of its
-    eigenvalues, so this is the norm ``opnorm`` gives, to rounding, from
-    a cheaper decomposition.  Stacks and empty matrices behave as in
-    ``opnorm``.
-    """
-    h = np.asarray(h)
-    if not h.size:
-        return opnorm(h)
-    w = hermitian_spectrum(h)
-    norms = np.maximum(-w[..., 0], w[..., -1])
-    return float(norms) if h.ndim == 2 else norms
 
 
 def _require_finite(where: str, *ms) -> None:

@@ -1,9 +1,11 @@
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from graphreg import experiments
 from graphreg.algebras import constant_matrix, grid_model, matrix_algebra
 from graphreg.config import DEFAULT
 from graphreg.errors import (
@@ -13,6 +15,7 @@ from graphreg.errors import (
     NonFiniteValue,
 )
 from graphreg.experiments import (
+    WEYL_SCALE,
     Side,
     build_pair,
     density_defect,
@@ -374,19 +377,34 @@ def test_build_pair_stays_small():
 def test_weyl_build_peak_memory():
     # k is 8 MiB at M = 1024; the where-build with its difference,
     # exponential and mask temporaries peaked at about 25 MiB
-    assert traced_peak(weyl_build, 1.0, -1.0, 1024, 20.0) < 12 * MIB
+    def kernel():
+        return weyl_build(1.0, -1.0, 1024, 20.0).kernel
+
+    assert traced_peak(kernel) < 12 * MIB
 
 
 def test_weyl_relations_peak_memory():
-    # 8 MiB matrices at M = 1024, two alive at once (S and its damped
-    # copy, 16 MiB); the out-of-place residuals peaked at about 40 MiB
-    w = weyl_build(1.0, -1.0, 1024, 20.0)
-    assert traced_peak(weyl_relations_check, w) < 28 * MIB
+    # Sturm counts over vectors of the grid; S, |D| S |D| and kᵀk were
+    # 32 MiB each at M = 2048
+    w = weyl_build(1.0, -1.0, 2048, 20.0)
+    assert traced_peak(weyl_relations_check, w) < 1 * MIB
+
+
+def test_weyl_experiment_at_its_cap_peak_memory(tmp_path):
+    # the kernel at M, 32 MiB at M = 2048, is the one M x M matrix; the
+    # refined grid has none
+    from graphreg import cli
+
+    argv = ["--quiet", "--json", str(tmp_path / "weyl.json"), "experiment",
+            "--which", "weyl", "--M", "2048"]
+    assert traced_peak(lambda: cli.main(argv) == 0 or pytest.fail()) < 48 * MIB
 
 
 def test_weyl_limits_peak_memory():
-    # matrix-vector products with k; the dense complex y alone is 4 MiB
+    # matrix-vector products with k; the dense complex y alone is 4 MiB.
+    # The kernel itself, 2 MiB, is built before the trace starts
     w = weyl_build(1.0, -1.0, 512, 20.0)
+    w.kernel
     eps_seq = [32 * w.dt, 16 * w.dt, 8 * w.dt]
     assert traced_peak(weyl_limits_check, w, 0.0, eps_seq) < 1 * MIB
 
@@ -528,6 +546,70 @@ def test_real_residuals_match_complex_ones(alpha, beta, length, m):
         assert_close(rep.sigma_at(i), ref_sv[i])
 
 
+def decimal_negative_pivots(w, sigma, damped):
+    """The negative pivots of the LDLᵀ of R⁻ᵀ(I - σ|D|⁻²)R⁻¹ + E, which
+    is congruent to |D| S |D| - σ·dt·I, with its entries formed in the
+    current decimal context: 2 + c, -ρ and ρ² are not rounded to floats.
+    |d_j|⁻² = t_j² + α² on the grid points t_j."""
+    x = Decimal(w.beta) * Decimal(w.dt)
+    rho = x.exp()
+    c = 2 * x
+    alpha2 = Decimal(w.alpha) ** 2
+    count, q, w_prev = 0, None, None
+    for j, t in enumerate(w.t.tolist()):
+        w_j = 1 - sigma * (Decimal(t) ** 2 + alpha2 if damped else 1)
+        if j == 0:
+            q = w_j + 1 + c
+        else:
+            b = -rho * w_prev
+            q = w_j + rho * rho * w_prev + (1 - rho * rho + c) - b * b / q
+        if q < 0:
+            count += 1
+        elif q == 0:
+            q, count = Decimal("-1e-100"), count + 1
+        w_prev = w_j
+    return count
+
+
+def decimal_y_relation(w, damped, approx, steps=40):
+    """The largest |eigenvalue| of |D| S |D| (or of S) in 60-digit
+    arithmetic, bisected from approx·(1 ± 1e-12)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dt = Decimal(w.dt)
+
+        def covers(sigma):  # every eigenvalue in [-σ·dt, σ·dt)
+            return (decimal_negative_pivots(w, sigma, damped) == w.m
+                    and decimal_negative_pivots(w, -sigma, damped) == 0)
+
+        lo = Decimal(approx) / dt * (1 - Decimal("1e-12"))
+        hi = Decimal(approx) / dt * (1 + Decimal("1e-12"))
+        assert not covers(lo) and covers(hi), approx
+        for _ in range(steps):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if covers(mid) else (mid, hi)
+        return float(hi * dt)
+
+
+WEYL_CORNERS = [(alpha, -beta, length) for alpha in WEYL_SCALE
+                for beta in WEYL_SCALE for length in WEYL_SCALE]
+
+
+# at the corners the spectra of S and |D| S |D| are of one sign, positive
+# or negative, and |β|·dt runs from 8e-15 to 8e9; at β = -100 and L = 1
+# they have both signs, the negative end the larger in modulus.  At
+# |β|·dt = 1e-8 a count on the tridiagonal's float entries 2 + c and -ρ
+# is off by 1.1e-10 relative
+@pytest.mark.parametrize(
+    "alpha, beta, length",
+    [*WEYL_CORNERS, (1.0, -100.0, 1.0), (1e-3, -1e-6, 1.28)])
+def test_y_relations_match_a_decimal_reference(alpha, beta, length):
+    rep = weyl_relations_check(weyl_build(alpha, beta, 256, length))
+    for damped, value in ((True, rep.rel1_y_damped), (False, rep.rel1_y)):
+        ref = decimal_y_relation(rep.grid, damped, value)
+        assert abs(value - ref) <= 1e-13 * ref, (damped, value, ref)
+
+
 def test_grid_keeps_the_real_kernel():
     w = weyl_build(1.0, -1.0, 256, 20.0)
     assert w.kernel.dtype == np.float64
@@ -554,34 +636,38 @@ class LinalgSpy:
         monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
 
 
-def assert_same_moduli(real, ref):
-    # a diagonal unitary on either side changes the phases of the entries
-    # of a residual matrix, never their moduli
-    scale = np.abs(ref).max()
-    assert np.abs(np.abs(real) - np.abs(ref)).max() <= STRUCTURE_TOL * scale
-
-
 @pytest.mark.parametrize("alpha, beta, length", WEYL_SETTINGS)
 def test_each_norm_is_of_its_own_residual_and_unread_ones_wait(
         alpha, beta, length, monkeypatch):
+    # the dense reference reads the kernel of a grid of its own
+    ref, _ = complex_relations(weyl_build(alpha, beta, 256, length))
     w = weyl_build(alpha, beta, 256, length)
-    ref = complex_residuals(w)
-    rel2 = float(np.linalg.norm(ref["rel2"], 2))
     spy = LinalgSpy(monkeypatch)
+    counts = []
+    y_norm = experiments._y_relation_norm
+
+    def counting(grid, damped):
+        counts.append(damped)
+        return y_norm(grid, damped)
+
+    monkeypatch.setattr(experiments, "_y_relation_norm", counting)
     rep = weyl_relations_check(w)
     _ = rep.rel2, rep.rel2_star, rep.rel1_y_damped
-    # the commutator norms come from a bidiagonal inverse, not an SVD; one
-    # eigensolve for the damped y-relation and none for the raw one
-    assert len(spy.svd) == 0 and len(spy.eigvalsh) == 1
-    assert_close(rep.rel2, rel2)
-    assert_same_moduli(spy.eigvalsh[0], ref["rel1_y_damped"])
+    # the commutator norms come from a bidiagonal inverse and the damped
+    # y-relation from a Sturm count: no SVD, no eigensolve, and the raw
+    # y-relation waits until it is read
+    assert counts == [True]
+    for key in ("rel2", "rel2_star", "rel1_y_damped"):
+        assert_close(getattr(rep, key), ref[key])
     rep.sigma_at(64)
     rep.sigma_at(128)
-    assert len(spy.svd) == 0 and len(spy.eigvalsh) == 1
+    assert counts == [True]
     rep.rel1_y
     rep.rel1_y
-    assert len(spy.eigvalsh) == 2
-    assert_same_moduli(spy.eigvalsh[1], ref["rel1_y"])
+    assert counts == [True, False]
+    assert_close(rep.rel1_y, ref["rel1_y"])
+    assert spy.svd == [] and spy.eigvalsh == []
+    assert "kernel" not in vars(w)
 
 
 def test_refined_grid_reports_without_raw_relation_or_spectrum(
@@ -589,13 +675,23 @@ def test_refined_grid_reports_without_raw_relation_or_spectrum(
     from graphreg import cli
 
     spy = LinalgSpy(monkeypatch)
+    grids = []
+    build = experiments.weyl_build
+
+    def recording(*args):
+        grids.append(build(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(experiments, "weyl_build", recording)
     out = tmp_path / "weyl.json"
     assert cli.main(["--quiet", "--json", str(out), "experiment", "--which",
                      "weyl", "--M", "256"]) == 0
-    # the commutators and σ(yx) come from bidiagonal inverses on both grids
-    assert spy.svd == []
-    # M = 256: the damped and the raw y-relation; 2M = 512: the damped one
-    assert sorted(a.shape[0] for a in spy.eigvalsh) == [256, 256, 512]
+    # the commutators, σ(yx) and both y-relations come from Sturm counts
+    # on both grids
+    assert spy.svd == [] and spy.eigvalsh == []
+    # only the window averages at M read a kernel; the refined grid, read
+    # by the relations alone, never forms its own
+    assert {g.m: "kernel" in vars(g) for g in grids} == {256: True, 512: False}
 
 
 def star_commutator_residual(w):

@@ -28,7 +28,6 @@ from graphreg.transforms import (
     from_bounded,
     functional_calculus,
     graph_projection,
-    hermitian_opnorm,
     hermitian_sqrt,
     joint_diagonalize,
     opnorm,
@@ -800,19 +799,6 @@ def test_non_finite_matrix_is_refused(entry, bad):
     }
     with pytest.raises(NonFiniteValue, match=entry):
         calls[entry]()
-
-
-@pytest.mark.parametrize("shape", [(4, 4), (3, 5, 5), (0, 0)])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_hermitian_opnorm_is_the_spectral_norm(shape, dtype):
-    rng = np.random.default_rng(sum(shape))
-    k = rng.standard_normal(shape).astype(dtype)
-    if dtype is complex:
-        k += 1j * rng.standard_normal(shape)
-    h = k + k.conj().swapaxes(-1, -2)
-    got, want = hermitian_opnorm(h), opnorm(h)
-    assert isinstance(got, float) == (len(shape) == 2)
-    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
 
 
 @pytest.mark.parametrize("n", [2, 5])
