@@ -10,19 +10,23 @@ the decaying diagonal.  At truncation K this shows up as two trends of a
 constrained least-squares residual: decreasing for x, floored for x*.
 Neither s nor r moves the second index j, so x is the direct sum over j
 of K blocks x_j = (S, diag(λ_{·j}); 0, Sᵀ) of size 2K, S the K x K
-shift, and every target column lives in a single block.  The K blocks
-go through one stacked SVD and their K least-squares problems are
-solved together; the dense 2K² x 2K² matrix is never needed.  K is
-limited to [8, 64].
+shift, and every target column lives in a single block.  Each block is
+in turn, after a permutation, a direct sum of K - 1 unit upper
+triangular 2 x 2 pieces [[1, λ_ij], [0, 1]], one 1 x 1 piece λ_0j and a
+zero column, and the target column of block j lies in the range of one
+piece: the i = 1 piece for x, the transposed λ_0j for x*.  So the K
+least-squares problems are solved together on a K x 2 x 2 stack of
+those pieces, through one stacked SVD; neither the dense 2K² x 2K²
+matrix nor any 2K x 2K block is built.  K is limited to [8, 64].
 
 The Weyl demo samples the resolvents x = (Q - αi)^{-1} (diagonal) and
 y = (P - βi)^{-1} (exponential quadrature kernel, β < 0) on a uniform
 grid and measures the fraction-algebra relations and the window-state
 limits that identify the characters of the algebra.  The grid keeps
-the diagonal d of x, and the real kernel k = i·y only once it is read.
-Every product with x is a row or column scaling, the x-only relations
-are exact on the diagonal, and the window averages are matrix-vector
-products with k, which is the one M x M matrix of the demo.  The phases
+the diagonal d of x; the real kernel k = i·y is never formed.  Every
+product with x is a row or column scaling, the x-only relations are
+exact on the diagonal, and the window averages apply k to a vector by a
+backward recurrence (see ``weyl_limits_check``).  The phases
 of d drop out of every 2-norm, so each residual of y is the spectral
 norm of a real matrix sandwiched by |D| = diag(|d|), and the commutator
 comes from x[y, Q]x since x⁻¹ = Q - αi.  On the grid T∘k - k@k = -dt·k,
@@ -30,10 +34,10 @@ so the residual M of xy - yx is -dt·x y x and that of xy* - y*x is -Mᵀ.
 k is dt times a Toeplitz matrix whose inverse is bidiagonal, so ‖M‖ and
 each σ(yx) are read off a bidiagonal inverse by bisection, and each
 y-relation off a tridiagonal congruent to it, by a Sturm count in
-differential form (see ``weyl_relations_check``): the relations read
-neither k nor any other M x M matrix, and take no SVD and no
-eigensolve.  The raw y-relation, which the report may not read, is
-counted when first read.  The grid has between 256 and 4096 points.
+differential form (see ``weyl_relations_check``): the demo forms no
+M x M matrix, and takes no SVD and no eigensolve.  The raw y-relation,
+which the report may not read, is counted when first read.  The grid
+has between 256 and 4096 points.
 """
 
 from __future__ import annotations
@@ -143,7 +147,9 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
 @dataclass
 class TruncatedOperatorPair:
     """x = (s r; 0 s*) on a K x K truncation of l²(ℕ²), stored as K and
-    the diagonal λ of r: x is the direct sum of the K blocks ``blocks()``.
+    the diagonal λ of r: x is the direct sum of K blocks
+    x_l = (S, diag(λ_{·l}); 0, Sᵀ), each one of 2 x 2 pieces (see
+    ``density_defect``).
     """
 
     k: int
@@ -152,19 +158,6 @@ class TruncatedOperatorPair:
     @property
     def hilbert_dim(self) -> int:
         return self.k * self.k
-
-    def blocks(self) -> np.ndarray:
-        """The K blocks x_j = (S, diag(λ_{·j}); 0, Sᵀ), stacked as a
-        K x 2K x 2K array; block j acts on the span of the (i, j) basis
-        vectors of both halves, ordered by half, then by i."""
-        k = self.k
-        blocks = np.zeros((k, 2 * k, 2 * k))
-        shift = np.eye(k, k=-1)
-        blocks[:, :k, :k] = shift
-        blocks[:, k:, k:] = shift.T
-        i = np.arange(k)
-        blocks[:, i, k + i] = self.lam.T
-        return blocks
 
     def decay_ok(self) -> bool:
         """λ > 0 with anti-diagonal maxima vanishing as k+l grows."""
@@ -200,24 +193,37 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
 
     The target is (0 0; 0 P₀) with P₀ the projection onto the k = 0 row;
     it has K nonzero columns, and for each the best unit-ball preimage is
-    a trust-region least-squares problem.  Target column l is row K of
-    block l, so each problem is solved through the SVD of that block
-    alone.  Optimal preimage columns have disjoint supports, so the
-    assembled y stays in the unit ball and the columnwise optimum is exact.
+    a trust-region least-squares problem.  Target column l is the vector
+    G_0 of block l, whose basis is F_0…F_{K-1} (first half) and
+    G_0…G_{K-1} (second half).  Up to a permutation the block is the
+    direct sum of the pieces [[1, λ_il], [0, 1]] from (F_{i-1}, G_i) to
+    (F_i, G_{i-1}) for i = 1…K-1, the 1 x 1 piece λ_0l from G_0 to F_0,
+    and a zero column F_{K-1}.  G_0 lies in the range of the i = 1 piece
+    alone for x, and of the transposed λ_0l (F_0 to G_0) alone for x*,
+    so every other preimage component is optimally 0 and each problem
+    lives on that one piece: [[1, λ_1l], [0, 1]] with target row 1 for
+    x, diag(λ_0l, 0) with target row 0 for x*.  Optimal preimage
+    columns have disjoint supports, so the assembled y stays in the unit
+    ball and the columnwise optimum is exact.
 
-    The K blocks go through one stacked SVD, and the multipliers μ of the
-    constrained columns are bisected together: each gets its own
-    doubling start and up to 200 halvings, which stop once a halving
-    moves no bracket end, since every later one would repeat it.  An
-    unconstrained column keeps μ = 0 and is not bisected.
+    The K pieces go through one stacked SVD of a K x 2 x 2 array, and
+    the multipliers μ of the constrained columns are bisected together:
+    each gets its own doubling start and up to 200 halvings, which stop
+    once a halving moves no bracket end, since every later one would
+    repeat it.  An unconstrained column keeps μ = 0 and is not bisected.
     """
     k = pair.k
-    mats = pair.blocks()  # real, so x* is the transpose
+    mats = np.zeros((k, 2, 2))
     if side is Side.STAR:
-        mats = mats.transpose(0, 2, 1)
+        mats[:, 0, 0] = pair.lam[0]
+        target = 0
+    else:
+        mats[:, 0, 0] = mats[:, 1, 1] = 1.0
+        mats[:, 0, 1] = pair.lam[1]
+        target = 1
     u, s, vh = np.linalg.svd(mats)
-    # Uᵀe for e the unit vector K (second half, i = 0) of every block
-    beta = u[:, k, :]
+    # Uᵀe for e the unit vector ``target`` of every piece
+    beta = u[:, target, :]
     # null directions only lengthen the preimage, so they get weight 0
     # (the μ ↓ 0 limit of s / (s² + μ)); this also keeps μ = 0 finite
     live = s > 0
@@ -247,7 +253,7 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
     mu[rows] = hi
     v = vh.transpose(0, 2, 1) @ (gain(mu) * beta)[..., None]
     residual = -(mats @ v)[..., 0]
-    residual[:, k] += 1.0
+    residual[:, target] += 1.0
     return float(np.linalg.norm(residual) / np.sqrt(k))
 
 
@@ -257,8 +263,8 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
 @dataclass
 class WeylGrid:
     """Samples of x = (Q - αi)^{-1} and y = (P - βi)^{-1} on the grid t,
-    stored as the diagonal ``d`` of x; the real kernel k = i·y is built
-    when first read."""
+    stored as the diagonal ``d`` of x; y = -i·k for the real kernel
+    k_jl = e^{β(t_l - t_j)}·dt (l >= j), which is never formed."""
 
     alpha: float
     beta: float
@@ -267,18 +273,6 @@ class WeylGrid:
     t: np.ndarray
     dt: float
     d: np.ndarray
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """k_jl = e^{β(t_l - t_j)}·dt for l >= j and 0 below the diagonal,
-        built in its own buffer: (t_j - t_l)·(-β) = β(t_l - t_j), and the
-        strict lower triangle is sent to exp(-inf) = 0."""
-        kernel = np.subtract.outer(self.t, self.t)
-        kernel *= -self.beta
-        np.copyto(kernel, -np.inf, where=np.tri(self.m, k=-1, dtype=bool))
-        np.exp(kernel, out=kernel)
-        kernel *= self.dt
-        return kernel
 
 
 WEYL_MIN_M, WEYL_MAX_M = 256, 4096
@@ -295,8 +289,8 @@ def weyl_build(alpha: float, beta: float, m: int, length: float) -> WeylGrid:
     x is diagonal; y = -i·k, where k is the quadrature of the one-sided
     exponential kernel of (P - βi)^{-1}, which requires β < 0: real and
     upper triangular, k_jl = e^{β(t_l - t_j)}·dt for l >= j.  The
-    parameters and the grid size are checked first; the M x M kernel is
-    built only when ``WeylGrid.kernel`` is read.
+    parameters and the grid size are checked first; only vectors of the
+    grid are built.
     """
     lo, hi = WEYL_SCALE
     if not (lo <= abs(alpha) <= hi and lo <= -beta <= hi):
@@ -457,8 +451,7 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     from a bidiagonal inverse too (``WeylRelationReport.sigma_at``).  The
     y-relations come from a Sturm count on a tridiagonal congruent to
     |D| S |D| - σ·dt·I (``_y_relation_norm``), the raw one when
-    ``rel1_y`` is first read.  No M x M matrix is formed, and the kernel
-    of the grid is not read.
+    ``rel1_y`` is first read.  No M x M matrix is formed.
     """
     d = w.d
     ds = d.conj()
@@ -475,6 +468,17 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
         rel2=rel2,
         grid=w,
     )
+
+
+def _kernel_times(w: WeylGrid, vec: np.ndarray) -> np.ndarray:
+    """k @ vec for a real vec: k_jl = dt·ρ^{l-j} for l >= j, with
+    ρ = e^{β·dt}, so k·v = dt·u for u_j = v_j + ρ·u_{j+1}."""
+    rho = math.exp(w.beta * w.dt)
+    u, acc = [], 0.0
+    for v in reversed(vec.tolist()):
+        acc = v + rho * acc
+        u.append(acc)
+    return w.dt * np.array(u[::-1])
 
 
 @dataclass
@@ -496,18 +500,20 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
     x-average approaches (λ - αi)^{-1} while every y- and yx-average
     drains to zero, which is the character structure of the algebra.
     Each A ω is a chain of matrix-vector products, x acting as its
-    diagonal and y = -i·k as the real kernel k, applied to the real and
-    imaginary parts of a vector; the dense complex y is never formed.
+    diagonal and y = -i·k through the real kernel k, applied to the real
+    and imaginary parts of a vector by the backward recurrence of
+    ``_kernel_times``: neither k nor y is formed.
     """
     if not -w.length <= lam <= w.length:
         raise BadParameters(f"lam must lie on the grid [-L, L], got {lam}")
     rows = []
-    d, k = w.d, w.kernel
+    d = w.d
 
     def y(vec):  # y @ vec
         if np.iscomplexobj(vec):
-            return -1j * (k @ vec.real + 1j * (k @ vec.imag))
-        return -1j * (k @ vec)
+            return -1j * (_kernel_times(w, vec.real)
+                          + 1j * _kernel_times(w, vec.imag))
+        return -1j * _kernel_times(w, vec)
 
     target = 1.0 / (lam - 1j * w.alpha)
     floor = WEYL_FLOOR_CELLS * w.dt

@@ -142,7 +142,7 @@ class TestWeyl:
         w = weyl_build(1.0, -1.0, 512, 20.0)
         assert np.abs(w.d - 1.0 / (w.t - 1j)).max() == 0.0
         assert opnorm(np.diag(w.d)) <= 1.0
-        assert abs(opnorm(-1j * w.kernel) - 1.0) <= 10 * w.dt
+        assert abs(opnorm(-1j * dense_kernel(w)) - 1.0) <= 10 * w.dt
 
     def test_exact_diagonal_relation(self):
         w = weyl_build(1.0, -1.0, 256, 20.0)
@@ -205,10 +205,10 @@ class TestWeyl:
 
 # -- dense oracles for the structured experiments -----------------------------------
 #
-# The library solves the counterdensity problems block by block and treats
-# the Weyl x as its diagonal.  These references build the dense operators
-# and solve on them directly, as the experiments did before the structure
-# was used.
+# The library solves the counterdensity problems on 2 x 2 pieces and treats
+# the Weyl x as its diagonal and y through a recurrence.  These references
+# build the dense operators and solve on them directly, as the experiments
+# did before the structure was used.
 
 ORACLE_TOL = 1e-12
 
@@ -222,6 +222,18 @@ def sigma_indices(m):
 def assert_agrees(value, ref):
     # absolute near 0, relative otherwise
     assert abs(value - ref) <= ORACLE_TOL * max(1.0, abs(ref)), (value, ref)
+
+
+def dense_kernel(w):
+    """k_jl = e^{β(t_l - t_j)}·dt for l >= j and 0 below the diagonal,
+    built in its own buffer: (t_j - t_l)·(-β) = β(t_l - t_j), and the
+    strict lower triangle is sent to exp(-inf) = 0."""
+    kernel = np.subtract.outer(w.t, w.t)
+    kernel *= -w.beta
+    np.copyto(kernel, -np.inf, where=np.tri(w.m, k=-1, dtype=bool))
+    np.exp(kernel, out=kernel)
+    kernel *= w.dt
+    return kernel
 
 
 def dense_pair_x(pair):
@@ -272,8 +284,81 @@ def dense_density_defect(pair, side):
     return float(np.sqrt(total) / np.sqrt(pair.k))
 
 
+def dense_blocks(pair):
+    """The K blocks x_l = (S, diag(λ_{·l}); 0, Sᵀ), stacked as a
+    K x 2K x 2K array; block l acts on the span of the (i, l) basis
+    vectors of both halves, F_0…F_{K-1} then G_0…G_{K-1}."""
+    k = pair.k
+    blocks = np.zeros((k, 2 * k, 2 * k))
+    shift = np.eye(k, k=-1)
+    blocks[:, :k, :k] = shift
+    blocks[:, k:, k:] = shift.T
+    i = np.arange(k)
+    blocks[:, i, k + i] = pair.lam.T
+    return blocks
+
+
+def blockwise_density_defect(pair, side):
+    """The density defect from one stacked SVD of the K blocks, with the
+    stacked bisection of the library."""
+    k = pair.k
+    mats = dense_blocks(pair)
+    if side is Side.STAR:
+        mats = mats.transpose(0, 2, 1)
+    u, s, vh = np.linalg.svd(mats)
+    beta = u[:, k, :]  # Uᵀe for e = G_0, the target of every block
+    live = s > 0
+
+    def gain(mu, rows=slice(None)):
+        return np.divide(s[rows], s[rows] ** 2 + mu[:, None],
+                         out=np.zeros_like(s[rows]), where=live[rows])
+
+    def too_long(mu, rows=slice(None)):
+        return np.linalg.norm(gain(mu, rows) * beta[rows], axis=1) > 1.0
+
+    mu = np.zeros(k)
+    rows = np.flatnonzero(too_long(mu))
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    growing = too_long(hi, rows)
+    while growing.any():
+        hi[growing] *= 2.0
+        growing &= too_long(hi, rows)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        high = too_long(mid, rows)
+        new_lo = np.where(high, mid, lo)
+        new_hi = np.where(high, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    mu[rows] = hi
+    v = vh.transpose(0, 2, 1) @ (gain(mu) * beta)[..., None]
+    residual = -(mats @ v)[..., 0]
+    residual[:, k] += 1.0
+    return float(np.linalg.norm(residual) / np.sqrt(k))
+
+
+def piece_order(k):
+    """Row and column orders that turn a block into the direct sum of its
+    pieces: (F_i, G_{i-1}) from (F_{i-1}, G_i) for i = 1…K-1, then F_0
+    from G_0, then the zero row G_{K-1} and zero column F_{K-1}."""
+    f, g = np.arange(k), k + np.arange(k)
+    rows = [*np.column_stack([f[1:], g[:-1]]).ravel(), f[0], g[-1]]
+    cols = [*np.column_stack([f[:-1], g[1:]]).ravel(), g[0], f[-1]]
+    return rows, cols
+
+
+def direct_sum(pieces):
+    n = sum(len(p) for p in pieces)
+    out, at = np.zeros((n, n)), 0
+    for p in pieces:
+        out[at : at + len(p), at : at + len(p)] = p
+        at += len(p)
+    return out
+
+
 def dense_relations(w):
-    x, y = np.diag(w.d), -1j * w.kernel
+    x, y = np.diag(w.d), -1j * dense_kernel(w)
     xs, ys = x.conj().T, y.conj().T
     a2 = 2j * w.alpha
     ydefect = (y - ys) - 2j * w.beta * (ys @ y)
@@ -291,7 +376,7 @@ def dense_relations(w):
 
 
 def dense_limits(w, lam, eps_seq):
-    x, y = np.diag(w.d), -1j * w.kernel
+    x, y = np.diag(w.d), -1j * dense_kernel(w)
     rows = []
     for eps in eps_seq:
         cells = int(round(eps / w.dt))
@@ -326,6 +411,29 @@ class TestStructuredAgainstDense:
         pair = build_pair(8, identity_r=True)
         assert_agrees(density_defect(pair, Side.STAR),
                       dense_density_defect(pair, Side.STAR))
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_each_block_is_a_direct_sum_of_pieces(self, k):
+        pair = build_pair(k)
+        rows, cols = piece_order(k)
+        # the target G_0 (index K) is the second row of the i = 1 piece,
+        # and the column of the 1 x 1 piece, a row of the transpose
+        assert rows.index(k) == 1 and cols.index(k) == 2 * (k - 1)
+        for l, block in enumerate(dense_blocks(pair)):
+            pieces = [np.array([[1.0, pair.lam[i, l]], [0.0, 1.0]])
+                      for i in range(1, k)]
+            pieces += [np.array([[pair.lam[0, l]]]), np.zeros((1, 1))]
+            assert np.array_equal(block[np.ix_(rows, cols)],
+                                  direct_sum(pieces))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("identity_r", [False, True])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.STAR])
+    @pytest.mark.parametrize("k", [8, 16, 32, 64])
+    def test_density_defect_matches_blockwise_svd(self, k, side, identity_r):
+        pair = build_pair(k, identity_r)
+        assert_agrees(density_defect(pair, side),
+                      blockwise_density_defect(pair, side))
 
     def test_relations_match_dense_products(self):
         w = weyl_build(1.0, -1.0, 256, 20.0)
@@ -374,13 +482,18 @@ def test_build_pair_stays_small():
     assert traced_peak(build_pair, 24) < 1_000_000
 
 
-def test_weyl_build_peak_memory():
-    # k is 8 MiB at M = 1024; the where-build with its difference,
-    # exponential and mask temporaries peaked at about 25 MiB
-    def kernel():
-        return weyl_build(1.0, -1.0, 1024, 20.0).kernel
+@pytest.mark.parametrize("side", [Side.LEFT, Side.STAR])
+def test_density_defect_peak_memory(side):
+    # a K x 2 x 2 stack; the K blocks of 2K x 2K and their stacked SVD
+    # peaked at about 24 MiB at K = 64
+    pair = build_pair(64)
+    assert traced_peak(density_defect, pair, side) < 256 * 1024
 
-    assert traced_peak(kernel) < 12 * MIB
+
+def test_weyl_build_peak_memory():
+    # the grid is the vectors t and d, 96 KiB at the cap M = 4096; the
+    # kernel it used to build on first read was 128 MiB there
+    assert traced_peak(weyl_build, 1.0, -1.0, 4096, 20.0) < MIB // 4
 
 
 def test_weyl_relations_peak_memory():
@@ -391,20 +504,19 @@ def test_weyl_relations_peak_memory():
 
 
 def test_weyl_experiment_at_its_cap_peak_memory(tmp_path):
-    # the kernel at M, 32 MiB at M = 2048, is the one M x M matrix; the
-    # refined grid has none
+    # neither grid forms an M x M matrix; the kernel at M, which the
+    # window averages read as a matrix, was 32 MiB at M = 2048
     from graphreg import cli
 
     argv = ["--quiet", "--json", str(tmp_path / "weyl.json"), "experiment",
             "--which", "weyl", "--M", "2048"]
-    assert traced_peak(lambda: cli.main(argv) == 0 or pytest.fail()) < 48 * MIB
+    assert traced_peak(lambda: cli.main(argv) == 0 or pytest.fail()) < 8 * MIB
 
 
 def test_weyl_limits_peak_memory():
-    # matrix-vector products with k; the dense complex y alone is 4 MiB.
-    # The kernel itself, 2 MiB, is built before the trace starts
+    # k applied by a recurrence; the dense complex y alone is 4 MiB and
+    # the real kernel 2 MiB
     w = weyl_build(1.0, -1.0, 512, 20.0)
-    w.kernel
     eps_seq = [32 * w.dt, 16 * w.dt, 8 * w.dt]
     assert traced_peak(weyl_limits_check, w, 0.0, eps_seq) < 1 * MIB
 
@@ -461,7 +573,7 @@ def assert_close(value, ref):
 def complex_residuals(w):
     """The residual matrices of the y-relations and yx, in complex
     arithmetic with x as its diagonal."""
-    d, y = w.d, -1j * w.kernel
+    d, y = w.d, -1j * dense_kernel(w)
     ys = y.conj().T
     ydefect = (y - ys) - 2j * w.beta * (ys @ y)
 
@@ -494,13 +606,10 @@ def complex_relations(w):
 
 def columnwise_density_defect(pair, side):
     k = pair.k
-    shift = np.eye(k, k=-1)
     e = np.zeros(2 * k)
     e[k] = 1.0
     total = 0.0
-    for l in range(k):
-        mat = np.block([[shift, np.diag(pair.lam[:, l])],
-                        [np.zeros((k, k)), shift.T]])
+    for mat in dense_blocks(pair):
         if side is Side.STAR:
             mat = mat.conj().T
         u, s, vh = np.linalg.svd(mat)
@@ -610,11 +719,31 @@ def test_y_relations_match_a_decimal_reference(alpha, beta, length):
         assert abs(value - ref) <= 1e-13 * ref, (damped, value, ref)
 
 
-def test_grid_keeps_the_real_kernel():
+def holds_no_matrix(w):
+    return all(np.ndim(value) < 2 for value in vars(w).values())
+
+
+def test_grid_keeps_vectors_only():
     w = weyl_build(1.0, -1.0, 256, 20.0)
-    assert w.kernel.dtype == np.float64
-    assert np.array_equal(np.triu(w.kernel), w.kernel)
-    assert w.d.shape == (w.m,)
+    assert w.d.shape == w.t.shape == (w.m,)
+    assert holds_no_matrix(w)
+
+
+# k·v by the backward recurrence u_j = v_j + ρ·u_{j+1} rounds differently
+# from the dense kernel's exponentials of grid differences: 2.9e-14 of
+# max|k·v| at M = 2048 where ρ is nearest 1
+@pytest.mark.parametrize("m", [256, 2048])
+@pytest.mark.parametrize("alpha, beta, length", [*WEYL_CORNERS, *WEYL_SETTINGS])
+def test_kernel_recurrence_matches_the_dense_kernel(alpha, beta, length, m):
+    w = weyl_build(alpha, beta, m, length)
+    k = dense_kernel(w)
+    window = np.zeros(m)
+    window[m // 2 : m // 2 + 8] = 1.0
+    rng = np.random.default_rng(m)
+    for vec in (rng.standard_normal(m), np.abs(rng.standard_normal(m)), window):
+        ref = k @ vec
+        err = np.abs(experiments._kernel_times(w, vec) - ref).max()
+        assert err <= 1e-13 * np.abs(ref).max(), (err, np.abs(ref).max())
 
 
 class LinalgSpy:
@@ -634,6 +763,16 @@ class LinalgSpy:
 
         monkeypatch.setattr(np.linalg, "svd", spy_svd)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.STAR])
+@pytest.mark.parametrize("k", [8, 64])
+def test_density_defect_takes_one_svd_of_two_by_two_pieces(
+        k, side, monkeypatch):
+    spy = LinalgSpy(monkeypatch)
+    density_defect(build_pair(k), side)
+    assert [a.shape for a in spy.svd] == [(k, 2, 2)]
+    assert spy.eigvalsh == []
 
 
 @pytest.mark.parametrize("alpha, beta, length", WEYL_SETTINGS)
@@ -667,7 +806,7 @@ def test_each_norm_is_of_its_own_residual_and_unread_ones_wait(
     assert counts == [True, False]
     assert_close(rep.rel1_y, ref["rel1_y"])
     assert spy.svd == [] and spy.eigvalsh == []
-    assert "kernel" not in vars(w)
+    assert holds_no_matrix(w)
 
 
 def test_refined_grid_reports_without_raw_relation_or_spectrum(
@@ -689,22 +828,23 @@ def test_refined_grid_reports_without_raw_relation_or_spectrum(
     # the commutators, σ(yx) and both y-relations come from Sturm counts
     # on both grids
     assert spy.svd == [] and spy.eigvalsh == []
-    # only the window averages at M read a kernel; the refined grid, read
-    # by the relations alone, never forms its own
-    assert {g.m: "kernel" in vars(g) for g in grids} == {256: True, 512: False}
+    # no grid forms a kernel: the window averages at M apply it by a
+    # recurrence, and the relations on both grids never read it
+    assert sorted(g.m for g in grids) == [256, 512]
+    assert all(holds_no_matrix(g) for g in grids)
 
 
 def star_commutator_residual(w):
     """The residual matrix of xy* - y*x = i x y*² x, real and up to
     diagonal unitaries: |D|(T∘kᵀ + kᵀ@kᵀ)|D|, from its own products."""
-    k, absd = w.kernel, np.abs(w.d)
+    k, absd = dense_kernel(w), np.abs(w.d)
     lag = w.t[None, :] - w.t[:, None]
     return absd[:, None] * (lag * k.T + k.T @ k.T) * absd[None, :]
 
 
 def commutator_residual(w):
     """The same for xy - yx = i x y² x: M = |D|(T∘k - k@k)|D|."""
-    k, absd = w.kernel, np.abs(w.d)
+    k, absd = dense_kernel(w), np.abs(w.d)
     lag = w.t[None, :] - w.t[:, None]
     return absd[:, None] * (lag * k - k @ k) * absd[None, :]
 
@@ -781,6 +921,6 @@ def test_grid_commutator_is_minus_dt_times_the_kernel(alpha, beta, length, m):
     # k_jl = dt·e^{β(t_l - t_j)} for l >= j, so (k@k)_jl = (l - j + 1)·dt·k_jl
     # and T∘k - k@k = -dt·k: rel2 needs neither T nor k@k
     w = weyl_build(alpha, beta, m, length)
-    k = w.kernel
+    k = dense_kernel(w)
     dense = np.subtract.outer(w.t, w.t).T * k - k @ k
     assert np.abs(dense + w.dt * k).max() <= 1e-13 * np.abs(dense).max()
