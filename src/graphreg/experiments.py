@@ -14,10 +14,12 @@ shift, and every target column lives in a single block.  Each block is
 in turn, after a permutation, a direct sum of K - 1 unit upper
 triangular 2 x 2 pieces [[1, λ_ij], [0, 1]], one 1 x 1 piece λ_0j and a
 zero column, and the target column of block j lies in the range of one
-piece: the i = 1 piece for x, the transposed λ_0j for x*.  So the K
-least-squares problems are solved together on a K x 2 x 2 stack of
-those pieces, through one stacked SVD; neither the dense 2K² x 2K²
-matrix nor any 2K x 2K block is built.  K is limited to [8, 64].
+piece: the i = 1 piece for x, the transposed λ_0j for x*.  So each of
+the K least-squares problems lives on one piece of size ≤ 2: for x* it
+has a closed form, and for x its multiplier is one scalar root, found
+by Newton's method for all K columns at once (see ``density_defect``).
+No SVD is taken, and neither the dense 2K² x 2K² matrix nor any block
+is built.  K is limited to [8, 64].
 
 The Weyl demo samples the resolvents x = (Q - αi)^{-1} (diagonal) and
 y = (P - βi)^{-1} (exponential quadrature kernel, β < 0) on a uniform
@@ -32,12 +34,12 @@ norm of a real matrix sandwiched by |D| = diag(|d|), and the commutator
 comes from x[y, Q]x since x⁻¹ = Q - αi.  On the grid T∘k - k@k = -dt·k,
 so the residual M of xy - yx is -dt·x y x and that of xy* - y*x is -Mᵀ.
 k is dt times a Toeplitz matrix whose inverse is bidiagonal, so ‖M‖ and
-each σ(yx) are read off a bidiagonal inverse by bisection, and each
-y-relation off a tridiagonal congruent to it, by a Sturm count in
-differential form (see ``weyl_relations_check``): the demo forms no
-M x M matrix, and takes no SVD and no eigensolve.  The raw y-relation,
-which the report may not read, is counted when first read.  The grid
-has between 256 and 4096 points.
+each σ(yx) are read off a bidiagonal inverse, and each y-relation off a
+tridiagonal congruent to it, by bisection on Sturm counts in
+differential form over M pivots (see ``weyl_relations_check``): the
+demo forms no M x M matrix, and takes no SVD and no eigensolve.  The raw
+y-relation, which the report may not read, is counted when first read.
+The grid has between 256 and 4096 points.
 """
 
 from __future__ import annotations
@@ -52,13 +54,7 @@ import numpy as np
 from .algebras import BlockAlgebra
 from .config import DEFAULT, Config
 from .errors import BadParameters, EpsilonBelowGrid, LambdaInSpectrum
-from .transforms import (
-    _require_finite,
-    _smallest_covering,
-    bidiagonal_singular_value,
-    numerical_rank,
-    opnorm,
-)
+from .transforms import _require_finite, numerical_rank, opnorm
 
 
 # -- resolvent affiliation ------------------------------------------------------
@@ -155,22 +151,6 @@ class TruncatedOperatorPair:
     k: int
     lam: np.ndarray
 
-    @property
-    def hilbert_dim(self) -> int:
-        return self.k * self.k
-
-    def decay_ok(self) -> bool:
-        """λ > 0 with anti-diagonal maxima vanishing as k+l grows."""
-        if np.any(self.lam <= 0):
-            return False
-        k = self.k
-        maxima = [self.lam[[i for i in range(k) for j in range(k)
-                            if i + j == m],
-                           [j for i in range(k) for j in range(k)
-                            if i + j == m]].max()
-                  for m in range(2 * k - 1)]
-        return bool(np.all(np.diff(maxima) <= 1e-12))
-
 
 def build_pair(k: int, identity_r: bool = False) -> TruncatedOperatorPair:
     if not (8 <= k <= 64):
@@ -201,59 +181,51 @@ def density_defect(pair: TruncatedOperatorPair, side: Side) -> float:
     and a zero column F_{K-1}.  G_0 lies in the range of the i = 1 piece
     alone for x, and of the transposed λ_0l (F_0 to G_0) alone for x*,
     so every other preimage component is optimally 0 and each problem
-    lives on that one piece: [[1, λ_1l], [0, 1]] with target row 1 for
-    x, diag(λ_0l, 0) with target row 0 for x*.  Optimal preimage
-    columns have disjoint supports, so the assembled y stays in the unit
-    ball and the columnwise optimum is exact.
+    lives on that one piece.  Optimal preimage columns have disjoint
+    supports, so the assembled y stays in the unit ball and the
+    columnwise optimum is exact.  Each piece problem has a closed form
+    or a scalar root, so no SVD is taken and no multiplier is bisected:
 
-    The K pieces go through one stacked SVD of a K x 2 x 2 array, and
-    the multipliers μ of the constrained columns are bisected together:
-    each gets its own doubling start and up to 200 halvings, which stop
-    once a halving moves no bracket end, since every later one would
-    repeat it.  An unconstrained column keeps μ = 0 and is not bisected.
+    * x*: the piece is λ = λ_0l, the best preimage is min(1, 1/|λ|) and
+      the residual (1 - |λ|)₊, so the defect is exactly
+      sqrt(mean_l (1 - |λ_0l|)₊²);
+    * x: the piece is A = [[1, λ], [0, 1]], λ = λ_1l, with target
+      e = (0, 1).  With s = 1 + μ the regularized solution
+      (AᵀA + μI)⁻¹Aᵀe is v = (-λ, s)/N, N = s² + λ²μ, which leaves the
+      unit ball at μ = 0 unless λ = 0.  So μ is the root of
+      1/‖v‖ - 1 = N/D - 1, D = sqrt(λ² + s²), which is concave in μ:
+      Newton's method from μ = 0 increases monotonically to it (Moré &
+      Sorensen, *Computing a trust region step*, SIAM J. Sci. Stat.
+      Comput. 4, 1983).  All K columns step together until no μ
+      increases.  N/D - 1 is evaluated as (N² - D²)/(D(N + D)) with
+      N² - D² = (2μ - λ²) + μ(μ + 2λ²) + a², a = μ(2 + μ + λ²), and its
+      derivative is (s³ + 3sλ² + λ⁴)/D³, so neither cancels when λ and
+      μ are small.  The residual e - Av = (-(v₀ + λv₁), 1 - v₁) is
+      μ/N·(-λ, s + λ²), taken in that form for the same reason.
     """
     k = pair.k
-    mats = np.zeros((k, 2, 2))
     if side is Side.STAR:
-        mats[:, 0, 0] = pair.lam[0]
-        target = 0
-    else:
-        mats[:, 0, 0] = mats[:, 1, 1] = 1.0
-        mats[:, 0, 1] = pair.lam[1]
-        target = 1
-    u, s, vh = np.linalg.svd(mats)
-    # Uᵀe for e the unit vector ``target`` of every piece
-    beta = u[:, target, :]
-    # null directions only lengthen the preimage, so they get weight 0
-    # (the μ ↓ 0 limit of s / (s² + μ)); this also keeps μ = 0 finite
-    live = s > 0
-
-    def gain(mu, rows=slice(None)):
-        return np.divide(s[rows], s[rows] ** 2 + mu[:, None],
-                         out=np.zeros_like(s[rows]), where=live[rows])
-
-    def too_long(mu, rows=slice(None)):
-        return np.linalg.norm(gain(mu, rows) * beta[rows], axis=1) > 1.0
-
+        gap = np.maximum(1.0 - np.abs(pair.lam[0]), 0.0)
+        return float(np.linalg.norm(gap) / np.sqrt(k))
+    lam = pair.lam[1]
+    lam2 = lam * lam
     mu = np.zeros(k)
-    rows = np.flatnonzero(too_long(mu))  # the constrained columns
-    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
-    growing = too_long(hi, rows)
-    while growing.any():
-        hi[growing] *= 2.0
-        growing &= too_long(hi, rows)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        high = too_long(mid, rows)
-        new_lo = np.where(high, mid, lo)
-        new_hi = np.where(high, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break  # a fixed point: every later halving would repeat it
-        lo, hi = new_lo, new_hi
-    mu[rows] = hi
-    v = vh.transpose(0, 2, 1) @ (gain(mu) * beta)[..., None]
-    residual = -(mats @ v)[..., 0]
-    residual[:, target] += 1.0
+    # every μ that moves increases, and one that stops moving stays put,
+    # so the loop ends once each column has reached its root in floats
+    while True:
+        s = 1.0 + mu
+        a = mu * (2.0 + mu + lam2)  # N - 1
+        d2 = lam2 + s * s
+        excess = (2.0 * mu - lam2) + mu * (mu + 2.0 * lam2) + a * a  # N² - D²
+        step = excess * d2 / ((1.0 + a + np.sqrt(d2))
+                              * (s * s * s + 3.0 * s * lam2 + lam2 * lam2))
+        moved = mu - step
+        up = moved > mu
+        if not up.any():
+            break
+        mu = np.where(up, moved, mu)
+    s = 1.0 + mu
+    residual = np.stack([-lam, s + lam2]) * (mu / (s * s + lam2 * mu))
     return float(np.linalg.norm(residual) / np.sqrt(k))
 
 
@@ -314,6 +286,90 @@ def _yx_inverse(w: WeylGrid) -> tuple:
     so R⁻¹ = I - ρ·(shift).  They are 1/(dt·|d_j|) and -ρ/(dt·|d_j|)."""
     inv = 1.0 / (w.dt * np.abs(w.d))
     return inv, -np.exp(w.beta * w.dt) * inv[:-1]
+
+
+def _smallest_covering(covers, hi: float) -> float:
+    """The smallest x in (tiny, hi] at which the monotone predicate
+    ``covers`` holds, to adjacent floats; 0 when it holds at ``tiny``.
+
+    The bracket (tiny, hi] is split at its geometric mean while its ends
+    are more than a factor 2 apart and at its midpoint after, until the
+    ends are adjacent floats: the relative width is then at most 2ε.
+    This is the bisection of the Weyl singular values and y-relations.
+    """
+    lo = float(np.finfo(float).tiny)
+    if covers(lo):
+        return 0.0
+    while True:
+        mid = (math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo
+               else 0.5 * (lo + hi))
+        if not lo < mid < hi:
+            return hi
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def _bidiagonal_singular_value(diag: np.ndarray, sup: np.ndarray,
+                               index: int) -> float:
+    """The ``index``-th smallest singular value (0 is the smallest) of the
+    upper bidiagonal B with diagonal ``diag`` and superdiagonal ``sup``,
+    by bisection on a Sturm count; no matrix is formed.  An index outside
+    [0, n) raises BadParameters.
+
+    BᵀB = LDLᵀ with D = diag(q), qᵢ = diagᵢ², and L unit lower bidiagonal,
+    so the singular values ≤ x are the negative pivots dp of
+    LDLᵀ - x²I = L₊D₊L₊ᵀ.  The differential stationary qd transform
+    (Fernando & Parlett, *Accurate singular values and differential qd
+    algorithms*, Numer. Math. 67, 1994) computes them from q and
+    eᵢ = supᵢ² alone: s₀ = -x², dpᵢ = qᵢ + sᵢ and sᵢ₊₁ = eᵢ·(sᵢ/dpᵢ) - x²,
+    n pivots where the Golub–Kahan tridiagonal of B has 2n - 1.  Each
+    count stops once more than ``index`` pivots are negative.
+
+    B is first scaled by a power of two, which is exact, so that its
+    largest entry lies in [1/2, 1); then q, e and the off-diagonal
+    entries diagᵢ·supᵢ of BᵀB are below 1, and LAPACK's pivmin
+    tiny·max(1, max offdiag²) is tiny.  A pivot smaller in modulus than
+    pivmin counts as -pivmin, as in ``dstebz``; as qᵢ < 1, |sᵢ/dpᵢ| is at
+    most 2/pivmin, and no s overflows.  Squaring the shift loses
+    singular values below about 2⁻⁵¹¹ of the largest entry, where x²
+    meets tiny; on the Weyl grid every singular value read, at the
+    ``WEYL_SCALE`` corners with M = 256 and 2048 included, is at least
+    1.3e-7 of the largest entry.  The count is bisected by
+    ``_smallest_covering`` from twice the Gershgorin bound of the
+    Golub–Kahan tridiagonal down.
+    """
+    n = len(diag)
+    if not 0 <= index < n:
+        raise BadParameters(f"singular value index {index} outside [0, {n})")
+    diag, sup = np.abs(diag), np.abs(sup)
+    top = float(max(diag.max(), sup.max(initial=0.0)))
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    diag, sup = diag * scale, sup * scale
+    pivots = list(zip((diag * diag).tolist(), [*(sup * sup).tolist(), 0.0]))
+    pivmin = float(np.finfo(float).tiny)
+
+    def exceeds(x):  # whether more than ``index`` singular values are ≤ x
+        x2 = x * x
+        s = -x2
+        count = 0
+        for q, e in pivots:
+            dp = q + s
+            if dp < pivmin:
+                count += 1
+                if count > index:
+                    return True
+                if dp > -pivmin:
+                    dp = -pivmin
+            s = e * (s / dp) - x2
+        return False
+
+    # each row of the Golub–Kahan tridiagonal holds a diagonal entry of B
+    # and a neighbouring superdiagonal one
+    padded = np.concatenate([[0.0], sup, [0.0]])
+    hi = 2.0 * float((diag + np.maximum(padded[:-1], padded[1:])).max())
+    return _smallest_covering(exceeds, hi) / scale
 
 
 def _y_relation_norm(w: WeylGrid, damped: bool) -> float:
@@ -409,9 +465,10 @@ class WeylRelationReport:
 
     def sigma_at(self, index: int) -> float:
         """σ_index(yx) = σ_index(k·|D|), 0 being the largest: 1 over the
-        index-th smallest singular value of the bidiagonal (k·|D|)⁻¹.  An
+        index-th smallest singular value of the bidiagonal (k·|D|)⁻¹,
+        bisected on the qd count of ``_bidiagonal_singular_value``.  An
         index outside [0, M) raises BadParameters."""
-        return 1.0 / bidiagonal_singular_value(*_yx_inverse(self.grid), index)
+        return 1.0 / _bidiagonal_singular_value(*_yx_inverse(self.grid), index)
 
 
 def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
@@ -446,9 +503,10 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     k = dt·R with R_jl = ρ^{l-j} for l ≥ j and ρ = e^{β·dt}, so R⁻¹ =
     I - ρ·(shift) and (dt·|D| k |D|)⁻¹ is upper bidiagonal, with diagonal
     1/(dt²|d_j|²) and superdiagonal -ρ/(dt²|d_j||d_{j+1}|): ``rel2`` is 1
-    over its smallest singular value, found by bisection
-    (``bidiagonal_singular_value``), and M is never formed.  σ(yx) comes
-    from a bidiagonal inverse too (``WeylRelationReport.sigma_at``).  The
+    over its smallest singular value, bisected on a differential qd count
+    of the M pivots of BᵀB - x²I (``_bidiagonal_singular_value``), and M
+    is never formed.  σ(yx) comes from a bidiagonal inverse too
+    (``WeylRelationReport.sigma_at``).  The
     y-relations come from a Sturm count on a tridiagonal congruent to
     |D| S |D| - σ·dt·I (``_y_relation_norm``), the raw one when
     ``rel1_y`` is first read.  No M x M matrix is formed.
@@ -460,7 +518,7 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     rel1_chain = np.abs(a2 * (ds * d) - a2 * (d * ds)).max()
     # (dt·|D| k |D|)⁻¹ = (k·|D|)⁻¹·|D|⁻¹/dt scales column j by 1/(dt·|d_j|)
     diag, sup = _yx_inverse(w)
-    rel2 = 1.0 / bidiagonal_singular_value(diag * diag, sup * diag[1:], 0)
+    rel2 = 1.0 / _bidiagonal_singular_value(diag * diag, sup * diag[1:], 0)
     return WeylRelationReport(
         rel1_x=float(rel1_x),
         rel1_x_chain=float(rel1_chain),

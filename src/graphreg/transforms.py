@@ -32,7 +32,6 @@ from . import expressions as ex
 from .config import DEFAULT, Config
 from .errors import (
     AxiomsFailed,
-    BadParameters,
     KernelNotTrivial,
     NonCommutingPair,
     NonFiniteValue,
@@ -104,88 +103,6 @@ def opnorm(m: np.ndarray):
     else:
         norms = np.zeros(m.shape[:-2])
     return float(norms) if m.ndim == 2 else norms
-
-
-def _smallest_covering(covers, hi: float) -> float:
-    """The smallest x in (tiny, hi] at which the monotone predicate
-    ``covers`` holds, to adjacent floats; 0 when it holds at ``tiny``.
-
-    The bracket (tiny, hi] is split at its geometric mean while its ends
-    are more than a factor 2 apart and at its midpoint after, until the
-    ends are adjacent floats: the relative width is then at most 2ε.
-    This is the bisection of every Sturm count in the package.
-    """
-    lo = float(np.finfo(float).tiny)
-    if covers(lo):
-        return 0.0
-    while True:
-        mid = (math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo
-               else 0.5 * (lo + hi))
-        if not lo < mid < hi:
-            return hi
-        if covers(mid):
-            hi = mid
-        else:
-            lo = mid
-
-
-def bidiagonal_singular_value(diag, sup, index: int) -> float:
-    """The ``index``-th smallest singular value (0 is the smallest) of the
-    upper bidiagonal matrix with diagonal ``diag`` and superdiagonal
-    ``sup``, by bisection; no matrix is formed.
-
-    The singular values σ of the n x n bidiagonal B are the positive
-    eigenvalues of its Golub–Kahan tridiagonal, the 2n x 2n matrix with
-    zero diagonal and off-diagonals d₀, s₀, d₁, s₁, …, d_{n-1}, whose
-    eigenvalues are ±σ.  So the Sturm count of that tridiagonal at x > 0,
-    the number of negative pivots of its LDLᵀ at shift x, is n plus the
-    number of σ ≤ x.  The pivots are recomputed in a loop of floats, and
-    one smaller in modulus than pivmin = tiny·max(1, max g²) over the
-    off-diagonals g counts as -pivmin, as in LAPACK's ``dstebz``, so no
-    pivot divides by zero or overflows.  This count determines every
-    singular value to high relative accuracy (Demmel & Kahan, *Accurate
-    singular values of bidiagonal matrices*, SIAM J. Sci. Stat. Comput.
-    11, 1990).
-
-    The matrix is first scaled by a power of two, which is exact, so
-    that its largest entry lies in [1/2, 1), and the count is bisected
-    by ``_smallest_covering`` from the Gershgorin bound down.  A
-    singular value at or below ``tiny`` of the scaled matrix reads 0, so
-    a zero one ends the search at once.  With a zero superdiagonal the
-    values are exactly the sorted |diag|.  An index outside [0, n)
-    raises BadParameters, a non-finite entry NonFiniteValue.
-    """
-    diag = np.asarray(diag, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    n = len(diag)
-    if sup.shape != (max(n - 1, 0),):
-        raise BadParameters(f"need {max(n - 1, 0)} superdiagonal entries "
-                            f"for {n} diagonal ones, got {sup.shape}")
-    if not 0 <= index < n:
-        raise BadParameters(f"singular value index {index} outside [0, {n})")
-    _require_finite("bidiagonal_singular_value", diag, sup)
-    offdiag = np.empty(2 * n - 1)
-    offdiag[0::2], offdiag[1::2] = np.abs(diag), np.abs(sup)
-    top = float(offdiag.max())
-    scale = math.ldexp(1.0, -math.frexp(top)[1]) if top else 1.0
-    offdiag = (offdiag * scale).tolist()
-    # dstebz's pivmin, tiny·max(1, max g²), is tiny as every g < 1
-    pivmin = float(np.finfo(float).tiny)
-
-    def at_most(x):  # how many singular values are ≤ x, for x ≥ pivmin
-        q = -x  # the first pivot, negative
-        count = 1 - n
-        for g in offdiag:
-            q = -x - g * (g / q)
-            if q < pivmin:
-                count += 1
-                if q > -pivmin:
-                    q = -pivmin
-        return count
-
-    # Gershgorin bounds the spectrum of the tridiagonal
-    hi = 2.0 * max(a + b for a, b in zip([0.0, *offdiag], [*offdiag, 0.0]))
-    return _smallest_covering(lambda x: at_most(x) > index, hi) / scale
 
 
 def numerical_rank(s: np.ndarray, tol: float) -> int:

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphreg import experiments
 from graphreg.algebras import constant_matrix, grid_model, matrix_algebra
@@ -17,6 +19,7 @@ from graphreg.errors import (
 from graphreg.experiments import (
     WEYL_SCALE,
     Side,
+    TruncatedOperatorPair,
     build_pair,
     density_defect,
     resolvent_affiliation_check,
@@ -25,7 +28,13 @@ from graphreg.experiments import (
     weyl_relations_check,
 )
 from graphreg.modules import nullspace, orthonormal_columns
-from graphreg.transforms import aab_forward, opnorm, polar_decompose, random_operator
+from graphreg.transforms import (
+    _require_finite,
+    aab_forward,
+    opnorm,
+    polar_decompose,
+    random_operator,
+)
 from test_modules import loop_left_mult_map
 
 RNG = np.random.default_rng(5150)
@@ -86,7 +95,7 @@ def test_affiliated_for_lambda_away_from_spectrum():
 class TestDensityDefect:
     def test_pair_invariants(self):
         pair = build_pair(8)
-        assert pair.decay_ok()
+        assert decay_ok(pair)
         assert dense_pair_x(pair).shape == (128, 128)
 
     def test_left_small_and_decreasing(self):
@@ -236,6 +245,19 @@ def dense_kernel(w):
     return kernel
 
 
+def decay_ok(pair):
+    """λ > 0 with anti-diagonal maxima vanishing as k+l grows."""
+    if np.any(pair.lam <= 0):
+        return False
+    k = pair.k
+    maxima = [pair.lam[[i for i in range(k) for j in range(k)
+                        if i + j == m],
+                       [j for i in range(k) for j in range(k)
+                        if i + j == m]].max()
+              for m in range(2 * k - 1)]
+    return bool(np.all(np.diff(maxima) <= 1e-12))
+
+
 def dense_pair_x(pair):
     k = pair.k
     n = k * k
@@ -254,7 +276,7 @@ def dense_pair_x(pair):
 def dense_density_defect(pair, side):
     x = dense_pair_x(pair)
     mat = x.conj().T if side is Side.STAR else x
-    n = pair.hilbert_dim
+    n = pair.k * pair.k
     u, s, vh = np.linalg.svd(mat)
     total = 0.0
     for l in range(pair.k):
@@ -299,8 +321,8 @@ def dense_blocks(pair):
 
 
 def blockwise_density_defect(pair, side):
-    """The density defect from one stacked SVD of the K blocks, with the
-    stacked bisection of the library."""
+    """The density defect from one stacked SVD of the K blocks, with a
+    stacked bisection of the multipliers μ."""
     k = pair.k
     mats = dense_blocks(pair)
     if side is Side.STAR:
@@ -484,8 +506,8 @@ def test_build_pair_stays_small():
 
 @pytest.mark.parametrize("side", [Side.LEFT, Side.STAR])
 def test_density_defect_peak_memory(side):
-    # a K x 2 x 2 stack; the K blocks of 2K x 2K and their stacked SVD
-    # peaked at about 24 MiB at K = 64
+    # a few length-K vectors; the K blocks of 2K x 2K and their stacked
+    # SVD peaked at about 24 MiB at K = 64
     pair = build_pair(64)
     assert traced_peak(density_defect, pair, side) < 256 * 1024
 
@@ -560,8 +582,8 @@ def test_scaled_normal_relation():
 #
 # The Weyl residuals were dense complex 2-norms with x as its diagonal,
 # and the density defect bisected one column at a time.  Both are kept
-# here as references for the real-kernel residuals and the stacked
-# bisection.
+# here as references for the real-kernel residuals and the closed-form
+# density defect.
 
 STRUCTURE_TOL = 1e-13
 
@@ -767,12 +789,10 @@ class LinalgSpy:
 
 @pytest.mark.parametrize("side", [Side.LEFT, Side.STAR])
 @pytest.mark.parametrize("k", [8, 64])
-def test_density_defect_takes_one_svd_of_two_by_two_pieces(
-        k, side, monkeypatch):
+def test_density_defect_takes_no_svd_and_no_eigensolve(k, side, monkeypatch):
     spy = LinalgSpy(monkeypatch)
     density_defect(build_pair(k), side)
-    assert [a.shape for a in spy.svd] == [(k, 2, 2)]
-    assert spy.eigvalsh == []
+    assert spy.svd == [] and spy.eigvalsh == []
 
 
 @pytest.mark.parametrize("alpha, beta, length", WEYL_SETTINGS)
@@ -864,10 +884,258 @@ def test_star_commutator_is_minus_the_transpose(alpha, beta, length, m):
 @pytest.mark.parametrize("identity_r", [False, True])
 @pytest.mark.parametrize("side", [Side.LEFT, Side.STAR])
 @pytest.mark.parametrize("k", [8, 16, 32, 64])
-def test_stacked_bisection_matches_columnwise(k, side, identity_r):
+def test_density_defect_matches_columnwise(k, side, identity_r):
     pair = build_pair(k, identity_r)
     assert_close(density_defect(pair, side),
                  columnwise_density_defect(pair, side))
+
+
+# -- closed forms and singular-value counts against their oracles -------------------
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_star_defect_is_its_closed_form(k):
+    # the best preimage of column l is min(1, 1/λ_0l), λ_0l = 1/(1 + l)
+    gap = np.maximum(1.0 - 1.0 / (1.0 + np.arange(k)), 0.0)
+    assert (density_defect(build_pair(k), Side.STAR)
+            == float(np.linalg.norm(gap) / math.sqrt(k)))
+    assert density_defect(build_pair(k, identity_r=True), Side.STAR) == 0.0
+
+
+# the columnwise oracle divides by s² for each singular value s of a
+# block, so its λ stay above 1e-150, where s² is still a normal float
+LAMBDAS = st.one_of(st.just(0.0), st.floats(1e-150, 10.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(8, 12), values=st.lists(LAMBDAS, min_size=144, max_size=144))
+@example(k=8, values=[0.0] * 144)
+@example(k=8, values=[10.0, 1.0, 0.0, 0.5] * 36)
+def test_density_defect_matches_columnwise_on_any_diagonal(k, values):
+    # λ = 0 leaves x's piece unconstrained and x*'s target out of reach;
+    # λ > 1 lets x* reach its target inside the ball
+    pair = TruncatedOperatorPair(k, np.array(values[: k * k]).reshape(k, k))
+    for side in Side:
+        assert_agrees(density_defect(pair, side),
+                      columnwise_density_defect(pair, side))
+
+
+def bidiagonal_singular_value(diag, sup, index: int) -> float:
+    """The Golub–Kahan oracle for ``experiments._bidiagonal_singular_value``:
+    the ``index``-th smallest singular value (0 is the smallest) of the
+    upper bidiagonal matrix with diagonal ``diag`` and superdiagonal
+    ``sup``, by bisection; no matrix is formed.
+
+    The singular values σ of the n x n bidiagonal B are the positive
+    eigenvalues of its Golub–Kahan tridiagonal, the 2n x 2n matrix with
+    zero diagonal and off-diagonals d₀, s₀, d₁, s₁, …, d_{n-1}, whose
+    eigenvalues are ±σ.  So the Sturm count of that tridiagonal at x > 0,
+    the number of negative pivots of its LDLᵀ at shift x, is n plus the
+    number of σ ≤ x.  The pivots are recomputed in a loop of floats, and
+    one smaller in modulus than pivmin = tiny·max(1, max g²) over the
+    off-diagonals g counts as -pivmin, as in LAPACK's ``dstebz``, so no
+    pivot divides by zero or overflows.  This count determines every
+    singular value to high relative accuracy (Demmel & Kahan, *Accurate
+    singular values of bidiagonal matrices*, SIAM J. Sci. Stat. Comput.
+    11, 1990).
+
+    The matrix is first scaled by a power of two, which is exact, so
+    that its largest entry lies in [1/2, 1), and the count is bisected
+    by ``experiments._smallest_covering`` from the Gershgorin bound down.  A
+    singular value at or below ``tiny`` of the scaled matrix reads 0, so
+    a zero one ends the search at once.  With a zero superdiagonal the
+    values are exactly the sorted |diag|.  An index outside [0, n)
+    raises BadParameters, a non-finite entry NonFiniteValue.
+    """
+    diag = np.asarray(diag, dtype=float)
+    sup = np.asarray(sup, dtype=float)
+    n = len(diag)
+    if sup.shape != (max(n - 1, 0),):
+        raise BadParameters(f"need {max(n - 1, 0)} superdiagonal entries "
+                            f"for {n} diagonal ones, got {sup.shape}")
+    if not 0 <= index < n:
+        raise BadParameters(f"singular value index {index} outside [0, {n})")
+    _require_finite("bidiagonal_singular_value", diag, sup)
+    offdiag = np.empty(2 * n - 1)
+    offdiag[0::2], offdiag[1::2] = np.abs(diag), np.abs(sup)
+    top = float(offdiag.max())
+    scale = math.ldexp(1.0, -math.frexp(top)[1]) if top else 1.0
+    offdiag = (offdiag * scale).tolist()
+    # dstebz's pivmin, tiny·max(1, max g²), is tiny as every g < 1
+    pivmin = float(np.finfo(float).tiny)
+
+    def at_most(x):  # how many singular values are ≤ x, for x ≥ pivmin
+        q = -x  # the first pivot, negative
+        count = 1 - n
+        for g in offdiag:
+            q = -x - g * (g / q)
+            if q < pivmin:
+                count += 1
+                if q > -pivmin:
+                    q = -pivmin
+        return count
+
+    # Gershgorin bounds the spectrum of the tridiagonal
+    hi = 2.0 * max(a + b for a, b in zip([0.0, *offdiag], [*offdiag, 0.0]))
+    return experiments._smallest_covering(lambda x: at_most(x) > index, hi) / scale
+
+
+
+BIDIAGONAL_SIZES = [1, 2, 3, 17, 256]
+
+
+def random_bidiagonal(n, seed):
+    """A well-scaled upper bidiagonal: entries of modulus in [1/2, 2],
+    random signs."""
+    rng = np.random.default_rng(seed)
+    entries = rng.uniform(0.5, 2.0, 2 * n - 1) * rng.choice([-1.0, 1.0], 2 * n - 1)
+    return entries[:n], entries[n:]
+
+
+def bidiagonal_values(diag, sup):
+    return [bidiagonal_singular_value(diag, sup, i) for i in range(len(diag))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
+def test_bidiagonal_singular_values_match_the_svd(n):
+    diag, sup = random_bidiagonal(n, n)
+    ref = np.linalg.svd(np.diag(diag) + np.diag(sup, 1), compute_uv=False)[::-1]
+    got = np.array(bidiagonal_values(diag, sup))
+    assert np.abs(got - ref).max() <= n * np.finfo(float).eps * ref[-1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
+def test_bidiagonal_without_superdiagonal_is_its_sorted_diagonal(n):
+    diag, _ = random_bidiagonal(n, 100 + n)
+    assert bidiagonal_values(diag, np.zeros(n - 1)) == sorted(np.abs(diag))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
+def test_bidiagonal_zero_diagonal_entry_gives_an_exact_zero(n):
+    diag, sup = random_bidiagonal(n, 200 + n)
+    diag[n // 2] = 0.0
+    ref = np.linalg.svd(np.diag(diag) + np.diag(sup, 1), compute_uv=False)[::-1]
+    got = bidiagonal_values(diag, sup)
+    assert got[0] == 0.0
+    assert np.abs(np.array(got) - ref).max() <= n * np.finfo(float).eps * ref[-1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [2.0 ** -900, 2.0 ** 900])
+def test_bidiagonal_scaling_by_a_power_of_two_is_exact(scale):
+    # neither overflows nor underflows: the pivots are those of the
+    # matrix scaled into [1/2, 1)
+    diag, sup = random_bidiagonal(17, 7)
+    assert bidiagonal_values(scale * diag, scale * sup) == [
+        scale * v for v in bidiagonal_values(diag, sup)]
+
+
+@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
+def test_bidiagonal_index_out_of_range_is_refused(n):
+    diag, sup = random_bidiagonal(n, 300 + n)
+    for index in (-1, n):
+        with pytest.raises(BadParameters, match="index"):
+            bidiagonal_singular_value(diag, sup, index)
+
+
+def test_bidiagonal_malformed_or_non_finite_is_refused():
+    with pytest.raises(BadParameters, match="superdiagonal"):
+        bidiagonal_singular_value([1.0, 2.0], [1.0, 1.0], 0)
+    with pytest.raises(NonFiniteValue, match="bidiagonal_singular_value"):
+        bidiagonal_singular_value([1.0, np.nan], [1.0], 0)
+
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
+def test_qd_count_matches_the_svd(n):
+    diag, sup = random_bidiagonal(n, n)
+    ref = np.linalg.svd(np.diag(diag) + np.diag(sup, 1), compute_uv=False)[::-1]
+    got = [experiments._bidiagonal_singular_value(diag, sup, i) for i in range(n)]
+    assert np.abs(np.array(got) - ref).max() <= n * np.finfo(float).eps * ref[-1]
+
+
+# the qd count and the Golub–Kahan count differ by O(M·ε): 3.4e-14 at
+# (α, β, L) = (1e6, -1e-6, 1e-6), M = 2048, where a 40-digit reference
+# puts them 3.1e-14 and 3.5e-15 off
+@pytest.mark.parametrize("m", [256, 2048])
+@pytest.mark.parametrize("alpha, beta, length", [*WEYL_CORNERS, *WEYL_SETTINGS])
+def test_singular_values_match_the_golub_kahan_oracle(alpha, beta, length, m):
+    w = weyl_build(alpha, beta, m, length)
+    rep = weyl_relations_check(w)
+    diag, sup = experiments._yx_inverse(w)
+    ref = 1.0 / bidiagonal_singular_value(diag * diag, sup * diag[1:], 0)
+    assert abs(rep.rel2 - ref) <= 1e-13 * ref, (rep.rel2, ref)
+    for i in sigma_indices(m):
+        ref = 1.0 / bidiagonal_singular_value(diag, sup, i)
+        assert abs(rep.sigma_at(i) - ref) <= 1e-13 * ref, (i, rep.sigma_at(i), ref)
+
+
+def decimal_bidiagonal_squares(w, commutator):
+    """The squared diagonal q and superdiagonal e of (dt·|D| k |D|)⁻¹
+    (``commutator``) or of (k·|D|)⁻¹, formed in the current decimal
+    context from g_j = 1/(dt·|d_j|)² = (t_j² + α²)/dt² and ρ² = e^{2β·dt}:
+    the first has diagonal g_j and superdiagonal -ρ·(g_j g_{j+1})^{1/2},
+    the second g_j^{1/2} and -ρ·g_j^{1/2}."""
+    dt = Decimal(w.dt)
+    rho2 = (2 * Decimal(w.beta) * dt).exp()
+    alpha2 = Decimal(w.alpha) ** 2
+    g = [(Decimal(t) ** 2 + alpha2) / (dt * dt) for t in w.t.tolist()]
+    if commutator:
+        return [x * x for x in g], [rho2 * a * b for a, b in zip(g, g[1:])]
+    return g, [rho2 * x for x in g[:-1]]
+
+
+def decimal_count_below(q, e, x2):
+    """How many eigenvalues of BᵀB lie below x²: the negative pivots of
+    the LDLᵀ of the tridiagonal BᵀB - x²I, whose diagonal is
+    q_j + e_{j-1} - x² and whose off-diagonal squares are q_j·e_j."""
+    count, p = 0, None
+    for j, qj in enumerate(q):
+        if j == 0:
+            p = qj - x2
+        else:
+            p = qj + e[j - 1] - x2 - q[j - 1] * e[j - 1] / p
+        if p < 0:
+            count += 1
+        elif p == 0:
+            p, count = Decimal("-1e-100"), count + 1
+    return count
+
+
+def decimal_singular_value(w, commutator, index, approx, steps=40):
+    """The ``index``-th smallest singular value of the bidiagonal of
+    ``decimal_bidiagonal_squares`` in 40-digit arithmetic, bisected from
+    approx·(1 ± 1e-12)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q, e = decimal_bidiagonal_squares(w, commutator)
+
+        def covers(x):
+            return decimal_count_below(q, e, x * x) > index
+
+        lo = Decimal(approx) * (1 - Decimal("1e-12"))
+        hi = Decimal(approx) * (1 + Decimal("1e-12"))
+        assert not covers(lo) and covers(hi), approx
+        for _ in range(steps):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if covers(mid) else (mid, hi)
+        return float(hi)
+
+
+@pytest.mark.parametrize("alpha, beta, length", WEYL_CORNERS)
+def test_singular_values_match_a_decimal_reference(alpha, beta, length):
+    rep = weyl_relations_check(weyl_build(alpha, beta, 256, length))
+    quarter = rep.grid.m // 4
+    for commutator, index, value in ((True, 0, rep.rel2),
+                                     (False, quarter, rep.sigma_at(quarter))):
+        ref = 1.0 / decimal_singular_value(rep.grid, commutator, index,
+                                           1.0 / value)
+        assert abs(value - ref) <= 1e-13 * ref, (commutator, value, ref)
 
 
 # -- one rank cut ------------------------------------------------------------------

@@ -7,7 +7,6 @@ from graphreg.algebras import matrix_algebra
 from graphreg.config import DEFAULT
 from graphreg.errors import (
     AxiomsFailed,
-    BadParameters,
     KernelNotTrivial,
     NonCommutingPair,
     NonFiniteValue,
@@ -23,7 +22,6 @@ from graphreg.transforms import (
     aab_inverse,
     ab_axioms_check,
     absolute_value,
-    bidiagonal_singular_value,
     bounded_transform,
     from_bounded,
     functional_calculus,
@@ -831,73 +829,6 @@ def test_opnorm_is_numpy_spectral_norm_bit_for_bit(shape, dtype):
     got, want = opnorm(m), np.linalg.norm(m, 2, axis=(-2, -1))
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert isinstance(got, float) == (len(shape) == 2)
-
-
-BIDIAGONAL_SIZES = [1, 2, 3, 17, 256]
-
-
-def random_bidiagonal(n, seed):
-    """A well-scaled upper bidiagonal: entries of modulus in [1/2, 2],
-    random signs."""
-    rng = np.random.default_rng(seed)
-    entries = rng.uniform(0.5, 2.0, 2 * n - 1) * rng.choice([-1.0, 1.0], 2 * n - 1)
-    return entries[:n], entries[n:]
-
-
-def bidiagonal_values(diag, sup):
-    return [bidiagonal_singular_value(diag, sup, i) for i in range(len(diag))]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
-def test_bidiagonal_singular_values_match_the_svd(n):
-    diag, sup = random_bidiagonal(n, n)
-    ref = np.linalg.svd(np.diag(diag) + np.diag(sup, 1), compute_uv=False)[::-1]
-    got = np.array(bidiagonal_values(diag, sup))
-    assert np.abs(got - ref).max() <= n * np.finfo(float).eps * ref[-1]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
-def test_bidiagonal_without_superdiagonal_is_its_sorted_diagonal(n):
-    diag, _ = random_bidiagonal(n, 100 + n)
-    assert bidiagonal_values(diag, np.zeros(n - 1)) == sorted(np.abs(diag))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
-def test_bidiagonal_zero_diagonal_entry_gives_an_exact_zero(n):
-    diag, sup = random_bidiagonal(n, 200 + n)
-    diag[n // 2] = 0.0
-    ref = np.linalg.svd(np.diag(diag) + np.diag(sup, 1), compute_uv=False)[::-1]
-    got = bidiagonal_values(diag, sup)
-    assert got[0] == 0.0
-    assert np.abs(np.array(got) - ref).max() <= n * np.finfo(float).eps * ref[-1]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("scale", [2.0 ** -900, 2.0 ** 900])
-def test_bidiagonal_scaling_by_a_power_of_two_is_exact(scale):
-    # neither overflows nor underflows: the pivots are those of the
-    # matrix scaled into [1/2, 1)
-    diag, sup = random_bidiagonal(17, 7)
-    assert bidiagonal_values(scale * diag, scale * sup) == [
-        scale * v for v in bidiagonal_values(diag, sup)]
-
-
-@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
-def test_bidiagonal_index_out_of_range_is_refused(n):
-    diag, sup = random_bidiagonal(n, 300 + n)
-    for index in (-1, n):
-        with pytest.raises(BadParameters, match="index"):
-            bidiagonal_singular_value(diag, sup, index)
-
-
-def test_bidiagonal_malformed_or_non_finite_is_refused():
-    with pytest.raises(BadParameters, match="superdiagonal"):
-        bidiagonal_singular_value([1.0, 2.0], [1.0, 1.0], 0)
-    with pytest.raises(NonFiniteValue, match="bidiagonal_singular_value"):
-        bidiagonal_singular_value([1.0, np.nan], [1.0], 0)
 
 
 def test_spectral_apply_on_a_stack_matches_separate_calls():
