@@ -15,6 +15,7 @@ and failed), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -434,9 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads its arguments with, built once per
+    process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = Config.load(args.config) if args.config else DEFAULT
     except (OSError, ValueError, json.JSONDecodeError) as err:

@@ -35,9 +35,12 @@ comes from x[y, Q]x since x⁻¹ = Q - αi.  On the grid T∘k - k@k = -dt·k,
 so the residual M of xy - yx is -dt·x y x and that of xy* - y*x is -Mᵀ.
 k is dt times a Toeplitz matrix whose inverse is bidiagonal, so ‖M‖ and
 each σ(yx) are read off a bidiagonal inverse, and each y-relation off a
-tridiagonal congruent to it, by bisection on Sturm counts in
-differential form over M pivots (see ``weyl_relations_check``): the
-demo forms no M x M matrix, and takes no SVD and no eigensolve.  The raw
+tridiagonal congruent to it, as roots of Sturm counts in differential
+form over M pivots: Newton steps on log|det|, whose derivative comes
+from the same pass as the count, narrow a count bracket, and two counts
+certify each root (see ``weyl_relations_check`` and
+``_certified_root``).  The demo forms no M x M matrix, and takes no SVD
+and no eigensolve.  The raw
 y-relation, which the report may not read, is counted when first read.
 The grid has between 256 and 4096 points.
 """
@@ -288,57 +291,159 @@ def _yx_inverse(w: WeylGrid) -> tuple:
     return inv, -np.exp(w.beta * w.dt) * inv[:-1]
 
 
-def _smallest_covering(covers, hi: float) -> float:
-    """The smallest x in (tiny, hi] at which the monotone predicate
-    ``covers`` holds, to adjacent floats; 0 when it holds at ``tiny``.
+# The Weyl spectra are roots of Sturm counts.  Bisection narrows a count
+# bracket to this relative width, Newton steps then run until one is this
+# small relative to the root, and each answer is certified by two counts
+# at 4ε on either side of it.
+_NEWTON_WIDTH = 2.0 ** -12
+_NEWTON_TOL = 2.0 ** -32
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# the relative slack of the bounds that start a bracket, far above their
+# rounding
+_BOUND_MARGIN = 2.0 ** -20
 
-    The bracket (tiny, hi] is split at its geometric mean while its ends
-    are more than a factor 2 apart and at its midpoint after, until the
-    ends are adjacent floats: the relative width is then at most 2ε.
-    This is the bisection of the Weyl singular values and y-relations.
-    """
-    lo = float(np.finfo(float).tiny)
-    if covers(lo):
-        return 0.0
-    while True:
-        mid = (math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo
-               else 0.5 * (lo + hi))
+
+def _split(lo: float, hi: float) -> float:
+    """The point that splits the bracket (lo, hi]: its geometric mean
+    while the ends are more than a factor 2 apart, lo read as at least
+    tiny, and its midpoint after."""
+    lo = max(lo, _TINY)
+    return math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+
+
+def _bisect(covers, lo: float, hi: float, width: float = 0.0) -> tuple:
+    """Narrow the bracket (lo, hi] of the monotone predicate ``covers``,
+    false at lo and true at hi, by splitting it until hi - lo is at most
+    width·hi or its ends are adjacent floats."""
+    while hi - lo > width * hi:
+        mid = _split(lo, hi)
         if not lo < mid < hi:
-            return hi
+            break
         if covers(mid):
             hi = mid
         else:
             lo = mid
+    return lo, hi
 
 
-def _bidiagonal_singular_value(diag: np.ndarray, sup: np.ndarray,
-                               index: int) -> float:
-    """The ``index``-th smallest singular value (0 is the smallest) of the
-    upper bidiagonal B with diagonal ``diag`` and superdiagonal ``sup``,
-    by bisection on a Sturm count; no matrix is formed.  An index outside
+def _certified_root(probe, covers, index: int, lo: float, hi: float,
+                    from_lo: bool = False) -> float:
+    """The smallest t in [lo, hi] at which more than ``index`` of the
+    eigenvalues of a symmetric pencil lie below t, to 4ε relative.
+
+    ``probe(t)`` makes one pass over the pivots of the pencil at t and
+    returns how many eigenvalues lie below t with d log|det|/dt, the sum
+    of 1/(t - λ) over the eigenvalues λ; ``covers(t)`` tells whether that
+    count exceeds ``index`` and stops as soon as it knows.  covers must
+    hold at hi.  Unless ``from_lo``, covers is asked at lo and the
+    bracket (lo, hi] is bisected to a relative width of 2⁻¹²; Newton's
+    method on log|det| then starts at its midpoint, or at lo itself when
+    ``from_lo``, which converges monotonically when the root is the
+    lowest eigenvalue above lo.  Each probe moves one end of the bracket.
+    A Newton step is taken when the count at t is ``index`` or
+    ``index + 1``, so that the nearest eigenvalue is the one sought, when
+    it stays inside the bracket, and when it is less than half the step
+    before last (as in ``rtsafe``, Press et al., *Numerical Recipes*);
+    otherwise the bracket is split.  Once the step from t is below 2⁻³²·t,
+    its end r is certified by two counts (``_certify``): covers must fail
+    at r·(1 - 4ε) and hold at r·(1 + 4ε).  When it does not, the bracket
+    is bisected to adjacent floats, as it is when a split finds its ends
+    adjacent.
+    """
+    if from_lo:
+        t = lo
+    else:
+        if covers(lo):
+            return lo
+        lo, hi = _bisect(covers, lo, hi, _NEWTON_WIDTH)
+        t = _split(lo, hi)
+    step = older = hi - lo
+    while True:
+        count, slope = probe(t)
+        if count <= index:
+            lo = t
+        elif t <= lo:  # the first probe of from_lo
+            return lo
+        else:
+            hi = t
+        delta = 1.0 / slope if slope else math.inf
+        nxt = t - delta
+        adjacent = index <= count <= index + 1
+        if adjacent and abs(delta) <= _NEWTON_TOL * t:
+            return _certify(covers, nxt, lo, hi)
+        if adjacent and lo < nxt < hi and abs(delta) < 0.5 * older:
+            older, step = step, abs(delta)
+            t = nxt
+        else:
+            t = _split(lo, hi)
+            if not lo < t < hi:
+                return hi
+            older, step = step, 0.5 * (hi - lo)
+
+
+def _certify(covers, root: float, lo: float, hi: float) -> float:
+    """``root`` when covers fails at root·(1 - 4ε) and holds at
+    root·(1 + 4ε); otherwise the bisection's answer in (lo, hi], the
+    side where covers gave the wrong answer pushed out first by widths
+    growing 16-fold."""
+    width = 4.0 * _EPS
+    below = covers(root * (1.0 - width))
+    above = covers(root * (1.0 + width))
+    if above and not below:
+        return root
+    # when covers gives one answer on both sides, it changes further out
+    # on the side of that answer: step out there until it changes
+    while above == below:
+        if below:
+            hi = min(hi, root * (1.0 - width))
+        else:
+            lo = max(lo, root * (1.0 + width))
+        width *= 16.0
+        edge = root * (1.0 - width) if below else root * (1.0 + width)
+        if not lo < edge < hi:
+            break
+        if covers(edge) != below:
+            lo, hi = (edge, hi) if below else (lo, edge)
+            break
+    return _bisect(covers, lo, hi)[1]
+
+
+def _bidiagonal_counts(diag: np.ndarray, sup: np.ndarray, index: int) -> tuple:
+    """The counts that locate the ``index``-th smallest singular value of
+    the upper bidiagonal B with diagonal ``diag`` and superdiagonal
+    ``sup``: (probe, covers, lo, hi, scale) for ``_certified_root`` in
+    the variable μ = x² of the scaled B, whose root lies in [lo, hi], and
+    the power of two ``scale`` that B was scaled by.  An index outside
     [0, n) raises BadParameters.
 
     BᵀB = LDLᵀ with D = diag(q), qᵢ = diagᵢ², and L unit lower bidiagonal,
     so the singular values ≤ x are the negative pivots dp of
-    LDLᵀ - x²I = L₊D₊L₊ᵀ.  The differential stationary qd transform
+    LDLᵀ - μI = L₊D₊L₊ᵀ.  The differential stationary qd transform
     (Fernando & Parlett, *Accurate singular values and differential qd
     algorithms*, Numer. Math. 67, 1994) computes them from q and
-    eᵢ = supᵢ² alone: s₀ = -x², dpᵢ = qᵢ + sᵢ and sᵢ₊₁ = eᵢ·(sᵢ/dpᵢ) - x²,
-    n pivots where the Golub–Kahan tridiagonal of B has 2n - 1.  Each
-    count stops once more than ``index`` pivots are negative.
+    eᵢ = supᵢ² alone: s₀ = -μ, dpᵢ = qᵢ + sᵢ and sᵢ₊₁ = eᵢ·(sᵢ/dpᵢ) - μ,
+    n pivots where the Golub–Kahan tridiagonal of B has 2n - 1.  Their
+    derivatives in μ follow in the same pass: s′₀ = -1 and
+    s′ᵢ₊₁ = eᵢqᵢ·s′ᵢ/dpᵢ² - 1, and d log|det(BᵀB - μI)|/dμ = Σ s′ᵢ/dpᵢ.
+    ``covers`` stops once more than ``index`` pivots are negative.
 
     B is first scaled by a power of two, which is exact, so that its
     largest entry lies in [1/2, 1); then q, e and the off-diagonal
     entries diagᵢ·supᵢ of BᵀB are below 1, and LAPACK's pivmin
     tiny·max(1, max offdiag²) is tiny.  A pivot smaller in modulus than
     pivmin counts as -pivmin, as in ``dstebz``; as qᵢ < 1, |sᵢ/dpᵢ| is at
-    most 2/pivmin, and no s overflows.  Squaring the shift loses
-    singular values below about 2⁻⁵¹¹ of the largest entry, where x²
-    meets tiny; on the Weyl grid every singular value read, at the
-    ``WEYL_SCALE`` corners with M = 256 and 2048 included, is at least
-    1.3e-7 of the largest entry.  The count is bisected by
-    ``_smallest_covering`` from twice the Gershgorin bound of the
-    Golub–Kahan tridiagonal down.
+    most 2/pivmin, and no s overflows.  A derivative may overflow there;
+    a NaN slope then takes no Newton step, and an infinite one has its
+    point certified.  Squaring
+    the shift loses singular values below about 2⁻⁵¹¹ of the largest
+    entry, where x² meets tiny; on the Weyl grid every singular value
+    read, at the ``WEYL_SCALE`` corners with M = 256 and 2048 included,
+    is at least 1.3e-7 of the largest entry.  hi is the square of twice
+    the Gershgorin bound of the Golub–Kahan tridiagonal.  When every
+    |supᵢ| < |diagᵢ|, B = diag(diag)·(I + N) with ‖N‖ = r = max|supᵢ/diagᵢ|
+    < 1, and σ_index(B) lies within (1 ± r) of the index-th smallest
+    |diagᵢ|: on (k·|D|)⁻¹, r = ρ.  r is raised by 2⁻²⁰ for its rounding.
     """
     n = len(diag)
     if not 0 <= index < n:
@@ -347,14 +452,15 @@ def _bidiagonal_singular_value(diag: np.ndarray, sup: np.ndarray,
     top = float(max(diag.max(), sup.max(initial=0.0)))
     scale = math.ldexp(1.0, -math.frexp(top)[1])
     diag, sup = diag * scale, sup * scale
-    pivots = list(zip((diag * diag).tolist(), [*(sup * sup).tolist(), 0.0]))
-    pivmin = float(np.finfo(float).tiny)
+    q = diag * diag
+    e = np.append(sup * sup, 0.0)
+    pivots = list(zip(q.tolist(), e.tolist(), (e * q).tolist()))
+    pivmin = _TINY
 
-    def exceeds(x):  # whether more than ``index`` singular values are ≤ x
-        x2 = x * x
-        s = -x2
+    def covers(mu):  # whether more than ``index`` singular values are ≤ √μ
+        s = -mu
         count = 0
-        for q, e in pivots:
+        for q, e, _ in pivots:
             dp = q + s
             if dp < pivmin:
                 count += 1
@@ -362,82 +468,181 @@ def _bidiagonal_singular_value(diag: np.ndarray, sup: np.ndarray,
                     return True
                 if dp > -pivmin:
                     dp = -pivmin
-            s = e * (s / dp) - x2
+            s = e * (s / dp) - mu
         return False
+
+    def probe(mu):
+        s, ds = -mu, -1.0
+        count, slope = 0, 0.0
+        for q, e, eq in pivots:
+            dp = q + s
+            if dp < pivmin:
+                count += 1
+                if dp > -pivmin:
+                    dp = -pivmin
+            r = ds / dp
+            slope += r
+            s = e * (s / dp) - mu
+            ds = eq * (r / dp) - 1.0
+        return count, slope
 
     # each row of the Golub–Kahan tridiagonal holds a diagonal entry of B
     # and a neighbouring superdiagonal one
     padded = np.concatenate([[0.0], sup, [0.0]])
     hi = 2.0 * float((diag + np.maximum(padded[:-1], padded[1:])).max())
-    return _smallest_covering(exceeds, hi) / scale
+    lo = 0.0
+    if np.all(sup < diag[:-1]):
+        # B = diag(diag)·(I + N), N_{i,i+1} = supᵢ/diagᵢ, and r = ‖N‖ < 1,
+        # so σ_index(B) lies within (1 ± r)·σ_index(diag(diag))
+        r = float((sup / diag[:-1]).max(initial=0.0)) + _BOUND_MARGIN
+        nearest = float(np.partition(diag, index)[index])
+        lo = max(1.0 - r, 0.0) * nearest
+        hi = min(hi, (1.0 + r) * nearest)
+    return probe, covers, lo * lo, hi * hi, scale
 
 
-def _y_relation_norm(w: WeylGrid, damped: bool) -> float:
-    """‖|D| S |D|‖ (``damped``) or ‖S‖ for the y-relation S = k + kᵀ +
-    2βkᵀk, the largest |eigenvalue|, by bisection on a Sturm count; S is
-    never formed.
+def _bidiagonal_singular_value(diag: np.ndarray, sup: np.ndarray,
+                               index: int) -> float:
+    """The ``index``-th smallest singular value (0 is the smallest) of the
+    upper bidiagonal B with diagonal ``diag`` and superdiagonal ``sup``,
+    a root of the qd count of ``_bidiagonal_counts`` found by
+    ``_certified_root``; no matrix is formed.  Newton's method starts
+    the smallest one at the lower end of its bracket, from which it rises
+    monotonically.  An index outside [0, n) raises BadParameters.
+    """
+    probe, covers, lo, hi, scale = _bidiagonal_counts(diag, sup, index)
+    mu = _certified_root(probe, covers, index, lo, hi, from_lo=index == 0)
+    return math.sqrt(mu) / scale
+
+
+def _y_relation_counts(w: WeylGrid, damped: bool) -> tuple:
+    """The counts that locate the extreme eigenvalues of |D| S |D|
+    (``damped``) or of S, for the y-relation S = k + kᵀ + 2βkᵀk, in units
+    of dt, for ``_certified_root``: (probe, covers, low, high) for the
+    largest eigenvalue and (probe_bottom, covers_bottom, hi) for minus the
+    smallest.  ``probe(σ)`` counts the eigenvalues below σ·dt, and
+    covers(σ) holds when every eigenvalue lies below σ·dt;
+    ``probe_bottom(σ)`` counts those above -σ·dt, and covers_bottom(σ)
+    holds when none lies at or below -σ·dt.  The largest eigenvalue lies
+    in [low, high], and hi bounds the modulus of both.  S is never formed.
 
     With k = dt·R, R⁻¹ = I - ρN (N the upper shift), c = 2β·dt and
     e = 1 - ρ² + c, S = dt·Rᵀ(R⁻ᵀR⁻¹ + E)R for E = diag(1 + c, e, …, e).
     So |D| S |D| - σ·dt·I is congruent, through C = R|D|, to the
     tridiagonal R⁻ᵀ(I - σ|D|⁻²)R⁻¹ + E, and by Sylvester's law of
     inertia its negative pivots count the eigenvalues of |D| S |D|
-    below σ·dt (|D| = I for the raw relation).  With w_j = 1 - σ/|d_j|²
-    the pivots are q_j = w_j + s_j, s₀ = 1 + c and s_j = e + ρ²·w_{j-1}
-    s_{j-1}/q_{j-1}: the differential form (Fernando & Parlett, *Accurate
-    singular values and differential qd algorithms*, Numer. Math. 67,
-    1994), which never forms the entries 2 + c and -ρ of the tridiagonal
-    and so loses nothing to their cancellation where |β|·dt is small.
-    e = -(expm1(2β·dt) - 2β·dt) keeps its digits there too.
+    below σ·dt (|D| = I for the raw relation).  With g_j = 1/|d_j|² and
+    w_j = 1 - σg_j the pivots are q_j = w_j + s_j, s₀ = 1 + c and
+    s_j = e + ρ²·w_{j-1}s_{j-1}/q_{j-1}: the differential form (Fernando
+    & Parlett, *Accurate singular values and differential qd
+    algorithms*, Numer. Math. 67, 1994), which never forms the entries
+    2 + c and -ρ of the tridiagonal and so loses nothing to their
+    cancellation where |β|·dt is small.  e = -(expm1(2β·dt) - 2β·dt)
+    keeps its digits there too.  The derivatives in σ follow in the same
+    pass: s′₀ = 0, s′ⱼ₊₁ = ρ²(s′ⱼwⱼ² - gⱼsⱼ²)/qⱼ², and
+    d log|det|/dσ = Σ (s′ⱼ - gⱼ)/qⱼ.  A pivot smaller than
+    pivmin = tiny·max(1, max w²) counts as negative and as -pivmin, so
+    |w·s/q| ≤ max|w| + 1/tiny and no s overflows; a derivative may.
 
-    Every eigenvalue lies below σ·dt when every pivot is negative, and
-    none at or below -σ·dt when every pivot at -σ is positive, so each
-    count stops at the first pivot of the other sign.  A pivot smaller
-    in modulus than pivmin = tiny·max(1, max w²) counts as of the other
-    sign, so |w·s/q| ≤ max|w| + 1/tiny and no s overflows.
-    ``_smallest_covering`` bisects the largest eigenvalue from the bound
-    ‖S‖ ≤ 2‖k‖ + 2|β|‖k‖², with ‖k‖ ≤ dt·Σ_{j<M} ρ^j by the Schur test.
-    One more count tells whether an eigenvalue lies below minus that;
-    only then is the smallest one bisected too.
+    The diagonal of S is S_jj/dt = 2 + 2x·expm1(2x(j + 1))/expm1(2x),
+    x = β·dt, times |d_j|² for |D| S |D|, and its largest entry, clipped
+    at 0, is low.  S/dt = I + RᵀER, and as e ≤ 0, E ≤ diag(1 + c, 0, …, 0):
+    the largest eigenvalue of |D| S |D|/dt is at most max|d|² plus
+    (1 + c)₊·‖|D|r₀‖² for the first row r₀ = (ρ^l) of R, and high is that
+    raised by 2⁻²⁰ for its rounding.  At the README parameters high is 2%
+    above the largest eigenvalue of the damped relation and 7% above
+    that of the raw one.  ‖|D| S |D|‖/dt ≤ 2n(1 + |x|·n)·max|d|² with
+    n = Σ_{j<M} ρ^j ≥ ‖k‖/dt by the Schur test, and hi is twice that,
+    which covers its rounding.
     """
     x = w.beta * w.dt
     rho2 = math.exp(2.0 * x)
     s0 = 1.0 + 2.0 * x
     e = -(math.expm1(2.0 * x) - 2.0 * x)
-    if damped:
-        gain = 1.0 / np.abs(w.d) ** 2
-        g_lo, g_hi = float(gain.min()), float(gain.max())
-        gain = gain.tolist()
-    else:
-        gain, g_lo, g_hi = [1.0] * w.m, 1.0, 1.0
-    # n = Σ_{j<M} ρ^j bounds ‖k‖/dt, so ‖|D| S |D|‖/dt ≤ 2n(1 + |x|·n)·max|d|²;
-    # twice that covers its rounding
+    moduli = np.abs(w.d) ** 2 if damped else np.ones(w.m)  # |d_j|²
+    gain = 1.0 / moduli
+    g_lo, g_hi = float(gain.min()), float(gain.max())
+    gain = gain.tolist()
+    columns = np.arange(w.m)
+    diagonal = 2.0 + 2.0 * x * np.expm1(2.0 * x * (columns + 1)) \
+        / math.expm1(2.0 * x)
+    low = max(float((diagonal * moduli).max()), 0.0)
+    high = (float(moduli.max()) + max(s0, 0.0)
+            * float(moduli @ np.exp(2.0 * x * columns)))
+    high *= 1.0 + _BOUND_MARGIN
     n = math.expm1(w.m * x) / math.expm1(x)
     hi = 4.0 * n * (1.0 - x * n) / g_lo
-    tiny = float(np.finfo(float).tiny)
 
-    def definite(shift, sign):
-        # whether every pivot at σ = shift has the sign ``sign`` and a
-        # modulus of at least pivmin: the first one that has not ends it
-        pivmin = tiny * max(1.0, (1.0 - shift * g_lo) ** 2,
-                            (1.0 - shift * g_hi) ** 2)
+    def pivmin(sigma):
+        return _TINY * max(1.0, (1.0 - sigma * g_lo) ** 2,
+                           (1.0 - sigma * g_hi) ** 2)
+
+    def covers(sigma):
+        # whether every pivot at σ is negative: the first that is not ends it
+        pm = pivmin(sigma)
         s = s0
         for g in gain:
-            wj = 1.0 - shift * g
+            wj = 1.0 - sigma * g
             q = wj + s
-            if sign * q < pivmin:
+            if q > -pm:
+                if q >= pm:
+                    return False
+                q = -pm
+            s = e + rho2 * wj * (s / q)
+        return True
+
+    def covers_bottom(sigma):
+        # whether every pivot at -σ is positive: the first that is not ends it
+        pm = pivmin(-sigma)
+        s = s0
+        for g in gain:
+            wj = 1.0 + sigma * g
+            q = wj + s
+            if q < pm:
                 return False
             s = e + rho2 * wj * (s / q)
         return True
 
-    def none_below(sigma):  # no eigenvalue at or below -σ·dt
-        return definite(-sigma, 1.0)
+    def probe(sigma):
+        pm = pivmin(sigma)
+        s, ds = s0, 0.0
+        count, slope = 0, 0.0
+        for g in gain:
+            wj = 1.0 - sigma * g
+            q = wj + s
+            if q < pm:
+                count += 1
+                if q > -pm:
+                    q = -pm
+            slope += (ds - g) / q
+            r = s / q
+            u = 1.0 - r  # w_j/q_j
+            ds = rho2 * (ds * u * u - g * r * r)
+            s = e + rho2 * wj * r
+        return count, slope
 
-    # the largest eigenvalue, then the smallest if it is larger in modulus
-    top = _smallest_covering(lambda sigma: definite(sigma, -1.0), hi)
-    if not none_below(top):
-        top = _smallest_covering(none_below, hi)
-    return top * w.dt
+    def probe_bottom(sigma):  # the count above -σ·dt rises with σ
+        count, slope = probe(-sigma)
+        return w.m - count, -slope
+
+    return (probe, covers, low, high), (probe_bottom, covers_bottom, hi)
+
+
+def _y_relation_norm(w: WeylGrid, damped: bool) -> float:
+    """‖|D| S |D|‖ (``damped``) or ‖S‖ for the y-relation S = k + kᵀ +
+    2βkᵀk, the largest |eigenvalue|, from the counts of
+    ``_y_relation_counts`` by ``_certified_root``; S is never formed.
+
+    The largest eigenvalue is found in [low, high] first.  The norm is
+    then the smallest σ at or above it at which no eigenvalue lies at or
+    below -σ·dt: ``_certified_root`` asks that of the largest eigenvalue
+    with one count, and goes on to the smallest eigenvalue only when it
+    is the larger in modulus.
+    """
+    (probe, covers, low, high), (probe_bottom, covers_bottom, hi) = \
+        _y_relation_counts(w, damped)
+    top = _certified_root(probe, covers, w.m - 1, low, high)
+    return _certified_root(probe_bottom, covers_bottom, w.m - 1, top, hi) * w.dt
 
 
 @dataclass
@@ -465,9 +670,9 @@ class WeylRelationReport:
 
     def sigma_at(self, index: int) -> float:
         """σ_index(yx) = σ_index(k·|D|), 0 being the largest: 1 over the
-        index-th smallest singular value of the bidiagonal (k·|D|)⁻¹,
-        bisected on the qd count of ``_bidiagonal_singular_value``.  An
-        index outside [0, M) raises BadParameters."""
+        index-th smallest singular value of the bidiagonal (k·|D|)⁻¹, a
+        root of the qd count of ``_bidiagonal_singular_value``.  An index
+        outside [0, M) raises BadParameters."""
         return 1.0 / _bidiagonal_singular_value(*_yx_inverse(self.grid), index)
 
 
@@ -503,7 +708,7 @@ def weyl_relations_check(w: WeylGrid) -> WeylRelationReport:
     k = dt·R with R_jl = ρ^{l-j} for l ≥ j and ρ = e^{β·dt}, so R⁻¹ =
     I - ρ·(shift) and (dt·|D| k |D|)⁻¹ is upper bidiagonal, with diagonal
     1/(dt²|d_j|²) and superdiagonal -ρ/(dt²|d_j||d_{j+1}|): ``rel2`` is 1
-    over its smallest singular value, bisected on a differential qd count
+    over its smallest singular value, a root of a differential qd count
     of the M pivots of BᵀB - x²I (``_bidiagonal_singular_value``), and M
     is never formed.  σ(yx) comes from a bidiagonal inverse too
     (``WeylRelationReport.sigma_at``).  The

@@ -136,6 +136,36 @@ def test_counterdensity_experiment_single_k():
     assert results["control"]["star_identity_r"] < 1e-8
 
 
+def test_main_builds_its_parser_once_and_keeps_no_state(monkeypatch, capsys):
+    from graphreg import cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    argv = ["experiment", "--which", "counterdensity", "--K", "8"]
+    try:
+        assert cli.main(["--seed", "7", *argv]) == 0
+        first = json.loads(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["experiment", "--which", "nothing"])
+        assert usage.value.code == 1
+        assert cli.main(argv) == 0
+        second = json.loads(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    # neither a parsed value nor a usage error carries over to the next call
+    assert (first["seed"], second["seed"]) == (7, 0)
+    assert first["results"] == second["results"]
+
+
 def test_bad_experiment_parameters_are_input_errors():
     run_cli("experiment", "--which", "counterdensity", "--K", "4", expect=1)
     run_cli("experiment", "--which", "weyl", "--beta", "1.0", expect=1)

@@ -273,6 +273,21 @@ def dense_pair_x(pair):
     return np.block([[s, r], [np.zeros((n, n), dtype=complex), s.conj().T]])
 
 
+def trust_region_gain(s, mu):
+    """s/(s² + μ) for every singular value s > 0 and 0 for s = 0, taken
+    as 1/(s + μ/s), which squares nothing: s² underflows to 0 for s below
+    about 1e-154, and s/(s² + μ) then divides by zero at μ = 0."""
+    live = s > 0
+    ratio = np.divide(mu, s, out=np.zeros_like(s), where=live)
+    return np.divide(1.0, s + ratio, out=np.zeros_like(s), where=live)
+
+
+def vector_norm(vec):
+    """‖vec‖ by ``math.hypot``, which scales its arguments: a gain near
+    1/tiny overflows the squares that ``np.linalg.norm`` sums."""
+    return math.hypot(*np.abs(vec).ravel().tolist())
+
+
 def dense_density_defect(pair, side):
     x = dense_pair_x(pair)
     mat = x.conj().T if side is Side.STAR else x
@@ -285,8 +300,7 @@ def dense_density_defect(pair, side):
         beta = u.conj().T @ e
 
         def vnorm(mu):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return float(np.linalg.norm(s / (s ** 2 + mu) * beta))
+            return vector_norm(trust_region_gain(s, mu) * beta)
 
         if vnorm(0.0) <= 1.0:
             mu = 0.0
@@ -301,7 +315,7 @@ def dense_density_defect(pair, side):
                 else:
                     hi = mid
             mu = hi
-        v = vh.conj().T @ (s / (s ** 2 + mu) * beta)
+        v = vh.conj().T @ (trust_region_gain(s, mu) * beta)
         total += float(np.linalg.norm(e - mat @ v) ** 2)
     return float(np.sqrt(total) / np.sqrt(pair.k))
 
@@ -329,14 +343,13 @@ def blockwise_density_defect(pair, side):
         mats = mats.transpose(0, 2, 1)
     u, s, vh = np.linalg.svd(mats)
     beta = u[:, k, :]  # Uᵀe for e = G_0, the target of every block
-    live = s > 0
 
     def gain(mu, rows=slice(None)):
-        return np.divide(s[rows], s[rows] ** 2 + mu[:, None],
-                         out=np.zeros_like(s[rows]), where=live[rows])
+        return trust_region_gain(s[rows], mu[:, None])
 
     def too_long(mu, rows=slice(None)):
-        return np.linalg.norm(gain(mu, rows) * beta[rows], axis=1) > 1.0
+        return np.array([vector_norm(v) > 1.0
+                         for v in gain(mu, rows) * beta[rows]], dtype=bool)
 
     mu = np.zeros(k)
     rows = np.flatnonzero(too_long(mu))
@@ -636,13 +649,12 @@ def columnwise_density_defect(pair, side):
             mat = mat.conj().T
         u, s, vh = np.linalg.svd(mat)
         beta = u.conj().T @ e
-        live = s > 0
 
         def gain(mu):
-            return np.divide(s, s ** 2 + mu, out=np.zeros_like(s), where=live)
+            return trust_region_gain(s, mu)
 
         def vnorm(mu):
-            return float(np.linalg.norm(gain(mu) * beta))
+            return vector_norm(gain(mu) * beta)
 
         if vnorm(0.0) <= 1.0:
             mu = 0.0
@@ -902,9 +914,9 @@ def test_star_defect_is_its_closed_form(k):
     assert density_defect(build_pair(k, identity_r=True), Side.STAR) == 0.0
 
 
-# the columnwise oracle divides by s² for each singular value s of a
-# block, so its λ stay above 1e-150, where s² is still a normal float
-LAMBDAS = st.one_of(st.just(0.0), st.floats(1e-150, 10.0))
+# every normal float up to 10: the oracles' gain 1/(s + μ/s) squares no
+# singular value, so λ = |s| down to tiny divides by no zero
+LAMBDAS = st.one_of(st.just(0.0), st.floats(float(np.finfo(float).tiny), 10.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -912,6 +924,7 @@ LAMBDAS = st.one_of(st.just(0.0), st.floats(1e-150, 10.0))
 @given(k=st.integers(8, 12), values=st.lists(LAMBDAS, min_size=144, max_size=144))
 @example(k=8, values=[0.0] * 144)
 @example(k=8, values=[10.0, 1.0, 0.0, 0.5] * 36)
+@example(k=8, values=[1.1e-308, 0.5, float(np.finfo(float).tiny)] * 48)
 def test_density_defect_matches_columnwise_on_any_diagonal(k, values):
     # λ = 0 leaves x's piece unconstrained and x*'s target out of reach;
     # λ > 1 lets x* reach its target inside the ball
@@ -919,6 +932,30 @@ def test_density_defect_matches_columnwise_on_any_diagonal(k, values):
     for side in Side:
         assert_agrees(density_defect(pair, side),
                       columnwise_density_defect(pair, side))
+
+
+def smallest_covering(covers, hi: float) -> float:
+    """The smallest x in (tiny, hi] at which the monotone predicate
+    ``covers`` holds, to adjacent floats; 0 when it holds at ``tiny``.
+
+    The bracket (tiny, hi] is split at its geometric mean while its ends
+    are more than a factor 2 apart and at its midpoint after, until the
+    ends are adjacent floats: the relative width is then at most 2ε.
+    This is the bisection of the oracles below, and the one that
+    ``experiments._certified_root`` must agree with.
+    """
+    lo = float(np.finfo(float).tiny)
+    if covers(lo):
+        return 0.0
+    while True:
+        mid = (math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo
+               else 0.5 * (lo + hi))
+        if not lo < mid < hi:
+            return hi
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def bidiagonal_singular_value(diag, sup, index: int) -> float:
@@ -942,7 +979,7 @@ def bidiagonal_singular_value(diag, sup, index: int) -> float:
 
     The matrix is first scaled by a power of two, which is exact, so
     that its largest entry lies in [1/2, 1), and the count is bisected
-    by ``experiments._smallest_covering`` from the Gershgorin bound down.  A
+    by ``smallest_covering`` from the Gershgorin bound down.  A
     singular value at or below ``tiny`` of the scaled matrix reads 0, so
     a zero one ends the search at once.  With a zero superdiagonal the
     values are exactly the sorted |diag|.  An index outside [0, n)
@@ -978,7 +1015,7 @@ def bidiagonal_singular_value(diag, sup, index: int) -> float:
 
     # Gershgorin bounds the spectrum of the tridiagonal
     hi = 2.0 * max(a + b for a, b in zip([0.0, *offdiag], [*offdiag, 0.0]))
-    return experiments._smallest_covering(lambda x: at_most(x) > index, hi) / scale
+    return smallest_covering(lambda x: at_most(x) > index, hi) / scale
 
 
 
@@ -1057,6 +1094,197 @@ def test_qd_count_matches_the_svd(n):
     ref = np.linalg.svd(np.diag(diag) + np.diag(sup, 1), compute_uv=False)[::-1]
     got = [experiments._bidiagonal_singular_value(diag, sup, i) for i in range(n)]
     assert np.abs(np.array(got) - ref).max() <= n * np.finfo(float).eps * ref[-1]
+
+
+# -- the certified root finder ---------------------------------------------------
+
+
+EPS = float(np.finfo(float).eps)
+# the root finder certifies its root to 4ε on either side, and the bisection
+# lands within 2ε of the same count's change of sign
+ROOT_TOL = 8 * EPS
+
+
+def bisected_singular_value(diag, sup, index):
+    """The qd count of ``experiments._bidiagonal_counts`` bisected to
+    adjacent floats in x = √μ, as the experiments did before ``_certified_root``."""
+    _, covers, _, hi, scale = experiments._bidiagonal_counts(diag, sup, index)
+    return smallest_covering(lambda x: covers(x * x), math.sqrt(hi)) / scale
+
+
+def bisected_y_relation(w, damped):
+    """The y-relation counts of ``experiments._y_relation_counts``
+    bisected to adjacent floats: the largest eigenvalue, then the
+    smallest when it is the larger in modulus."""
+    (_, covers_top, _, _), (_, covers_bottom, hi) = \
+        experiments._y_relation_counts(w, damped)
+    top = smallest_covering(covers_top, hi)
+    if not covers_bottom(top):
+        top = smallest_covering(covers_bottom, hi)
+    return top * w.dt
+
+
+def assert_within_root_tol(value, ref):
+    assert abs(value - ref) <= ROOT_TOL * ref, (value, ref,
+                                                  (value - ref) / ref / EPS)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", BIDIAGONAL_SIZES)
+def test_certified_root_matches_bisection_at_every_index(n):
+    diag, sup = random_bidiagonal(n, 400 + n)
+    for i in range(n):
+        assert_within_root_tol(
+            experiments._bidiagonal_singular_value(diag, sup, i),
+            bisected_singular_value(diag, sup, i))
+
+
+# worst 4.8ε at M = 256 and 5.8ε at M = 2048
+@pytest.mark.parametrize("m", [256, 2048])
+@pytest.mark.parametrize("alpha, beta, length", [*WEYL_CORNERS, *WEYL_SETTINGS])
+def test_weyl_spectra_match_bisection(alpha, beta, length, m):
+    rep = weyl_relations_check(weyl_build(alpha, beta, m, length))
+    diag, sup = experiments._yx_inverse(rep.grid)
+    assert_within_root_tol(
+        rep.rel2, 1.0 / bisected_singular_value(diag * diag, sup * diag[1:], 0))
+    for i in sigma_indices(rep.grid.m):
+        assert_within_root_tol(rep.sigma_at(i),
+                                 1.0 / bisected_singular_value(diag, sup, i))
+    assert_within_root_tol(rep.rel1_y_damped,
+                             bisected_y_relation(rep.grid, True))
+    assert_within_root_tol(rep.rel1_y, bisected_y_relation(rep.grid, False))
+
+
+# a predicate that changes at ROOT exactly, with a probe whose Newton
+# steps head for ``target``: for target = ROOT they are right, for any
+# other they mislead the root finder
+ROOT = 1.2345678901234567
+
+
+def covers_root(t):
+    return t >= ROOT
+
+
+def misleading_probe(target, far=1e3):
+    """Count and d log|det|/dt of (t - target)(t - far): Newton's method
+    rises monotonically from 0 to target."""
+    def probe(t):
+        slope = (math.inf if t == target
+                 else 1.0 / (t - target) + 1.0 / (t - far))
+        return int(covers_root(t)), slope
+    return probe
+
+
+def test_right_newton_steps_need_no_bisection():
+    calls = []
+    probe = misleading_probe(ROOT)
+
+    def counted_probe(t):
+        calls.append("probe")
+        return probe(t)
+
+    def counted_covers(t):
+        calls.append("covers")
+        return covers_root(t)
+
+    got = experiments._certified_root(counted_probe, counted_covers, 0,
+                                      0.0, 10.0, from_lo=True)
+    assert abs(got - ROOT) <= 4 * EPS * ROOT
+    # a handful of Newton probes, then at most the two counts of the
+    # certificate: no bisection
+    assert calls.count("covers") <= 2 and len(calls) <= 10, calls
+
+
+@pytest.mark.parametrize("offset", [-1e-12, -1e-6])
+def test_root_falls_back_to_bisection_when_the_certificate_fails_above(offset):
+    # Newton converges to a point below the root, where covers fails on
+    # both sides: the bracket is pushed up and bisected
+    probe = misleading_probe(ROOT * (1 + offset))
+    got = experiments._certified_root(probe, covers_root, 0, 0.0, 10.0,
+                                      from_lo=True)
+    assert got == ROOT == smallest_covering(covers_root, 10.0)
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1e-6])
+def test_certificate_that_fails_below_falls_back_to_bisection(offset):
+    # covers holds on both sides of the estimate: the root lies below it
+    got = experiments._certify(covers_root, ROOT * (1 + offset), 1.0, 10.0)
+    assert got == ROOT
+
+
+def test_certificate_that_fails_above_falls_back_to_bisection():
+    got = experiments._certify(covers_root, ROOT * (1 - 1e-9), 1.0, 10.0)
+    assert got == ROOT
+
+
+def test_certificate_that_holds_keeps_the_estimate():
+    estimate = ROOT * (1 + 2 * EPS)
+    assert experiments._certify(covers_root, estimate, 1.0, 10.0) == estimate
+
+
+def test_root_without_a_slope_is_the_bisection():
+    # a probe with no finite slope forces every step to be a split, and
+    # the splits are those of the oracle bisection
+    def probe(t):
+        return int(covers_root(t)), math.nan
+
+    for from_lo in (False, True):
+        got = experiments._certified_root(probe, covers_root, 0, 0.0, 10.0,
+                                          from_lo=from_lo)
+        assert got == ROOT == smallest_covering(covers_root, 10.0)
+
+
+@pytest.mark.parametrize("alpha, beta, length", WEYL_SETTINGS)
+def test_weyl_spectra_without_newton_steps_are_the_bisection(
+        alpha, beta, length, monkeypatch):
+    # every probe of the Weyl counts loses its slope, so the root finder only
+    # splits brackets; its answers are still the bisection's
+    certified_root = experiments._certified_root
+
+    def no_slope(probe, covers, index, lo, hi, from_lo=False):
+        return certified_root(lambda t: (probe(t)[0], math.nan), covers, index, lo,
+                      hi, from_lo)
+
+    monkeypatch.setattr(experiments, "_certified_root", no_slope)
+    rep = weyl_relations_check(weyl_build(alpha, beta, 256, length))
+    diag, sup = experiments._yx_inverse(rep.grid)
+    assert_within_root_tol(
+        rep.rel2, 1.0 / bisected_singular_value(diag * diag, sup * diag[1:], 0))
+    assert_within_root_tol(rep.sigma_at(64),
+                             1.0 / bisected_singular_value(diag, sup, 64))
+    assert_within_root_tol(rep.rel1_y_damped,
+                             bisected_y_relation(rep.grid, True))
+    assert_within_root_tol(rep.rel1_y, bisected_y_relation(rep.grid, False))
+
+
+# one `experiment --which weyl --M 512` run reads six Weyl spectra, on the
+# grids of 512 and 1024 points; bisection to adjacent floats took 379
+# pivot passes for them
+WEYL_PASS_BUDGET = 160
+
+
+def test_weyl_experiment_pass_budget(monkeypatch, tmp_path):
+    from graphreg import cli
+
+    passes = []
+    certified_root = experiments._certified_root
+
+    def counting(probe, covers, index, lo, hi, from_lo=False):
+        def counted_probe(t):
+            passes.append("probe")
+            return probe(t)
+
+        def counted_covers(t):
+            passes.append("covers")
+            return covers(t)
+
+        return certified_root(counted_probe, counted_covers, index, lo, hi, from_lo)
+
+    monkeypatch.setattr(experiments, "_certified_root", counting)
+    out = tmp_path / "weyl.json"
+    assert cli.main(["--quiet", "--json", str(out), "experiment", "--which",
+                     "weyl", "--M", "512"]) == 0
+    assert 0 < len(passes) <= WEYL_PASS_BUDGET, len(passes)
 
 
 # the qd count and the Golub–Kahan count differ by O(M·ε): 3.4e-14 at
