@@ -15,15 +15,14 @@ and failed), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
 import re
 import sys
 
-import numpy as np
-
-from . import __version__, catalog
+from . import __version__
 from .config import ARRAY_BUDGET, COMPLEX_BYTES, DEFAULT, Config
 from .errors import (
     BadParameters,
@@ -33,23 +32,20 @@ from .errors import (
     InconclusiveClassification,
     InputError,
 )
-from .expressions import evaluate, parse_expression
 
-# Each command imports the layers it runs inside its handler, so that a
-# process loads only those.
+# Each command imports the layers it runs inside its handler, numpy
+# included, so that a process loads only those.
 
 SCHEMA = 1
 
 
 def _complexish(value):
+    """Plain JSON types: a complex as [re, im], and numpy scalars and
+    arrays, which have ``tolist``, as Python numbers and lists."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_complexish(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _complexish(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -77,9 +73,13 @@ def make_report(args, command: str, results: dict, cfg: Config) -> dict:
     }
 
 
-def parse_poly(text: str, cfg: Config) -> np.ndarray:
-    """Polynomial from either comma-separated coefficients or an
-    expression in one variable, e.g. ``1-z``."""
+def parse_poly(text: str, cfg: Config):
+    """Polynomial coefficients, as an ndarray, from either comma-separated
+    coefficients or an expression in one variable, e.g. ``1-z``."""
+    import numpy as np
+
+    from .expressions import evaluate, parse_expression
+
     text = text.strip()
     try:
         if all(c in "0123456789+-.eEj, " for c in text) and "," in text:
@@ -115,7 +115,9 @@ def check_parameter(name: str, value, lo=None, hi=None):
     given); otherwise BadParameters, which exits 1.  Sizes and numbers the
     library does not range-check itself go through here before anything
     is computed from them."""
-    if (not np.isfinite(value) or (lo is not None and not value >= lo)
+    # an int is finite however large, and too large for cmath
+    finite = isinstance(value, int) or cmath.isfinite(value)
+    if (not finite or (lo is not None and not value >= lo)
             or (hi is not None and not value <= hi)):
         bound = "" if lo is None else f" and at least {lo}"
         bound += "" if hi is None else f" and at most {hi}"
@@ -130,6 +132,8 @@ def cmd_analyze(args, cfg: Config) -> tuple:
     from .symbols import regularity_report, symbol_from_dict, symbol_to_dict
 
     if args.catalog:
+        from . import catalog
+
         sym = catalog.get(args.catalog)
         source = f"catalog:{args.catalog}"
     else:
@@ -149,6 +153,8 @@ def cmd_analyze(args, cfg: Config) -> tuple:
 
 
 def cmd_transform(args, cfg: Config) -> tuple:
+    import numpy as np
+
     from .transforms import (
         aab_forward,
         aab_inverse,
@@ -222,6 +228,8 @@ def cmd_transform(args, cfg: Config) -> tuple:
         }
         ok = all(r < 1e-9 * scale for r in results["residuals"].values())
     elif args.op == "calc":
+        from .expressions import parse_expression
+
         f = parse_expression(args.f)
         beta = check_parameter("--beta", complex(args.beta))
         out = functional_calculus(triple, f, beta,
@@ -329,6 +337,8 @@ def cmd_experiment(args, cfg: Config) -> tuple:
             ],
         }, 0
     if which == "resolvent":
+        import numpy as np
+
         from .algebras import constant_matrix, grid_model, matrix_algebra
         from .experiments import resolvent_affiliation_check
         from .transforms import random_operator
@@ -351,6 +361,25 @@ def cmd_experiment(args, cfg: Config) -> tuple:
         t, pattern = oscillating_column_example()
         return matrix_symbol_op(t, pattern, cfg).to_dict(), 0
     raise ValueError(f"unknown experiment {which!r}")
+
+
+class _CatalogNames:
+    """The names of the catalog symbols, for ``--catalog``'s choices.
+
+    argparse asks for them only to check a given value or to list them
+    in a message, so the catalog, and the symbol layer under it, is
+    loaded then and not when the parser is built.
+    """
+
+    def __contains__(self, name) -> bool:
+        from . import catalog
+
+        return name in catalog.names()
+
+    def __iter__(self):
+        from . import catalog
+
+        return iter(catalog.names())
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -398,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common])
     g = a.add_mutually_exclusive_group(required=True)
     g.add_argument("symbol", nargs="?", help="symbol JSON file")
-    g.add_argument("--catalog", choices=catalog.names())
+    # a metavar keeps argparse from listing the choices while it builds
+    g.add_argument("--catalog", choices=_CatalogNames(), metavar="NAME",
+                   help="a built-in symbol: %(choices)s")
 
     t = sub.add_parser("transform", help="run operator transforms",
                        parents=[common])

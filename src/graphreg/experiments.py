@@ -161,7 +161,8 @@ def build_pair(k: int, identity_r: bool = False) -> TruncatedOperatorPair:
     if identity_r:
         lam = np.ones((k, k))
     else:
-        lam = np.array([[1.0 / (1 + i + j) for j in range(k)] for i in range(k)])
+        i = np.arange(k)
+        lam = 1.0 / (1 + np.add.outer(i, i))
     return TruncatedOperatorPair(k, lam)
 
 
@@ -509,7 +510,13 @@ def _bidiagonal_singular_value(diag: np.ndarray, sup: np.ndarray,
     ``_certified_root``; no matrix is formed.  Newton's method starts
     the smallest one at the lower end of its bracket, from which it rises
     monotonically.  An index outside [0, n) raises BadParameters.
+
+    A diagonal B needs no count: its singular values are the |diagᵢ|.  On
+    the Weyl grid every supᵢ is 0 where ρ = e^{β·dt} underflows, as at
+    β = -1e6, L = 1e6.
     """
+    if not np.any(sup) and 0 <= index < len(diag):
+        return float(np.partition(np.abs(diag), index)[index])
     probe, covers, lo, hi, scale = _bidiagonal_counts(diag, sup, index)
     mu = _certified_root(probe, covers, index, lo, hi, from_lo=index == 0)
     return math.sqrt(mu) / scale
@@ -765,12 +772,14 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
     Each A ω is a chain of matrix-vector products, x acting as its
     diagonal and y = -i·k through the real kernel k, applied to the real
     and imaginary parts of a vector by the backward recurrence of
-    ``_kernel_times``: neither k nor y is formed.
+    ``_kernel_times``: neither k nor y is formed.  k is upper triangular
+    and ω lives on the window's cells, so the entries of each A ω on the
+    window depend only on entries on the window, and the averages are
+    computed on vectors of the window's length.
     """
     if not -w.length <= lam <= w.length:
         raise BadParameters(f"lam must lie on the grid [-L, L], got {lam}")
     rows = []
-    d = w.d
 
     def y(vec):  # y @ vec
         if np.iscomplexobj(vec):
@@ -788,8 +797,8 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
         j0 = int(np.searchsorted(w.t, lam))
         if j0 + cells > w.m:
             raise BadParameters("window leaves the grid")
-        omega = np.zeros(w.m)
-        omega[j0 : j0 + cells] = 1.0
+        d = w.d[j0 : j0 + cells]
+        omega = np.ones(cells)
         omega /= np.sqrt(cells * w.dt)
 
         def avg(vec):  # ⟨A ω, ω⟩ for vec = A ω

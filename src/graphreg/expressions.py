@@ -18,10 +18,10 @@ may use only one variable name.
 
 from __future__ import annotations
 
+import operator
 import re
 
-import numpy as np
-
+from . import complexmath as cm
 from .errors import ExprSyntaxError
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "conj", "abs")
@@ -271,47 +271,121 @@ def substitute(ast, replacement):
 
 
 def evaluate(ast, x):
-    """Evaluate an AST at ``x`` (scalar or ndarray), complex binary64.
+    """Evaluate an AST at ``x`` in complex binary64.
+
+    A number gives a complex and a list or tuple of numbers a list of
+    complex.  Both are evaluated node by node over a list with
+    ``complexmath`` and need no numpy.  An ndarray gives an ndarray from
+    numpy's ufuncs.  The two paths give the same values, bit for bit but
+    for complex products, squares and moduli (see ``complexmath``).  A
+    node that is the operand of more than one node, as the t of
+    ``abs2(t)`` is, is evaluated once.  The list path keeps the values of
+    every node until it is done, the array path only those of such
+    shared nodes.
 
     Division by zero and overflow produce inf/nan silently; callers sample
     open intervals where the expression is finite.
     """
+    if isinstance(x, (int, float, complex)):
+        return _eval_list(ast, [complex(x)], {})[0]
+    if isinstance(x, (list, tuple)):
+        return _eval_list(ast, [complex(v) for v in x], {})
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _eval(ast, x)
+        return _eval_array(ast, x, _shared(ast))
 
 
-def _eval(ast, x):
+def _operands(ast) -> tuple:
+    kind = ast[0]
+    if kind in ("+", "-", "*", "/"):
+        return ast[1], ast[2]
+    if kind in ("neg", "pow"):
+        return ast[1],
+    if kind == "call":
+        return ast[2],
+    return ()
+
+
+def _shared(ast) -> dict:
+    """{id: None} for every node of ``ast`` that is an operand of more than
+    one node; the evaluators put its value there once they have it."""
+    seen, shared, stack = set(), {}, [ast]
+    while stack:
+        for node in _operands(stack.pop()):
+            if id(node) in seen:
+                shared[id(node)] = None
+            else:
+                seen.add(id(node))
+                stack.append(node)
+    return shared
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": cm.div}
+_CALLS = {"exp": cm.exp, "sin": cm.sin, "cos": cm.cos, "sqrt": cm.sqrt,
+          "conj": complex.conjugate, "abs": lambda z: complex(cm.modulus(z))}
+
+
+def _eval_list(ast, xs: list, memo: dict) -> list:
+    """The values of ``ast`` at the points ``xs``; ``memo`` keeps those of
+    the nodes evaluated so far, by identity."""
+    done = memo.get(id(ast))
+    if done is not None:
+        return done
     kind = ast[0]
     if kind == "num":
-        return np.broadcast_to(np.asarray(ast[1]), x.shape).copy() if x.shape else ast[1]
-    if kind == "var":
-        return x
-    if kind == "+":
-        return _eval(ast[1], x) + _eval(ast[2], x)
-    if kind == "-":
-        return _eval(ast[1], x) - _eval(ast[2], x)
-    if kind == "*":
-        return _eval(ast[1], x) * _eval(ast[2], x)
-    if kind == "/":
-        return _eval(ast[1], x) / _eval(ast[2], x)
-    if kind == "neg":
-        return -_eval(ast[1], x)
-    if kind == "pow":
-        return _eval(ast[1], x) ** ast[2]
-    if kind == "call":
-        v = _eval(ast[2], x)
+        out = [ast[1]] * len(xs)
+    elif kind == "var":
+        out = xs
+    elif kind in _BINARY:
+        out = list(map(_BINARY[kind], _eval_list(ast[1], xs, memo),
+                       _eval_list(ast[2], xs, memo)))
+    elif kind == "neg":
+        out = list(map(operator.neg, _eval_list(ast[1], xs, memo)))
+    elif kind == "pow":
+        n = ast[2]
+        out = [cm.power(v, n) for v in _eval_list(ast[1], xs, memo)]
+    elif kind == "call" and ast[1] in _CALLS:
+        out = list(map(_CALLS[ast[1]], _eval_list(ast[2], xs, memo)))
+    else:
+        raise ValueError(f"bad AST node {ast!r}")
+    memo[id(ast)] = out
+    return out
+
+
+def _eval_array(ast, x, shared: dict):
+    """``_eval_list`` on an ndarray, by numpy's ufuncs; ``shared`` keeps
+    the values of the nodes ``_shared`` found."""
+    import numpy as np
+
+    done = shared.get(id(ast))
+    if done is not None:
+        return done
+    kind = ast[0]
+    if kind == "num":
+        out = np.broadcast_to(np.asarray(ast[1]), x.shape).copy() if x.shape else ast[1]
+    elif kind == "var":
+        out = x
+    elif kind == "+":
+        out = _eval_array(ast[1], x, shared) + _eval_array(ast[2], x, shared)
+    elif kind == "-":
+        out = _eval_array(ast[1], x, shared) - _eval_array(ast[2], x, shared)
+    elif kind == "*":
+        out = _eval_array(ast[1], x, shared) * _eval_array(ast[2], x, shared)
+    elif kind == "/":
+        out = _eval_array(ast[1], x, shared) / _eval_array(ast[2], x, shared)
+    elif kind == "neg":
+        out = -_eval_array(ast[1], x, shared)
+    elif kind == "pow":
+        out = _eval_array(ast[1], x, shared) ** ast[2]
+    elif kind == "call" and ast[1] in _CALLS:
+        v = _eval_array(ast[2], x, shared)
         name = ast[1]
-        if name == "exp":
-            return np.exp(v)
-        if name == "sin":
-            return np.sin(v)
-        if name == "cos":
-            return np.cos(v)
-        if name == "sqrt":
-            return np.sqrt(v)
-        if name == "conj":
-            return np.conj(v)
-        if name == "abs":
-            return np.abs(v).astype(complex)
-    raise ValueError(f"bad AST node {ast!r}")
+        out = np.abs(v).astype(complex) if name == "abs" else getattr(np, name)(v)
+    else:
+        raise ValueError(f"bad AST node {ast!r}")
+    if id(ast) in shared:
+        shared[id(ast)] = out
+    return out

@@ -124,8 +124,8 @@ def entry_profile(sym: PiecewiseSymbol, cfg: Config = DEFAULT) -> EntryProfile:
     sup = float(np.nanmax(np.abs(vals))) if vals.size else 0.0
     limits = []
     for seq in _side_sequences(sym, INF, cfg):
-        tvals = np.asarray(sym(seq))
-        sup = max(sup, float(np.abs(tvals).max()))
+        tvals = sym(seq)
+        sup = max(sup, float(np.abs(np.asarray(tvals)).max()))
         limits.append(_tail_limit(tvals[-cfg.tail_samples:], cfg))
     limit_pos = limits[0] if limits else None
     limit_neg = limits[1] if len(limits) > 1 else limit_pos

@@ -20,6 +20,11 @@ remains.  In the graph-regular case the transform symbols
 
 extend continuously by 0 across divergence points and are attached to
 the report.
+
+The detector runs on Python lists with ``math`` and ``cmath`` (through
+``expressions.evaluate``), so classifying a symbol needs no numpy.  Only
+``sample_grid``, ``in_pieces``, ``symbol_equivalent`` and evaluation at
+an ndarray of points import it.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import expressions as ex
+from .complexmath import div, modulus
 from .config import DEFAULT, Config
 from .errors import (
     DeclarationMismatch,
@@ -41,6 +45,7 @@ from .errors import (
 )
 
 INF = math.inf  # the point at infinity (one point, both ends of the real line)
+_NAN = complex(math.nan, 0.0)
 
 
 class PointClass(enum.Enum):
@@ -166,9 +171,11 @@ class PiecewiseSymbol:
                 return t
         return None
 
-    def in_pieces(self, xs) -> np.ndarray:
+    def in_pieces(self, xs):
         """Mask of the points of ``xs`` that lie in some open piece: the
         array form of ``piece_at(x) is not None``."""
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         mask = np.zeros(xs.shape, dtype=bool)
         for a, b, _ in self.pieces:
@@ -178,8 +185,15 @@ class PiecewiseSymbol:
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate at scalar or array points; fills override, points off
-        every open piece give nan."""
+        """Evaluate at a number, a list of numbers or an ndarray of points;
+        fills override, points off every open piece give nan.  A number
+        gives a complex and a list a list, both without numpy."""
+        if isinstance(x, (int, float)):
+            return self._values([float(x)])[0]
+        if isinstance(x, (list, tuple)):
+            return self._values([float(v) for v in x])
+        import numpy as np
+
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.full(xs.shape, np.nan + 0j, dtype=complex)
         for a, b, t in self.pieces:
@@ -189,6 +203,19 @@ class PiecewiseSymbol:
         for p, v in self.fills:
             out[xs == p] = v
         return out if np.ndim(x) else out[0]
+
+    def _values(self, xs: list) -> list:
+        out = [_NAN] * len(xs)
+        for a, b, t in self.pieces:
+            inside = [i for i, x in enumerate(xs) if a < x < b]
+            if inside:
+                vals = ex.evaluate(t, [xs[i] for i in inside])
+                for i, v in zip(inside, vals):
+                    out[i] = v
+        for p, v in self.fills:
+            v = complex(v)
+            out = [v if x == p else o for x, o in zip(xs, out)]
+        return out
 
 
 # -- detector ----------------------------------------------------------------
@@ -216,21 +243,35 @@ def _side_sequences(symbol: PiecewiseSymbol, p: float, cfg: Config):
         finite = [e for e in (dom.lo, dom.hi, *dom.punctures) if math.isfinite(e)]
         x0 = max(cfg.inf_start, *(2 * abs(e) for e in finite), 1.0)
         n = min(cfg.approach_steps, int(math.log2(cfg.inf_reach / x0)) + 1)
-        return [sign * x0 * 2.0 ** np.arange(n) for sign in signs]
+        return [[sign * x0 * 2.0 ** k for k in range(n)] for sign in signs]
     seqs = []
     for a, b, _ in symbol.pieces:
         for end, sign in ((b, -1.0), (a, 1.0)):
             if abs(end - p) <= 1e-12:
                 d0 = min(cfg.approach_start, (b - a) / 4)
-                seqs.append(p + sign * d0 * 0.5 ** np.arange(cfg.approach_steps))
+                seqs.append([p + sign * d0 * 0.5 ** k
+                             for k in range(cfg.approach_steps)])
     return seqs
 
 
-def _tail_limit(tail: np.ndarray, cfg: Config) -> complex | None:
+def _mean(values: list) -> complex:
+    """The mean of two or three complex numbers as numpy's ``mean``
+    rounds it: each part summed in order from -0.0 and then added to 0.0,
+    and the sum divided by the count as a complex (``complexmath.div``)."""
+    re = im = -0.0
+    for v in values:
+        re += v.real
+        im += v.imag
+    return div(complex(0.0 + re, 0.0 + im), complex(len(values)))
+
+
+def _tail_limit(tail: list, cfg: Config) -> complex | None:
     """Mean of the last three samples if the tail is Cauchy to within
     ``limit_tol``, else None."""
-    if np.abs(np.diff(tail)).max() < cfg.limit_tol:
-        return complex(tail[-3:].mean())
+    if len(tail) < 2:
+        raise ValueError(f"an approach needs two samples, got {len(tail)}")
+    if all(modulus(b - a) < cfg.limit_tol for a, b in zip(tail, tail[1:])):
+        return _mean(tail[-3:])
     return None
 
 
@@ -244,12 +285,12 @@ def detect_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Detection
     seqs = _side_sequences(symbol, p, cfg)
     if not seqs:
         raise InconclusiveClassification(f"no side reaches {p}")
-    vals = [np.asarray(symbol(s)) for s in seqs]
-    if any(np.isnan(v).any() for v in vals):
+    vals = [symbol(s) for s in seqs]
+    if any(z != z for v in vals for z in v):     # a nan in either part
         raise InconclusiveClassification(f"evaluation failed approaching {p}")
     k = cfg.tail_samples
     tails = [v[-k:] for v in vals]
-    union = np.concatenate(tails)
+    union = [z for t in tails for z in t]
 
     # finite limit on every side, all sides agreeing
     limits = [_tail_limit(t, cfg) for t in tails]
@@ -258,17 +299,18 @@ def detect_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Detection
         return Detection(PointClass.REG_B, limits[0], len(seqs))
 
     # divergence of the modulus
-    mags = [np.abs(t) for t in tails]
+    mags = [[modulus(z) for z in t] for t in tails]
     if all(m[-1] > cfg.blowup for m in mags) and all(
-        np.all(np.diff(m) >= -1e-6 * np.abs(m[:-1])) for m in mags
+        b - a >= -1e-6 * a for m in mags for a, b in zip(m, m[1:])
     ):
         return Detection(PointClass.REG_INF, None, len(seqs))
 
     # bounded, but oscillating or with disagreeing side limits
-    bounded = all(np.abs(v).max() < cfg.blowup for v in vals)
+    bounded = all(modulus(z) < cfg.blowup for v in vals for z in v)
     if bounded:
-        mean_sq = float(np.mean(np.abs(union) ** 2))
-        var = float(np.mean(np.abs(union - union.mean()) ** 2))
+        centre = sum(union) / len(union)
+        mean_sq = sum(m * m for m in map(modulus, union)) / len(union)
+        var = sum(m * m for m in (modulus(z - centre) for z in union)) / len(union)
         if var > cfg.osc_rel_var * max(mean_sq, 1e-300):
             return Detection(PointClass.SING_SUPP, None, len(seqs),
                              note=f"oscillation variance {var:.3e}")
@@ -348,6 +390,8 @@ def symbol_equivalent(m1: PiecewiseSymbol, m2: PiecewiseSymbol,
     """Same operator test: equal puncture structure after the hat
     extension and equal values on a shared sample grid of the common
     continuity set.  Values at surviving punctures are irrelevant."""
+    import numpy as np
+
     if m1.domain.base != m2.domain.base or (m1.domain.lo, m1.domain.hi) != (
         m2.domain.lo, m2.domain.hi
     ):
@@ -374,9 +418,12 @@ def symbol_equivalent(m1: PiecewiseSymbol, m2: PiecewiseSymbol,
 
 
 def sample_grid(symbol: PiecewiseSymbol, cfg: Config = DEFAULT,
-                bulk: int | None = None) -> np.ndarray:
-    """Sample points inside the pieces: Chebyshev-style bulk plus dyadic
-    refinement towards every piece endpoint (punctures accumulate)."""
+                bulk: int | None = None):
+    """Sample points inside the pieces, as an ndarray: Chebyshev-style
+    bulk plus dyadic refinement towards every piece endpoint (punctures
+    accumulate)."""
+    import numpy as np
+
     bulk = bulk or cfg.grid_points
     pts = []
     finite_lo = symbol.domain.lo if math.isfinite(symbol.domain.lo) else None
@@ -582,10 +629,8 @@ def _vanishes_at_infinity(sym: PiecewiseSymbol, cfg: Config) -> bool:
         return True
     ok = True
     for seq in _side_sequences(sym, INF, cfg):
-        tail = seq[np.abs(seq) >= cfg.vanish_window]
-        if tail.size == 0:
-            tail = seq[-3:]
-        ok = ok and bool(np.all(np.abs(sym(tail)) <= cfg.vanish_tol))
+        tail = [x for x in seq if abs(x) >= cfg.vanish_window] or seq[-3:]
+        ok = ok and all(modulus(v) <= cfg.vanish_tol for v in sym(tail))
     return ok
 
 

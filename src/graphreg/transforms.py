@@ -25,10 +25,10 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import expressions as ex
 from .config import DEFAULT, Config
 from .errors import (
     AxiomsFailed,
@@ -38,19 +38,9 @@ from .errors import (
     NotGraphRegular,
     NotNormal,
 )
-from .symbols import (
-    Declaration,
-    PiecewiseSymbol,
-    PointClass,
-    bounded_map_symbol,
-    combine_symbols,
-    detect_point,
-    hat_extension,
-    map_symbol,
-    redetect_sing_supp,
-    regularity_report,
-    verify_symbol,
-)
+
+if TYPE_CHECKING:
+    from .symbols import PiecewiseSymbol
 
 
 def _adj(m):
@@ -416,6 +406,8 @@ def joint_diagonalize(a: np.ndarray, b: np.ndarray, rng: np.random.Generator,
 
 # Multiplication operators are normal, so their triples have a = a_*; the
 # transform elements are symbols again and every operation is pointwise.
+# Each function imports the symbol and expression layers itself, so that
+# the matrix backend loads without them.
 
 
 @dataclass
@@ -427,6 +419,8 @@ class SymbolTriple:
 
 
 def aab_forward_symbol(m, cfg: Config = DEFAULT) -> SymbolTriple:
+    from .symbols import hat_extension, regularity_report
+
     rep = regularity_report(m, cfg)
     if not rep.graph_regular:
         raise NotGraphRegular("symbol has singular-support points")
@@ -437,6 +431,9 @@ def aab_forward_symbol(m, cfg: Config = DEFAULT) -> SymbolTriple:
 def aab_inverse_symbol(triple: SymbolTriple) -> PiecewiseSymbol:
     """Recover the symbol as the pointwise quotient b/a on the
     continuity set (the quotient-pair realization t(a·f) = b·f)."""
+    from . import expressions as ex
+    from .symbols import combine_symbols
+
     return combine_symbols(triple.b, triple.a, ex.div)
 
 
@@ -444,6 +441,9 @@ def absolute_value_symbol(m, cfg: Config = DEFAULT) -> PiecewiseSymbol:
     """|t_m| = t_{|m|}: same punctures, modulus taken pointwise.  The
     modulus can settle where m oscillates (|e^{i/x}| = 1), so each
     sing_supp point is detected anew on |m| (``redetect_sing_supp``)."""
+    from . import expressions as ex
+    from .symbols import map_symbol, redetect_sing_supp
+
     return redetect_sing_supp(map_symbol(m, lambda t: ex.call("abs", t), abs),
                               cfg)
 
@@ -471,6 +471,10 @@ def bounded_transform_symbol(m, cfg: Config = DEFAULT) -> SymbolBoundedTransform
     once on z and declared reg_b at the detected limit where z extends,
     sing_supp elsewhere, so z passes its own hat extension.
     """
+    from . import expressions as ex
+    from .symbols import (Declaration, PointClass, detect_point,
+                          hat_extension, map_symbol)
+
     mh = hat_extension(m, cfg)
     if any(d.cls is PointClass.SING_SUPP and math.isfinite(d.at)
            for d in mh.declarations):
@@ -500,6 +504,9 @@ def functional_calculus_symbol(m, f_ast, beta: complex = 0.0,
     to vanish at infinity surfaces as a declaration mismatch rather than
     a silent wrong extension.
     """
+    from . import expressions as ex
+    from .symbols import bounded_map_symbol, verify_symbol
+
     beta = complex(beta)
     return bounded_map_symbol(
         m, verify_symbol(m, cfg),
@@ -518,6 +525,8 @@ def functional_calculus(triple: AabTriple, f_ast, beta: complex = 0.0,
     evaluated once over the array of these ratios; a value that is not
     finite raises NonFiniteValue.
     """
+    from .expressions import evaluate
+
     if not triple.is_normal(cfg.residual_tol):
         raise NotNormal("functional calculus requires a = a_*")
     if rng is None:
@@ -525,7 +534,7 @@ def functional_calculus(triple: AabTriple, f_ast, beta: complex = 0.0,
     q, la, lb = joint_diagonalize(triple.a, triple.b, rng, cfg)
     live = la.real > cfg.kernel_tol
     vals = np.full(len(la), complex(beta))
-    vals[live] = ex.evaluate(f_ast, lb[live] / la[live]) + beta
+    vals[live] = evaluate(f_ast, lb[live] / la[live]) + beta
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("functional calculus: f is not finite at an eigenvalue")
     return (q * vals) @ q.conj().T

@@ -242,27 +242,56 @@ import sys
 import graphreg.cli
 code = graphreg.cli.main(["--quiet", *sys.argv[1:]])
 print(" ".join(sorted(m for m in sys.modules if m.startswith("graphreg."))))
+print("numpy" in sys.modules)
 sys.exit(code)
 """
-FRONT = {"catalog", "cli", "config", "errors", "expressions", "symbols"}
+FRONT = {"cli", "config", "errors"}
+EXPRESSIONS = {"complexmath", "expressions"}
+SYMBOLS = EXPRESSIONS | {"catalog", "symbols"}
 
 
-@pytest.mark.parametrize("argv, layers", [
-    (["analyze", "--catalog", "x"], set()),
-    (["transform", "--op", "aab"], {"transforms"}),
-    (["toeplitz", "1", "1-z"], {"toeplitz", "transforms"}),
-    (["experiment", "--which", "resolvent", "--grid"],
-     {"algebras", "experiments", "transforms"}),
-    (["experiment", "--which", "matrix-symbols"], {"matrix_symbols"}),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_command_loads_only_its_layers(argv, layers):
-    # a fresh interpreter per command: the front end's own modules and the
-    # layers the command runs, nothing else
+def show_layers(*argv) -> tuple:
+    """The graphreg layers a fresh interpreter loads to run ``argv``, and
+    whether it loaded numpy."""
     proc = subprocess.run([sys.executable, "-c", SHOW_LAYERS, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = {m.removeprefix("graphreg.") for m in proc.stdout.split()}
-    assert loaded == FRONT | layers
+    layers, numpy = proc.stdout.splitlines()
+    return {m.removeprefix("graphreg.") for m in layers.split()}, numpy == "True"
+
+
+@pytest.mark.parametrize("argv, layers, numpy", [
+    (["analyze", "--catalog", "x"], SYMBOLS, False),
+    (["transform", "--op", "aab"], {"transforms"}, True),
+    (["transform", "--op", "calc"], EXPRESSIONS | {"transforms"}, True),
+    (["toeplitz", "1", "1-z"], EXPRESSIONS | {"toeplitz", "transforms"}, True),
+    (["experiment", "--which", "resolvent", "--grid"],
+     {"algebras", "experiments", "transforms"}, True),
+    (["experiment", "--which", "matrix-symbols"],
+     EXPRESSIONS | {"matrix_symbols", "symbols"}, True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_command_loads_only_its_layers(argv, layers, numpy):
+    # a fresh interpreter per command: the front end's own modules and the
+    # layers the command runs, nothing else; the symbol layer runs on
+    # Python numbers, so analyze loads no numpy
+    assert show_layers(*argv) == (FRONT | layers, numpy)
+
+
+def test_symbol_readback_loads_no_numpy(tmp_path):
+    out = json.loads(run_cli("analyze", "--catalog", "x_exp_minus_i_over_x").stdout)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(out["results"]["b_symbol"]))
+    assert show_layers("analyze", str(path)) == (FRONT | SYMBOLS - {"catalog"},
+                                                 False)
+
+
+def test_cli_import_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, graphreg.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('graphreg')), 'numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ("['graphreg', 'graphreg.cli', 'graphreg.config', "
+                                   "'graphreg.errors'] False")
 
 
 def test_package_import_loads_no_layer():
@@ -697,6 +726,10 @@ def test_config_size_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
     ("--n", 1365, 1, 1365, True), ("--n", 1366, 1, 1365, False),
     ("--n", 0, 1, 1365, False), ("--n", 10 ** 12, 1, 64, False),
     ("--beta", 1e300, None, None, True),
+    # an int beyond every float is finite but out of range, not an error
+    pytest.param("--n", 10 ** 400, 1, 1365, False, id="--n-huge-above"),
+    pytest.param("--n", 10 ** 400, 1, None, True, id="--n-huge-unbounded"),
+    ("--beta", complex("nan"), None, None, False),
 ])
 def test_check_parameter_bounds(name, value, lo, hi, ok):
     from graphreg.cli import check_parameter

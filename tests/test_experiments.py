@@ -1287,6 +1287,36 @@ def test_weyl_experiment_pass_budget(monkeypatch, tmp_path):
     assert 0 < len(passes) <= WEYL_PASS_BUDGET, len(passes)
 
 
+# at β = -1e6 and L = 1e6, ρ = e^{β·dt} underflows to 0, so (k·|D|)⁻¹ is
+# diagonal; counting its singular values took about 40 pivot passes each
+@pytest.mark.parametrize("m", [256, 2048])
+@pytest.mark.parametrize("alpha", WEYL_SCALE)
+def test_diagonal_bidiagonal_takes_no_pass(alpha, m, monkeypatch):
+    passes = []
+    certified_root = experiments._certified_root
+
+    def counting(probe, covers, index, lo, hi, from_lo=False):
+        def counted_probe(t):
+            passes.append("probe")
+            return probe(t)
+
+        def counted_covers(t):
+            passes.append("covers")
+            return covers(t)
+
+        return certified_root(counted_probe, counted_covers, index, lo, hi, from_lo)
+
+    monkeypatch.setattr(experiments, "_certified_root", counting)
+    diag, sup = experiments._yx_inverse(weyl_build(alpha, -1e6, m, 1e6))
+    assert not sup.any()
+    for d, index in ((diag * diag, 0), (diag, m // 4)):
+        assert (experiments._bidiagonal_singular_value(d, sup, index)
+                == np.sort(np.abs(d))[index])
+    assert passes == []
+    with pytest.raises(BadParameters):
+        experiments._bidiagonal_singular_value(diag, sup, m)
+
+
 # the qd count and the Golub–Kahan count differ by O(M·ε): 3.4e-14 at
 # (α, β, L) = (1e6, -1e-6, 1e-6), M = 2048, where a 40-digit reference
 # puts them 3.1e-14 and 3.5e-15 off

@@ -1,7 +1,11 @@
+import math
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from graphreg import complexmath as cm
 from graphreg import expressions as ex
 from graphreg.errors import ExprSyntaxError
 
@@ -91,3 +95,122 @@ def test_abs2_is_real():
     vals = ex.evaluate(ast, np.linspace(0.1, 1, 20))
     assert np.abs(vals.imag).max() < 1e-15
     assert np.allclose(vals.real, np.linspace(0.1, 1, 20) ** 2)
+
+
+# -- the list evaluator against numpy ----------------------------------------------
+
+# a pole, subnormal and tiny arguments, the switch of exp, sin and cos from
+# cmath's formulas to glibc's scaled ones near 709, and arguments whose
+# squares, products and exponentials overflow
+POINTS = [0.0, -0.0, 5e-324, 1e-300, 1e-10, 0.5, -0.75, 1.0, 2.5, -3.0, 40.0,
+          700.0, 709.5, -711.0, 1e5, 1.4e154, 1e200, 1e308, -1e308]
+CONSTANTS = (1.0, 2.0, 0.5, 3.25, -1.5, 1j, -1j, 2 - 1.5j)
+EPS = 2.0 ** -52
+
+
+def _random_asts(depth=4, ops="+-*/", powers=range(-4, 5), functions=ex.FUNCTIONS):
+    """ASTs of depth at most ``depth`` over the whole grammar, or over the
+    given binary operators, integer powers and functions."""
+    leaf = st.one_of(st.just(ex.VAR), st.sampled_from(CONSTANTS).map(ex.num))
+    if depth == 0:
+        return leaf
+    child = _random_asts(depth - 1, ops, powers, functions)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(ops), child, child),
+        st.tuples(st.just("neg"), child),
+        st.tuples(st.just("pow"), child, st.sampled_from(powers)),
+        st.tuples(st.just("call"), st.sampled_from(functions), child),
+    )
+
+
+def _bits(z):
+    """The two parts of z bit for bit, every NaN counted as one."""
+    return tuple("nan" if v != v else v.hex() for v in (z.real, z.imag))
+
+
+def _near(a, b, ulps=4) -> bool:
+    """The same NaN and infinity in each part, and the finite parts within
+    ``ulps`` ulps of the larger modulus."""
+    def kind(v):
+        return "nan" if v != v else v if abs(v) == math.inf else "finite"
+
+    parts = ((a.real, b.real), (a.imag, b.imag))
+    if [kind(x) for x, _ in parts] != [kind(y) for _, y in parts]:
+        return False
+    scale = max([abs(v) for pair in parts for v in pair if math.isfinite(v)],
+                default=0.0)
+    return all(abs(x - y) <= ulps * EPS * scale
+               for x, y in parts if math.isfinite(x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_random_asts(ops="+-/", powers=[-4, -3, -1, 0, 1, 3, 4],
+                    functions=("exp", "sin", "cos", "sqrt", "conj")))
+def test_list_evaluator_is_numpy_bit_for_bit_without_products(ast):
+    # with no complex product, square or modulus, every operation of the
+    # list path is numpy's to the last bit, at poles and overflow too
+    got = ex.evaluate(ast, POINTS)
+    want = ex.evaluate(ast, np.array(POINTS)).tolist()
+    assert [_bits(z) for z in got] == [_bits(complex(z)) for z in want]
+
+
+def _subtrees(ast):
+    for operand in ex._operands(ast):
+        yield from _subtrees(operand)
+    yield ast
+
+
+def _overflowing_terms(a, b) -> bool:
+    """Whether a term of the product a·b of finite numbers overflows:
+    numpy's SIMD loop fuses one term into the other's rounding on CPUs
+    with FMA, so its part can be ±inf or finite where the separately
+    rounded terms give nan or ±inf."""
+    parts = (a.real, a.imag, b.real, b.imag)
+    return all(map(math.isfinite, parts)) and any(
+        abs(u * v) == math.inf
+        for u, v in ((a.real, b.real), (a.imag, b.imag),
+                     (a.real, b.imag), (a.imag, b.real)))
+
+
+# the list path's operation and numpy's for each binary operator
+BINARY = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract),
+          "*": (operator.mul, np.multiply), "/": (cm.div, np.divide)}
+
+
+def _node_values(node):
+    """(operand pairs, list path values, numpy values) of the operation at
+    ``node``, both applied to the list path's values of its operands."""
+    kind = node[0]
+    if kind in BINARY:
+        a = ex.evaluate(node[1], POINTS)
+        b = ex.evaluate(node[2], POINTS)
+        listed, ufunc = BINARY[kind]
+        with np.errstate(all="ignore"):
+            want = ufunc(np.array(a), np.array(b)).tolist()
+        return list(zip(a, b)), list(map(listed, a, b)), want
+    # the same operation on the operand's values as the points
+    if kind == "call":
+        a, op = ex.evaluate(node[2], POINTS), ("call", node[1], ex.VAR)
+    else:
+        a, op = ex.evaluate(node[1], POINTS), (kind, ex.VAR, *node[2:])
+    return list(zip(a, a)), ex.evaluate(op, a), ex.evaluate(op, np.array(a)).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_random_asts())
+def test_list_evaluator_agrees_with_numpy_node_by_node(ast):
+    # each node's operation, on the values the list path gives its
+    # operands: bit for bit but for numpy's complex product, square and
+    # modulus, whose fused multiply-adds agree to a few ulps
+    for node in _subtrees(ast):
+        if node[0] in ("num", "var"):
+            continue
+        fused = (node[0] == "*" or node[0] == "pow" and node[2] == 2
+                 or node[:2] == ("call", "abs"))
+        for (x, y), got, want in zip(*_node_values(node)):
+            want = complex(want)
+            if not fused:
+                assert _bits(got) == _bits(want), (ex.to_string(node), x, got, want)
+            elif node[0] == "call" or not _overflowing_terms(x, y):
+                assert _near(got, want), (ex.to_string(node), x, y, got, want)

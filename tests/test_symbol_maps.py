@@ -229,6 +229,50 @@ CALCULUS = [("1/(1+abs(w)^2)", 0.0), ("w/(1+abs(w)^2)", 0.0),
             ("1/(1+abs(w)^2)", 0.5 - 0.25j)]
 
 
+# detect_point at each declared point, and at infinity where the base
+# reaches it, of every symbol above: the class, the number of sides and
+# the bits of the limit, as the numpy detector gave them before the
+# detector moved to Python lists
+DETECTIONS = {
+    ("exp_i_over_x", 0.0): ("sing_supp", 1, None),
+    ("exp_i_over_x-shifted", 0.75): ("sing_supp", 1, None),
+    ("exp_i_over_x-scaled", 0.0): ("sing_supp", 1, None),
+    ("exp_i_over_x_over_x", 0.0): ("reg_inf", 1, None),
+    ("exp_i_over_x_over_x-shifted", 0.75): ("reg_inf", 1, None),
+    ("exp_i_over_x_over_x-scaled", 0.0): ("reg_inf", 1, None),
+    ("one_over_x", 0.0): ("reg_inf", 2, None),
+    ("one_over_x", math.inf): ("sing_supp", 2, None),
+    ("one_over_x-shifted", 0.75): ("reg_inf", 2, None),
+    ("one_over_x-shifted", math.inf): ("sing_supp", 2, None),
+    ("one_over_x-scaled", 0.0): ("reg_inf", 2, None),
+    ("one_over_x-scaled", math.inf): ("sing_supp", 2, None),
+    ("x", math.inf): ("reg_inf", 2, None),
+    ("x-shifted", math.inf): ("reg_inf", 2, None),
+    ("x-scaled", math.inf): ("reg_inf", 2, None),
+    ("x_exp_minus_i_over_x", 0.0):
+        ("reg_b", 1, ("-0x1.bf818e3d4c832p-45", "0x1.53de67f583de6p-41")),
+    ("x_exp_minus_i_over_x-shifted", 0.75):
+        ("reg_b", 1, ("-0x1.bf818e3d4c832p-45", "0x1.53de67f583de6p-41")),
+    ("x_exp_minus_i_over_x-scaled", 0.0):
+        ("reg_b", 1, ("-0x1.17b0f8e64fd1ep-43", "0x1.a8d601f2e4d61p-40")),
+}
+
+
+@pytest.mark.parametrize("name, point", list(DETECTIONS))
+def test_detection_keeps_its_bits(name, point):
+    det = detect_point(SYMBOLS[name], point)
+    limit = None if det.limit is None else (det.limit.real.hex(),
+                                            det.limit.imag.hex())
+    assert (det.kind.value, det.sides, limit) == DETECTIONS[name, point]
+
+
+def test_every_detection_is_pinned():
+    points = {(name, p) for name, m in SYMBOLS.items()
+              for p in [d.at for d in m.declarations]
+              + ([math.inf] if m.domain.includes_infinity else [])}
+    assert points == set(DETECTIONS)
+
+
 def assert_same_symbol(new, ref):
     assert new.domain == ref.domain
     assert len(new.pieces) == len(ref.pieces)
@@ -404,17 +448,19 @@ def test_bounded_transform_extends_across_a_divergence_without_phase_jump():
 
 @pytest.mark.parametrize("name", GRAPH_REGULAR + ["one_over_x_squared"])
 def test_bounded_transform_passes_its_own_hat_extension(name, monkeypatch):
-    from graphreg import transforms
+    from graphreg import symbols
 
     m = SYMBOLS.get(name) or one_over_x_squared()
-    detect = transforms.detect_point
+    detect = symbols.detect_point
     seen = []
 
     def spy(symbol, p, cfg):
-        seen.append(p)
+        # the hat extension of m verifies m itself; the rest look at z
+        if symbol is not m:
+            seen.append(p)
         return detect(symbol, p, cfg)
 
-    monkeypatch.setattr(transforms, "detect_point", spy)
+    monkeypatch.setattr(symbols, "detect_point", spy)
     bt = bounded_transform_symbol(m)
     # one detector call per surviving puncture, none to declare z
     assert seen == list(hat_extension(m).domain.punctures)

@@ -453,7 +453,7 @@ def test_approach_sequences_keep_their_samples():
                        0.12812500000000002]]),
     ]
     for sym, p, want in cases:
-        assert [s.tolist() for s in _side_sequences(sym, p, cfg)] == want
+        assert _side_sequences(sym, p, cfg) == want
 
 
 @pytest.mark.parametrize("domain, pieces, end", [
