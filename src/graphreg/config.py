@@ -21,10 +21,16 @@ ARRAY_BUDGET = 2 ** 28
 COMPLEX_BYTES = 16
 
 # Each of these sets the length of a sample vector that is evaluated in
-# complex128: the bulk grid, the points on the circle, the approach to a
-# puncture and its dyadic refinement.
+# complex128: the bulk grid, the points on the circle and the dyadic
+# refinement near a puncture.
 SIZE_CAPS = {name: ARRAY_BUDGET // COMPLEX_BYTES for name in (
-    "grid_points", "circle_samples", "approach_steps", "dyadic_depth")}
+    "grid_points", "circle_samples", "dyadic_depth")}
+# Each sample of an approach halves the offset from a puncture (or doubles
+# the point on the way to infinity).  The positive doubles span
+# max_exp - min_exp + mant_dig = 2098 binary orders of magnitude, 2^-1074
+# to 2^1024, so a longer approach only repeats the puncture or overflows.
+SIZE_CAPS["approach_steps"] = (sys.float_info.max_exp - sys.float_info.min_exp
+                               + sys.float_info.mant_dig)
 
 # The detector's Cauchy test compares successive samples of an approach,
 # so an approach and its classification window need two of them.

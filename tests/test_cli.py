@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -636,7 +637,14 @@ def test_size_caps_follow_the_array_budget():
     n = cli.RESOLVENT_MAX_N
     assert 8 * 16 * n ** 2 <= ARRAY_BUDGET < 8 * 16 * (n + 1) ** 2
     # one complex sample vector
-    assert set(SIZE_CAPS.values()) == {ARRAY_BUDGET // 16}
+    assert {k: v for k, v in SIZE_CAPS.items() if k != "approach_steps"} == \
+        dict.fromkeys(["grid_points", "circle_samples", "dyadic_depth"],
+                      ARRAY_BUDGET // 16)
+    # one sample per binary order of magnitude of the positive doubles
+    x, orders = math.ulp(0.0), 0
+    while x < math.inf:
+        x, orders = 2 * x, orders + 1
+    assert SIZE_CAPS["approach_steps"] == orders == 2098
 
 
 @pytest.mark.parametrize("key", ["grid_points", "circle_samples",

@@ -24,15 +24,11 @@ from graphreg import modules
 from graphreg.modules import (
     GraphOperator,
     Submodule,
-    compose_relations,
     is_graph_regular,
-    module_sum,
     nullspace,
-    one_plus_relation,
     orthogonal_complement,
     orthonormal_columns,
     projection_onto,
-    relation_range,
     same_span,
 )
 from graphreg.transforms import numerical_rank
@@ -445,6 +441,33 @@ def loop_graph(alg, t, domain=None):
     return LoopModule(alg, 2, orthonormal_columns(np.column_stack(cols), TOL))
 
 
+def module_sum(a, b):
+    return Submodule(a.algebra, a.ncomp, [
+        orthonormal_columns(np.hstack([u, v]), TOL)
+        for u, v in zip(a.spaces, b.spaces)])
+
+
+def compose_relations(r2, r1, dims):
+    """Compose graphs r1 ⊆ E⊕F, r2 ⊆ F⊕G given as stacked column bases."""
+    de, df, dg = dims
+    x1, y1 = r1[:de], r1[de:]
+    x2, y2 = r2[:df], r2[df:]
+    if r1.shape[1] == 0 or r2.shape[1] == 0:
+        return np.zeros((de + dg, 0), complex)
+    pairs = nullspace(np.hstack([y1, -x2]), TOL)
+    alpha, beta = pairs[: r1.shape[1]], pairs[r1.shape[1] :]
+    return orthonormal_columns(np.vstack([x1 @ alpha, y2 @ beta]), TOL)
+
+
+def relation_range(rel, de):
+    return orthonormal_columns(rel[de:], TOL)
+
+
+def one_plus_relation(rel, de):
+    """{(x, x+y) : (x,y) in rel}."""
+    return np.vstack([rel[:de], rel[:de] + rel[de:]])
+
+
 def loop_regularity(alg, t, domain=None, complement=loop_complement):
     """Graph, verdict fields and diagnostics, each complement formed anew."""
     graph = loop_graph(alg, t, domain)
@@ -582,22 +605,42 @@ class TestGatheredAgainstLoops:
         (matrix_algebra(3), None), (grid_model(3)[0], "nilpotent"),
         (grid_model(4)[0], "lower"),
     ], ids=["M3", "grid3-nilpotent", "grid4-lower"])
-    def test_regularity_forms_three_complements(self, alg, block, monkeypatch):
+    def test_regularity_forms_no_complement_nullspace_or_svd(self, alg, block,
+                                                             monkeypatch):
         calls = []
-        original = modules.orthogonal_complement
 
-        def spy(sub, cfg=DEFAULT):
-            calls.append(sub.ncomp)
-            return original(sub, cfg)
+        def spy(owner, name):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(modules, "orthogonal_complement", spy)
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
         t = (random_operator(3, np.random.default_rng(1)) if block is None else
              constant_matrix(alg, np.array(GRID_BLOCKS[block], complex)))
         op = GraphOperator.from_matrix(alg, t)
-        calls.clear()
-        op.regularity()
-        # Def(t)^⊥, Graph(t)^⊥ and Graph(t)^⊥⊥
-        assert calls == [1, 2, 2]
+        for name in ("orthogonal_complement", "nullspace", "orthonormal_columns"):
+            spy(modules, name)
+        spy(np.linalg, "svd")
+        assert op.regularity().regular
+        assert calls == []
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+@pytest.mark.parametrize("alg, block", [
+    (matrix_algebra(3), None), (matrix_algebra(5), None),
+    *((grid_model(4)[0], block) for block in GRID_BLOCKS),
+], ids=["M3", "M5", *(f"grid4-{block}" for block in GRID_BLOCKS)])
+def test_verdict_is_invariant_under_scaling(alg, block, scale):
+    t = (random_operator(alg.N, np.random.default_rng(alg.N)) if block is None
+         else constant_matrix(alg, np.array(GRID_BLOCKS[block], complex)))
+    verdict = verdict_tuple(GraphOperator.from_matrix(alg, t).regularity())
+    op = GraphOperator.from_matrix(alg, scale * t)
+    assert verdict_tuple(op.regularity()) == verdict
+    assert op.domain().dim == alg.dim
+    op.adjoint()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -632,7 +675,8 @@ def masked_algebras(draw):
 @given(alg=masked_algebras().filter(lambda a: a.dim > 0), data=st.data())
 def test_class_path_matches_loop_oracle(alg, data):
     # block-diagonal t and a generator x; zeroed columns keep classes in
-    # the domain of t and out of the module x generates
+    # the domain of t and out of the module x generates.  A dense t
+    # spills off the mask, which leaves part of A, often none, in its domain
     def zeroed(m):
         m[:, data.draw(st.lists(st.booleans(), min_size=alg.N, max_size=alg.N))] = 0
         return m
@@ -640,13 +684,14 @@ def test_class_path_matches_loop_oracle(alg, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     t = zeroed(random_element(alg, rng))
     x = zeroed(alg.to_matrix(alg.to_coords(random_element(alg, rng))))
+    spill = random_operator(alg.N, rng)
     gen, ref_gen = Submodule.from_elements(alg, [x]), loop_closure(alg, 1, [alg.to_coords(x)])
     dom, ref_dom = GraphOperator.mult_domain(alg, [t]), loop_mult_domain(alg, t)
     for sub, ref in ((gen, ref_gen), (dom, ref_dom)):
         assert sub.dim == ref.dim and same_span(sub.basis, ref.basis, 1e-9)
-    for domain in (None, gen):
-        op = GraphOperator.from_matrix(alg, t, domain)
-        dim, verdict = loop_regularity(alg, t, domain, reduced_loop_complement)
+    for s, domain in ((t, None), (t, gen), (spill, None)):
+        op = GraphOperator.from_matrix(alg, s, domain)
+        dim, verdict = loop_regularity(alg, s, domain, reduced_loop_complement)
         assert op.graph.dim == dim
         assert verdict_tuple(op.regularity()) == verdict
         for sub in (op.graph, op.domain(), gen):
