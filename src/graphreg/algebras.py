@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULT, Config
 from .errors import DescriptorMismatch
 from .transforms import opnorm
 
@@ -120,20 +121,21 @@ class BlockAlgebra:
         """Largest |entry| of ``matrix`` outside the mask (incl. off-block)."""
         return _max_abs(np.asarray(matrix, dtype=complex)[~self.allowed])
 
-    def contains(self, matrix, tol=1e-10) -> bool:
-        return self.offmask_residual(matrix) <= tol
+    def contains(self, matrix, cfg: Config = DEFAULT) -> bool:
+        """Whether no entry off the mask exceeds ``cfg.subspace_tol``."""
+        return self.offmask_residual(matrix) <= cfg.subspace_tol
 
-    def is_left_multiplier(self, matrix, tol=1e-10) -> bool:
-        """T with T·A ⊆ A: T[k, i] = 0 for every used i and every k
-        outside the class of i."""
+    def is_left_multiplier(self, matrix, cfg: Config = DEFAULT) -> bool:
+        """T with T·A ⊆ A: T[k, i] = 0, to ``cfg.subspace_tol``, for every
+        used i and every k outside the class of i."""
         m = np.asarray(matrix, dtype=complex)[:, self._used]
-        return _max_abs(m[~self.allowed[:, self._used]]) <= tol
+        return _max_abs(m[~self.allowed[:, self._used]]) <= cfg.subspace_tol
 
-    def is_multiplier(self, matrix, tol=1e-10) -> bool:
+    def is_multiplier(self, matrix, cfg: Config = DEFAULT) -> bool:
         """T with T·A ⊆ A and A·T ⊆ A; the mask is symmetric, so A·T ⊆ A
         iff Tᵀ·A ⊆ A."""
         m = np.asarray(matrix, dtype=complex)
-        return self.is_left_multiplier(m, tol) and self.is_left_multiplier(m.T, tol)
+        return self.is_left_multiplier(m, cfg) and self.is_left_multiplier(m.T, cfg)
 
     def closed_under_product(self) -> bool:
         """e_ij·e_jl = e_il must stay on the mask for all allowed units."""

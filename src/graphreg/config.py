@@ -2,9 +2,36 @@
 
 ``Config`` holds the settings a user may override with ``--config``: the
 rank and residual tolerances, the detector's windows and thresholds, and
-the grid and sample sizes.  Every report echoes them.  Fixed thresholds
-(the CLI verdict gates, the tiling slack of symbol pieces, the Toeplitz
-factorization checks and others) are still literals at their call sites.
+the grid and sample sizes.  Every report echoes them.
+
+Every threshold has one home.  One that a caller may need to set is a
+field here, and each function that uses it takes ``cfg`` and reads the
+field (a helper may take the value read as a required ``tol``); no
+function carries a tolerance default of its own.
+Every other threshold is an UPPER_CASE constant beside the code that
+decides with it, and is not an option:
+
+* ``cli``: the ``transform`` verdict gates ``IDENTITY_GATE``,
+  ``RECONSTRUCTION_GATE``, ``NORM_SLACK`` and ``PSD_SLACK``, and
+  ``COEFF_FLUSH``, the FFT rounding ``parse_poly`` drops;
+* ``toeplitz``: the factorization gates ``FACTOR_RESIDUAL_GATE``,
+  ``UNIT_RESIDUAL_GATE``, ``R_ROOT_MARGIN`` and ``F0_IMAG_GATE``;
+* ``transforms``: ``PSD_CLAMP``, ``COMMUTATION_FLOOR`` and
+  ``JOINT_DIAGONAL_GATE``;
+* ``symbols``: ``TILING_SLACK``, ``MONOTONE_SLACK``, ``VARIANCE_FLOOR``
+  and ``PUNCTURE_MATCH``;
+* ``experiments``: ``WINDOW_SLACK``; ``expressions``: the formatting
+  limit ``INT_FORMAT_LIMIT``.
+
+A verdict should not change when t is scaled, so the constants that
+compare an absolute quantity are marked here: ``COEFF_FLUSH`` and
+``FACTOR_RESIDUAL_GATE`` (quantities that scale with p and q),
+``TILING_SLACK`` and ``PUNCTURE_MATCH`` (lengths in x),
+``VARIANCE_FLOOR``, ``WINDOW_SLACK``, ``COMMUTATION_FLOOR``,
+``NORM_SLACK`` and ``PSD_SLACK``.  ``IDENTITY_GATE``,
+``RECONSTRUCTION_GATE``, ``PSD_CLAMP`` and ``JOINT_DIAGONAL_GATE`` are
+relative to max(1, norm), and so absolute below norm 1, as is the cut of
+``transforms.numerical_rank``.  The others are relative or scale-free.
 """
 
 from __future__ import annotations

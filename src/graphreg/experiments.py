@@ -116,17 +116,17 @@ def resolvent_affiliation_check(t: np.ndarray, lam: complex,
     del shifted, defect
     res_h = res.conj().T
     pattern = mult_pattern if mult_pattern is not None else algebra
-    tol = cfg.subspace_tol
-    mult_ok = bool(pattern.contains(res, tol) and pattern.contains(res_h, tol)
-                   and algebra.is_multiplier(res, tol) and
-                   algebra.is_multiplier(res_h, tol))
+    mult_ok = bool(pattern.contains(res, cfg) and pattern.contains(res_h, cfg)
+                   and algebra.is_multiplier(res, cfg) and
+                   algebra.is_multiplier(res_h, cfg))
     # density of R·A and R*·A: on each column of a c-block R acts as
     # R[rows of the block of c, c]; the class with the largest σ₁ goes first
     def rank_of(mat):
         s = [np.repeat(np.linalg.svd(mat[np.ix_(algebra.blocks[c[0]], c)],
                                      compute_uv=False), len(c))
              for c in algebra.classes]
-        return numerical_rank(np.concatenate(sorted(s, key=lambda x: -x[0])), tol)
+        return numerical_rank(np.concatenate(sorted(s, key=lambda x: -x[0])),
+                              cfg.subspace_tol)
 
     rk, rks = rank_of(res), rank_of(res_h)
     failed = []
@@ -252,8 +252,11 @@ class WeylGrid:
 
 
 WEYL_MIN_M, WEYL_MAX_M = 256, 4096
-# window states ω_{ε,λ} narrower than this many grid cells are refused
+# window states ω_{ε,λ} narrower than this many grid cells are refused;
+# an ε short of the floor width by at most WINDOW_SLACK (absolute) is the
+# floor, read through its rounding
 WEYL_FLOOR_CELLS = 8
+WINDOW_SLACK = 1e-12
 # admitted range of |α|, -β and L; beyond it the grid over- or underflows
 # and the report is no longer finite
 WEYL_SCALE = (1e-6, 1e6)
@@ -348,9 +351,14 @@ def _certified_root(probe, covers, index: int, lo: float, hi: float,
     before last (as in ``rtsafe``, Press et al., *Numerical Recipes*);
     otherwise the bracket is split.  Once the step from t is below 2⁻³²·t,
     its end r is certified by two counts (``_certify``): covers must fail
-    at r·(1 - 4ε) and hold at r·(1 + 4ε).  When it does not, the bracket
-    is bisected to adjacent floats, as it is when a split finds its ends
-    adjacent.
+    at r·(1 - 4ε) and hold at r·(1 + 4ε).  When it does not, the zero of
+    the secant of the Newton step δ(t) through the last two probes is
+    certified in its place, if it lies in what is left of the bracket.
+    Near an eigenvalue λ of multiplicity m, δ(t) ≈ (t - λ)/m: Newton's
+    method converges only linearly and stops short by (m - 1)·δ, while δ
+    is nearly linear in t and its secant lands on λ.  When that fails
+    too, the bracket is bisected to adjacent floats, as it is when a
+    split finds its ends adjacent.
     """
     if from_lo:
         t = lo
@@ -360,6 +368,7 @@ def _certified_root(probe, covers, index: int, lo: float, hi: float,
         lo, hi = _bisect(covers, lo, hi, _NEWTON_WIDTH)
         t = _split(lo, hi)
     step = older = hi - lo
+    last = None  # (t, δ) of the previous probe, when its count was adjacent
     while True:
         count, slope = probe(t)
         if count <= index:
@@ -372,7 +381,11 @@ def _certified_root(probe, covers, index: int, lo: float, hi: float,
         nxt = t - delta
         adjacent = index <= count <= index + 1
         if adjacent and abs(delta) <= _NEWTON_TOL * t:
-            return _certify(covers, nxt, lo, hi)
+            secant = None
+            if last is not None and last[1] != delta:
+                secant = t - delta * (t - last[0]) / (delta - last[1])
+            return _certify(covers, nxt, lo, hi, secant)
+        last = (t, delta) if adjacent and math.isfinite(delta) else None
         if adjacent and lo < nxt < hi and abs(delta) < 0.5 * older:
             older, step = step, abs(delta)
             t = nxt
@@ -383,23 +396,28 @@ def _certified_root(probe, covers, index: int, lo: float, hi: float,
             older, step = step, 0.5 * (hi - lo)
 
 
-def _certify(covers, root: float, lo: float, hi: float) -> float:
+def _certify(covers, root: float, lo: float, hi: float,
+             guess: float | None = None) -> float:
     """``root`` when covers fails at root·(1 - 4ε) and holds at
-    root·(1 + 4ε); otherwise the bisection's answer in (lo, hi], the
-    side where covers gave the wrong answer pushed out first by widths
-    growing 16-fold."""
+    root·(1 + 4ε).  Otherwise ``guess`` certified the same way, when it
+    lies on the side where covers changes, and failing that the
+    bisection's answer in (lo, hi], the side where covers gave the wrong
+    answer pushed out first by widths growing 16-fold."""
     width = 4.0 * _EPS
     below = covers(root * (1.0 - width))
     above = covers(root * (1.0 + width))
     if above and not below:
         return root
     # when covers gives one answer on both sides, it changes further out
-    # on the side of that answer: step out there until it changes
+    # on the side of that answer: try the guess there, or step out there
+    # until it changes
     while above == below:
         if below:
             hi = min(hi, root * (1.0 - width))
         else:
             lo = max(lo, root * (1.0 + width))
+        if guess is not None and lo < guess < hi:
+            return _certify(covers, guess, lo, hi)
         width *= 16.0
         edge = root * (1.0 - width) if below else root * (1.0 + width)
         if not lo < edge < hi:
@@ -791,7 +809,7 @@ def weyl_limits_check(w: WeylGrid, lam: float, eps_seq) -> list:
     floor = WEYL_FLOOR_CELLS * w.dt
     for eps in eps_seq:
         cells = int(round(eps / w.dt))
-        if eps < floor - 1e-12 or cells < WEYL_FLOOR_CELLS:
+        if eps < floor - WINDOW_SLACK or cells < WEYL_FLOOR_CELLS:
             raise EpsilonBelowGrid(f"eps={eps} below the {WEYL_FLOOR_CELLS}-cell "
                                    f"floor {floor}")
         j0 = int(np.searchsorted(w.t, lam))

@@ -203,8 +203,13 @@ def parse_expression(text: str) -> tuple:
     return _Parser(text).parse()
 
 
+# a whole number below this in modulus is written as an integer, any
+# other number by repr
+INT_FORMAT_LIMIT = 1e15
+
+
 def _fmt_real(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    if v == int(v) and abs(v) < INT_FORMAT_LIMIT:
         return str(int(v))
     return repr(v)
 

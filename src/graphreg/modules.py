@@ -345,7 +345,7 @@ def is_graph_regular(op, cfg: Config = DEFAULT) -> RegularityVerdict:
                 p: vc.declared.cls.value for p, vc in rep.point_classes.items()}},
         )
     if isinstance(op, QuotientPair):
-        t = op.reconstruct(cfg.kernel_tol)
+        t = op.reconstruct(cfg)
         alg = matrix_algebra(t.shape[0])
         return GraphOperator.from_matrix(alg, t, cfg=cfg).regularity()
     raise TypeError(f"unsupported operator representation {type(op)!r}")

@@ -47,6 +47,17 @@ from .errors import (
 INF = math.inf  # the point at infinity (one point, both ends of the real line)
 _NAN = complex(math.nan, 0.0)
 
+# Fixed slacks of the symbol layer.  Piece ends within TILING_SLACK of each
+# other, of a domain end or of a break meet there, and punctures of two
+# symbols within PUNCTURE_MATCH are the same point: both absolute in x.
+# |m| may dip by MONOTONE_SLACK of itself between samples of a divergence.
+# The oscillation test scales osc_rel_var by the mean square of a tail, or
+# by the absolute VARIANCE_FLOOR where that is smaller.
+TILING_SLACK = 1e-12
+MONOTONE_SLACK = 1e-6
+VARIANCE_FLOOR = 1e-300
+PUNCTURE_MATCH = 1e-9
+
 
 class PointClass(enum.Enum):
     REG_B = "reg_b"          # finite continuous extension at the point
@@ -133,16 +144,16 @@ class PiecewiseSymbol:
         breaks = set(self.domain.punctures) | {p for p, _ in self.fills}
         lo, hi = self.domain.lo, self.domain.hi
         # -inf - (-inf) is nan, so an infinite end must be met exactly
-        if not (pieces[0][0] == lo or abs(pieces[0][0] - lo) <= 1e-12):
+        if not (pieces[0][0] == lo or abs(pieces[0][0] - lo) <= TILING_SLACK):
             raise ValueError(f"pieces do not reach the left endpoint {lo}")
         for (a1, b1, _), (a2, b2, _) in zip(pieces, pieces[1:]):
-            if b1 > a2 + 1e-12:
+            if b1 > a2 + TILING_SLACK:
                 raise ValueError("pieces overlap")
-            if abs(b1 - a2) > 1e-12:
+            if abs(b1 - a2) > TILING_SLACK:
                 raise ValueError(f"gap between pieces at ({b1}, {a2})")
-            if not any(abs(b1 - p) <= 1e-12 for p in breaks):
+            if not any(abs(b1 - p) <= TILING_SLACK for p in breaks):
                 raise ValueError(f"piece break at {b1} is not a declared puncture")
-        if not (pieces[-1][1] == hi or abs(pieces[-1][1] - hi) <= 1e-12):
+        if not (pieces[-1][1] == hi or abs(pieces[-1][1] - hi) <= TILING_SLACK):
             raise ValueError(f"pieces do not reach the right endpoint {hi}")
         decl_at = [d.at for d in self.declarations]
         if len(set(decl_at)) != len(decl_at):
@@ -247,7 +258,7 @@ def _side_sequences(symbol: PiecewiseSymbol, p: float, cfg: Config):
     seqs = []
     for a, b, _ in symbol.pieces:
         for end, sign in ((b, -1.0), (a, 1.0)):
-            if abs(end - p) <= 1e-12:
+            if abs(end - p) <= TILING_SLACK:
                 d0 = min(cfg.approach_start, (b - a) / 4)
                 seqs.append([p + sign * d0 * 0.5 ** k
                              for k in range(cfg.approach_steps)])
@@ -301,7 +312,7 @@ def detect_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Detection
     # divergence of the modulus
     mags = [[modulus(z) for z in t] for t in tails]
     if all(m[-1] > cfg.blowup for m in mags) and all(
-        b - a >= -1e-6 * a for m in mags for a, b in zip(m, m[1:])
+        b - a >= -MONOTONE_SLACK * a for m in mags for a, b in zip(m, m[1:])
     ):
         return Detection(PointClass.REG_INF, None, len(seqs))
 
@@ -311,7 +322,7 @@ def detect_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Detection
         centre = sum(union) / len(union)
         mean_sq = sum(m * m for m in map(modulus, union)) / len(union)
         var = sum(m * m for m in (modulus(z - centre) for z in union)) / len(union)
-        if var > cfg.osc_rel_var * max(mean_sq, 1e-300):
+        if var > cfg.osc_rel_var * max(mean_sq, VARIANCE_FLOOR):
             return Detection(PointClass.SING_SUPP, None, len(seqs),
                              note=f"oscillation variance {var:.3e}")
         if cauchy:
@@ -398,7 +409,8 @@ def symbol_equivalent(m1: PiecewiseSymbol, m2: PiecewiseSymbol,
         return False
     h1, h2 = hat_extension(m1, cfg), hat_extension(m2, cfg)
     p1, p2 = h1.domain.punctures, h2.domain.punctures
-    if len(p1) != len(p2) or any(abs(a - b) > 1e-9 for a, b in zip(p1, p2)):
+    if len(p1) != len(p2) or any(abs(a - b) > PUNCTURE_MATCH
+                                 for a, b in zip(p1, p2)):
         return False
     c1 = [d.cls for d in sorted(h1.declarations, key=lambda d: d.at)
           if math.isfinite(d.at)]

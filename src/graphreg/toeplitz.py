@@ -101,7 +101,8 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
 
     r has the Laurent degree of |p|²+|q|², at most max(deg p, deg q), no
     zeros in the closed unit disc, and the phase is fixed so that
-    q(0)/r(0) > 0.  Roots of the Laurent polynomial within
+    q(0)/r(0) > 0.  |p|²+|q|² must stay above ``coprime_tol`` times its
+    largest value on the circle.  Roots of the Laurent polynomial within
     ``root_circle_tol`` of the circle abort the factorization: under
     coprimality they can only arise from ill-conditioning.  A coefficient
     that is inf or NaN is refused with NonFiniteValue.
@@ -116,7 +117,8 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
         raise ValueError(f"degree {d} exceeds the cap {cfg.max_poly_degree}")
     m = cfg.circle_samples
     lvals = np.abs(circle_samples(p, m)) ** 2 + np.abs(circle_samples(q, m)) ** 2
-    if lvals.min() <= cfg.coprime_tol:
+    # relative to its largest value, so that (c·p, c·q) is decided as (p, q)
+    if lvals.min() <= cfg.coprime_tol * lvals.max():
         raise NotCoprime("|p|^2+|q|^2 reaches zero on the circle")
     # Laurent coefficients c_k = Σ_j a_j conj(a_{j-k}) of p p~ + q q~,
     # k = -d..d: the full autocorrelation of each coefficient vector
@@ -150,6 +152,16 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
     return r * gamma * phase
 
 
+# The gates of TrigData.failures: the largest residual of |p|² + |q|² =
+# |r|² on the circle, absolute and relative to |r|², how far past 1 the
+# smallest root modulus of r must lie, and the largest imaginary part of
+# f(0) = q(0)/r(0) read as rounding.
+FACTOR_RESIDUAL_GATE = 1e-8
+UNIT_RESIDUAL_GATE = 1e-8
+R_ROOT_MARGIN = 1e-9
+F0_IMAG_GATE = 1e-10
+
+
 @dataclass
 class TrigData:
     """Validated factorization data for T_{p/q}, with the roots of q."""
@@ -166,17 +178,19 @@ class TrigData:
     def failures(self) -> list:
         """The checks this factorization fails, each with its value."""
         out = []
-        if not self.factor_residual < 1e-8:
+        if not self.factor_residual < FACTOR_RESIDUAL_GATE:
             out.append(f"factor_residual {self.factor_residual:.2e} "
-                       f"(must be below 1e-8)")
-        if not self.unit_residual < 1e-8:
+                       f"(must be below {FACTOR_RESIDUAL_GATE:g})")
+        if not self.unit_residual < UNIT_RESIDUAL_GATE:
             out.append(f"unit_residual {self.unit_residual:.2e} "
-                       f"(must be below 1e-8)")
-        if not self.r_root_min_modulus > 1 + 1e-9:
+                       f"(must be below {UNIT_RESIDUAL_GATE:g})")
+        if not self.r_root_min_modulus > 1 + R_ROOT_MARGIN:
             out.append(f"smallest root modulus of r "
-                       f"{self.r_root_min_modulus:.12g} (must exceed 1)")
-        if not (abs(self.f0.imag) < 1e-10 and self.f0.real > 0):
-            out.append(f"f(0) = {self.f0:.3g} (must be real and positive)")
+                       f"{self.r_root_min_modulus:.12g} "
+                       f"(must exceed 1 + {R_ROOT_MARGIN:g})")
+        if not (abs(self.f0.imag) < F0_IMAG_GATE and self.f0.real > 0):
+            out.append(f"f(0) = {self.f0:.3g} (must be positive, with an "
+                       f"imaginary part below {F0_IMAG_GATE:g})")
         return out
 
     @property

@@ -67,14 +67,18 @@ def _spectral_apply(h, f, floor=None) -> np.ndarray:
     return (v * fw[..., None, :]) @ _adj(v)
 
 
-def hermitian_sqrt(h: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
+# the rounding below 0 that hermitian_sqrt forgives, relative to max(1, ‖h‖)
+PSD_CLAMP = 1e-12
+
+
+def hermitian_sqrt(h: np.ndarray) -> np.ndarray:
     """Positive square root via eigendecomposition.
 
-    Eigenvalues in [-clamp, 0) are set to 0; anything more negative means
-    the input was not PSD and raises.
+    Eigenvalues in [-PSD_CLAMP·max(1, ‖h‖), 0) are set to 0; anything
+    more negative means the input was not PSD and raises.
     """
     def psd(w):
-        if w.min() < -clamp * max(1.0, abs(w).max()):
+        if w.min() < -PSD_CLAMP * max(1.0, abs(w).max()):
             raise AxiomsFailed(f"matrix not PSD: min eigenvalue {w.min():.3e}")
     return _spectral_apply(h, np.sqrt, psd)
 
@@ -145,9 +149,10 @@ class AabTriple:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def is_normal(self, tol: float = 1e-10) -> bool:
+    def is_normal(self, cfg: Config = DEFAULT) -> bool:
+        """a = a_* to ``cfg.residual_tol``, relative to max(1, ‖a‖)."""
         skew, norm_a = opnorm(np.stack([self.a - self.a_star, self.a]))
-        return bool(skew <= tol * max(1.0, norm_a))
+        return bool(skew <= cfg.residual_tol * max(1.0, norm_a))
 
 
 @dataclass
@@ -157,17 +162,20 @@ class QuotientPair:
     a: np.ndarray
     b: np.ndarray
 
-    def kernel_inclusion_residual(self) -> float:
-        """How far ker(a) escapes ker(b); must be ~0 for well-definedness."""
+    def kernel_inclusion_residual(self, cfg: Config = DEFAULT) -> float:
+        """How far ker(a), cut at ``cfg.subspace_tol``, escapes ker(b);
+        must be ~0 for well-definedness."""
         _, s, vh = np.linalg.svd(self.a)
-        null = vh[numerical_rank(s, 1e-10):].conj().T
+        null = vh[numerical_rank(s, cfg.subspace_tol):].conj().T
         if null.shape[1] == 0:
             return 0.0
         return opnorm(self.b @ null)
 
-    def reconstruct(self, kernel_tol: float = 1e-12) -> np.ndarray:
+    def reconstruct(self, cfg: Config = DEFAULT) -> np.ndarray:
+        """t = b a⁻¹; KernelNotTrivial unless every eigenvalue of a
+        exceeds ``cfg.kernel_tol``."""
         def floor(w):
-            if w.min() <= kernel_tol:
+            if w.min() <= cfg.kernel_tol:
                 raise KernelNotTrivial("a has a nontrivial kernel")
         return self.b @ _spectral_apply(self.a, np.reciprocal, floor)
 
@@ -193,7 +201,7 @@ class AxiomReport:
         return not self.failures
 
 
-def aab_forward(t: np.ndarray, cfg: Config = DEFAULT) -> AabTriple:
+def aab_forward(t: np.ndarray) -> AabTriple:
     """(a, a_*, b) of a matrix operator; exact inverses of 1 + t*t and
     1 + tt* from one stacked solve."""
     t = np.asarray(t, dtype=complex)
@@ -207,7 +215,9 @@ def aab_forward(t: np.ndarray, cfg: Config = DEFAULT) -> AabTriple:
     return AabTriple(a, a_star, t @ a)
 
 
-# f(a_*) b = b f(a) is checked for each of these f
+# f(a_*) b = b f(a) is checked for each of these f, to 10·residual_tol and
+# never tighter than COMMUTATION_FLOOR
+COMMUTATION_FLOOR = 1e-9
 _COMMUTATION_FAMILY = (("sqrt", np.sqrt), ("square", np.square),
                       ("cube", lambda x: x ** 3))
 
@@ -282,7 +292,7 @@ def _axiom_report(triple: AabTriple, cfg: Config) -> AxiomReport:
         failures.append("ker(a_*) nontrivial")
     if norm_b > 1 + tol:
         failures.append("||b|| > 1")
-    if any(v > max(10 * tol, 1e-9) for v in comm.values()):
+    if any(v > max(10 * tol, COMMUTATION_FLOOR) for v in comm.values()):
         failures.append("f(a_*) b != b f(a)")
     return AxiomReport(r_bb, r_bbs, r_int, a_ok, s_ok, wa_min, ws_min,
                        norm_b, MappingProxyType(comm), tuple(failures))
@@ -380,8 +390,12 @@ def polar_decompose(t: np.ndarray, cfg: Config = DEFAULT):
 # -- functional calculus -------------------------------------------------------
 
 
-def joint_diagonalize(a: np.ndarray, b: np.ndarray, rng: np.random.Generator,
-                      cfg: Config = DEFAULT):
+# the off-diagonal part, relative to max(1, ‖a‖, ‖b‖), above which
+# joint_diagonalize refuses a pair as not commuting
+JOINT_DIAGONAL_GATE = 1e-8
+
+
+def joint_diagonalize(a: np.ndarray, b: np.ndarray, rng: np.random.Generator):
     """Common eigenbasis of a commuting normal pair, a Hermitian.
 
     Re b and Im b then commute with each other and with a, so one ``eigh``
@@ -397,7 +411,7 @@ def joint_diagonalize(a: np.ndarray, b: np.ndarray, rng: np.random.Generator,
     stack = np.stack([da - np.diag(np.diag(da)), db - np.diag(np.diag(db)), a, b])
     off_a, off_b, norm_a, norm_b = opnorm(stack)
     off = float(max(off_a, off_b))
-    if off > 1e-8 * max(1.0, norm_a, norm_b):
+    if off > JOINT_DIAGONAL_GATE * max(1.0, norm_a, norm_b):
         raise NonCommutingPair(f"joint diagonalization residual {off:.3e}")
     return q, np.diag(da), np.diag(db)
 
@@ -527,11 +541,11 @@ def functional_calculus(triple: AabTriple, f_ast, beta: complex = 0.0,
     """
     from .expressions import evaluate
 
-    if not triple.is_normal(cfg.residual_tol):
+    if not triple.is_normal(cfg):
         raise NotNormal("functional calculus requires a = a_*")
     if rng is None:
         rng = np.random.default_rng(0)
-    q, la, lb = joint_diagonalize(triple.a, triple.b, rng, cfg)
+    q, la, lb = joint_diagonalize(triple.a, triple.b, rng)
     live = la.real > cfg.kernel_tol
     vals = np.full(len(la), complex(beta))
     vals[live] = evaluate(f_ast, lb[live] / la[live]) + beta

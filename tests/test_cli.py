@@ -615,10 +615,10 @@ def test_expression_and_coefficient_list_give_the_same_report(tmp_path):
 
 
 def test_failed_factorization_is_a_named_check_failure():
-    # 0.01 over (1 - 0.9z)^12: the factorization misses by a residual ~5.7
+    # 0.1 over (1 - 0.9z)^12: the factorization misses by a residual ~0.1
     q = ",".join(repr(float(c)) for c in np.polynomial.polynomial.polypow(
         [1.0, -0.9], 12))
-    proc = run_cli("toeplitz", "0.01", q, "--N", "64", expect=2)
+    proc = run_cli("toeplitz", "0.1", q, "--N", "64", expect=2)
     assert proc.stderr.startswith("verified failure:")
     assert "factor_residual" in proc.stderr
 

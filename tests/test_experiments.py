@@ -1195,6 +1195,29 @@ def test_right_newton_steps_need_no_bisection():
     assert calls.count("covers") <= 2 and len(calls) <= 10, calls
 
 
+@pytest.mark.parametrize("multiplicity", [2, 3, 1024])
+def test_multiple_root_is_certified_at_the_secant(multiplicity):
+    # an eigenvalue of multiplicity m at ROOT: Newton's step from t is
+    # (t - ROOT)/m, so its iterates stop short of ROOT, and the secant of
+    # the step through the last two probes lands on it
+    calls = []
+
+    def probe(t):
+        calls.append("probe")
+        return (multiplicity if t >= ROOT else 0), multiplicity / (t - ROOT)
+
+    def covers(t):
+        calls.append("covers")
+        return covers_root(t)
+
+    got = experiments._certified_root(probe, covers, multiplicity - 1, 0.0, 10.0)
+    assert abs(got - ROOT) <= 4 * EPS * ROOT
+    # the bracketing counts, then two for the Newton root and two for the
+    # secant: no bisection to adjacent floats
+    after = calls[calls.index("probe"):]
+    assert after.count("covers") == 4, after
+
+
 @pytest.mark.parametrize("offset", [-1e-12, -1e-6])
 def test_root_falls_back_to_bisection_when_the_certificate_fails_above(offset):
     # Newton converges to a point below the root, where covers fails on
@@ -1259,11 +1282,23 @@ def test_weyl_spectra_without_newton_steps_are_the_bisection(
 
 # one `experiment --which weyl --M 512` run reads six Weyl spectra, on the
 # grids of 512 and 1024 points; bisection to adjacent floats took 379
-# pivot passes for them
-WEYL_PASS_BUDGET = 160
+# pivot passes for them, and the certified Newton steps take 94.  At
+# --M 2048 and at the α = 1e6, β = -1e6, L = 1e-6 corner they take 115 and
+# 145, 2 and 5 of them after a certificate that failed.  At α = 1, β = -1e6,
+# L = 1e6 the bidiagonals are diagonal, and each y-relation has an
+# eigenvalue of multiplicity 2 or M: Newton's steps stop short there, and
+# the secant of the last two is certified instead.  That run takes 136
+# passes; pushing out from the Newton root and bisecting took 224.
+WEYL_PASS_BUDGETS = {
+    "--M 512": 160,
+    "--M 2048": 130,
+    "--alpha 1000000 --beta -1000000 --L 0.000001 --M 1024": 160,
+    "--alpha 1 --beta -1000000 --L 1000000 --M 1024": 160,
+}
 
 
-def test_weyl_experiment_pass_budget(monkeypatch, tmp_path):
+@pytest.mark.parametrize("args", WEYL_PASS_BUDGETS)
+def test_weyl_experiment_pass_budget(args, monkeypatch, tmp_path):
     from graphreg import cli
 
     passes = []
@@ -1283,8 +1318,8 @@ def test_weyl_experiment_pass_budget(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "_certified_root", counting)
     out = tmp_path / "weyl.json"
     assert cli.main(["--quiet", "--json", str(out), "experiment", "--which",
-                     "weyl", "--M", "512"]) == 0
-    assert 0 < len(passes) <= WEYL_PASS_BUDGET, len(passes)
+                     "weyl", *args.split()]) == 0
+    assert 0 < len(passes) <= WEYL_PASS_BUDGETS[args], len(passes)
 
 
 # at β = -1e6 and L = 1e6, ρ = e^{β·dt} underflows to 0, so (k·|D|)⁻¹ is

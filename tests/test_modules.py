@@ -548,7 +548,7 @@ class TestGatheredAgainstLoops:
             right = all(alg.contains(e @ m) for e in units)
             assert alg.is_left_multiplier(m) == left
             assert alg.is_multiplier(m) == (left and right)
-        closed = all(alg.contains(e @ f, 1e-12) for e in units for f in units)
+        closed = all(alg.contains(e @ f) for e in units for f in units)
         assert alg.closed_under_product() == closed
 
     @pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)

@@ -1,0 +1,115 @@
+"""Every threshold has one home.
+
+A threshold a caller may need to change is a field of ``Config``, read
+through the ``cfg`` a function takes; any other is an UPPER_CASE constant
+assigned at module level beside the code that decides with it.  So:
+
+* outside ``config.py`` an e-notation number appears only on the right of
+  a module-level assignment to an UPPER_CASE name (docstrings and
+  comments are not number tokens);
+* no function gives a tolerance parameter (``tol``, ``clamp`` or a name
+  ending in ``_tol``) a default, which would be a second home for the
+  value; a required one only passes on what its caller read from ``cfg``;
+* every function that takes ``cfg`` reads it.
+"""
+
+import ast
+import io
+import pathlib
+import tokenize
+
+import pytest
+
+SRC = pathlib.Path(__file__).parents[1] / "src" / "graphreg"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "config.py")
+
+
+def is_tolerance(name: str) -> bool:
+    return name in ("tol", "clamp") or name.endswith("_tol")
+
+
+def constant_lines(tree: ast.Module) -> set:
+    """The lines of module-level assignments to UPPER_CASE names."""
+    lines = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        names = [n for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+        if names and all(n.id.isupper() for n in names):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def functions(tree: ast.Module):
+    return [n for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def parameters_with_defaults(fn) -> list:
+    """(name, default) of every parameter that has a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                     args.defaults))
+    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return [(a.arg, d) for a, d in pairs]
+
+
+def reads(fn, name: str) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == name
+               and isinstance(n.ctx, ast.Load)
+               for stmt in fn.body for n in ast.walk(stmt))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_e_notation_only_in_module_constants(path):
+    source = path.read_text(encoding="utf-8")
+    allowed = constant_lines(ast.parse(source))
+    stray = [f"{path.name}:{tok.start[0]}: {tok.string}"
+             for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.NUMBER and "e" in tok.string.lower()
+             and not tok.string.lower().startswith("0x")
+             and tok.start[0] not in allowed]
+    assert not stray, stray
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_tolerance_parameter_has_a_default(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    knobs = [f"{path.name}:{fn.lineno}: {fn.name}({name}=...)"
+             for fn in functions(tree)
+             for name, _ in parameters_with_defaults(fn) if is_tolerance(name)]
+    assert not knobs, knobs
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cfg_parameter_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = [f"{path.name}:{fn.lineno}: {fn.name}"
+              for fn in functions(tree)
+              if any(a.arg == "cfg" for a in fn.args.posonlyargs + fn.args.args
+                     + fn.args.kwonlyargs)
+              and not reads(fn, "cfg")]
+    assert not unread, unread
+
+
+def test_the_checks_see_what_they_look_for():
+    """Each check finds a planted case of what it forbids."""
+    source = ("X = 1e-9\n"
+              "def f(t, tol=1e-10, cfg=None):\n"
+              "    return t < 2e-8\n")
+    tree = ast.parse(source)
+    assert constant_lines(tree) == {1}
+    numbers = [tok.start[0] for tok in
+               tokenize.generate_tokens(io.StringIO(source).readline)
+               if tok.type == tokenize.NUMBER and "e" in tok.string]
+    assert numbers == [1, 2, 3]
+    (fn,) = functions(tree)
+    assert [n for n, _ in parameters_with_defaults(fn)] == ["tol", "cfg"]
+    assert not reads(fn, "cfg") and reads(fn, "t")

@@ -516,9 +516,11 @@ def test_truncation_size_cap():
 
 # -- the factorization gate ------------------------------------------------------
 
-# 0.01 over (1 - 0.9z)^12: |q|² spans about 24 orders of magnitude on the
-# circle, and the root pairing loses |p|² + |q|² = |r|² (residual ~5.7)
-ILL_CONDITIONED = ([0.01], npoly.polypow([1.0, -0.9], 12))
+# 0.1 over (1 - 0.9z)^12: |q|² spans about 24 orders of magnitude on the
+# circle, and the root pairing loses |p|² + |q|² = |r|² (residual ~0.1,
+# unit residual ~8e-8).  |p|² + |q|² stays above 2e-9 of its largest value,
+# twenty times the floor below which fejer_riesz reads it as zero
+ILL_CONDITIONED = ([0.1], npoly.polypow([1.0, -0.9], 12))
 
 
 def test_failed_factorization_is_refused():
@@ -529,6 +531,14 @@ def test_failed_factorization_is_refused():
         affiliation_verdict(*ILL_CONDITIONED)
     with pytest.raises(FactorizationFailed):
         toeplitz_aab(*ILL_CONDITIONED, 64)
+
+
+def test_sum_of_squares_near_zero_against_its_largest_value_is_refused():
+    # at 0.01 over the same q, |p|² + |q|² falls to 2e-11 of its largest
+    # value on the circle, below coprime_tol: the pair is refused before
+    # its factorization is tried
+    with pytest.raises(NotCoprime, match="reaches zero on the circle"):
+        fejer_riesz([0.01], ILL_CONDITIONED[1])
 
 
 @pytest.mark.parametrize("p, q", [

@@ -844,7 +844,7 @@ def test_spectral_apply_on_a_stack_matches_separate_calls():
 
 def functional_calculus_reference(triple, f_ast, beta, rng, cfg=DEFAULT):
     """The scalar loop: f evaluated once per eigenvalue ratio λ_b/λ_a."""
-    q, la, lb = joint_diagonalize(triple.a, triple.b, rng, cfg)
+    q, la, lb = joint_diagonalize(triple.a, triple.b, rng)
     vals = np.empty(len(la), dtype=complex)
     for k, (za, zb) in enumerate(zip(la, lb)):
         if za.real <= cfg.kernel_tol:
