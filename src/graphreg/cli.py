@@ -73,34 +73,21 @@ def make_report(args, command: str, results: dict, cfg: Config) -> dict:
     }
 
 
-# an FFT coefficient part below this is rounding, not a coefficient
-COEFF_FLUSH = 1e-12
-
-
 def parse_poly(text: str, cfg: Config):
     """Polynomial coefficients, as an ndarray, from either comma-separated
-    coefficients or an expression in one variable, e.g. ``1-z``."""
+    coefficients or an expression in one variable, e.g. ``1-z``, which is
+    expanded exactly (``expressions.poly_coefficients``)."""
     import numpy as np
 
-    from .expressions import evaluate, parse_expression
+    from .expressions import parse_expression, poly_coefficients
 
     text = text.strip()
+    if all(c in "0123456789+-.eEj, " for c in text) and "," in text:
+        return np.array([complex(tok) for tok in text.split(",")])
     try:
-        if all(c in "0123456789+-.eEj, " for c in text) and "," in text:
-            return np.array([complex(tok) for tok in text.split(",")])
-        ast = parse_expression(text)
-        m = 2 * (cfg.max_poly_degree + 1)
-        z = np.exp(2j * np.pi * np.arange(m) / m)
-        coeffs = np.fft.fft(evaluate(ast, z) * np.ones(m)) / m
-        # FFT rounding, in either part, is no coefficient: 1-z is the
-        # real list 1,-1
-        for part in (coeffs.real, coeffs.imag):
-            part[np.abs(part) < COEFF_FLUSH] = 0.0
-        nz = np.nonzero(np.abs(coeffs) > 0)[0]
-        if nz.size and nz[-1] > cfg.max_poly_degree:
-            raise ValueError("not a polynomial of admissible degree")
-        return coeffs[: (nz[-1] + 1) if nz.size else 1]
-    except GraphregError as err:
+        return np.array(poly_coefficients(parse_expression(text),
+                                          cfg.max_poly_degree))
+    except (GraphregError, ValueError) as err:
         raise ValueError(f"cannot parse polynomial {text!r}: {err}") from err
 
 

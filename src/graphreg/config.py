@@ -12,8 +12,7 @@ Every other threshold is an UPPER_CASE constant beside the code that
 decides with it, and is not an option:
 
 * ``cli``: the ``transform`` verdict gates ``IDENTITY_GATE``,
-  ``RECONSTRUCTION_GATE``, ``NORM_SLACK`` and ``PSD_SLACK``, and
-  ``COEFF_FLUSH``, the FFT rounding ``parse_poly`` drops;
+  ``RECONSTRUCTION_GATE``, ``NORM_SLACK`` and ``PSD_SLACK``;
 * ``toeplitz``: the factorization gates ``FACTOR_RESIDUAL_GATE``,
   ``UNIT_RESIDUAL_GATE``, ``R_ROOT_MARGIN`` and ``F0_IMAG_GATE``;
 * ``transforms``: ``PSD_CLAMP``, ``COMMUTATION_FLOOR`` and
@@ -21,11 +20,13 @@ decides with it, and is not an option:
 * ``symbols``: ``TILING_SLACK``, ``MONOTONE_SLACK``, ``VARIANCE_FLOOR``
   and ``PUNCTURE_MATCH``;
 * ``experiments``: ``WINDOW_SLACK``; ``expressions``: the formatting
-  limit ``INT_FORMAT_LIMIT``.
+  limit ``INT_FORMAT_LIMIT`` (``poly_coefficients`` bounds each exact
+  coefficient part by the bits of ``max_poly_degree`` + 1 doubles,
+  ``FLOAT_BITS`` each).
 
 A verdict should not change when t is scaled, so the constants that
-compare an absolute quantity are marked here: ``COEFF_FLUSH`` and
-``FACTOR_RESIDUAL_GATE`` (quantities that scale with p and q),
+compare an absolute quantity are marked here:
+``FACTOR_RESIDUAL_GATE`` (a quantity that scales with p and q),
 ``TILING_SLACK`` and ``PUNCTURE_MATCH`` (lengths in x),
 ``VARIANCE_FLOOR``, ``WINDOW_SLACK``, ``COMMUTATION_FLOOR``,
 ``NORM_SLACK`` and ``PSD_SLACK``.  ``IDENTITY_GATE``,
@@ -52,12 +53,13 @@ COMPLEX_BYTES = 16
 # refinement near a puncture.
 SIZE_CAPS = {name: ARRAY_BUDGET // COMPLEX_BYTES for name in (
     "grid_points", "circle_samples", "dyadic_depth")}
+# The positive doubles span max_exp - min_exp + mant_dig = 2098 binary
+# orders of magnitude, 2^-1074 to 2^1024.
+FLOAT_BITS = sys.float_info.max_exp - sys.float_info.min_exp + sys.float_info.mant_dig
 # Each sample of an approach halves the offset from a puncture (or doubles
-# the point on the way to infinity).  The positive doubles span
-# max_exp - min_exp + mant_dig = 2098 binary orders of magnitude, 2^-1074
-# to 2^1024, so a longer approach only repeats the puncture or overflows.
-SIZE_CAPS["approach_steps"] = (sys.float_info.max_exp - sys.float_info.min_exp
-                               + sys.float_info.mant_dig)
+# the point on the way to infinity), so a longer approach only repeats the
+# puncture or overflows.
+SIZE_CAPS["approach_steps"] = FLOAT_BITS
 
 # The detector's Cauchy test compares successive samples of an approach,
 # so an approach and its classification window need two of them.

@@ -5,7 +5,7 @@ Grammar (EBNF)::
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := atom ('^' int)?
-    atom   := number | 'i' | variable | func '(' expr ')' | '(' expr ')'
+    atom   := '-'* (number | 'i' | variable | func '(' expr ')' | '(' expr ')')
     func   in {exp, sin, cos, sqrt, conj, abs}
 
 ASTs are plain nested tuples, hashable and comparable with ``==``:
@@ -14,19 +14,26 @@ ASTs are plain nested tuples, hashable and comparable with ``==``:
 and ``('neg', a)``.  Any identifier that is not a function name is accepted
 as the variable, so both ``1/x`` and ``w/(1+abs(w)^2)`` parse; an expression
 may use only one variable name.
+
+Every consumer of an AST is a table of per-kind visits on one bottom-up
+walk, ``_walk``, which visits each node once per call: the list and the
+ndarray evaluators (``evaluate``), printing (``to_string``), substitution
+(``substitute``) and exact polynomial expansion (``poly_coefficients``).
+A new reading of the AST adds a table, not a recursion.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
 import re
+from itertools import zip_longest
 
 from . import complexmath as cm
+from .config import FLOAT_BITS
 from .errors import ExprSyntaxError
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "conj", "abs")
-
-NUM = ("num",)
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<float>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
@@ -167,6 +174,17 @@ class _Parser:
         return node
 
     def atom(self):
+        signs = 0
+        while self.peek()[:2] == ("op", "-"):
+            self.take()
+            signs += 1
+        node = self.operand()
+        for _ in range(signs):
+            # fold literal negation so printed negative literals re-parse equal
+            node = num(-node[1]) if node[0] == "num" else ("neg", node)
+        return node
+
+    def operand(self):
         kind, val, pos = self.take()
         if kind == "number":
             return num(float(val))
@@ -174,12 +192,6 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
-        if kind == "op" and val == "-":
-            inner = self.atom()
-            # fold literal negation so printed negative literals re-parse equal
-            if inner[0] == "num":
-                return num(-inner[1])
-            return ("neg", inner)
         if kind == "name":
             if val in FUNCTIONS:
                 self.expect_op("(")
@@ -204,75 +216,139 @@ def parse_expression(text: str) -> tuple:
 
 
 # a whole number below this in modulus is written as an integer, any
-# other number by repr
+# other number as the digits of its shortest round-trip decimal
 INT_FORMAT_LIMIT = 1e15
 
 
 def _fmt_real(v: float) -> str:
     if v == int(v) and abs(v) < INT_FORMAT_LIMIT:
         return str(int(v))
-    return repr(v)
+    text = repr(v)
+    if "e" in text:
+        # the grammar has no exponent: 1e-05 is written 0.00001
+        from decimal import Decimal
+
+        text = format(Decimal(text), "f")
+    return text
 
 
 def _fmt_complex(z: complex) -> str:
     if z == 1j:
         return "i"
+    re = _fmt_real(z.real) if z.real >= 0 else f"(-{_fmt_real(-z.real)})"
     if z.imag == 0.0:
-        return _fmt_real(z.real) if z.real >= 0 else f"(-{_fmt_real(-z.real)})"
-    if z.real == 0.0:
-        im = _fmt_real(z.imag) if z.imag >= 0 else f"-{_fmt_real(-z.imag)}"
-        return f"({im}*i)"
-    im = _fmt_complex(complex(0.0, z.imag))[1:-1]  # strip outer parens
-    return f"({_fmt_complex(complex(z.real))}+{im})"
+        return re
+    im = _fmt_real(z.imag) if z.imag >= 0 else f"-{_fmt_real(-z.imag)}"
+    return f"({im}*i)" if z.real == 0.0 else f"({re}+{im}*i)"
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4}
+# -- the walk ------------------------------------------------------------------
+
+_BINARY = frozenset("+-*/")
 
 
-def to_string(ast, _prec=0) -> str:
+def _walk(node, visit: dict, env, memo: dict, keep):
+    """The value of ``node``: ``visit[kind](node, env, *operand values)``,
+    bottom up.  ``memo`` holds values by node identity, so a node that is
+    the operand of several nodes is visited once; it keeps every node's
+    value when ``keep`` is None, otherwise those of the ids in ``keep``."""
+    key = id(node)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    kind = node[0]
+    if kind in _BINARY:
+        out = visit[kind](node, env, _walk(node[1], visit, env, memo, keep),
+                          _walk(node[2], visit, env, memo, keep))
+    elif kind == "neg" or kind == "pow":
+        out = visit[kind](node, env, _walk(node[1], visit, env, memo, keep))
+    elif kind == "call" and node[1] in FUNCTIONS:
+        out = visit[kind](node, env, _walk(node[2], visit, env, memo, keep))
+    elif kind == "num" or kind == "var":
+        out = visit[kind](node, env)
+    else:
+        raise ValueError(f"bad AST node {node!r}")
+    if keep is None or key in keep:
+        memo[key] = out
+    return out
+
+
+def _operands(ast) -> tuple:
+    kind = ast[0]
+    if kind in _BINARY:
+        return ast[1], ast[2]
+    if kind in ("neg", "pow"):
+        return ast[1],
+    if kind == "call":
+        return ast[2],
+    return ()
+
+
+def _shared(ast) -> set:
+    """The ids of the nodes of ``ast`` that are operands of more than one
+    node: the only values the ndarray evaluator keeps."""
+    seen, shared, stack = set(), set(), [ast]
+    while stack:
+        for node in _operands(stack.pop()):
+            if id(node) in seen:
+                shared.add(id(node))
+            else:
+                seen.add(id(node))
+                stack.append(node)
+    return shared
+
+
+# -- printing and substitution ----------------------------------------------------
+
+# a node prints with its operator's precedence; a literal, the variable
+# and a call are atoms, never parenthesized
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
+
+
+def _operand_text(printed: tuple, prec: int) -> str:
+    text, own = printed
+    return f"({text})" if own < prec else text
+
+
+def _print_binary(node, env, a, b):
+    p = _PREC[node[0]]
+    # the right operand needs strictly higher precedence for - and /
+    return f"{_operand_text(a, p)}{node[0]}{_operand_text(b, p + 1)}", p
+
+
+_PRINT = {
+    "num": lambda node, env: (_fmt_complex(node[1]), _PREC["atom"]),
+    "var": lambda node, env: ("x", _PREC["atom"]),
+    **dict.fromkeys(_BINARY, _print_binary),
+    "neg": lambda node, env, a: ("-" + _operand_text(a, _PREC["neg"]), _PREC["neg"]),
+    "pow": lambda node, env, a: (f"{_operand_text(a, _PREC['atom'])}^{node[2]}",
+                                 _PREC["pow"]),
+    "call": lambda node, env, a: (f"{node[1]}({a[0]})", _PREC["atom"]),
+}
+
+
+def to_string(ast) -> str:
     """Pretty-print an AST; ``parse_expression(to_string(a)) == a`` up to
     literal formatting."""
-    kind = ast[0]
-    if kind == "num":
-        return _fmt_complex(ast[1])
-    if kind == "var":
-        return "x"
-    if kind in "+-*/":
-        p = _PREC[kind]
-        # right operand needs strictly higher precedence for - and /
-        left = to_string(ast[1], p)
-        right = to_string(ast[2], p + 1)
-        s = f"{left}{kind}{right}"
-        return f"({s})" if p < _prec else s
-    if kind == "neg":
-        s = f"-{to_string(ast[1], _PREC['neg'])}"
-        return f"({s})" if _PREC["neg"] < _prec else s
-    if kind == "pow":
-        base = to_string(ast[1], _PREC["pow"] + 1)
-        s = f"{base}^{ast[2]}"
-        return f"({s})" if _PREC["pow"] < _prec else s
-    if kind == "call":
-        return f"{ast[1]}({to_string(ast[2])})"
-    raise ValueError(f"bad AST node {ast!r}")
+    return _walk(ast, _PRINT, None, {}, None)[0]
+
+
+_SUBSTITUTE = {
+    "num": lambda node, new: node,
+    "var": lambda node, new: new,
+    **dict.fromkeys(_BINARY, lambda node, new, a, b: (node[0], a, b)),
+    "neg": lambda node, new, a: ("neg", a),
+    "pow": lambda node, new, a: ("pow", a, node[2]),
+    "call": lambda node, new, a: ("call", node[1], a),
+}
 
 
 def substitute(ast, replacement):
     """Replace the variable by another AST (function composition)."""
-    kind = ast[0]
-    if kind == "var":
-        return replacement
-    if kind == "num":
-        return ast
-    if kind in ("+", "-", "*", "/"):
-        return (kind, substitute(ast[1], replacement),
-                substitute(ast[2], replacement))
-    if kind == "neg":
-        return ("neg", substitute(ast[1], replacement))
-    if kind == "pow":
-        return ("pow", substitute(ast[1], replacement), ast[2])
-    if kind == "call":
-        return ("call", ast[1], substitute(ast[2], replacement))
-    raise ValueError(f"bad AST node {ast!r}")
+    return _walk(ast, _SUBSTITUTE, replacement, {}, None)
+
+
+# -- evaluation -------------------------------------------------------------------
 
 
 def evaluate(ast, x):
@@ -292,105 +368,154 @@ def evaluate(ast, x):
     open intervals where the expression is finite.
     """
     if isinstance(x, (int, float, complex)):
-        return _eval_list(ast, [complex(x)], {})[0]
+        return _walk(ast, _LIST, [complex(x)], {}, None)[0]
     if isinstance(x, (list, tuple)):
-        return _eval_list(ast, [complex(v) for v in x], {})
+        return _walk(ast, _LIST, [complex(v) for v in x], {}, None)
     import numpy as np
 
     x = np.asarray(x, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _eval_array(ast, x, _shared(ast))
+        return _walk(ast, _ARRAY, x, {}, _shared(ast))
 
 
-def _operands(ast) -> tuple:
-    kind = ast[0]
-    if kind in ("+", "-", "*", "/"):
-        return ast[1], ast[2]
-    if kind in ("neg", "pow"):
-        return ast[1],
-    if kind == "call":
-        return ast[2],
-    return ()
-
-
-def _shared(ast) -> dict:
-    """{id: None} for every node of ``ast`` that is an operand of more than
-    one node; the evaluators put its value there once they have it."""
-    seen, shared, stack = set(), {}, [ast]
-    while stack:
-        for node in _operands(stack.pop()):
-            if id(node) in seen:
-                shared[id(node)] = None
-            else:
-                seen.add(id(node))
-                stack.append(node)
-    return shared
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": cm.div}
 _CALLS = {"exp": cm.exp, "sin": cm.sin, "cos": cm.cos, "sqrt": cm.sqrt,
           "conj": complex.conjugate, "abs": lambda z: complex(cm.modulus(z))}
 
-
-def _eval_list(ast, xs: list, memo: dict) -> list:
-    """The values of ``ast`` at the points ``xs``; ``memo`` keeps those of
-    the nodes evaluated so far, by identity."""
-    done = memo.get(id(ast))
-    if done is not None:
-        return done
-    kind = ast[0]
-    if kind == "num":
-        out = [ast[1]] * len(xs)
-    elif kind == "var":
-        out = xs
-    elif kind in _BINARY:
-        out = list(map(_BINARY[kind], _eval_list(ast[1], xs, memo),
-                       _eval_list(ast[2], xs, memo)))
-    elif kind == "neg":
-        out = list(map(operator.neg, _eval_list(ast[1], xs, memo)))
-    elif kind == "pow":
-        n = ast[2]
-        out = [cm.power(v, n) for v in _eval_list(ast[1], xs, memo)]
-    elif kind == "call" and ast[1] in _CALLS:
-        out = list(map(_CALLS[ast[1]], _eval_list(ast[2], xs, memo)))
-    else:
-        raise ValueError(f"bad AST node {ast!r}")
-    memo[id(ast)] = out
-    return out
+_LIST = {
+    "num": lambda node, xs: [node[1]] * len(xs),
+    "var": lambda node, xs: xs,
+    "+": lambda node, xs, a, b: list(map(operator.add, a, b)),
+    "-": lambda node, xs, a, b: list(map(operator.sub, a, b)),
+    "*": lambda node, xs, a, b: list(map(operator.mul, a, b)),
+    "/": lambda node, xs, a, b: list(map(cm.div, a, b)),
+    "neg": lambda node, xs, a: list(map(operator.neg, a)),
+    "pow": lambda node, xs, a: [cm.power(v, node[2]) for v in a],
+    "call": lambda node, xs, a: list(map(_CALLS[node[1]], a)),
+}
 
 
-def _eval_array(ast, x, shared: dict):
-    """``_eval_list`` on an ndarray, by numpy's ufuncs; ``shared`` keeps
-    the values of the nodes ``_shared`` found."""
+def _array_num(node, x):
     import numpy as np
 
-    done = shared.get(id(ast))
-    if done is not None:
-        return done
-    kind = ast[0]
-    if kind == "num":
-        out = np.broadcast_to(np.asarray(ast[1]), x.shape).copy() if x.shape else ast[1]
-    elif kind == "var":
-        out = x
-    elif kind == "+":
-        out = _eval_array(ast[1], x, shared) + _eval_array(ast[2], x, shared)
-    elif kind == "-":
-        out = _eval_array(ast[1], x, shared) - _eval_array(ast[2], x, shared)
-    elif kind == "*":
-        out = _eval_array(ast[1], x, shared) * _eval_array(ast[2], x, shared)
-    elif kind == "/":
-        out = _eval_array(ast[1], x, shared) / _eval_array(ast[2], x, shared)
-    elif kind == "neg":
-        out = -_eval_array(ast[1], x, shared)
-    elif kind == "pow":
-        out = _eval_array(ast[1], x, shared) ** ast[2]
-    elif kind == "call" and ast[1] in _CALLS:
-        v = _eval_array(ast[2], x, shared)
-        name = ast[1]
-        out = np.abs(v).astype(complex) if name == "abs" else getattr(np, name)(v)
-    else:
-        raise ValueError(f"bad AST node {ast!r}")
-    if id(ast) in shared:
-        shared[id(ast)] = out
+    return np.broadcast_to(np.asarray(node[1]), x.shape).copy() if x.shape else node[1]
+
+
+def _array_call(node, x, a):
+    import numpy as np
+
+    return np.abs(a).astype(complex) if node[1] == "abs" else getattr(np, node[1])(a)
+
+
+_ARRAY = {
+    "num": _array_num,
+    "var": lambda node, x: x,
+    "+": lambda node, x, a, b: a + b,
+    "-": lambda node, x, a, b: a - b,
+    "*": lambda node, x, a, b: a * b,
+    "/": lambda node, x, a, b: a / b,
+    "neg": lambda node, x, a: -a,
+    "pow": lambda node, x, a: a ** node[2],
+    "call": _array_call,
+}
+
+
+# -- exact polynomial expansion -----------------------------------------------------
+
+
+def _exact(z) -> tuple:
+    """z as a Gaussian rational: (re, im) as exact fractions."""
+    from fractions import Fraction
+
+    if not cmath.isfinite(z):
+        raise ValueError(f"the constant {z} is not finite")
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _trim(poly: list) -> list:
+    while len(poly) > 1 and not any(poly[-1]):
+        poly = poly[:-1]
+    return poly
+
+
+def _poly_add(a: list, b: list, sign: int) -> list:
+    return _trim([(ar + sign * br, ai + sign * bi) for (ar, ai), (br, bi)
+                  in zip_longest(a, b, fillvalue=(0, 0))])
+
+
+def _poly_mul(a: list, b: list, max_degree: int) -> list:
+    """a·b, refused before it is formed when its degree exceeds
+    ``max_degree``."""
+    degree = len(a) + len(b) - 2
+    if degree > max_degree:
+        raise ValueError(f"degree {degree} exceeds max_poly_degree = {max_degree}")
+    out = [(0, 0)] * (degree + 1)
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            re, im = out[i + j]
+            out[i + j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    # a part may hold the bits of a product of max_degree + 1 doubles
+    bits = (max_degree + 1) * FLOAT_BITS
+    if any(max(p.numerator.bit_length(), p.denominator.bit_length()) > bits
+           for c in out for p in c):
+        raise ValueError(f"a coefficient needs more than {bits} bits")
+    return _trim(out)
+
+
+def _inverse(b: list) -> list:
+    if len(b) > 1:
+        raise ValueError("division by a non-constant is not a polynomial operation")
+    ((re, im),) = b
+    norm = re * re + im * im
+    if not norm:
+        raise ValueError("division by zero")
+    return [(re / norm, -im / norm)]
+
+
+def _poly_pow(node, max_degree: int, base: list) -> list:
+    """base^n, refused before it is formed when its degree, taken as n
+    for a constant base, exceeds ``max_degree``."""
+    n, degree = node[2], node[2] * max(len(base) - 1, 1)
+    if n < 0:
+        raise ValueError(f"the negative power ^{n} is not a polynomial operation")
+    if degree > max_degree:
+        raise ValueError(f"degree {degree} exceeds max_poly_degree = {max_degree}")
+    out = [_exact(1)]
+    for _ in range(n):
+        out = _poly_mul(out, base, max_degree)
     return out
+
+
+def _not_polynomial(node, max_degree, a):
+    raise ValueError(f"{node[1]}() is not a polynomial operation")
+
+
+# each value is a polynomial: its coefficients, lowest degree first, as
+# Gaussian rationals
+_EXPAND = {
+    "num": lambda node, d: [_exact(node[1])],
+    "var": lambda node, d: [_exact(0), _exact(1)],
+    "+": lambda node, d, a, b: _poly_add(a, b, 1),
+    "-": lambda node, d, a, b: _poly_add(a, b, -1),
+    "*": lambda node, d, a, b: _poly_mul(a, b, d),
+    "/": lambda node, d, a, b: _poly_mul(a, _inverse(b), d),
+    "neg": lambda node, d, a: [(-re, -im) for re, im in a],
+    "pow": _poly_pow,
+    "call": _not_polynomial,
+}
+
+
+def poly_coefficients(ast, max_degree: int) -> list:
+    """The coefficients of ``ast`` as a polynomial in its variable, lowest
+    degree first and without zero top coefficients, expanded exactly from
+    the binary64 values of its constants and rounded once.
+
+    ``+ - *``, unary minus, powers 0..max_degree and division by a nonzero
+    constant are expanded; any other construct, a degree above
+    ``max_degree`` (refused before the product is formed) or a coefficient
+    beyond binary64 is a ValueError that names it.
+    """
+    try:
+        return [complex(float(re), float(im))
+                for re, im in _walk(ast, _EXPAND, max_degree, {}, None)]
+    except OverflowError:
+        raise ValueError("a coefficient overflows binary64") from None

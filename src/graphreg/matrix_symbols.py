@@ -16,7 +16,6 @@ unitized corner class.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +199,7 @@ class SymbolMatrix:
                               combine_symbols(e[0][1], e[1][0], ex.mul), ex.sub)
 
         def neg(sym):
-            return map_symbol(sym, lambda t: ex.mul(ex.num(-1.0), t), operator.neg)
+            return map_symbol(sym, ex.mul(ex.num(-1.0), ex.VAR))
 
         adj = [[e[1][1], neg(e[0][1])], [neg(e[1][0]), e[0][0]]]
         return SymbolMatrix([[combine_symbols(adj[i][j], det, ex.div)

@@ -500,28 +500,28 @@ def add_symbols(m1: PiecewiseSymbol, m2: PiecewiseSymbol) -> PiecewiseSymbol:
     return combine_symbols(m1, m2, ex.add)
 
 
-def map_symbol(m: PiecewiseSymbol, piece, value) -> PiecewiseSymbol:
+def map_symbol(m: PiecewiseSymbol, f) -> PiecewiseSymbol:
     """f ∘ m for an f that keeps the class of every point (conjugation,
-    modulus, negation): each piece goes through the AST map ``piece``,
-    each declared limit and fill through the matching scalar map
-    ``value``."""
-    pieces = tuple((a, b, piece(t)) for a, b, t in m.pieces)
+    modulus, negation), given as an AST in one variable: each piece becomes
+    ``substitute(f, piece)``, each declared limit and fill f(value), in
+    the arithmetic of the pieces."""
+    pieces = tuple((a, b, ex.substitute(f, t)) for a, b, t in m.pieces)
     decls = tuple(
-        replace(d, limit=None if d.limit is None else value(complex(d.limit)))
+        replace(d, limit=None if d.limit is None else ex.evaluate(f, complex(d.limit)))
         for d in m.declarations)
-    fills = tuple((p, value(complex(v))) for p, v in m.fills)
+    fills = tuple((p, ex.evaluate(f, complex(v))) for p, v in m.fills)
     return PiecewiseSymbol(m.domain, pieces, decls, fills)
 
 
-def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, piece, value,
+def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, f,
                        at_divergence, cfg: Config = DEFAULT) -> PiecewiseSymbol:
     """f ∘ m for a bounded continuous f with f(w) → ``at_divergence`` as
     |w| → ∞, as its canonical representative.
 
-    Pieces go through the AST map ``piece`` and fills through the scalar
-    map ``value``.  A divergence point becomes reg_b at ``at_divergence``
+    f is an AST in one variable, applied to pieces and fills as by
+    ``map_symbol``.  A divergence point becomes reg_b at ``at_divergence``
     and a finite limit l (the one detected in ``verified``, the result of
-    ``verify_symbol(m)``) becomes reg_b at value(l).  Bounded oscillation
+    ``verify_symbol(m)``) becomes reg_b at f(l).  Bounded oscillation
     at infinity leaves f∘m bounded there; it stays sing_supp unless the
     detector finds that f∘m settles (|exp(ix)| does), in which case it
     becomes reg_b at the detected limit.  A finite singular-support point
@@ -535,14 +535,12 @@ def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, piece, value,
             decls.append(Declaration(d.at, PointClass.REG_B, at_divergence))
         elif d.cls.finite_limit:
             lim = verified[d.at].detected.limit
-            decls.append(Declaration(d.at, PointClass.REG_B, value(lim)))
+            decls.append(Declaration(d.at, PointClass.REG_B, ex.evaluate(f, lim)))
         elif math.isinf(d.at):
             decls.append(Declaration(d.at, PointClass.SING_SUPP))
         else:
             raise NotGraphRegular("symbol has singular-support points")
-    pieces = tuple((a, b, piece(t)) for a, b, t in m.pieces)
-    fills = tuple((p, value(complex(v))) for p, v in m.fills)
-    mapped = PiecewiseSymbol(m.domain, pieces, tuple(decls), fills)
+    mapped = replace(map_symbol(m, f), declarations=tuple(decls))
     return hat_extension(redetect_sing_supp(mapped, cfg), cfg)
 
 
@@ -561,10 +559,14 @@ def redetect_sing_supp(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> PiecewiseSy
 
 
 def conjugate_symbol(m: PiecewiseSymbol) -> PiecewiseSymbol:
-    return map_symbol(m, ex.conj, complex.conjugate)
+    return map_symbol(m, ex.conj(ex.VAR))
 
 
 # -- regularity report ----------------------------------------------------------
+
+# the transform symbols a = 1/(1+|m|²) and b = m/(1+|m|²) as maps of m
+A_MAP = ex.div(ex.ONE, ex.add(ex.ONE, ex.abs2(ex.VAR)))
+B_MAP = ex.div(ex.VAR, ex.add(ex.ONE, ex.abs2(ex.VAR)))
 
 
 @dataclass
@@ -620,13 +622,9 @@ def regularity_report(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> RegularityRe
         notes=notes,
     )
     if graph_regular:
-        # a = 1/(1+|m|²) and b = m/(1+|m|²), both 0 at divergence points
-        report.a_symbol = bounded_map_symbol(
-            m, verified, lambda t: ex.div(ex.ONE, ex.add(ex.ONE, ex.abs2(t))),
-            lambda l: 1 / (1 + abs(l) ** 2), 0.0, cfg)
-        report.b_symbol = bounded_map_symbol(
-            m, verified, lambda t: ex.div(t, ex.add(ex.ONE, ex.abs2(t))),
-            lambda l: l / (1 + abs(l) ** 2), 0.0, cfg)
+        # a and b are both 0 at divergence points
+        report.a_symbol = bounded_map_symbol(m, verified, A_MAP, 0.0, cfg)
+        report.b_symbol = bounded_map_symbol(m, verified, B_MAP, 0.0, cfg)
     return report
 
 

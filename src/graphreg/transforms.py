@@ -458,8 +458,7 @@ def absolute_value_symbol(m, cfg: Config = DEFAULT) -> PiecewiseSymbol:
     from . import expressions as ex
     from .symbols import map_symbol, redetect_sing_supp
 
-    return redetect_sing_supp(map_symbol(m, lambda t: ex.call("abs", t), abs),
-                              cfg)
+    return redetect_sing_supp(map_symbol(m, ex.call("abs", ex.VAR)), cfg)
 
 
 @dataclass
@@ -495,9 +494,8 @@ def bounded_transform_symbol(m, cfg: Config = DEFAULT) -> SymbolBoundedTransform
         raise NotGraphRegular("symbol has singular-support points")
     redetect = tuple(Declaration(p, PointClass.SING_SUPP)
                      for p in mh.domain.punctures)
-    z = map_symbol(replace(mh, declarations=redetect),
-                   lambda t: ex.div(t, ex.call("sqrt", ex.add(ex.ONE, ex.abs2(t)))),
-                   lambda w: w / math.sqrt(1 + abs(w) ** 2))
+    z = map_symbol(replace(mh, declarations=redetect), ex.div(
+        ex.VAR, ex.call("sqrt", ex.add(ex.ONE, ex.abs2(ex.VAR)))))
     detected = {p: detect_point(z, p, cfg) for p in mh.domain.punctures}
     z = replace(z, declarations=tuple(
         Declaration(p, PointClass.REG_B, det.limit)
@@ -522,10 +520,8 @@ def functional_calculus_symbol(m, f_ast, beta: complex = 0.0,
     from .symbols import bounded_map_symbol, verify_symbol
 
     beta = complex(beta)
-    return bounded_map_symbol(
-        m, verify_symbol(m, cfg),
-        lambda t: ex.add(ex.substitute(f_ast, t), ex.num(beta)),
-        lambda l: complex(ex.evaluate(f_ast, l)) + beta, beta, cfg)
+    return bounded_map_symbol(m, verify_symbol(m, cfg),
+                              ex.add(f_ast, ex.num(beta)), beta, cfg)
 
 
 def functional_calculus(triple: AabTriple, f_ast, beta: complex = 0.0,

@@ -607,11 +607,64 @@ def test_leading_minus_coefficient_list_needs_no_separator(tmp_path):
                                                          [2.0, 0.0]]
 
 
-def test_expression_and_coefficient_list_give_the_same_report(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run_cli("--quiet", "--json", str(a), "toeplitz", "1", "1-z", "--N", "64")
-    run_cli("--quiet", "--json", str(b), "toeplitz", "1", "1,-1", "--N", "64")
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("expression, listed, code", [
+    (["1", "1-z"], ["1", "1,-1"], 0),
+    (["1+z^2", "1"], ["1,0,1", "1"], 0),
+    (["(1-z)^3", "1"], ["1,-3,3,-1", "1"], 0),
+    # (z-2)^8 fails the absolute factor_residual gate (ROADMAP item 12),
+    # with the same residual from either input
+    (["(z-2)^8", "1"], ["256,-1024,1792,-1792,1120,-448,112,-16,1", "1"], 2),
+], ids=["1-z", "1+z^2", "(1-z)^3", "(z-2)^8"])
+def test_expression_and_coefficient_list_give_the_same_report(expression, listed,
+                                                              code):
+    # the expression is expanded exactly, so its coefficients are the list's
+    a, b = (run_cli("toeplitz", "--N", "64", "--", *pq, expect=code)
+            for pq in (expression, listed))
+    assert (a.stdout, a.stderr) == (b.stdout, b.stderr)
+
+
+@pytest.mark.parametrize("q, message", [
+    ("conj(z)", "conj() is not a polynomial operation"),
+    ("1/z", "division by a non-constant"),
+    ("conj(1/z)", "division by a non-constant"),
+    ("z^-1", "negative power"),
+    ("exp(z)", "exp() is not a polynomial operation"),
+    ("z/0", "division by zero"),
+])
+def test_non_polynomial_expression_is_input_error(q, message, capsys):
+    from graphreg import cli
+
+    assert cli.main(["toeplitz", "1", q, "--N", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot parse polynomial {q!r}")
+    assert message in err
+
+
+def test_power_beyond_the_degree_cap_is_refused_before_it_is_formed(capsys):
+    import time
+    import tracemalloc
+
+    from graphreg import cli
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(["toeplitz", "1", "(1-z)^100000000", "--N", "16"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "degree 100000000 exceeds max_poly_degree = 24" in capsys.readouterr().err
+    assert peak < 2 ** 20
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_expansion_parses_a_degree_twelve_power():
+    from graphreg.cli import parse_poly
+
+    coeffs = parse_poly("(z-2)^12", DEFAULT)
+    assert coeffs.tolist() == [complex(math.comb(12, k) * (-2) ** (12 - k))
+                               for k in range(13)]
 
 
 def test_failed_factorization_is_a_named_check_failure():
@@ -777,3 +830,33 @@ def test_symbol_that_misses_an_infinite_end_is_input_error(domain, end, tmp_path
         "declarations": [{"at": 0.0, "class": "reg_b"}]}))
     proc = run_cli("analyze", str(sym), expect=1)
     assert proc.stderr.startswith("input error:") and end in proc.stderr
+
+
+# -- large and small constants ---------------------------------------------------------
+
+BIG = "1" + "0" * 200  # 10^200, written out: the grammar has no exponent
+
+
+def _punctured_unit_interval(expr, limit):
+    return {"domain": {"base": "interval", "lo": 0.0, "hi": 1.0,
+                       "punctures": [0.0]},
+            "pieces": [{"lo": 0.0, "hi": 1.0, "expr": expr}],
+            "declarations": [{"at": 0.0, "class": "reg_b", "limit": limit}]}
+
+
+@pytest.mark.parametrize("expr, limit", [
+    (BIG, [1e200, 0.0]),
+    (BIG + "+x", [1e200, 0.0]),
+    ("0.00001*x*exp(-i/x)", [0.0, 0.0]),
+], ids=["10^200", "10^200+x", "0.00001*x*exp(-i/x)"])
+def test_emitted_symbols_read_back(expr, limit, tmp_path):
+    # a limit near 1e200 squares past binary64 in |m|^2, and the emitted
+    # symbols hold numbers whose repr has an exponent
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps(_punctured_unit_interval(expr, limit)))
+    results = json.loads(run_cli("analyze", str(sym)).stdout)["results"]
+    assert results["graph_regular"] is True and results["regular"] is True
+    for key in ("a_symbol", "b_symbol"):
+        emitted = tmp_path / f"{key}.json"
+        emitted.write_text(json.dumps(results[key]))
+        run_cli("analyze", str(emitted))

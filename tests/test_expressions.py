@@ -1,5 +1,8 @@
+import gc
 import math
 import operator
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ def test_syntax_error_carries_position():
 @pytest.mark.parametrize("text", [
     "1/x", "exp(i/x)/x", "x*sqrt(1+sin(x)^2)", "(2+3*i)*x", "x^-2",
     "1-x-2", "-x+1", "abs(x)^2/(1+abs(x)^2)", "conj(x)*x", "1/(1-0.99*x)",
+    "(2+i)*x", "(2-i)*x", "--x", "0.00001*x",
 ])
 def test_round_trip(text):
     ast = ex.parse_expression(text)
@@ -53,6 +57,8 @@ def _asts(max_depth=4):
         st.just(ex.VAR),
         st.floats(0.0, 9.0).map(lambda v: ex.num(round(v, 3))),
         st.just(ex.I),
+        # numbers whose repr has an exponent, which the grammar lacks
+        st.sampled_from([0.00001, 5e-324, 1e16, 1e300]).map(ex.num),
     )
 
     def extend(children):
@@ -214,3 +220,185 @@ def test_list_evaluator_agrees_with_numpy_node_by_node(ast):
                 assert _bits(got) == _bits(want), (ex.to_string(node), x, got, want)
             elif node[0] == "call" or not _overflowing_terms(x, y):
                 assert _near(got, want), (ex.to_string(node), x, y, got, want)
+
+
+# -- the walk: the recursive printer and substitution it replaced, as references ------
+
+
+def to_string_reference(ast, _prec=0) -> str:
+    kind = ast[0]
+    if kind == "num":
+        return ex._fmt_complex(ast[1])
+    if kind == "var":
+        return "x"
+    if kind in "+-*/":
+        p = ex._PREC[kind]
+        left = to_string_reference(ast[1], p)
+        right = to_string_reference(ast[2], p + 1)
+        s = f"{left}{kind}{right}"
+        return f"({s})" if p < _prec else s
+    if kind == "neg":
+        s = f"-{to_string_reference(ast[1], ex._PREC['neg'])}"
+        return f"({s})" if ex._PREC["neg"] < _prec else s
+    if kind == "pow":
+        base = to_string_reference(ast[1], ex._PREC["pow"] + 1)
+        s = f"{base}^{ast[2]}"
+        return f"({s})" if ex._PREC["pow"] < _prec else s
+    if kind == "call":
+        return f"{ast[1]}({to_string_reference(ast[2])})"
+    raise ValueError(f"bad AST node {ast!r}")
+
+
+def substitute_reference(ast, replacement):
+    kind = ast[0]
+    if kind == "var":
+        return replacement
+    if kind == "num":
+        return ast
+    if kind in ("+", "-", "*", "/"):
+        return (kind, substitute_reference(ast[1], replacement),
+                substitute_reference(ast[2], replacement))
+    if kind == "neg":
+        return ("neg", substitute_reference(ast[1], replacement))
+    if kind == "pow":
+        return ("pow", substitute_reference(ast[1], replacement), ast[2])
+    if kind == "call":
+        return ("call", ast[1], substitute_reference(ast[2], replacement))
+    raise ValueError(f"bad AST node {ast!r}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_random_asts(), _random_asts(depth=2))
+def test_walk_prints_and_substitutes_as_the_recursions_did(ast, replacement):
+    assert ex.to_string(ast) == to_string_reference(ast)
+    assert ex.substitute(ast, replacement) == substitute_reference(ast, replacement)
+
+
+def test_shared_operand_is_visited_once():
+    t = ex.parse_expression("exp(i/x)/x")
+    calls = []
+    visits = dict(ex._PRINT, call=lambda node, env, a: calls.append(node) or
+                  ex._PRINT["call"](node, env, a))
+    assert ex._walk(ex.abs2(t), visits, None, {}, None)[0] == (
+        "conj(exp(i/x)/x)*(exp(i/x)/x)")
+    # conj and exp: the exp inside the shared t is printed once
+    assert [node[1] for node in calls] == ["exp", "conj"]
+
+
+def _matrix_symbols_a_entry():
+    from graphreg.matrix_symbols import matrix_symbol_op, oscillating_column_example
+
+    (_, _, piece), = matrix_symbol_op(*oscillating_column_example()).a[0, 0].pieces
+    return piece
+
+
+def test_array_evaluation_leaves_no_reference_cycle():
+    piece = _matrix_symbols_a_entry()
+    xs = np.linspace(0.5, 4.0, 8)
+    gc.disable()
+    try:
+        gc.collect()
+        ex.evaluate(piece, xs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_matrix_symbol_transform_stays_below_a_mebibyte():
+    from graphreg.matrix_symbols import matrix_symbol_op, oscillating_column_example
+
+    example = oscillating_column_example()
+    tracemalloc.start()
+    try:
+        matrix_symbol_op(*example)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+# -- exact polynomial expansion -----------------------------------------------------
+
+
+def _polynomial_asts(depth=3):
+    """Polynomial ASTs: + - *, unary minus, powers 0 to 4 and division by
+    nonzero constants, over CONSTANTS (i among them)."""
+    constant = st.sampled_from(CONSTANTS).map(ex.num)
+    leaf = st.one_of(st.just(ex.VAR), constant)
+    if depth == 0:
+        return leaf
+    child = _polynomial_asts(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*"), child, child),
+        st.tuples(st.just("neg"), child),
+        st.tuples(st.just("pow"), child, st.integers(0, 4)),
+        st.tuples(st.just("/"), child, constant),
+    )
+
+
+def _majorant(ast) -> float:
+    """The AST evaluated at |z| = 1 with each constant by its modulus and
+    every sign made +: a bound on every value the evaluation forms."""
+    kind = ast[0]
+    if kind == "num":
+        return abs(ast[1])
+    if kind == "var":
+        return 1.0
+    if kind in "+-*":
+        a, b = _majorant(ast[1]), _majorant(ast[2])
+        return a * b if kind == "*" else a + b
+    if kind == "/":
+        return _majorant(ast[1]) / abs(ast[2][1])
+    if kind == "neg":
+        return _majorant(ast[1])
+    return _majorant(ast[1]) ** ast[2]
+
+
+CIRCLE = [complex(math.cos(2 * math.pi * k / 7), math.sin(2 * math.pi * k / 7))
+          for k in range(7)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_polynomial_asts())
+def test_expansion_agrees_with_evaluation_on_the_circle(ast):
+    coeffs = ex.poly_coefficients(ast, 64)
+    assert len(coeffs) == 1 or coeffs[-1] != 0
+    scale = _majorant(ast)
+    for z, value in zip(CIRCLE, ex.evaluate(ast, CIRCLE)):
+        horner = 0j
+        for c in reversed(coeffs):
+            horner = horner * z + c
+        assert abs(horner - value) <= 64 * EPS * scale, (ex.to_string(ast), z)
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("1-z", [1, -1]),
+    ("1+z^2", [1, 0, 1]),
+    ("(1-z)^3", [1, -3, 3, -1]),
+    ("(z-0.5)^6", [0.015625, -0.1875, 0.9375, -2.5, 3.75, -3, 1]),
+    ("(z-2)^12", [4096, -24576, 67584, -112640, 126720, -101376, 59136,
+                  -25344, 7920, -1760, 264, -24, 1]),
+    ("(1+i*z)/(2+i)", [0.4 - 0.2j, 0.2 + 0.4j]),
+    ("1-1.00000005*z", [1, -1.00000005]),
+    ("z^3-z^3+2", [2]),
+    ("z-z", [0]),
+])
+def test_expansion_is_exact(text, coeffs):
+    got = ex.poly_coefficients(ex.parse_expression(text), 24)
+    assert got == [complex(c) for c in coeffs]
+
+
+# the constructs that are not polynomial operations are refused through the
+# CLI in tests/test_cli.py; these are the bounds on what a polynomial may reach
+@pytest.mark.parametrize("text, message", [
+    ("z^25", "degree 25 exceeds max_poly_degree = 24"),
+    ("(z^5)*(z^20)", "degree 25 exceeds max_poly_degree = 24"),
+    # a constant's power counts its exponent as a degree
+    ("2^25", "degree 25 exceeds max_poly_degree = 24"),
+    ("(((1.0000000000000002^24)^24)^24)^24", "needs more than 52450 bits"),
+    ("((2^24)^24)^2", "overflows binary64"),
+])
+def test_expansion_refuses_what_outgrows_its_bounds(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ex.poly_coefficients(ex.parse_expression(text), 24)

@@ -84,7 +84,7 @@ SYMBOLS = {**{name: build() for name, build in catalog.BUILDERS.items()},
 
 
 def scaled(m, c):
-    return map_symbol(m, lambda t: ex.mul(ex.num(c), t), lambda w: c * w)
+    return map_symbol(m, ex.mul(ex.num(c), ex.VAR))
 
 
 def moved(m, point, variable):

@@ -29,6 +29,7 @@ from graphreg.symbols import (
     conjugate_symbol,
     detect_point,
     hat_extension,
+    interval,
     real_line,
     regularity_report,
     verify_symbol,
@@ -469,3 +470,20 @@ def test_bounded_transform_passes_its_own_hat_extension(name, monkeypatch):
         assert d.cls in (PointClass.REG_B, PointClass.SING_SUPP)
     hat = hat_extension(bt.z)
     assert all(d.cls is PointClass.SING_SUPP for d in hat.declarations)
+
+
+# -- limits share the arithmetic of the pieces -----------------------------------------
+
+
+def test_large_finite_limit_maps_without_overflow():
+    # |10^200 + x|^2 overflows binary64, where scalar formulas on the limit
+    # raised OverflowError; the limits now take the pieces' arithmetic
+    big = ex.parse_expression("1" + "0" * 200 + "+x")
+    m = PiecewiseSymbol(interval(0.0, 1.0, punctures=(0.0,)), ((0.0, 1.0, big),),
+                        (Declaration(0.0, PointClass.REG_B, 1e200),))
+    rep = regularity_report(m)
+    assert rep.graph_regular and rep.regular
+    assert rep.a_symbol.fill_value(0.0) == 0 and rep.b_symbol.fill_value(0.0) == 0
+    bt = bounded_transform_symbol(m)
+    assert bt.adjointable
+    assert bt.z.fill_value(0.0) == bt.z([0.5])[0]

@@ -11,6 +11,9 @@ assigned at module level beside the code that decides with it.  So:
   ending in ``_tol``) a default, which would be a second home for the
   value; a required one only passes on what its caller read from ``cfg``;
 * every function that takes ``cfg`` reads it.
+
+One walk reads the expression AST: in ``expressions.py`` only ``_walk``
+calls itself, so a new reading of the AST is a table of visits on it.
 """
 
 import ast
@@ -61,6 +64,18 @@ def parameters_with_defaults(fn) -> list:
     return [(a.arg, d) for a, d in pairs]
 
 
+def self_calling(tree: ast.Module) -> list:
+    """The functions that call themselves by name, as ``f(...)`` or
+    ``self.f(...)``."""
+    def callee(call):
+        func = call.func
+        return getattr(func, "id", None) or getattr(func, "attr", None)
+
+    return [fn.name for fn in functions(tree)
+            if any(isinstance(n, ast.Call) and callee(n) == fn.name
+                   for n in ast.walk(fn))]
+
+
 def reads(fn, name: str) -> bool:
     return any(isinstance(n, ast.Name) and n.id == name
                and isinstance(n.ctx, ast.Load)
@@ -99,6 +114,11 @@ def test_every_cfg_parameter_is_read(path):
     assert not unread, unread
 
 
+def test_only_the_walk_recurses_over_expressions():
+    tree = ast.parse((SRC / "expressions.py").read_text(encoding="utf-8"))
+    assert self_calling(tree) == ["_walk"]
+
+
 def test_the_checks_see_what_they_look_for():
     """Each check finds a planted case of what it forbids."""
     source = ("X = 1e-9\n"
@@ -113,3 +133,7 @@ def test_the_checks_see_what_they_look_for():
     (fn,) = functions(tree)
     assert [n for n, _ in parameters_with_defaults(fn)] == ["tol", "cfg"]
     assert not reads(fn, "cfg") and reads(fn, "t")
+    recursive = ast.parse("def f(n):\n    return f(n - 1)\n"
+                          "class P:\n    def g(self):\n        return self.g()\n"
+                          "def h():\n    return f(1)\n")
+    assert self_calling(recursive) == ["f", "g"]
