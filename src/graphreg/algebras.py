@@ -138,9 +138,10 @@ class BlockAlgebra:
         return self.is_left_multiplier(m, cfg) and self.is_left_multiplier(m.T, cfg)
 
     def closed_under_product(self) -> bool:
-        """e_ij·e_jl = e_il must stay on the mask for all allowed units."""
-        reach = self.allowed.astype(int) @ self.allowed.astype(int) > 0
-        return not np.any(reach & ~self.allowed)
+        """e_ij·e_jl = e_il stays on the mask for all allowed units: the
+        constructor accepts only a mask that is an equivalence relation on
+        its used indices, which is transitive."""
+        return True
 
     # -- operators as scalar-linear maps on coordinates -----------------
 

@@ -14,10 +14,6 @@ Def(t*) for the normal operator with symbol e^{i/x}/x.
 
 from __future__ import annotations
 
-import json
-import pathlib
-from importlib import resources
-
 from . import expressions as ex
 from .symbols import (
     Declaration,
@@ -25,8 +21,6 @@ from .symbols import (
     PointClass,
     interval,
     real_line,
-    symbol_from_dict,
-    symbol_to_dict,
 )
 
 
@@ -85,22 +79,5 @@ def names() -> list:
 
 
 def get(name: str) -> PiecewiseSymbol:
-    """Catalog symbol by name; prefers the shipped JSON file so the file
-    format stays exercised, falling back to the builder."""
-    try:
-        path = resources.files("graphreg").joinpath(f"catalog/{name}.json")
-        return symbol_from_dict(json.loads(path.read_text()))
-    except (FileNotFoundError, ModuleNotFoundError):
-        return BUILDERS[name]()
-
-
-def write_catalog_files(directory) -> list:
-    """Regenerate the shipped JSON files from the builders."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, build in BUILDERS.items():
-        p = directory / f"{name}.json"
-        p.write_text(json.dumps(symbol_to_dict(build()), indent=2, sort_keys=True))
-        written.append(str(p))
-    return written
+    """Catalog symbol by name, built by its entry in ``BUILDERS``."""
+    return BUILDERS[name]()

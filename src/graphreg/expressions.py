@@ -300,9 +300,11 @@ def _shared(ast) -> set:
 
 # -- printing and substitution ----------------------------------------------------
 
-# a node prints with its operator's precedence; a literal, the variable
-# and a call are atoms, never parenthesized
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
+# a node prints with its operator's precedence in the grammar; a literal,
+# the variable and a call are atoms, never parenthesized.  Unary minus is
+# part of an atom and binds tighter than ^, so -(x^2) keeps its parentheses
+# (-x^2 reads as (-x)^2)
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "pow": 3, "neg": 4, "atom": 5}
 
 
 def _operand_text(printed: tuple, prec: int) -> str:

@@ -28,8 +28,6 @@ from .symbols import (
     DomainSpec,
     PiecewiseSymbol,
     PointClass,
-    _side_sequences,
-    _tail_limit,
     _vanishes_at_infinity,
     combine_symbols,
     conjugate_symbol,
@@ -88,11 +86,10 @@ class EntryProfile:
     continuous: bool
     bounded: bool
     sup: float
-    limit_pos: complex | None
-    limit_neg: complex | None
+    limit: complex | None    # the one value both ends settle on, if any
     vanishes: bool
 
-    def fits(self, cls: EntryClass, cfg: Config = DEFAULT) -> bool:
+    def fits(self, cls: EntryClass) -> bool:
         if not self.continuous:
             return False
         if cls == EntryClass.C0:
@@ -100,15 +97,19 @@ class EntryProfile:
         if cls == EntryClass.C0U:
             # C0 plus constants: vanishing suffices, otherwise both ends
             # must settle on one finite value
-            return self.vanishes or (
-                self.limit_pos is not None and self.limit_neg is not None
-                and abs(self.limit_pos - self.limit_neg) < 100 * cfg.limit_tol
-            )
+            return self.vanishes or self.limit is not None
         return self.bounded
 
 
 def entry_profile(sym: PiecewiseSymbol, cfg: Config = DEFAULT) -> EntryProfile:
-    """Numerical profile of one matrix entry on the real line."""
+    """Numerical profile of one matrix entry on the real line.
+
+    ``detect_point`` classifies each puncture and, where the base reaches
+    it, the point at infinity: the entry has a limit there when the
+    detector finds one value at both ends (``reg_b``), and the largest
+    modulus it sampled joins the grid's in ``sup``.  NaN samples are
+    ``InconclusiveClassification``, as in ``analyze``.
+    """
     continuous = True
     for p in sym.domain.punctures:
         if sym.fill_value(p) is not None:
@@ -121,15 +122,13 @@ def entry_profile(sym: PiecewiseSymbol, cfg: Config = DEFAULT) -> EntryProfile:
     grid = sample_grid(sym, cfg, bulk=2048)
     vals = sym(grid)
     sup = float(np.nanmax(np.abs(vals))) if vals.size else 0.0
-    limits = []
-    for seq in _side_sequences(sym, INF, cfg):
-        tvals = sym(seq)
-        sup = max(sup, float(np.abs(np.asarray(tvals)).max()))
-        limits.append(_tail_limit(tvals[-cfg.tail_samples:], cfg))
-    limit_pos = limits[0] if limits else None
-    limit_neg = limits[1] if len(limits) > 1 else limit_pos
-    bounded = sup < cfg.blowup
-    return EntryProfile(continuous, bounded, sup, limit_pos, limit_neg,
+    limit = None
+    if sym.domain.includes_infinity:
+        det = detect_point(sym, INF, cfg)
+        sup = max(sup, det.peak)
+        if det.kind is PointClass.REG_B:
+            limit = det.limit
+    return EntryProfile(continuous, sup < cfg.blowup, sup, limit,
                         _vanishes_at_infinity(sym, cfg))
 
 
@@ -252,9 +251,9 @@ def check_membership(mat: SymbolMatrix, alg_pattern, cfg: Config = DEFAULT
     for i in range(2):
         for j in range(2):
             prof = entry_profile(mat[i, j], cfg)
-            fa = prof.fits(alg_pattern[i][j], cfg)
-            fm = prof.fits(ma[i][j], cfg)
-            fl = prof.fits(lma[i][j], cfg)
+            fa = prof.fits(alg_pattern[i][j])
+            fm = prof.fits(ma[i][j])
+            fl = prof.fits(lma[i][j])
             in_a, in_ma, in_lma = in_a and fa, in_ma and fm, in_lma and fl
             detail.append(((i, j), fa, fm, fl, prof))
     return MembershipVerdict(in_a, in_ma, in_lma, detail)

@@ -132,12 +132,14 @@ class Submodule:
         return all(same_span(a, b, cfg.subspace_tol)
                    for a, b in zip(self.spaces, other.spaces))
 
-    def is_essential(self, cfg: Config = DEFAULT) -> bool:
-        return orthogonal_complement(self, cfg).dim == 0
+    def is_essential(self) -> bool:
+        """F^⊥ = 0: each V_c^⊥ is 0, so each V_c is all of ℂ^(ncomp·|c|)
+        and dim F = Σ ncomp·|c|² = ncomp·dim A."""
+        return self.dim == self.ncomp * self.algebra.dim
 
-    def is_orthogonally_closed(self, cfg: Config = DEFAULT) -> bool:
-        cc = orthogonal_complement(orthogonal_complement(self, cfg), cfg)
-        return self.equals(cc, cfg)
+    def is_orthogonally_closed(self) -> bool:
+        """F^⊥⊥ = F: (V_c^⊥)^⊥ = V_c for every class space."""
+        return True
 
 
 def orthogonal_complement(sub: Submodule, cfg: Config = DEFAULT) -> Submodule:

@@ -237,6 +237,7 @@ class Detection:
     kind: PointClass | None   # REG_B (finite), REG_INF, SING_SUPP, or None
     limit: complex | None
     sides: int
+    peak: float               # the largest modulus sampled on any side
     note: str = ""
 
 
@@ -302,33 +303,33 @@ def detect_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Detection
     k = cfg.tail_samples
     tails = [v[-k:] for v in vals]
     union = [z for t in tails for z in t]
+    peak = max(modulus(z) for v in vals for z in v)
 
     # finite limit on every side, all sides agreeing
     limits = [_tail_limit(t, cfg) for t in tails]
     cauchy = None not in limits
     if cauchy and all(abs(l - limits[0]) < 10 * cfg.limit_tol for l in limits):
-        return Detection(PointClass.REG_B, limits[0], len(seqs))
+        return Detection(PointClass.REG_B, limits[0], len(seqs), peak)
 
     # divergence of the modulus
     mags = [[modulus(z) for z in t] for t in tails]
     if all(m[-1] > cfg.blowup for m in mags) and all(
         b - a >= -MONOTONE_SLACK * a for m in mags for a, b in zip(m, m[1:])
     ):
-        return Detection(PointClass.REG_INF, None, len(seqs))
+        return Detection(PointClass.REG_INF, None, len(seqs), peak)
 
     # bounded, but oscillating or with disagreeing side limits
-    bounded = all(modulus(z) < cfg.blowup for v in vals for z in v)
-    if bounded:
+    if peak < cfg.blowup:
         centre = sum(union) / len(union)
         mean_sq = sum(m * m for m in map(modulus, union)) / len(union)
         var = sum(m * m for m in (modulus(z - centre) for z in union)) / len(union)
         if var > cfg.osc_rel_var * max(mean_sq, VARIANCE_FLOOR):
-            return Detection(PointClass.SING_SUPP, None, len(seqs),
+            return Detection(PointClass.SING_SUPP, None, len(seqs), peak,
                              note=f"oscillation variance {var:.3e}")
         if cauchy:
-            return Detection(PointClass.SING_SUPP, None, len(seqs),
+            return Detection(PointClass.SING_SUPP, None, len(seqs), peak,
                              note="side limits disagree")
-    return Detection(None, None, len(seqs), note="no pattern fired")
+    return Detection(None, None, len(seqs), peak, note="no pattern fired")
 
 
 @dataclass

@@ -474,19 +474,22 @@ class SymbolBoundedTransform:
 
 
 def bounded_transform_symbol(m, cfg: Config = DEFAULT) -> SymbolBoundedTransform:
-    """z = m/(1+|m|²)^(1/2) on the continuity set.
+    """z = m/(1+|m|²)^(1/2) on the continuity set, evaluated as
+    m/(√(1+i|m|)·√(1−i|m|)): the two roots are conjugate, so their product
+    is √(1+|m|²), and no intermediate overflows where |m|² would.
 
     Even for graph regular m the transform need not extend continuously
     across a divergence point (the modulus tends to 1 but the phase can
     jump), in which case no adjointable element represents t and z lives
     on the core module only; the flags record this per puncture.  z is
     built on the hat extension of m; each surviving puncture is detected
-    once on z and declared reg_b at the detected limit where z extends,
-    sing_supp elsewhere, so z passes its own hat extension.
+    once on z (``redetect_sing_supp``) and declared reg_b at the detected
+    limit where z extends, sing_supp elsewhere, so z passes its own hat
+    extension.
     """
     from . import expressions as ex
-    from .symbols import (Declaration, PointClass, detect_point,
-                          hat_extension, map_symbol)
+    from .symbols import (Declaration, PointClass, hat_extension, map_symbol,
+                          redetect_sing_supp)
 
     mh = hat_extension(m, cfg)
     if any(d.cls is PointClass.SING_SUPP and math.isfinite(d.at)
@@ -494,17 +497,14 @@ def bounded_transform_symbol(m, cfg: Config = DEFAULT) -> SymbolBoundedTransform
         raise NotGraphRegular("symbol has singular-support points")
     redetect = tuple(Declaration(p, PointClass.SING_SUPP)
                      for p in mh.domain.punctures)
-    z = map_symbol(replace(mh, declarations=redetect), ex.div(
-        ex.VAR, ex.call("sqrt", ex.add(ex.ONE, ex.abs2(ex.VAR)))))
-    detected = {p: detect_point(z, p, cfg) for p in mh.domain.punctures}
-    z = replace(z, declarations=tuple(
-        Declaration(p, PointClass.REG_B, det.limit)
-        if det.kind is PointClass.REG_B else Declaration(p, PointClass.SING_SUPP)
-        for p, det in detected.items()))
+    i_mod = ex.mul(ex.I, ex.call("abs", ex.VAR))
+    z = redetect_sing_supp(map_symbol(replace(mh, declarations=redetect), ex.div(
+        ex.VAR, ex.mul(ex.call("sqrt", ex.add(ex.ONE, i_mod)),
+                       ex.call("sqrt", ex.sub(ex.ONE, i_mod))))), cfg)
     # a point absorbed by the hat is a fill: z is continuous there
     filled = {p for p, _ in mh.fills}
-    extendable = {p: p in filled or detected[p].kind is PointClass.REG_B
-                  for p in sorted(filled | set(detected))}
+    extendable = {p: p in filled or z.declaration(p).cls is PointClass.REG_B
+                  for p in sorted(filled | set(mh.domain.punctures))}
     return SymbolBoundedTransform(z, extendable, all(extendable.values()))
 
 

@@ -51,8 +51,9 @@ def test_round_trip(text):
 
 
 def _asts(max_depth=4):
-    """Random ASTs; every binary node keeps a variable on one side so
-    constant folding cannot rewrite the tree."""
+    """Random ASTs; every binary node keeps a variable on one side and no
+    negation holds a literal, so constant folding cannot rewrite the
+    tree."""
     leaf = st.one_of(
         st.just(ex.VAR),
         st.floats(0.0, 9.0).map(lambda v: ex.num(round(v, 3))),
@@ -70,6 +71,7 @@ def _asts(max_depth=4):
                 lambda p: ("pow", p[0], p[1])),
             st.tuples(st.sampled_from(ex.FUNCTIONS), children).map(
                 lambda p: ("call", p[0], p[1])),
+            children.filter(lambda c: c[0] != "num").map(lambda c: ("neg", c)),
         )
 
     return st.recursive(leaf, extend, max_leaves=8)
@@ -79,6 +81,29 @@ def _asts(max_depth=4):
 def test_round_trip_random_ast(ast):
     printed = ex.to_string(ast)
     assert ex.to_string(ex.parse_expression(printed)) == printed
+
+
+def _same_value(a: complex, b: complex) -> bool:
+    """Equal parts, NaN matching NaN; == lets a zero part differ in sign."""
+    return all(x == y or (x != x and y != y)
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_asts())
+def test_printed_ast_reads_back_as_the_same_function(ast):
+    points = [-2.0, -0.3, 0.7, 1.9]
+    got = ex.evaluate(ex.parse_expression(ex.to_string(ast)), points)
+    want = ex.evaluate(ast, points)
+    assert all(map(_same_value, got, want)), (ex.to_string(ast), got, want)
+
+
+def test_negated_power_prints_in_parentheses():
+    # unary minus binds tighter than ^, so -x^2 would read as (-x)^2
+    ast = ex.parse_expression("-(x^2)")
+    assert ex.to_string(ast) == "-(x^2)"
+    assert ex.evaluate(ex.parse_expression(ex.to_string(ast)), 2.0) == -4
+    assert ex.to_string(ex.parse_expression("(-x)^2")) == "(-x)^2"
 
 
 def test_evaluate_matches_numpy():
@@ -241,7 +266,8 @@ def to_string_reference(ast, _prec=0) -> str:
         s = f"-{to_string_reference(ast[1], ex._PREC['neg'])}"
         return f"({s})" if ex._PREC["neg"] < _prec else s
     if kind == "pow":
-        base = to_string_reference(ast[1], ex._PREC["pow"] + 1)
+        # only an atom is a base: -x^2 reads as (-x)^2
+        base = to_string_reference(ast[1], ex._PREC["atom"])
         s = f"{base}^{ast[2]}"
         return f"({s})" if ex._PREC["pow"] < _prec else s
     if kind == "call":

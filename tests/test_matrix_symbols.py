@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from graphreg import cli
+from graphreg import matrix_symbols
 from graphreg.config import Config
+from graphreg.errors import InconclusiveClassification
 from graphreg.matrix_symbols import (
     EntryClass,
     SymbolMatrix,
@@ -18,7 +20,7 @@ from graphreg.matrix_symbols import (
     scalar_symbol,
     zero_symbol,
 )
-from graphreg.symbols import _vanishes_at_infinity
+from graphreg.symbols import INF, PointClass, _vanishes_at_infinity, detect_point, interval
 
 C0, C0U, CB = EntryClass.C0, EntryClass.C0U, EntryClass.CB
 
@@ -63,6 +65,54 @@ def test_profiles_of_reference_entries():
 def test_c0_subset_of_unitized():
     slow = entry_profile(expr_symbol("x*sqrt(1+sin(x)^2)/(1+3*x^2)"))
     assert slow.fits(C0) and slow.fits(C0U) and slow.fits(CB)
+
+
+# the entries above, and 1 ± c at the two ends for c on either side of
+# the detector's margin of 10·limit_tol between side limits
+REFERENCE_ENTRIES = ["1/(1+x^2)", "1", "x", "(1+cos(x)^2)/3",
+                     "x*sqrt(1+sin(x)^2)/(1+3*x^2)", "1+0.000002*x/(1+abs(x))",
+                     "1+0.00002*x/(1+abs(x))", "1+0.0002*x/(1+abs(x))"]
+
+
+@pytest.mark.parametrize("text", REFERENCE_ENTRIES)
+def test_unitized_class_is_the_detectors_verdict_at_infinity(text):
+    entry = expr_symbol(text)
+    profile = entry_profile(entry)
+    settles = detect_point(entry, INF).kind is PointClass.REG_B
+    assert profile.fits(C0U) == (profile.vanishes or settles)
+
+
+def test_ends_apart_by_more_than_the_detectors_margin_are_not_unitized():
+    # the ends 1 ± 2e-5 are 4e-5 apart, above 10·limit_tol = 1e-5
+    profile = entry_profile(expr_symbol("1+0.00002*x/(1+abs(x))"))
+    assert profile.bounded and not profile.vanishes
+    assert profile.fits(CB) and not profile.fits(C0U) and profile.limit is None
+    constant = entry_profile(expr_symbol("1+0.000002*x/(1+abs(x))"))
+    assert constant.fits(C0U) and abs(constant.limit - 1) < 1e-5
+
+
+def test_nan_at_infinity_is_inconclusive():
+    with pytest.raises(InconclusiveClassification, match="approaching inf"):
+        entry_profile(expr_symbol("exp(x)/exp(x)"))
+
+
+def test_entry_on_a_compact_base_has_no_point_at_infinity():
+    profile = entry_profile(expr_symbol("1+x", interval(0.0, 1.0)))
+    assert profile.continuous and profile.bounded and profile.vanishes
+    assert profile.limit is None
+    assert profile.fits(C0) and profile.fits(C0U) and profile.fits(CB)
+
+
+def test_entry_profile_asks_the_detector_once_at_infinity(monkeypatch):
+    seen = []
+
+    def spy(symbol, p, cfg):
+        seen.append(p)
+        return detect_point(symbol, p, cfg)
+
+    monkeypatch.setattr(matrix_symbols, "detect_point", spy)
+    entry_profile(expr_symbol("1/(1+x^2)"))
+    assert seen == [INF]
 
 
 # -- the oscillating-column example ------------------------------------------------

@@ -523,6 +523,33 @@ def oracle_submodules(alg, rng):
     return [op.graph, op.domain(), gen]
 
 
+# the structural predicates as they were computed, from complements and
+# the integer product of the mask
+def is_essential_reference(sub):
+    return orthogonal_complement(sub).dim == 0
+
+
+def is_orthogonally_closed_reference(sub):
+    return sub.equals(orthogonal_complement(orthogonal_complement(sub)))
+
+
+def closed_under_product_reference(alg):
+    reach = alg.allowed.astype(int) @ alg.allowed.astype(int) > 0
+    return not np.any(reach & ~alg.allowed)
+
+
+@pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)
+def test_structural_predicates_match_their_references(alg):
+    assert alg.closed_under_product() == closed_under_product_reference(alg)
+    subs = oracle_submodules(alg, np.random.default_rng(11)) + [
+        Submodule.zero(alg), Submodule.full(alg), Submodule.full(alg, 2)]
+    essential = [is_essential_reference(sub) for sub in subs]
+    assert [sub.is_essential() for sub in subs] == essential
+    assert True in essential and False in essential
+    for sub in subs:
+        assert sub.is_orthogonally_closed() == is_orthogonally_closed_reference(sub)
+
+
 class TestGatheredAgainstLoops:
     @pytest.mark.parametrize("alg", oracle_algebras(), ids=repr)
     def test_coordinate_maps_match_loops(self, alg):

@@ -116,19 +116,28 @@ def conjugate_reference(m):
 
 def bounded_probe_reference(m):
     """The z symbol and the per-puncture flags, built on the regularity
-    report and the hat extension of m."""
+    report and the hat extension of m.  z = m/√(1+|m|²) is written
+    m/(√(1+i|m|)·√(1−i|m|)), whose factors are conjugate, so that no
+    intermediate overflows."""
     assert regularity_report(m).graph_regular
     mh = hat_extension(m)
-    pieces = tuple(
-        (a, b, ex.div(t, ex.call("sqrt", ex.add(ex.ONE, ex.abs2(t)))))
-        for a, b, t in mh.pieces)
+
+    def z(t):
+        i_mod = ex.mul(ex.I, ex.call("abs", t))
+        return ex.div(t, ex.mul(ex.call("sqrt", ex.add(ex.ONE, i_mod)),
+                                ex.call("sqrt", ex.sub(ex.ONE, i_mod))))
+
+    def z_value(v):
+        u = abs(complex(v))
+        return complex(v) / (np.sqrt(1 + 1j * u) * np.sqrt(1 - 1j * u))
+
+    pieces = tuple((a, b, z(t)) for a, b, t in mh.pieces)
     filled = {p for p, _ in mh.fills}
     probe = PiecewiseSymbol(
         mh.domain, pieces,
         tuple(Declaration(p, PointClass.SING_SUPP)
               for p in mh.domain.punctures),
-        tuple((p, complex(v) / np.sqrt(1 + abs(complex(v)) ** 2))
-              for p, v in mh.fills))
+        tuple((p, z_value(v)) for p, v in mh.fills))
     extendable = {}
     for p in sorted(set(m.domain.punctures) | filled):
         if p in filled:
@@ -487,3 +496,23 @@ def test_large_finite_limit_maps_without_overflow():
     bt = bounded_transform_symbol(m)
     assert bt.adjointable
     assert bt.z.fill_value(0.0) == bt.z([0.5])[0]
+
+
+def test_bounded_transform_of_a_divergence_past_the_square_overflow():
+    # |1/x^20| passes 1.3e154 before the detector's last sample, where
+    # |m|² overflows; z = m/(√(1+i|m|)·√(1−i|m|)) still tends to 1 there
+    t = ex.parse_expression("1/x^20")
+    m = PiecewiseSymbol(real_line(punctures=(0.0,)),
+                        ((-INF, 0.0, t), (0.0, INF, t)),
+                        (Declaration(0.0, PointClass.REG_INF),))
+    bt = bounded_transform_symbol(m)
+    (decl,) = bt.z.declarations
+    assert decl.cls is PointClass.REG_B and abs(decl.limit - 1.0) < 1e-6
+    assert bt.extendable_at == {0.0: True} and bt.adjointable
+
+
+def test_bounded_transform_of_a_huge_constant_is_one():
+    m = PiecewiseSymbol(interval(0.0, 1.0),
+                        ((0.0, 1.0, ex.parse_expression("1" + "0" * 200)),))
+    z = bounded_transform_symbol(m).z
+    assert z([0.001, 0.25, 0.5, 0.999]) == [1.0] * 4

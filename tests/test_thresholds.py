@@ -14,6 +14,11 @@ assigned at module level beside the code that decides with it.  So:
 
 One walk reads the expression AST: in ``expressions.py`` only ``_walk``
 calls itself, so a new reading of the AST is a table of visits on it.
+
+One classifier decides every point of a symbol: only ``detect_point``
+reads a tail for its limit (``_tail_limit``), the sample sequences
+(``_side_sequences``) serve it and the C0 test alone, and no module but
+``symbols`` imports either.
 """
 
 import ast
@@ -64,16 +69,26 @@ def parameters_with_defaults(fn) -> list:
     return [(a.arg, d) for a, d in pairs]
 
 
+def callee(call: ast.Call):
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def calls(fn, name: str) -> bool:
+    """Whether ``fn`` calls ``name``, as ``name(...)`` or ``x.name(...)``."""
+    return any(isinstance(n, ast.Call) and callee(n) == name
+               for n in ast.walk(fn))
+
+
 def self_calling(tree: ast.Module) -> list:
     """The functions that call themselves by name, as ``f(...)`` or
     ``self.f(...)``."""
-    def callee(call):
-        func = call.func
-        return getattr(func, "id", None) or getattr(func, "attr", None)
+    return [fn.name for fn in functions(tree) if calls(fn, fn.name)]
 
-    return [fn.name for fn in functions(tree)
-            if any(isinstance(n, ast.Call) and callee(n) == fn.name
-                   for n in ast.walk(fn))]
+
+def imported_names(tree: ast.Module) -> set:
+    return {alias.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) for alias in n.names}
 
 
 def reads(fn, name: str) -> bool:
@@ -119,6 +134,24 @@ def test_only_the_walk_recurses_over_expressions():
     assert self_calling(tree) == ["_walk"]
 
 
+# each helper of the point detector, and the functions that may call it
+DETECTOR_HELPERS = {"_tail_limit": ["symbols.detect_point"],
+                    "_side_sequences": ["symbols._vanishes_at_infinity",
+                                        "symbols.detect_point"]}
+
+
+def test_detect_point_is_the_only_classifier():
+    found = {name: [] for name in DETECTOR_HELPERS}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, where in found.items():
+            where += sorted(f"{path.stem}.{fn.name}" for fn in functions(tree)
+                            if calls(fn, name))
+            if path.stem != "symbols" and name in imported_names(tree):
+                where.append(f"{path.stem} imports it")
+    assert found == DETECTOR_HELPERS
+
+
 def test_the_checks_see_what_they_look_for():
     """Each check finds a planted case of what it forbids."""
     source = ("X = 1e-9\n"
@@ -137,3 +170,8 @@ def test_the_checks_see_what_they_look_for():
                           "class P:\n    def g(self):\n        return self.g()\n"
                           "def h():\n    return f(1)\n")
     assert self_calling(recursive) == ["f", "g"]
+    caller = ast.parse("from .symbols import _tail_limit, detect_point\n"
+                       "def profile(s):\n    return symbols._tail_limit(s)\n")
+    (fn,) = functions(caller)
+    assert calls(fn, "_tail_limit") and not calls(fn, "detect_point")
+    assert imported_names(caller) == {"_tail_limit", "detect_point"}
