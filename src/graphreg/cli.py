@@ -175,9 +175,9 @@ def cmd_transform(args, cfg: Config) -> tuple:
     n = check_parameter("--n", args.n, 1, TRANSFORM_MAX_N)
     rng = np.random.default_rng(args.seed)
     t = np.zeros((n, n), dtype=complex) if args.zero else random_operator(n, rng)
-    if args.op in ("calc",):
+    if args.op == "calc" and not args.zero:
         h = random_operator(n, rng)
-        t = h + h.conj().T  # self-adjoint, hence normal
+        t = h + h.conj().T  # self-adjoint, hence normal; 0 is normal too
     triple = aab_forward(t)
     results = {"n": n, "zero": bool(args.zero), "op": args.op}
     scale = max(1.0, opnorm(t))

@@ -35,6 +35,11 @@ from .errors import ExprSyntaxError
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "conj", "abs")
 
+# the deepest an expression may nest, in parentheses and calls and in its
+# AST: the parser takes five Python frames a parenthesis and ``_walk`` one
+# a level, far inside the interpreter's recursion limit
+MAX_DEPTH = 100
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<float>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
 )
@@ -82,7 +87,7 @@ def abs2(a):
 
 
 def _tokenize(text: str):
-    tokens, pos = [], 0
+    tokens, pos, nesting = [], 0, 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
@@ -96,6 +101,10 @@ def _tokenize(text: str):
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
             tokens.append(("op", m.group("op"), m.start("op")))
+            nesting += (m.group("op") == "(") - (m.group("op") == ")")
+            if nesting > MAX_DEPTH:
+                raise ExprSyntaxError(f"parentheses nest more than MAX_DEPTH = "
+                                      f"{MAX_DEPTH} levels", m.start("op"))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -126,35 +135,38 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {val!r}", pos)
+        if depth(ast) > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nests more than MAX_DEPTH = {MAX_DEPTH} levels", 0)
         return ast
 
     @staticmethod
-    def _combine(op, lhs, rhs):
+    def _combine(op, lhs, rhs, pos):
         # constant folding on literals keeps print -> parse an AST identity
         if lhs[0] == "num" and rhs[0] == "num" and op in "+-*":
             val = {"+": lhs[1] + rhs[1], "-": lhs[1] - rhs[1], "*": lhs[1] * rhs[1]}[op]
-            return num(val)
+            return _finite(val, pos)
         return (op, lhs, rhs)
 
     def expr(self):
         node = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                node = self._combine(val, node, rhs)
+                node = self._combine(val, node, rhs, pos)
             else:
                 return node
 
     def term(self):
         node = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
                 rhs = self.factor()
-                node = self._combine(val, node, rhs)
+                node = self._combine(val, node, rhs, pos)
             else:
                 return node
 
@@ -187,7 +199,7 @@ class _Parser:
     def operand(self):
         kind, val, pos = self.take()
         if kind == "number":
-            return num(float(val))
+            return _finite(float(val), pos)
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
@@ -210,9 +222,25 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {val!r}", pos)
 
 
+def _finite(value, pos) -> tuple:
+    """The literal node of a number, refused unless it is finite."""
+    if not cmath.isfinite(value):
+        raise ExprSyntaxError("number is not finite in binary64", pos)
+    return num(value)
+
+
 def parse_expression(text: str) -> tuple:
     """Parse ``text`` into an AST; raises ExprSyntaxError with a position."""
     return _Parser(text).parse()
+
+
+def depth(ast) -> int:
+    """The levels of ``ast``, a leaf being one, counted without recursion."""
+    level, levels = {id(ast): ast}, 0
+    while level:
+        levels += 1
+        level = {id(c): c for node in level.values() for c in _operands(node)}
+    return levels
 
 
 # a whole number below this in modulus is written as an integer, any

@@ -30,8 +30,6 @@ from .transforms import QuotientPair, _require_finite, numerical_rank, opnorm
 
 def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the column space, rank cut at ``tol``."""
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     return u[:, :numerical_rank(s, tol)]
 
@@ -40,10 +38,8 @@ def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the right nullspace.
 
     With rows >= cols the reduced SVD already returns the full square vh;
-    only a wide matrix needs the full one.
+    only a wide matrix needs the full one (with no rows, the identity).
     """
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     return vh[numerical_rank(s, tol):].conj().T
 
@@ -51,9 +47,7 @@ def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
 def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
     if b1.shape[1] != b2.shape[1]:
         return False
-    if b1.shape[1] == 0:
-        return True
-    # projection residual of each basis onto the other span
+    # projection residual of each basis onto the other span (0 if empty)
     r1 = opnorm(b1 - b2 @ (b2.conj().T @ b1))
     r2 = opnorm(b2 - b1 @ (b1.conj().T @ b2))
     return max(r1, r2) < tol
@@ -110,10 +104,8 @@ class Submodule:
     def from_vectors(algebra, ncomp, vectors, cfg: Config = DEFAULT) -> "Submodule":
         """Right submodule generated by coordinate vectors: per class, the
         span of the columns of their class blocks, stacked over the
-        components."""
-        if len(vectors) == 0:
-            return Submodule.zero(algebra, ncomp)
-        v = np.column_stack([np.asarray(x, complex).ravel() for x in vectors])
+        components; no vectors give the zero submodule."""
+        v = np.array([np.asarray(x, complex).ravel() for x in vectors]).T
         comps = v.reshape(ncomp, algebra.dim, -1)
         return Submodule(algebra, ncomp, [
             orthonormal_columns(comps[:, idx].reshape(ncomp * len(idx), -1),
@@ -248,10 +240,12 @@ class GraphOperator:
         modelling vanishing at infinity this reproduces proper domains
         (e.g. Def(t^*t) ⊊ A) that the collapsed graph calculus of a
         finite-dimensional model cannot see.  Per class c the domain is
-        the nullspace of the stacked S[~c, c] over the partial products S.
+        the nullspace of the stacked S[~c, c] over the partial products S,
+        each read relative to its largest entry, so that c·t has the
+        domain of t.
         """
-        stages = list(itertools.accumulate(
-            (np.asarray(m, complex) for m in matrices), lambda s, m: m @ s))
+        stages = [s / (np.abs(s).max() or 1.0) for s in itertools.accumulate(
+            (np.asarray(m, complex) for m in matrices), lambda s, m: m @ s)]
         return Submodule(algebra, 1, [
             nullspace(np.vstack([np.delete(s[:, c], c, axis=0) for s in stages]),
                       cfg.subspace_tol) for c in algebra.classes])

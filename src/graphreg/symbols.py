@@ -85,7 +85,6 @@ class DomainSpec:
     lo: float = -INF
     hi: float = INF
     punctures: tuple = ()
-    includes_infinity: bool = False
 
     def __post_init__(self):
         if self.base == "interval":
@@ -112,12 +111,14 @@ class DomainSpec:
             if not (self.lo <= p <= self.hi):
                 raise ValueError(f"puncture {p} outside the closed base")
         object.__setattr__(self, "punctures", ps)
-        if self.base != "interval":
-            object.__setattr__(self, "includes_infinity", True)
 
     @property
     def compact(self) -> bool:
         return self.base == "interval"
+
+    @property
+    def includes_infinity(self) -> bool:
+        return not self.compact
 
 
 def interval(lo, hi, punctures=()) -> DomainSpec:
@@ -419,8 +420,8 @@ def symbol_equivalent(m1: PiecewiseSymbol, m2: PiecewiseSymbol,
           if math.isfinite(d.at)]
     if c1 != c2:
         return False
+    # h2 is nan off its pieces and fills, and the nan mask drops those
     grid = sample_grid(h1, cfg)
-    grid = grid[h2.in_pieces(grid) | np.isin(grid, [p for p, _ in h2.fills])]
     v1, v2 = h1(grid), h2(grid)
     good = ~(np.isnan(v1) | np.isnan(v2))
     return bool(np.all(np.abs(v1[good] - v2[good]) <= cfg.value_agreement_tol
@@ -491,14 +492,6 @@ def combine_symbols(m1: PiecewiseSymbol, m2: PiecewiseSymbol, op
     dom = replace(m1.domain, punctures=tuple(sorted(pts)))
     decls = tuple(Declaration(p, PointClass.SING_SUPP) for p in dom.punctures)
     return PiecewiseSymbol(dom, _merge_pieces(m1, m2, op), decls)
-
-
-def multiply_symbols(m1: PiecewiseSymbol, m2: PiecewiseSymbol) -> PiecewiseSymbol:
-    return combine_symbols(m1, m2, ex.mul)
-
-
-def add_symbols(m1: PiecewiseSymbol, m2: PiecewiseSymbol) -> PiecewiseSymbol:
-    return combine_symbols(m1, m2, ex.add)
 
 
 def map_symbol(m: PiecewiseSymbol, f) -> PiecewiseSymbol:
@@ -673,16 +666,14 @@ def domain_membership(m: PiecewiseSymbol, f: PiecewiseSymbol,
     if not _vanishes_at_infinity(fh, cfg):
         raise ValueError("f must vanish at infinity to lie in C0")
     mh = hat_extension(m, cfg)
-    prod = multiply_symbols(mh, fh)
+    prod = combine_symbols(mh, fh, ex.mul)
     for p in _bad_points(mh):
         fval = _finite_limit_at(fh, p, cfg)
         if fval is None or abs(fval) > cfg.zero_tol:
             return False
         if _finite_limit_at(prod, p, cfg) is None:
             return False
-    if not _vanishes_at_infinity(prod, cfg):
-        return False
-    return True
+    return _vanishes_at_infinity(prod, cfg)
 
 
 def range_membership_one_plus_tt(m: PiecewiseSymbol, g: PiecewiseSymbol,
@@ -702,6 +693,10 @@ def range_membership_one_plus_tt(m: PiecewiseSymbol, g: PiecewiseSymbol,
 
 
 def symbol_to_dict(sym: PiecewiseSymbol) -> dict:
+    """The JSON shape ``symbol_from_dict`` reads, and nothing it refuses."""
+    if any(ex.depth(t) > ex.MAX_DEPTH for _, _, t in sym.pieces):
+        raise ValueError(f"cannot write a symbol with a piece nested past the "
+                         f"reader's MAX_DEPTH = {ex.MAX_DEPTH} levels")
     dom = {
         "base": sym.domain.base,
         "lo": None if math.isinf(sym.domain.lo) else sym.domain.lo,
@@ -729,10 +724,12 @@ _NUMBER = (int, float)
 
 
 def _is_number(value) -> bool:
-    """A JSON number that converts to a float (a bool is not a number)."""
+    """A JSON number that converts to a finite float: not a bool, nor the
+    NaN and Infinity that Python's json reads."""
     if isinstance(value, bool) or not isinstance(value, _NUMBER):
         return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
+    return (math.isfinite(value) if isinstance(value, float)
+            else abs(value) <= sys.float_info.max)
 
 
 def _key(obj: dict, key: str, kinds: tuple, where: str, default=_REQUIRED):
@@ -794,7 +791,8 @@ def symbol_from_dict(data: dict) -> PiecewiseSymbol:
             raise ValueError(f"{where}: key 'at' must be a number or \"inf\"")
         lim = _key(d, "limit", (list, type(None)), where, None)
         if lim is not None and (len(lim) != 2 or not all(map(_is_number, lim))):
-            raise ValueError(f"{where}: key 'limit' must be [re, im]")
+            raise ValueError(f"{where}: key 'limit' must be [re, im], "
+                             f"two finite numbers")
         decls.append(Declaration(INF if at == "inf" else float(at),
                                  PointClass(_key(d, "class", (str,), where)),
                                  None if lim is None else complex(lim[0], lim[1])))

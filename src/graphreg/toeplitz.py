@@ -68,8 +68,7 @@ def _trim(coeffs) -> np.ndarray:
 
 def _sylvester_resultant(p: np.ndarray, q: np.ndarray) -> complex:
     n, m = len(p) - 1, len(q) - 1
-    if n == 0 or m == 0:
-        return 1.0 + 0j  # a nonzero constant is coprime to everything
+    # a max-normalised constant gives a diagonal s with |det s| = 1
     s = np.zeros((n + m, n + m), dtype=complex)
     for i in range(m):
         s[i, i : i + n + 1] = p[::-1]
@@ -132,11 +131,7 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
     live = np.abs(c[d:]) > np.finfo(float).eps * c[d].real
     top = int(np.flatnonzero(live)[-1])
     c, d = c[d - top : d + top + 1], top
-    if d == 0:
-        gamma = np.sqrt(lvals.mean())
-        ph = q[0] / abs(q[0])
-        return np.array([gamma * ph])
-    roots = np.roots(c[::-1])  # roots of z^d * L(z)
+    roots = np.roots(c[::-1])  # roots of z^d * L(z); none at d = 0, r = 1
     if np.any(np.abs(np.abs(roots) - 1.0) < cfg.root_circle_tol):
         raise CircleRoot("Laurent factor has a root too close to the circle")
     outer = roots[np.abs(roots) > 1.0]
@@ -212,7 +207,7 @@ def trig_data(p, q, cfg: Config = DEFAULT) -> TrigData:
     NonFiniteValue."""
     _require_finite("trig_data", p, q)
     p, q = _trim(p), _trim(q)
-    q_roots = np.roots(q[::-1]) if len(q) > 1 else np.array([], dtype=complex)
+    q_roots = np.roots(q[::-1])
     inner = q_roots[np.abs(q_roots) < 1 - cfg.root_circle_tol]
     if inner.size:
         raise InnerRoot(f"q has root {inner[0]} inside the unit disc")
@@ -223,10 +218,9 @@ def trig_data(p, q, cfg: Config = DEFAULT) -> TrigData:
                                           - np.abs(rv) ** 2)))
     fv, gv = qv / rv, pv / rv
     unit_residual = float(np.max(np.abs(np.abs(fv) ** 2 + np.abs(gv) ** 2 - 1)))
-    rroots = np.roots(r[::-1]) if len(r) > 1 else np.array([np.inf])
     f0 = complex(npoly.polyval(0.0, q) / npoly.polyval(0.0, r))
     return TrigData(p, q, r, q_roots, factor_residual, unit_residual,
-                    float(np.min(np.abs(rroots))), f0)
+                    float(np.min(np.abs(np.roots(r[::-1])), initial=np.inf)), f0)
 
 
 # -- truncations ----------------------------------------------------------------
@@ -260,14 +254,12 @@ class ToeplitzTriple:
     """Truncated transform triple, kept as its generators: the Taylor
     coefficients ``fhat`` of f = q/r and ``ghat`` of g = p/r through
     index n + d − 1, d the order of ``tail``, the Cholesky factor of the
-    Gram of their tails (see ``_tail_factor``).  ``band`` is the last
-    nonzero index of either below n.
+    Gram of their tails (see ``_tail_factor``).
     """
 
     fhat: np.ndarray
     ghat: np.ndarray
     n: int
-    band: int
     tail: np.ndarray
 
     def interior_residuals(self, n: int | None = None) -> dict:
@@ -290,16 +282,16 @@ class ToeplitzTriple:
         times ``tail``.  With X = (L_f W)[c, :] and Y = (L_g W)[c, :] the
         norms are ‖X‖², ‖Y‖² and ‖XY*‖, read off the triangular factors
         of one QR each.  Rows of c reach W only through the lags up to
-        the last nonzero coefficient below c.stop, so each column of X
-        and Y is one short convolution: O(n·band·d) time, O(n·d) memory.
+        the last nonzero coefficient below c.stop (the band), so each
+        column of X and Y is one short convolution: O(n·band·d) time.
         """
         n = self.n if n is None else n
         if not 2 <= n <= self.n:
             raise ValueError(f"leading block n={n} outside [2, {self.n}]")
         c = slice(n // 4, n // 4 + n // 2)
         coeffs = (self.fhat, self.ghat)
-        # read below c.stop, not from band, so that a leading block does
-        # the arithmetic of a separately built n triple
+        # read below c.stop, so that a leading block does the arithmetic
+        # of a separately built n triple
         lag = int(np.flatnonzero((self.fhat[: c.stop] != 0)
                                  | (self.ghat[: c.stop] != 0))[-1])
         lo = c.start - lag               # first row of W that c reaches
@@ -394,8 +386,7 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     Taylor coefficients of f and g through index n + d − 1, with d =
     max(deg p, deg q, 1), and the Cholesky factor of their tail Gram, so
     it holds O(n·d) numbers and no N x N array.  It is real for real p
-    and q and complex otherwise, and it is stored with its band: the
-    last nonzero index of f̂ or ĝ below n.  A factorization that fails
+    and q and complex otherwise.  A factorization that fails
     ``TrigData.ok`` raises FactorizationFailed.
     """
     check_truncation_size(n)
@@ -405,9 +396,7 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     d = max(len(p), len(q), 2) - 1
     fhat = _taylor(q, r, n + d)
     ghat = _taylor(p, r, n + d)
-    # f̂_0 = q(0)/r(0) > 0, so the band is well defined
-    band = int(np.flatnonzero((fhat[:n] != 0) | (ghat[:n] != 0))[-1])
-    return ToeplitzTriple(fhat, ghat, n, band, _tail_factor(r, d))
+    return ToeplitzTriple(fhat, ghat, n, _tail_factor(r, d))
 
 
 # -- association vs affiliation ---------------------------------------------------

@@ -167,9 +167,7 @@ class QuotientPair:
         must be ~0 for well-definedness."""
         _, s, vh = np.linalg.svd(self.a)
         null = vh[numerical_rank(s, cfg.subspace_tol):].conj().T
-        if null.shape[1] == 0:
-            return 0.0
-        return opnorm(self.b @ null)
+        return opnorm(self.b @ null)  # 0.0 when the kernel is empty
 
     def reconstruct(self, cfg: Config = DEFAULT) -> np.ndarray:
         """t = b a⁻¹; KernelNotTrivial unless every eigenvalue of a

@@ -561,6 +561,107 @@ def test_analyze_command_fuzz(sym, cfg, tmp_path, capsys):
             sym, cfg, raised)
 
 
+# -- never exit 3: deep, long and non-finite expressions -------------------------------
+
+
+def _grown(form, k):
+    """An expression of the shape ``form`` grown to size k."""
+    return {"parens": "(" * k + "x" + ")" * k,
+            "calls": "sin(" * k + "x" + ")" * k,
+            "sum": "+".join(["x"] * k),
+            "minus": "-" * k + "x",
+            "powers": "x" + "^1" * k,
+            "digits": "1" * k + "+x",
+            "folded": "9" * k + "*" + "9" * k + "*x"}[form]
+
+
+GROWN_EXPRS = st.builds(
+    _grown, st.sampled_from(["parens", "calls", "sum", "minus", "powers",
+                             "digits", "folded"]),
+    st.sampled_from([1, 2, 20, 90, 97, 99, 100, 101, 155, 197, 300, 986, 3000])
+    | st.integers(1, 1200))
+NON_FINITE_EXPRS = st.sampled_from([
+    "NaN", "NaN*x", "x+Infinity", "-Infinity", "inf*x", "1/0*x", "0/0+x",
+    "x^99999999999999999999", "exp(exp(exp(x)))*" + "9" * 308])
+NON_FINITE_JSON = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(expr=GROWN_EXPRS | NON_FINITE_EXPRS, bad=NON_FINITE_JSON,
+       where=st.sampled_from([None, "limit", "lo", "puncture", "at"]))
+def test_no_expression_or_number_exits_3(expr, bad, where, tmp_path, capsys):
+    # analyze of one piece on [0, 1], punctured at 0, with one number of
+    # the file made non-finite; toeplitz and transform calc of the same text
+    from graphreg import cli
+
+    sym = _punctured_unit_interval(expr, [0.0, 0.0])
+    if where == "limit":
+        sym["declarations"][0]["limit"] = [bad, 0.0]
+    elif where == "lo":
+        sym["domain"]["lo"] = sym["pieces"][0]["lo"] = bad
+    elif where == "puncture":
+        sym["domain"]["punctures"] = [bad]
+    elif where == "at":
+        sym["declarations"][0]["at"] = bad
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(sym))
+    for argv in (["analyze", str(path)], ["toeplitz", "--N", "16", "--", "1", expr],
+                 ["transform", "--op", "calc", "--n", "2", f"--f={expr}"]):
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2), (argv, expr)
+        if code == 0:
+            _finite(out)
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("1" * 400 + "+x", "number is not finite in binary64 (at position 0)"),
+    ("9" * 200 + "*" + "9" * 200 + "*x", "not finite in binary64 (at position 200)"),
+    ("(" * 197 + "x" + ")" * 197, "parentheses nest more than MAX_DEPTH = 100"),
+    ("+".join(["x"] * 986), "expression nests more than MAX_DEPTH = 100"),
+    ("-" * 985 + "x", "expression nests more than MAX_DEPTH = 100"),
+    ("+".join(["x"] * 97), "cannot write a symbol with a piece nested past"),
+], ids=["400-digits", "folded", "197-parens", "986-terms", "985-minus",
+        "a-symbol-too-deep"])
+def test_bad_expression_is_an_input_error(expr, message, tmp_path, capsys):
+    from graphreg import cli
+
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(_punctured_unit_interval(expr, [0.0, 0.0])))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [[math.nan, 0.0], [math.inf, 0.0]],
+                         ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("expr, at, base", [
+    ("1", "inf", "realline"), ("x", 0.0, "interval")])
+def test_non_finite_limit_is_an_input_error(limit, expr, at, base, tmp_path,
+                                            capsys):
+    from graphreg import cli
+
+    ends = (None, None) if base == "realline" else (0.0, 1.0)
+    sym = {"domain": {"base": base, "lo": ends[0], "hi": ends[1],
+                      "punctures": [] if at == "inf" else [at]},
+           "pieces": [{"lo": ends[0], "hi": ends[1], "expr": expr}],
+           "declarations": [{"at": at, "class": "reg_b", "limit": limit}]}
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(sym))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert "key 'limit' must be [re, im], two finite numbers" in (
+        capsys.readouterr().err)
+
+
+def test_calc_on_the_zero_operator_is_exact(capsys):
+    from graphreg import cli
+
+    assert cli.main(["transform", "--op", "calc", "--zero", "--n", "3"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["zero"] is True and results["residual_vs_a"] == 0.0
+
+
 # -- exit-code contract for argument errors ----------------------------------------
 
 

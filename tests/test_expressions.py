@@ -38,6 +38,42 @@ def test_syntax_error_carries_position():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1" * 400 + "+x", 0),                         # a literal past binary64
+    ("2+" + "9" * 200 + "*" + "9" * 200, 202),     # a product folded to inf
+    ("x-" + "9" * 308 + "*10", 310),               # the same past the variable
+])
+def test_non_finite_number_is_refused_where_it_arises(text, position):
+    with pytest.raises(ExprSyntaxError, match="not finite") as err:
+        ex.parse_expression(text)
+    assert err.value.position == position
+
+
+def test_depth_bound_holds_exactly_at_max_depth():
+    k = ex.MAX_DEPTH
+    for text in ("(" * k + "x" + ")" * k, "sqrt(" * (k - 1) + "x" + ")" * (k - 1),
+                 "+".join(["x"] * k), "-" * (k - 1) + "x"):
+        assert ex.depth(ex.parse_expression(text)) <= k
+    for text, what in (("(" * (k + 1) + "x" + ")" * (k + 1), "parentheses"),
+                       ("+".join(["x"] * (k + 1)), "expression"),
+                       ("-" * k + "x", "expression")):
+        with pytest.raises(ExprSyntaxError, match=f"{what} nest"):
+            ex.parse_expression(text)
+
+
+def test_depth_counts_levels_without_recursion():
+    # far past the interpreter's recursion limit, and shared operands
+    # counted once per level
+    chain = ex.VAR
+    for _ in range(100_000):
+        chain = ex.add(chain, ex.ONE)
+    assert ex.depth(chain) == 100_001
+    t = ex.VAR
+    for _ in range(60):
+        t = ex.mul(ex.conj(t), t)
+    assert ex.depth(t) == 121
+
+
 @pytest.mark.parametrize("text", [
     "1/x", "exp(i/x)/x", "x*sqrt(1+sin(x)^2)", "(2+3*i)*x", "x^-2",
     "1-x-2", "-x+1", "abs(x)^2/(1+abs(x)^2)", "conj(x)*x", "1/(1-0.99*x)",

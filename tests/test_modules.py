@@ -31,7 +31,7 @@ from graphreg.modules import (
     projection_onto,
     same_span,
 )
-from graphreg.transforms import numerical_rank
+from graphreg.transforms import QuotientPair, numerical_rank
 
 RNG = np.random.default_rng(20240811)
 
@@ -688,10 +688,13 @@ def test_mask_that_is_no_equivalence_is_refused(mask):
 
 
 @st.composite
-def masked_algebras(draw):
-    """1-3 blocks of size 1-4; each index in a class (a label) or unused."""
+def masked_algebras(draw, sizes=None):
+    """1-3 blocks of size 1-4, or the blocks ``sizes``; each index in a
+    class (a label) or unused."""
     masks = []
-    for n in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+    if sizes is None:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    for n in sizes:
         label = np.array(draw(st.lists(st.integers(-1, n - 1),
                                        min_size=n, max_size=n)))
         masks.append((label[:, None] == label) & (label >= 0))
@@ -730,6 +733,80 @@ def test_class_path_matches_loop_oracle(alg, data):
     for rank, r in ((rep.density_rank, res), (rep.density_rank_star, res.conj().T)):
         s = np.linalg.svd(loop_left_mult_map(alg, r, full=True), compute_uv=False)
         assert rank == numerical_rank(s, TOL)
+
+
+def four_check_mult_ok(t, lam, alg, pattern, cfg=DEFAULT):
+    """The pattern and multiplier checks of R = (t − λ)⁻¹ and of R*, each
+    read on its own, as ``resolvent_affiliation_check`` once did."""
+    shifted = np.array(t, dtype=complex)
+    shifted.flat[:: alg.N + 1] -= lam
+    res = np.linalg.inv(shifted)
+    res_h = res.conj().T
+    pattern = alg if pattern is None else pattern
+    return bool(pattern.contains(res, cfg) and pattern.contains(res_h, cfg)
+                and alg.is_multiplier(res, cfg) and alg.is_multiplier(res_h, cfg))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(alg=masked_algebras().filter(lambda a: a.dim > 0), data=st.data())
+def test_resolvent_multiplier_verdict_matches_the_four_checks(alg, data):
+    # multipliers (block-diagonal on the mask, used indices kept apart) and
+    # non-multipliers (a spill off the mask around and far above the
+    # subspace_tol cut), under A's own pattern or another mask
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    spill = data.draw(st.sampled_from([0.0, 1e-12, 5e-11, 2e-10, 1.0]))
+    t = random_element(alg, rng) + spill * random_operator(alg.N, rng)
+    pattern = data.draw(st.none() | masked_algebras(alg.sizes))
+    lam = 1j * (1 + np.linalg.norm(t, 2))
+    rep = resolvent_affiliation_check(t, lam, alg, pattern)
+    assert rep.multiplier_ok == four_check_mult_ok(t, lam, alg, pattern)
+
+
+def test_resolvent_multiplier_verdict_sees_both_outcomes():
+    alg, _, ma = grid_model(3)
+    lower = constant_matrix(alg, np.array([[0, 0], [1, 0]], complex))
+    assert not resolvent_affiliation_check(lower, 1j, alg, ma).multiplier_ok
+    assert resolvent_affiliation_check(np.diag(np.arange(1.0, 7.0)), 1j,
+                                       matrix_algebra(6)).multiplier_ok
+
+
+# -- the empty matrices the general paths take --------------------------------
+# the library passes complex matrices, for which the SVD's factors are the
+# (rows, 0) basis, the identity vh and the empty residual of norm 0
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_orthonormal_columns_of_an_empty_matrix(shape):
+    out = orthonormal_columns(np.zeros(shape, complex), TOL)
+    assert out.shape == (shape[0], 0) and out.dtype == complex
+
+
+@pytest.mark.parametrize("cols", [0, 1, 3])
+def test_nullspace_of_no_rows_is_everything(cols):
+    out = nullspace(np.zeros((0, cols), complex), TOL)
+    assert out.dtype == complex and np.array_equal(out, np.eye(cols))
+
+
+def test_same_span_of_empty_bases():
+    empty = np.zeros((3, 0), complex)
+    assert same_span(empty, empty, TOL) is True
+    assert same_span(empty, np.eye(3, 1, dtype=complex), TOL) is False
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_no_vectors_generate_the_zero_submodule(ncomp):
+    alg = grid_model(3)[0]
+    sub, zero = Submodule.from_vectors(alg, ncomp, []), Submodule.zero(alg, ncomp)
+    assert sub.dim == 0
+    for got, want in zip(sub.spaces, zero.spaces):
+        assert got.shape == want.shape and got.dtype == want.dtype
+
+
+def test_kernel_inclusion_residual_with_no_kernel_is_zero():
+    rng = np.random.default_rng(5)
+    pair = QuotientPair(np.eye(3) + 0j, random_operator(3, rng))
+    value = pair.kernel_inclusion_residual()
+    assert value == 0.0 and type(value) is float
 
 
 def test_resolvent_ranks_read_the_rows_of_the_whole_block():

@@ -14,12 +14,12 @@ from graphreg.symbols import (
     PointClass,
     _side_sequences,
     classify_point,
+    combine_symbols,
     conjugate_symbol,
     detect_point,
     domain_membership,
     hat_extension,
     interval,
-    multiply_symbols,
     range_membership_one_plus_tt,
     real_line,
     regularity_report,
@@ -145,17 +145,15 @@ def test_adjoint_pairing_on_bump_symbols():
 def test_product_law_on_common_domain():
     # values of t_m t_n and t_{mn} agree where both are defined
     m, n = catalog.one_over_x(), catalog.identity_symbol()
-    prod = multiply_symbols(m, n)
+    prod = combine_symbols(m, n, ex.mul)
     grid = np.array([-5.0, -1.2, 0.3, 2.5])
     assert np.abs(prod(grid) - m(grid) * n(grid)).max() < 1e-12
     assert np.abs(prod(grid) - 1.0).max() < 1e-12
 
 
 def test_sum_law_on_common_domain():
-    from graphreg.symbols import add_symbols
-
     m, n = catalog.one_over_x(), catalog.identity_symbol()
-    total = add_symbols(m, n)
+    total = combine_symbols(m, n, ex.add)
     grid = np.array([-5.0, -1.2, 0.3, 2.5])
     assert np.abs(total(grid) - (m(grid) + n(grid))).max() < 1e-12
     assert np.abs(total(grid) - (1.0 / grid + grid)).max() < 1e-12
@@ -431,6 +429,21 @@ def test_settled_transform_at_infinity_is_declared_by_its_limit():
 
 
 # -- approach sequences and ends ------------------------------------------------
+
+
+@pytest.mark.parametrize("domain, reaches", [
+    (interval(0.0, 1.0), False), (real_line(), True),
+    (DomainSpec("halfline", 0.7), True)], ids=["interval", "line", "halfline"])
+def test_includes_infinity_is_read_off_the_base(domain, reaches):
+    assert domain.includes_infinity is reaches
+    assert symbol_to_dict(PiecewiseSymbol(
+        domain, ((domain.lo, domain.hi, ex.VAR),)))["domain"]["infinity"] is reaches
+
+
+def test_includes_infinity_is_no_constructor_field():
+    # the base fixes it, so no interval can claim to reach infinity
+    with pytest.raises(TypeError):
+        DomainSpec("interval", 0.0, 1.0, (), True)
 
 
 def test_approach_sequences_keep_their_samples():

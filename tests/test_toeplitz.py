@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from graphreg import toeplitz
+from graphreg.config import DEFAULT
 from graphreg.errors import (
     CircleRoot,
     FactorizationFailed,
@@ -47,6 +48,21 @@ def random_instance(rng, max_deg=6):
 def test_trivial_factorization():
     r = fejer_riesz([0.0], [1.0])
     assert np.allclose(r, [1.0])
+
+
+@pytest.mark.parametrize("p, q", [
+    ([0.0, 0.5], [1.0]), ([3.0], [5.0]), ([0.6], [-0.8]), ([0.3j], [2.0]),
+    ([0.0, 0.0, 1.0], [-2.0 + 1.0j]), ([0.0], [1.0 - 1.0j]),
+])
+def test_constant_factor_is_gamma_times_the_phase_of_q0(p, q):
+    # |p|² + |q|² is a constant γ² on the circle, so r = γ·q(0)/|q(0)|,
+    # bit for bit, through the general root pairing with no root
+    q0 = complex(q[0])
+    lvals = (np.abs(circle_samples(p, DEFAULT.circle_samples)) ** 2
+             + np.abs(circle_samples(q, DEFAULT.circle_samples)) ** 2)
+    r = fejer_riesz(p, q)
+    assert r.dtype == complex
+    assert np.array_equal(r, [np.sqrt(lvals.mean()) * (q0 / abs(q0))])
 
 
 def test_golden_ratio_instance():
@@ -351,20 +367,26 @@ def test_triple_matches_complex_construction(p, q, n):
         assert np.abs(got - want).max() < 1e-15
 
 
+def band(tri):
+    """The last nonzero index of f̂ or ĝ below n."""
+    return int(np.flatnonzero((tri.fhat[: tri.n] != 0)
+                              | (tri.ghat[: tri.n] != 0))[-1])
+
+
 @pytest.mark.parametrize("p, q", SYMBOLS, ids=SYMBOL_IDS)
 @pytest.mark.parametrize("n", [64, 256])
 def test_triple_vanishes_outside_its_band(p, q, n):
     # every product of the generators is then zero for |j − k| > band
     tri = toeplitz_aab(p, q, n)
     for coeffs in (tri.fhat, tri.ghat):
-        assert np.all(coeffs[tri.band + 1 : n] == 0)
+        assert np.all(coeffs[band(tri) + 1 : n] == 0)
 
 
 def test_band_trims_the_window_at_moderate_n():
     # the coefficients of 1/(1-z) reach rounding after about 37 terms, so
     # at N = 256 the contraction window is shorter than N
     tri = toeplitz_aab([1.0], [1.0, -1.0], 256)
-    assert 0 < tri.band < 256 // 4
+    assert 0 < band(tri) < 256 // 4
 
 
 @pytest.mark.parametrize("p, q", [
