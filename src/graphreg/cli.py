@@ -73,10 +73,15 @@ def make_report(args, command: str, results: dict, cfg: Config) -> dict:
     }
 
 
+# the most characters of an unparsable polynomial its error message quotes
+ECHO_CHARS = 60
+
+
 def parse_poly(text: str, cfg: Config):
     """Polynomial coefficients, as an ndarray, from either comma-separated
     coefficients or an expression in one variable, e.g. ``1-z``, which is
-    expanded exactly (``expressions.poly_coefficients``)."""
+    expanded exactly (``expressions.poly_coefficients``).  The error for
+    text that does not parse quotes at most ECHO_CHARS of it."""
     import numpy as np
 
     from .expressions import parse_expression, poly_coefficients
@@ -88,7 +93,9 @@ def parse_poly(text: str, cfg: Config):
         return np.array(poly_coefficients(parse_expression(text),
                                           cfg.max_poly_degree))
     except (GraphregError, ValueError) as err:
-        raise ValueError(f"cannot parse polynomial {text!r}: {err}") from err
+        quoted = (repr(text) if len(text) <= ECHO_CHARS
+                  else repr(text[:ECHO_CHARS]) + "…")
+        raise ValueError(f"cannot parse polynomial {quoted}: {err}") from err
 
 
 # The arrays each size allocates at its peak stay within ARRAY_BUDGET:

@@ -12,21 +12,23 @@ Every other threshold is an UPPER_CASE constant beside the code that
 decides with it, and is not an option:
 
 * ``cli``: the ``transform`` verdict gates ``IDENTITY_GATE``,
-  ``RECONSTRUCTION_GATE``, ``NORM_SLACK`` and ``PSD_SLACK``;
-* ``toeplitz``: the factorization gates ``FACTOR_RESIDUAL_GATE``,
-  ``UNIT_RESIDUAL_GATE``, ``R_ROOT_MARGIN`` and ``F0_IMAG_GATE``;
+  ``RECONSTRUCTION_GATE``, ``NORM_SLACK`` and ``PSD_SLACK``, and the
+  quoting limit ``ECHO_CHARS``;
+* ``toeplitz``: the factorization gates ``UNIT_RESIDUAL_GATE`` and
+  ``R_ROOT_MARGIN``, and Wilson's stop test ``NEWTON_STOP`` and step
+  cap ``NEWTON_MAX_STEPS`` (its verdicts are exact and take no
+  threshold);
 * ``transforms``: ``PSD_CLAMP``, ``COMMUTATION_FLOOR`` and
   ``JOINT_DIAGONAL_GATE``;
 * ``symbols``: ``TILING_SLACK``, ``MONOTONE_SLACK``, ``VARIANCE_FLOOR``
   and ``PUNCTURE_MATCH``;
 * ``experiments``: ``WINDOW_SLACK``; ``expressions``: the formatting
-  limit ``INT_FORMAT_LIMIT`` (``poly_coefficients`` bounds each exact
-  coefficient part by the bits of ``max_poly_degree`` + 1 doubles,
-  ``FLOAT_BITS`` each).
+  limit ``INT_FORMAT_LIMIT`` (``poly_coefficients`` bounds the integers
+  of each exact coefficient by the bits of ``max_poly_degree`` + 1
+  doubles, ``FLOAT_BITS`` each).
 
 A verdict should not change when t is scaled, so the constants that
 compare an absolute quantity are marked here:
-``FACTOR_RESIDUAL_GATE`` (a quantity that scales with p and q),
 ``TILING_SLACK`` and ``PUNCTURE_MATCH`` (lengths in x),
 ``VARIANCE_FLOOR``, ``WINDOW_SLACK``, ``COMMUTATION_FLOOR``,
 ``NORM_SLACK`` and ``PSD_SLACK``.  ``IDENTITY_GATE``,
@@ -97,8 +99,6 @@ class Config:
 
     # polynomial / Toeplitz lab
     circle_samples: int = 2048
-    root_circle_tol: float = 1e-7
-    coprime_tol: float = 1e-10
     max_poly_degree: int = 24
 
     def to_dict(self) -> dict:

@@ -72,10 +72,6 @@ class ClassCheckFailed(CheckFailed):
     """A matrix entry failed its declared function-class check."""
 
 
-class CircleRoot(CheckFailed):
-    """Spectral factorization hit a root too close to the unit circle."""
-
-
 class FactorizationFailed(CheckFailed):
     """Spectral factorization failed its residual checks; the message
     names each failing residual."""
@@ -83,11 +79,6 @@ class FactorizationFailed(CheckFailed):
 
 class NotCoprime(CheckFailed):
     """Polynomial pair shares a nontrivial common factor."""
-
-
-class NotRealFactor(CheckFailed):
-    """Spectral factor of a real symbol kept more than rounding in its
-    imaginary part."""
 
 
 class InnerRoot(CheckFailed):

@@ -27,11 +27,12 @@ from __future__ import annotations
 import cmath
 import operator
 import re
-from itertools import zip_longest
 
 from . import complexmath as cm
+from . import gaussian as gq
 from .config import FLOAT_BITS
 from .errors import ExprSyntaxError
+from .gaussian import Gaussian
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "conj", "abs")
 
@@ -452,24 +453,10 @@ _ARRAY = {
 # -- exact polynomial expansion -----------------------------------------------------
 
 
-def _exact(z) -> tuple:
-    """z as a Gaussian rational: (re, im) as exact fractions."""
-    from fractions import Fraction
-
+def _exact(z) -> Gaussian:
     if not cmath.isfinite(z):
         raise ValueError(f"the constant {z} is not finite")
-    return Fraction(z.real), Fraction(z.imag)
-
-
-def _trim(poly: list) -> list:
-    while len(poly) > 1 and not any(poly[-1]):
-        poly = poly[:-1]
-    return poly
-
-
-def _poly_add(a: list, b: list, sign: int) -> list:
-    return _trim([(ar + sign * br, ai + sign * bi) for (ar, ai), (br, bi)
-                  in zip_longest(a, b, fillvalue=(0, 0))])
+    return Gaussian.of(z)
 
 
 def _poly_mul(a: list, b: list, max_degree: int) -> list:
@@ -478,27 +465,21 @@ def _poly_mul(a: list, b: list, max_degree: int) -> list:
     degree = len(a) + len(b) - 2
     if degree > max_degree:
         raise ValueError(f"degree {degree} exceeds max_poly_degree = {max_degree}")
-    out = [(0, 0)] * (degree + 1)
-    for i, (ar, ai) in enumerate(a):
-        for j, (br, bi) in enumerate(b):
-            re, im = out[i + j]
-            out[i + j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
-    # a part may hold the bits of a product of max_degree + 1 doubles
+    out = gq.mul(a, b)
+    # the integers of a coefficient may hold the bits of a product of
+    # max_degree + 1 doubles
     bits = (max_degree + 1) * FLOAT_BITS
-    if any(max(p.numerator.bit_length(), p.denominator.bit_length()) > bits
-           for c in out for p in c):
+    if any(c.bits() > bits for c in out):
         raise ValueError(f"a coefficient needs more than {bits} bits")
-    return _trim(out)
+    return out
 
 
 def _inverse(b: list) -> list:
     if len(b) > 1:
         raise ValueError("division by a non-constant is not a polynomial operation")
-    ((re, im),) = b
-    norm = re * re + im * im
-    if not norm:
+    if not any(b):
         raise ValueError("division by zero")
-    return [(re / norm, -im / norm)]
+    return [gq.ONE / b[0]]
 
 
 def _poly_pow(node, max_degree: int, base: list) -> list:
@@ -509,7 +490,7 @@ def _poly_pow(node, max_degree: int, base: list) -> list:
         raise ValueError(f"the negative power ^{n} is not a polynomial operation")
     if degree > max_degree:
         raise ValueError(f"degree {degree} exceeds max_poly_degree = {max_degree}")
-    out = [_exact(1)]
+    out = [gq.ONE]
     for _ in range(n):
         out = _poly_mul(out, base, max_degree)
     return out
@@ -523,12 +504,12 @@ def _not_polynomial(node, max_degree, a):
 # Gaussian rationals
 _EXPAND = {
     "num": lambda node, d: [_exact(node[1])],
-    "var": lambda node, d: [_exact(0), _exact(1)],
-    "+": lambda node, d, a, b: _poly_add(a, b, 1),
-    "-": lambda node, d, a, b: _poly_add(a, b, -1),
+    "var": lambda node, d: [gq.ZERO, gq.ONE],
+    "+": lambda node, d, a, b: gq.add(a, b),
+    "-": lambda node, d, a, b: gq.add(a, b, -1),
     "*": lambda node, d, a, b: _poly_mul(a, b, d),
     "/": lambda node, d, a, b: _poly_mul(a, _inverse(b), d),
-    "neg": lambda node, d, a: [(-re, -im) for re, im in a],
+    "neg": lambda node, d, a: [-c for c in a],
     "pow": _poly_pow,
     "call": _not_polynomial,
 }
@@ -545,7 +526,7 @@ def poly_coefficients(ast, max_degree: int) -> list:
     beyond binary64 is a ValueError that names it.
     """
     try:
-        return [complex(float(re), float(im))
-                for re, im in _walk(ast, _EXPAND, max_degree, {}, None)]
+        return [complex(c) for c in
+                _walk(ast, _EXPAND, max_degree, {}, None)] or [0j]
     except OverflowError:
         raise ValueError("a coefficient overflows binary64") from None

@@ -2,8 +2,7 @@
 
 For coprime polynomials p, q with q zero-free in the open unit disc,
 |p|² + |q|² is strictly positive on the circle and factors as |r|² with
-r zero-free in the closed disc (spectral factorization via the root
-pairing λ ↔ 1/λ̄ of the associated Laurent polynomial).  With f = q/r
+r zero-free in the closed disc (spectral factorization).  With f = q/r
 and g = p/r the transform elements of T_{p/q} are Toeplitz products
 
     a = T_f T_f̄,   a_* = 1 - T_g T_ḡ,   b = T_g T_f̄,
@@ -12,6 +11,20 @@ all inside the Toeplitz algebra, so the operator is always *associated*.
 It is *affiliated* precisely when q has no zero on the circle; a zero
 λ there is witnessed by the character T_φ + K ↦ φ(λ), which kills
 |f(λ)|² and with it the density of a·T.
+
+* **Exact verdicts.**  Whether p and q share a root, whether q has a
+  root inside the disc and which roots it has on the circle are decided
+  over ℚ(i), on the exact values of the binary64 coefficients: Euclid's
+  algorithm for the gcd, the Schur–Cohn recursion for the disc and a
+  Sturm sequence after the Cayley map for the circle (Henrici, *Applied
+  and Computational Complex Analysis* I, §6.8; Marden, *Geometry of
+  Polynomials*).  No tolerance enters a verdict.
+* **Factorization without roots.**  r comes from Wilson's Newton
+  iteration on the Laurent coefficients of |p|² + |q|² (Wilson, SIAM
+  J. Numer. Anal. 6, 1969), after p and q are scaled together by a power
+  of two, so that nothing squared overflows.  It runs in the field of p
+  and q: for a real symbol r, f̂, ĝ and the whole triple are real.
+  Complex symbols give a complex triple.
 
 Since f and g are analytic in the disc, T_f and T_g are lower triangular.
 With L_u the N x N truncation of T_u, the truncated triple is
@@ -29,12 +42,6 @@ is the leading n x n block of T_N(u)T_N(v̄) for n ≤ N
   at most 2·max(deg p, deg q) (Kronecker), so each is the norm of a thin
   matrix and no N x N array is formed (``interior_residuals``).  They
   read the exact truncation defect where dense products read rounding.
-* **Field.**  For real p and q the Laurent polynomial |p|² + |q|² has
-  real coefficients, its outer roots come in conjugate pairs and the
-  phase q(0)/|q(0)| is ±1, so r, f̂, ĝ and the whole triple are real.
-  Whether the symbol is real is read off the input coefficients; r then
-  differs from a real polynomial only by rounding, which is checked and
-  dropped.  Complex symbols give a complex triple.
 
 Truncations only converge strongly, so matrix identities are always
 measured on the central block with a decay-in-N requirement.
@@ -49,14 +56,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
 
+from . import gaussian as gq
 from .config import DEFAULT, Config
-from .errors import (
-    CircleRoot,
-    FactorizationFailed,
-    InnerRoot,
-    NotCoprime,
-    NotRealFactor,
-)
+from .errors import FactorizationFailed, InnerRoot, NotCoprime
+from .gaussian import Gaussian
 from .transforms import _require_finite, opnorm
 
 
@@ -66,116 +69,247 @@ def _trim(coeffs) -> np.ndarray:
     return c[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
 
 
-def _sylvester_resultant(p: np.ndarray, q: np.ndarray) -> complex:
-    n, m = len(p) - 1, len(q) - 1
-    # a max-normalised constant gives a diagonal s with |det s| = 1
-    s = np.zeros((n + m, n + m), dtype=complex)
-    for i in range(m):
-        s[i, i : i + n + 1] = p[::-1]
-    for i in range(n):
-        s[m + i, i : i + m + 1] = q[::-1]
-    return complex(np.linalg.det(s))
+# -- exact decisions over ℚ(i) ------------------------------------------------------
+
+# polynomials here are lists of Gaussian coefficients, as in ``gaussian``
 
 
-def check_coprime(p, q, cfg: Config = DEFAULT):
+def _rounded(a: list, real: bool) -> np.ndarray:
+    """The nearest binary64 values, as a real array when ``real``."""
+    out = np.array([complex(c) for c in a])
+    return out.real if real else out
+
+
+def _lagged(a: list, k: int) -> Gaussian:
+    """Σ_j a_{j+k}·conj(a_j): coefficient k of a(z)·conj(a(1/z̄))."""
+    total = gq.ZERO
+    for x, y in zip(a[k:], a):
+        total = total + x * y.conjugate()
+    return total
+
+
+def check_coprime(p, q) -> None:
+    """NotCoprime unless the gcd of p and q over ℚ(i) is a constant."""
+    if len(gq.gcd(gq.exact(_trim(p)), gq.exact(_trim(q)))) > 1:
+        raise NotCoprime("p and q share a root: their gcd is not a constant")
+
+
+def _reaches_the_disc(f: list) -> bool:
+    """Whether f ≠ 0 has a root in the closed unit disc, by the Schur–Cohn
+    recursion (Henrici §6.8) on monic f.  While |f(0)| > 1, the transform
+    Tf = conj(f(0))·f − f̃, f̃(z) = zⁿ·conj(f(1/z̄)), has a lower degree
+    and, by Rouché on the circle, where |f̃| = |f|, the roots of f there
+    and as many inside.  Once |f(0)| ≤ 1, the product of the root moduli
+    is at most 1.  Each Tf is made monic in turn, which also keeps its
+    coefficients from doubling in size."""
+    f = gq.monic(f)
+    while len(f) > 1:
+        low = f[0]
+        if low.a * low.a + low.b * low.b <= low.d * low.d:
+            return True
+        f = gq.monic(gq.trimmed([low.conjugate() * a - b.conjugate()
+                             for a, b in zip(f, reversed(f))][:-1]))
+    return False
+
+
+def _times_linear(a: list, c) -> list:
+    """a(w)·(w + c)."""
+    return [c * a[0]] + [x + c * y for x, y in zip(a, a[1:])] + [a[-1]]
+
+
+def _real_root_count(g: list) -> int:
+    """The distinct real roots of g ≠ 0 with real coefficients: the sign
+    changes of its Sturm sequence at −∞ less those at +∞."""
+    seq = [g, gq.derivative(g)]
+    while seq[-1]:
+        seq.append([-c for c in gq.divide(seq[-2], seq[-1])[1]])
+    seq.pop()
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return (changes([(s[-1].a > 0) == (len(s) % 2 == 1) for s in seq])
+            - changes([s[-1].a > 0 for s in seq]))
+
+
+def _circle_root_count(h: list) -> int:
+    """The distinct roots of the square-free h on the unit circle.
+
+    The Cayley map z = (w − i)/(w + i) takes the real line onto the
+    circle less 1, so those roots other than 1 are the real roots of
+    H(w) = (w + i)^m·h(z), m = deg h, which are those of gcd(Re H, Im H).
+    A root at z = 1 is w = ∞: H has degree m − 1 then.
+    """
+    i, minus_i = Gaussian(0, 1), Gaussian(0, -1)
+    # Horner in z: H = Σ_k h_k (w − i)^k (w + i)^(m−k)
+    acc, power = [h[-1]], [gq.ONE]
+    for c in reversed(h[:-1]):
+        power = _times_linear(power, i)
+        acc = [x + c * y for x, y in zip(_times_linear(acc, minus_i), power)]
+    acc = gq.trimmed(acc)
+    common = gq.gcd([Gaussian(c.a, 0, c.d) for c in acc],
+                    [Gaussian(c.b, 0, c.d) for c in acc])
+    return _real_root_count(common) + len(h) - len(acc)
+
+
+def _circle_roots(q) -> np.ndarray:
+    """The distinct roots of q on the unit circle; InnerRoot if q has a
+    root inside the open disc.
+
+    With q̃(z) = zⁿ·conj(q(1/z̄)), n = deg q, the roots of g = gcd(q, q̃)
+    are those λ of q with 1/λ̄ a root too: the circle roots, with their
+    multiplicity in q, and the pairs λ, 1/λ̄.  So q/g has no root on the
+    circle, and the Schur–Cohn recursion decides whether it has one
+    inside.  The roots of the square-free part h = g/gcd(g, g′) off the
+    circle come in pairs λ, 1/λ̄, one of each inside, so h has one inside
+    exactly when its circle roots number fewer than deg h; otherwise
+    they are all its roots, and ``np.roots`` finds them for the report.
+    """
+    q = gq.exact(_trim(q))
+    g = gq.gcd(q, [c.conjugate() for c in reversed(q)])
+    if _reaches_the_disc(gq.divide(q, g)[0]):
+        raise InnerRoot("q has a root inside the unit disc")
+    h = gq.divide(g, gq.gcd(g, gq.derivative(g)))[0]
+    if _circle_root_count(h) < len(h) - 1:
+        raise InnerRoot("q has a root λ inside the unit disc, and one at "
+                        "1/conj(λ)")
+    return np.roots(_rounded(h[::-1], real=not any(c.b for c in h)))
+
+
+# -- spectral factorization ------------------------------------------------------
+
+
+def _pair(entry: str, p, q, cfg: Config) -> tuple:
+    """p and q trimmed, as real arrays when no coefficient has an
+    imaginary part and as complex ones otherwise.  A coefficient that is
+    inf or NaN is refused with NonFiniteValue naming ``entry``; q = 0 and
+    a degree above ``max_poly_degree`` with ValueError."""
+    _require_finite(entry, p, q)
     p, q = _trim(p), _trim(q)
-    if np.all(p == 0) or np.all(q == 0):
-        other = q if np.all(p == 0) else p
-        if len(other) > 1:
-            raise NotCoprime("zero polynomial shares every factor")
-        return
-    pn = p / np.abs(p).max()
-    qn = q / np.abs(q).max()
-    if abs(_sylvester_resultant(pn, qn)) <= cfg.coprime_tol:
-        raise NotCoprime("resultant vanishes; polynomials share a root")
+    if not np.any(q):
+        raise ValueError("q is the zero polynomial, so p/q is nowhere defined")
+    d = max(len(p), len(q)) - 1
+    if d > cfg.max_poly_degree:
+        raise ValueError(f"degree {d} exceeds the cap {cfg.max_poly_degree}")
+    if np.any(p.imag) or np.any(q.imag):
+        return p, q
+    return p.real, q.real
 
 
-def circle_samples(coeffs, m: int) -> np.ndarray:
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    return npoly.polyval(z, _trim(coeffs))
+def _scale(p: np.ndarray, q: np.ndarray) -> int:
+    """e with every coefficient part of p and q below 2^e in modulus, and
+    one at least 2^(e−1)."""
+    top = max(np.abs(a.view(np.float64)).max() for a in (p, q))
+    return int(np.frexp(top)[1])
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """a·2^e: exact while the parts stay normal numbers."""
+    return np.ldexp(a.view(np.float64), e).view(a.dtype)
+
+
+# Wilson's iteration stops once a step moves r by at most NEWTON_STOP of
+# its largest coefficient, or after NEWTON_MAX_STEPS steps; the
+# unit_residual gate then judges the factor it reached
+NEWTON_STOP = 1e-12
+NEWTON_MAX_STEPS = 100
+
+
+def _wilson(c: list, real: bool) -> np.ndarray:
+    """The r, zero-free in the closed disc, with Σ_j r_{j+k}·conj(r_j) =
+    c_k for the exact c_0, ..., c_d, by Wilson's Newton iteration.
+
+    From the constant √c_0 each step adds to r the δ with
+    r·δ̃ + δ·r̃ = c − r·r̃, δ̃(z) = conj(δ(1/z̄)), and every iterate stays
+    zero-free in the closed disc.  The right side is computed exactly and
+    rounded once: rounded Laurent coefficients would miss |p|² + |q|²
+    where it is small against c_0.  Coefficient k of the left side is
+    (T δ)_k + (H δ̄)_k, with T[k, m] = conj(r_{m−k}) and H[k, j] =
+    r_{j+k}; with its conjugate it is one system of size 2(d + 1) in
+    (δ, δ̄), real for a real symbol.  The conjugate of equation 0 is
+    equation 0 again, so its row instead keeps r(0) real, the phase that
+    both leave free.
+    """
+    d = len(c) - 1
+    k = np.arange(d + 1)
+    lag, span = k[None, :] - k[:, None], k[None, :] + k[:, None]
+    r = np.zeros(d + 1, dtype=float if real else complex)
+    r[0] = np.sqrt(_rounded(c[:1], real=True)[0])
+    for _ in range(NEWTON_MAX_STEPS):
+        exact = gq.exact(r)
+        miss = _rounded([c[j] - _lagged(exact, j) for j in k], real)
+        padded = np.concatenate([r, np.zeros_like(r)])  # r_j = 0 past d
+        toe, hank = padded[lag].conj(), padded[span]
+        system = np.block([[toe, hank], [hank.conj(), toe.conj()]])
+        known = np.concatenate([miss, miss.conj()])
+        system[d + 1], known[d + 1] = 0, 0
+        system[d + 1, 0], system[d + 1, d + 1] = 1, -1
+        delta = np.linalg.solve(system, known)[: d + 1]
+        r = r + delta
+        if np.abs(delta).max() <= NEWTON_STOP * np.abs(r).max():
+            break
+    return r
 
 
 def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
     """Spectral factor r with |p|²+|q|² = |r|² on the circle.
 
     r has the Laurent degree of |p|²+|q|², at most max(deg p, deg q), no
-    zeros in the closed unit disc, and the phase is fixed so that
-    q(0)/r(0) > 0.  |p|²+|q|² must stay above ``coprime_tol`` times its
-    largest value on the circle.  Roots of the Laurent polynomial within
-    ``root_circle_tol`` of the circle abort the factorization: under
-    coprimality they can only arise from ill-conditioning.  A coefficient
-    that is inf or NaN is refused with NonFiniteValue.
+    zeros in the closed unit disc, and the phase that makes q(0)/r(0) >
+    0 (r(0) > 0 if q(0) = 0).  Its coefficients are complex, with zero
+    imaginary parts for a real symbol.  p and q must be coprime
+    (NotCoprime otherwise), so that |p|²+|q|² > 0 on the circle.  A
+    coefficient that is inf or NaN is refused with NonFiniteValue.
     """
-    _require_finite("fejer_riesz", p, q)
-    p, q = _trim(p), _trim(q)
-    if not np.any(q):
-        raise ValueError("q is the zero polynomial, so p/q is nowhere defined")
-    check_coprime(p, q, cfg)
-    d = max(len(p), len(q)) - 1
-    if d > cfg.max_poly_degree:
-        raise ValueError(f"degree {d} exceeds the cap {cfg.max_poly_degree}")
-    m = cfg.circle_samples
-    lvals = np.abs(circle_samples(p, m)) ** 2 + np.abs(circle_samples(q, m)) ** 2
-    # relative to its largest value, so that (c·p, c·q) is decided as (p, q)
-    if lvals.min() <= cfg.coprime_tol * lvals.max():
-        raise NotCoprime("|p|^2+|q|^2 reaches zero on the circle")
-    # Laurent coefficients c_k = Σ_j a_j conj(a_{j-k}) of p p~ + q q~,
-    # k = -d..d: the full autocorrelation of each coefficient vector
-    c = np.zeros(2 * d + 1, dtype=complex)
-    for a in (p, q):
-        c[d - len(a) + 1 : d + len(a)] += np.correlate(a, a, "full")
-    # c_{±d} vanish when no coefficient pair spans the full degree (p = z/2
+    p, q = _pair("fejer_riesz", p, q, cfg)
+    check_coprime(p, q)
+    e = _scale(p, q)
+    p, q = _ldexp(p, -e), _ldexp(q, -e)
+    # the Laurent coefficients c_k = Σ_j a_{j+k} conj(a_j) of p p̃ + q q̃,
+    # exactly, for k = 0..d (c_{−k} = conj(c_k))
+    exact = gq.exact(p), gq.exact(q)
+    c = [_lagged(exact[0], k) + _lagged(exact[1], k)
+         for k in range(max(len(p), len(q)))]
+    # c_d vanishes when no coefficient pair spans the full degree (p = z/2
     # over q = 1, say): |p|²+|q|² then has a lower Laurent degree, and so
     # has r.  c_0 = ‖p‖² + ‖q‖² > 0 bounds every |c_k|, so a c_k below its
-    # rounding is no degree the root pairing could resolve
-    live = np.abs(c[d:]) > np.finfo(float).eps * c[d].real
-    top = int(np.flatnonzero(live)[-1])
-    c, d = c[d - top : d + top + 1], top
-    roots = np.roots(c[::-1])  # roots of z^d * L(z); none at d = 0, r = 1
-    if np.any(np.abs(np.abs(roots) - 1.0) < cfg.root_circle_tol):
-        raise CircleRoot("Laurent factor has a root too close to the circle")
-    outer = roots[np.abs(roots) > 1.0]
-    if len(outer) != d:
-        raise CircleRoot(f"expected {d} roots outside the circle, got {len(outer)}")
-    r = np.array([1.0 + 0j])
-    for lam in sorted(outer, key=lambda z: (z.real, z.imag)):
-        r = npoly.polymul(r, np.array([1.0, -1.0 / lam]))
-    rvals = np.abs(circle_samples(r, m)) ** 2
-    gamma = np.sqrt(np.mean(lvals / rvals))
-    qq0 = npoly.polyval(0.0, q)
-    phase = qq0 / abs(qq0)  # q(0) != 0 since q has no root in the open disc
-    return r * gamma * phase
+    # rounding is no degree either
+    rounded = np.abs(_rounded(c, real=False))
+    top = int(np.flatnonzero(rounded > np.finfo(float).eps * rounded[0])[-1])
+    r = _wilson(c[: top + 1], real=not np.iscomplexobj(p))
+    # r(0) is set by the mean of |p|²+|q|² over |r|² on the circle
+    m = cfg.circle_samples
+    lvals = np.abs(circle_samples(p, m)) ** 2 + np.abs(circle_samples(q, m)) ** 2
+    shape = r / r[0]
+    gamma = np.sqrt(np.mean(lvals / np.abs(circle_samples(shape, m)) ** 2))
+    # q(0) = 0 is a root inside the disc, which leaves the phase free
+    phase = q[0] / abs(q[0]) if q[0] else 1.0
+    return _ldexp((shape * gamma * phase).astype(complex), e)
 
 
 # The gates of TrigData.failures: the largest residual of |p|² + |q|² =
-# |r|² on the circle, absolute and relative to |r|², how far past 1 the
-# smallest root modulus of r must lie, and the largest imaginary part of
-# f(0) = q(0)/r(0) read as rounding.
-FACTOR_RESIDUAL_GATE = 1e-8
+# |r|² on the circle relative to |r|², and how far past 1 the smallest
+# root modulus of r must lie.
 UNIT_RESIDUAL_GATE = 1e-8
 R_ROOT_MARGIN = 1e-9
-F0_IMAG_GATE = 1e-10
 
 
 @dataclass
 class TrigData:
-    """Validated factorization data for T_{p/q}, with the roots of q."""
+    """Validated factorization data for T_{p/q}, with the distinct roots
+    of q on the circle."""
 
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    q_roots: np.ndarray
+    circle_roots: np.ndarray
     factor_residual: float
     unit_residual: float
     r_root_min_modulus: float
-    f0: complex
 
     def failures(self) -> list:
         """The checks this factorization fails, each with its value."""
         out = []
-        if not self.factor_residual < FACTOR_RESIDUAL_GATE:
-            out.append(f"factor_residual {self.factor_residual:.2e} "
-                       f"(must be below {FACTOR_RESIDUAL_GATE:g})")
         if not self.unit_residual < UNIT_RESIDUAL_GATE:
             out.append(f"unit_residual {self.unit_residual:.2e} "
                        f"(must be below {UNIT_RESIDUAL_GATE:g})")
@@ -183,9 +317,6 @@ class TrigData:
             out.append(f"smallest root modulus of r "
                        f"{self.r_root_min_modulus:.12g} "
                        f"(must exceed 1 + {R_ROOT_MARGIN:g})")
-        if not (abs(self.f0.imag) < F0_IMAG_GATE and self.f0.real > 0):
-            out.append(f"f(0) = {self.f0:.3g} (must be positive, with an "
-                       f"imaginary part below {F0_IMAG_GATE:g})")
         return out
 
     @property
@@ -202,25 +333,36 @@ class TrigData:
 
 def trig_data(p, q, cfg: Config = DEFAULT) -> TrigData:
     """Spectral factorization of |p|² + |q|² with its residuals and the
-    roots of q; a root below modulus 1 − ``root_circle_tol`` raises
-    InnerRoot.  A coefficient that is inf or NaN is refused with
-    NonFiniteValue."""
-    _require_finite("trig_data", p, q)
-    p, q = _trim(p), _trim(q)
-    q_roots = np.roots(q[::-1])
-    inner = q_roots[np.abs(q_roots) < 1 - cfg.root_circle_tol]
-    if inner.size:
-        raise InnerRoot(f"q has root {inner[0]} inside the unit disc")
+    distinct roots of q on the circle.  Decided exactly, in this order:
+    NotCoprime when p and q share a root, InnerRoot when q has a root
+    inside the open disc.  A coefficient that is inf or NaN is refused
+    with NonFiniteValue.
+
+    Both residuals are read on p, q and r scaled by 2^−e, with 2^e the
+    least power of two above every coefficient part, so that nothing
+    squared overflows: ``factor_residual`` is the largest |(|p|² + |q|²)
+    − |r|²| on the circle, relative to 4^e, and ``unit_residual`` the
+    same relative to |r|².
+    """
+    p, q = _pair("trig_data", p, q, cfg)
+    # fejer_riesz decides NotCoprime first; the Newton steps it then
+    # takes cost about a tenth of that gcd, so an InnerRoot found after
+    # them wastes little
     r = fejer_riesz(p, q, cfg)
+    circle = _circle_roots(q)
+    e = _scale(p, q)
     m = cfg.circle_samples
-    pv, qv, rv = (circle_samples(c, m) for c in (p, q, r))
-    factor_residual = float(np.max(np.abs(np.abs(pv) ** 2 + np.abs(qv) ** 2
-                                          - np.abs(rv) ** 2)))
-    fv, gv = qv / rv, pv / rv
-    unit_residual = float(np.max(np.abs(np.abs(fv) ** 2 + np.abs(gv) ** 2 - 1)))
-    f0 = complex(npoly.polyval(0.0, q) / npoly.polyval(0.0, r))
-    return TrigData(p, q, r, q_roots, factor_residual, unit_residual,
-                    float(np.min(np.abs(np.roots(r[::-1])), initial=np.inf)), f0)
+    pv, qv, rv = (circle_samples(_ldexp(a, -e), m) for a in (p, q, r))
+    miss = np.abs(np.abs(pv) ** 2 + np.abs(qv) ** 2 - np.abs(rv) ** 2)
+    return TrigData(p, q, r, circle,
+                    float(miss.max()),
+                    float(np.max(miss / np.abs(rv) ** 2)),
+                    float(np.min(np.abs(np.roots(r[::-1])), initial=np.inf)))
+
+
+def circle_samples(coeffs, m: int) -> np.ndarray:
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    return npoly.polyval(z, _trim(coeffs))
 
 
 # -- truncations ----------------------------------------------------------------
@@ -240,13 +382,13 @@ def check_truncation_size(n: int, lo: int = 2) -> int:
     return n
 
 
-# A double root of |p|² + |q|² is found only to about √eps, so an
-# imaginary part of r above that is not rounding
-_REAL_FACTOR_TOL = float(np.sqrt(np.finfo(float).eps))
-
 # 2^64 tail terms: past the decay of every root of r that TrigData.ok
 # admits (a root just outside its gate needs about 40 doublings)
 _MAX_DOUBLINGS = 64
+
+# the Taylor coefficients past deg num come in blocks of this many, one
+# matrix product each
+TAYLOR_BLOCK = 64
 
 
 @dataclass
@@ -315,6 +457,13 @@ def _taylor(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
     of num and den.  The recurrence is stable when den has no zero in the
     closed disc: the c_k then decay geometrically.
 
+    Past deg num the recurrence is homogeneous, so each of the next
+    TAYLOR_BLOCK coefficients is a fixed combination of the d = deg den
+    before them: row i of ``step`` is the recurrence run i + 1 times from
+    each unit window, and one matrix product gives a whole block.  Whole
+    blocks are computed and then cut to n, so the leading coefficients do
+    not depend on n.
+
     Coefficients below the rounding of the largest one are set to 0.  No
     matrix entry or residual they feed changes beyond rounding; the exact
     zeros bound the band of the triple and the lags of
@@ -323,15 +472,21 @@ def _taylor(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
     """
     d = len(den) - 1
     dtype = np.result_type(num, den)
-    rhs = np.zeros(n, dtype=dtype)
-    rhs[: min(n, len(num))] = num[:n]
     tail = den[:0:-1]                     # den_d, ..., den_1
-    c = np.zeros(d + n, dtype=dtype)      # d leading zeros: c_{-d..-1}
-    for k in range(n):
-        c[d + k] = (rhs[k] - tail @ c[k : d + k]) / den[0]
+    blocks = -(-max(n - len(num), 0) // TAYLOR_BLOCK)
+    c = np.zeros(d + len(num) + blocks * TAYLOR_BLOCK, dtype=dtype)
+    for k in range(len(num)):             # c[d + k] = c_k; c_{-d..-1} = 0
+        c[d + k] = (num[k] - tail @ c[k : d + k]) / den[0]
+    unit = np.zeros((d + TAYLOR_BLOCK, d), dtype=dtype)
+    unit[:d] = np.eye(d)
+    for k in range(TAYLOR_BLOCK):
+        unit[d + k] = -(tail @ unit[k : d + k]) / den[0]
+    step = unit[d:]
+    for k in range(d + len(num), len(c), TAYLOR_BLOCK):
+        c[k : k + TAYLOR_BLOCK] = step @ c[k - d : k]
     c = c[d:]
     c[np.abs(c) < np.finfo(float).eps * np.abs(c).max()] = 0.0
-    return c
+    return c[:n]
 
 
 def _tail_factor(r: np.ndarray, d: int) -> np.ndarray:
@@ -364,18 +519,6 @@ def _tail_factor(r: np.ndarray, d: int) -> np.ndarray:
     return np.linalg.cholesky(0.5 * (gram + gram.conj().T))
 
 
-def _symbol_field(data: TrigData) -> tuple:
-    """(p, q, r) as real arrays when p and q have no imaginary part, as
-    they are otherwise.  r is then real up to rounding, which is checked
-    before it is dropped."""
-    if np.any(data.p.imag) or np.any(data.q.imag):
-        return data.p, data.q, data.r
-    drift = float(np.abs(data.r.imag).max() / np.abs(data.r).max())
-    if drift > _REAL_FACTOR_TOL:
-        raise NotRealFactor(
-            f"spectral factor of a real symbol has a relative imaginary "
-            f"part {drift:.1e}, above rounding ({_REAL_FACTOR_TOL:.1e})")
-    return data.p.real, data.q.real, data.r.real
 
 
 def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
@@ -391,8 +534,10 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     """
     check_truncation_size(n)
     data = trig_data(p, q, cfg)
-    p, q, r = _symbol_field(data)
     data.require_ok()
+    p, q = data.p, data.q
+    # the factor of a real symbol has zero imaginary parts
+    r = data.r if np.iscomplexobj(q) else data.r.real
     d = max(len(p), len(q), 2) - 1
     fhat = _taylor(q, r, n + d)
     ghat = _taylor(p, r, n + d)
@@ -430,14 +575,12 @@ def affiliation_verdict(p, q, cfg: Config = DEFAULT) -> AffiliationReport:
     """Associated always; affiliated iff q has no zero on the circle.
 
     Roots of q inside the open disc violate the construction and raise,
-    and so does a factorization that fails ``TrigData.ok``;
-    roots within ``root_circle_tol`` of the circle count as circle zeros
-    and produce the character witness |f(λ)|² ≈ 0.
+    and so does a factorization that fails ``TrigData.ok``; each distinct
+    circle root λ of q gets the character witness |f(λ)|² ≈ 0.
     """
     data = trig_data(p, q, cfg)
     data.require_ok()
-    circle = [complex(z) for z in data.q_roots
-              if abs(abs(z) - 1.0) <= cfg.root_circle_tol]
+    circle = [complex(z) for z in data.circle_roots]
     witnesses = []
     for lam in circle:
         fval = npoly.polyval(lam / abs(lam), data.q) / npoly.polyval(

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -247,7 +246,7 @@ print("numpy" in sys.modules)
 sys.exit(code)
 """
 FRONT = {"cli", "config", "errors"}
-EXPRESSIONS = {"complexmath", "expressions"}
+EXPRESSIONS = {"complexmath", "expressions", "gaussian"}
 SYMBOLS = EXPRESSIONS | {"catalog", "symbols"}
 
 
@@ -712,9 +711,7 @@ def test_leading_minus_coefficient_list_needs_no_separator(tmp_path):
     (["1", "1-z"], ["1", "1,-1"], 0),
     (["1+z^2", "1"], ["1,0,1", "1"], 0),
     (["(1-z)^3", "1"], ["1,-3,3,-1", "1"], 0),
-    # (z-2)^8 fails the absolute factor_residual gate (ROADMAP item 12),
-    # with the same residual from either input
-    (["(z-2)^8", "1"], ["256,-1024,1792,-1792,1120,-448,112,-16,1", "1"], 2),
+    (["(z-2)^8", "1"], ["256,-1024,1792,-1792,1120,-448,112,-16,1", "1"], 0),
 ], ids=["1-z", "1+z^2", "(1-z)^3", "(z-2)^8"])
 def test_expression_and_coefficient_list_give_the_same_report(expression, listed,
                                                               code):
@@ -768,13 +765,17 @@ def test_exact_expansion_parses_a_degree_twelve_power():
                                for k in range(13)]
 
 
-def test_failed_factorization_is_a_named_check_failure():
-    # 0.1 over (1 - 0.9z)^12: the factorization misses by a residual ~0.1
-    q = ",".join(repr(float(c)) for c in np.polynomial.polynomial.polypow(
-        [1.0, -0.9], 12))
-    proc = run_cli("toeplitz", "0.1", q, "--N", "64", expect=2)
-    assert proc.stderr.startswith("verified failure:")
-    assert "factor_residual" in proc.stderr
+def test_failed_factorization_is_a_named_check_failure(monkeypatch, capsys):
+    # a factor off by 1e-6 in one coefficient stands in for one that
+    # misses the gate: no input found here does
+    from graphreg import cli, toeplitz
+
+    exact = toeplitz.fejer_riesz
+    monkeypatch.setattr(toeplitz, "fejer_riesz",
+                        lambda p, q, cfg: exact(p, q, cfg) + [0.0, 1e-6])
+    assert cli.main(["toeplitz", "1", "2-z", "--N", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verified failure:") and "unit_residual" in err
 
 
 # -- size caps, each refused by its validator before anything is allocated ----------
@@ -865,10 +866,51 @@ def test_toeplitz_command_builds_one_triple(monkeypatch, capsys):
     assert sorted(residuals, key=int) == ["16", "32", "64"]
 
 
-def test_toeplitz_root_near_the_circle_is_associated_only():
-    # q = 1 - 1.00000005z has its root at 1 - 5e-8, within root_circle_tol
-    out = run_cli("toeplitz", "1", "1-1.00000005*z", "--N", "32")
-    assert json.loads(out.stdout)["results"]["verdict"] == "AssociatedOnly"
+def test_toeplitz_root_just_inside_the_circle_is_an_inner_root():
+    # q = 1 - 1.00000005z has its root at 1/1.00000005, inside the disc;
+    # decided exactly, no tolerance makes it a circle root
+    proc = run_cli("toeplitz", "1", "1-1.00000005*z", "--N", "32", expect=2)
+    assert "root inside the unit disc" in proc.stderr
+
+
+ONES = "1" * 160  # about 1.1e159: |q|² is past binary64
+GREAT_ONES = "1" * 200  # about 1.1e199: 4^e is past binary64 as well
+
+
+@pytest.mark.parametrize("p, q, verdict, circle", [
+    # the triple root is exactly 1
+    ("1", "(1-z)^3", "AssociatedOnly", [[1.0, 0.0]]),
+    # the roots are 1 apart, and share none
+    ("(z-0.5)^6", "(z-1.5)^6", "Affiliated", []),
+    # |p|² + |q|² falls to 2 at z = 1 against 2.8e11 at z = -1
+    ("1", "(z-2)^12", "Affiliated", []),
+    # |p|² + |q|² reaches 4.3e7 on the circle
+    ("z^8", "(z-2)^8", "Affiliated", []),
+    ("1", f"{ONES}+z", "Affiliated", []),
+    ("1", f"{GREAT_ONES}+z", "Affiliated", []),
+], ids=["(1-z)^3", "(z-0.5)^6/(z-1.5)^6", "1/(z-2)^12", "z^8/(z-2)^8",
+        "1/(1.1e159+z)", "1/(1.1e199+z)"])
+def test_valid_symbols_are_decided_exactly(p, q, verdict, circle):
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "graphreg.cli",
+                           "toeplitz", "--N", "16", p, q],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["verdict"] == verdict
+    assert results["circle_roots"] == circle
+    assert math.isfinite(results["factor_residual"])
+
+
+def test_unparsable_polynomial_is_quoted_in_part(capsys):
+    # 3000 terms nest past MAX_DEPTH; the message quotes the first
+    # ECHO_CHARS characters, not all 5999
+    from graphreg import cli
+
+    text = "+".join(["z"] * 3000)
+    assert cli.main(["toeplitz", "1", text]) == 1
+    err = capsys.readouterr().err
+    assert f"{text[:cli.ECHO_CHARS]!r}…" in err
+    assert len(err) < 2 * cli.ECHO_CHARS + 100
 
 
 def test_config_size_cap_is_a_config_error(tmp_path, monkeypatch, capsys):

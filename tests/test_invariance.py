@@ -13,8 +13,9 @@ verdict, point by point, with that of the input itself:
 
 A case that the package still decides differently enters as a strict
 xfail naming the open ROADMAP item that covers it: 2 (the detector's
-aliasing and slow convergence), 12 (absolute Toeplitz gates) or 13
-(absolute tolerances in a verdict path).  Hypothesis runs derandomized.
+aliasing and slow convergence), 13 (absolute tolerances in a verdict
+path) or 17 (circle roots that rounding moves off the circle).
+Hypothesis runs derandomized.
 """
 
 import cmath
@@ -204,11 +205,11 @@ def toeplitz_verdict(p, q):
     return rep.verdict.value, len(rep.circle_roots)
 
 
-# Item 12: factor_residual is gated absolutely, and |p|² + |q|² grows with c²
-FACTOR = "the absolute factor_residual gate fails c·p, c·q"
-PAIR_XFAILS = {(name, 1e9): (12, FACTOR) for name in PAIRS}
-PAIR_XFAILS.update({(name, 1e3): (12, FACTOR)
-                    for name in ("(-1+2z)/(3-z)", "(1+z^2)/(3+2z-z^2)")})
+# Item 17: the verdict is exact on the binary64 coefficients, and rounding
+# c·q or q(ωz) moves a root on the circle just off it, inside or outside
+OFF_CIRCLE = "rounding moves the circle root of q off the circle"
+PAIR_XFAILS = {("(1+z^2)/(3+2z-z^2)", 1e-9): (17, OFF_CIRCLE)}
+ROTATION_XFAILS = ("1/(1-z)", "(1+z^2)/(3+2z-z^2)")
 
 
 @pytest.mark.parametrize("name, c", cases(PAIRS, PAIR_XFAILS))
@@ -223,7 +224,9 @@ def test_scaled_pair_of_the_roadmap_is_affiliated():
     assert toeplitz_verdict([0.000001], [0.000002, -0.000001]) == ("Affiliated", 0)
 
 
-@pytest.mark.parametrize("name", PAIRS)
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=xfail(17, OFF_CIRCLE) if name in ROTATION_XFAILS
+                 else ()) for name in PAIRS])
 @FEW
 @given(theta=st.floats(0.0, 2 * math.pi))
 def test_toeplitz_verdict_is_invariant_under_rotation(name, theta):

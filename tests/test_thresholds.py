@@ -10,7 +10,9 @@ assigned at module level beside the code that decides with it.  So:
 * no function gives a tolerance parameter (``tol``, ``clamp`` or a name
   ending in ``_tol``) a default, which would be a second home for the
   value; a required one only passes on what its caller read from ``cfg``;
-* every function that takes ``cfg`` reads it.
+* every function that takes ``cfg`` reads it;
+* every ``Config`` field is read, as ``cfg.<field>``, in a module other
+  than ``config.py``: a knob that loses its last reader is gone.
 
 One walk reads the expression AST: in ``expressions.py`` only ``_walk``
 calls itself, so a new reading of the AST is a table of visits on it.
@@ -22,11 +24,14 @@ reads a tail for its limit (``_tail_limit``), the sample sequences
 """
 
 import ast
+import dataclasses
 import io
 import pathlib
 import tokenize
 
 import pytest
+
+from graphreg.config import Config
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "graphreg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "config.py")
@@ -129,6 +134,20 @@ def test_every_cfg_parameter_is_read(path):
     assert not unread, unread
 
 
+def cfg_fields_read(tree: ast.Module) -> set:
+    """The attributes read as ``cfg.<name>``."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and isinstance(n.value, ast.Name) and n.value.id == "cfg"}
+
+
+def test_every_config_field_has_a_reader():
+    read = set().union(*(cfg_fields_read(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in MODULES))
+    unread = sorted({f.name for f in dataclasses.fields(Config)} - read)
+    assert not unread, unread
+
+
 def test_only_the_walk_recurses_over_expressions():
     tree = ast.parse((SRC / "expressions.py").read_text(encoding="utf-8"))
     assert self_calling(tree) == ["_walk"]
@@ -170,6 +189,8 @@ def test_the_checks_see_what_they_look_for():
                           "class P:\n    def g(self):\n        return self.g()\n"
                           "def h():\n    return f(1)\n")
     assert self_calling(recursive) == ["f", "g"]
+    assert cfg_fields_read(ast.parse("x = cfg.kernel_tol + other.zero_tol\n"
+                                     "cfg.blowup = 1\n")) == {"kernel_tol"}
     caller = ast.parse("from .symbols import _tail_limit, detect_point\n"
                        "def profile(s):\n    return symbols._tail_limit(s)\n")
     (fn,) = functions(caller)
