@@ -255,17 +255,18 @@ def cmd_transform(args, cfg: Config) -> tuple:
 def cmd_toeplitz(args, cfg: Config) -> tuple:
     from .toeplitz import (
         TOEPLITZ_MIN_N,
+        aab_from_data,
         affiliation_verdict,
         check_truncation_size,
-        toeplitz_aab,
     )
 
     check_truncation_size(args.N, TOEPLITZ_MIN_N)
     p = parse_poly(args.p, cfg)
     q = parse_poly(args.q, cfg)
     rep = affiliation_verdict(p, q, cfg)
-    # one triple at N: the N/4 and N/2 truncations are its leading blocks
-    tri = toeplitz_aab(p, q, args.N, cfg)
+    # one triple at N, from the verdict's factorization: the N/4 and N/2
+    # truncations are its leading blocks
+    tri = aab_from_data(rep.data, args.N)
     residuals = {str(n): tri.interior_residuals(n)
                  for n in (args.N // 4, args.N // 2, args.N)
                  if n >= TOEPLITZ_MIN_N}
@@ -370,7 +371,7 @@ def cmd_experiment(args, cfg: Config) -> tuple:
         from .matrix_symbols import matrix_symbol_op, oscillating_column_example
 
         t, pattern = oscillating_column_example()
-        return matrix_symbol_op(t, pattern, cfg).to_dict(), 0
+        return matrix_symbol_op(t, pattern).to_dict(), 0
     raise ValueError(f"unknown experiment {which!r}")
 
 

@@ -1,8 +1,9 @@
 """Global numerical configuration.
 
 ``Config`` holds the settings a user may override with ``--config``: the
-rank and residual tolerances, the detector's windows and thresholds, and
-the grid and sample sizes.  Every report echoes them.
+rank, residual and value tolerances, and the grid and sample sizes.
+Every report echoes them.  The point classes of a symbol are decided
+exactly and take no setting (``limits``).
 
 Every threshold has one home.  One that a caller may need to set is a
 field here, and each function that uses it takes ``cfg`` and reads the
@@ -20,8 +21,13 @@ decides with it, and is not an option:
   threshold);
 * ``transforms``: ``PSD_CLAMP``, ``COMMUTATION_FLOOR`` and
   ``JOINT_DIAGONAL_GATE``;
-* ``symbols``: ``TILING_SLACK``, ``MONOTONE_SLACK``, ``VARIANCE_FLOOR``
-  and ``PUNCTURE_MATCH``;
+* ``symbols``: ``TILING_SLACK`` and ``PUNCTURE_MATCH``, and the reach
+  ``GRID_REACH`` of the sample grid;
+* ``limits``: the rounding allowances ``EPS``, ``UP`` and ``TINY`` of its
+  balls, the expansion windows ``WINDOWS``, the series caps
+  ``MAX_TERMS``, ``MAX_KEYS`` and ``MAX_POWERS``, the series tail
+  ``TAIL``, the limit blur ``BLUR`` and the quoting limit ``NODE_ECHO``
+  (its verdicts are exact);
 * ``experiments``: ``WINDOW_SLACK``; ``expressions``: the formatting
   limit ``INT_FORMAT_LIMIT`` (``poly_coefficients`` bounds the integers
   of each exact coefficient by the bits of ``max_poly_degree`` + 1
@@ -30,8 +36,8 @@ decides with it, and is not an option:
 A verdict should not change when t is scaled, so the constants that
 compare an absolute quantity are marked here:
 ``TILING_SLACK`` and ``PUNCTURE_MATCH`` (lengths in x),
-``VARIANCE_FLOOR``, ``WINDOW_SLACK``, ``COMMUTATION_FLOOR``,
-``NORM_SLACK`` and ``PSD_SLACK``.  ``IDENTITY_GATE``,
+``WINDOW_SLACK``, ``COMMUTATION_FLOOR``, ``NORM_SLACK`` and
+``PSD_SLACK``.  ``IDENTITY_GATE``,
 ``RECONSTRUCTION_GATE``, ``PSD_CLAMP`` and ``JOINT_DIAGONAL_GATE`` are
 relative to max(1, norm), and so absolute below norm 1, as is the cut of
 ``transforms.numerical_rank``.  The others are relative or scale-free.
@@ -58,14 +64,6 @@ SIZE_CAPS = {name: ARRAY_BUDGET // COMPLEX_BYTES for name in (
 # The positive doubles span max_exp - min_exp + mant_dig = 2098 binary
 # orders of magnitude, 2^-1074 to 2^1024.
 FLOAT_BITS = sys.float_info.max_exp - sys.float_info.min_exp + sys.float_info.mant_dig
-# Each sample of an approach halves the offset from a puncture (or doubles
-# the point on the way to infinity), so a longer approach only repeats the
-# puncture or overflows.
-SIZE_CAPS["approach_steps"] = FLOAT_BITS
-
-# The detector's Cauchy test compares successive samples of an approach,
-# so an approach and its classification window need two of them.
-SIZE_FLOORS = {"approach_steps": 2, "tail_samples": 2}
 
 
 @dataclass(frozen=True)
@@ -75,21 +73,8 @@ class Config:
     kernel_tol: float = 1e-12        # smallest admitted singular value of a, a_*
     residual_tol: float = 1e-10      # operator identity residuals (finite dim)
 
-    # singularity detector
-    limit_tol: float = 1e-6          # Cauchy / declared-limit agreement
-    blowup: float = 1e6              # |m| threshold for divergence to infinity
-    osc_rel_var: float = 1e-3        # relative variance marking bounded oscillation
-    approach_steps: int = 40         # geometric samples per side, ratio 1/2
-    approach_start: float = 0.5      # first offset from the puncture
-    tail_samples: int = 10           # classification window at the end of a run
-
-    # behaviour at infinity
-    inf_start: float = 1.0           # first |x| when sampling towards infinity
-    inf_reach: float = 1e8           # cap so trig arguments stay meaningful
-    vanish_window: float = 1e4       # R: C0 test looks at |x| > R
-    vanish_tol: float = 1e-4         # |f| bound outside the window
-
-    # pointwise zero tests on symbols
+    # pointwise zero tests on symbols, and the agreement of two values
+    # (a declared limit with the detected one, relative to max(1, |limit|))
     zero_tol: float = 1e-8
     value_agreement_tol: float = 1e-9
 
@@ -108,9 +93,8 @@ class Config:
     def from_dict(data: dict) -> "Config":
         """Overrides from a JSON object, each checked against its field:
         integer fields take integers (not booleans), float fields take
-        finite reals, every value must be positive, the sizes in
-        ``SIZE_CAPS`` must not exceed their caps and those in
-        ``SIZE_FLOORS`` must reach their floors."""
+        finite reals, every value must be positive and the sizes in
+        ``SIZE_CAPS`` must not exceed their caps."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
         defaults = {f.name: f.default for f in dataclasses.fields(Config)}
@@ -128,9 +112,6 @@ class Config:
                 raise ValueError(f"{key} must be positive and finite, got {value!r}")
             if key in SIZE_CAPS and value > SIZE_CAPS[key]:
                 raise ValueError(f"{key} must be at most {SIZE_CAPS[key]}, "
-                                 f"got {value!r}")
-            if value < SIZE_FLOORS.get(key, 0):
-                raise ValueError(f"{key} must be at least {SIZE_FLOORS[key]}, "
                                  f"got {value!r}")
             values[key] = kind(value)
         return Config(**values)

@@ -25,10 +25,10 @@ A new reading of the AST adds a table, not a recursion.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 import re
 
-from . import complexmath as cm
 from . import gaussian as gq
 from .config import FLOAT_BITS
 from .errors import ExprSyntaxError
@@ -386,17 +386,17 @@ def evaluate(ast, x):
     """Evaluate an AST at ``x`` in complex binary64.
 
     A number gives a complex and a list or tuple of numbers a list of
-    complex.  Both are evaluated node by node over a list with
-    ``complexmath`` and need no numpy.  An ndarray gives an ndarray from
-    numpy's ufuncs.  The two paths give the same values, bit for bit but
-    for complex products, squares and moduli (see ``complexmath``).  A
+    complex.  Both are evaluated node by node over a list with Python's
+    complex arithmetic and ``cmath``, and need no numpy.  An ndarray gives
+    an ndarray from numpy's ufuncs.  The two paths agree to rounding.  A
     node that is the operand of more than one node, as the t of
     ``abs2(t)`` is, is evaluated once.  The list path keeps the values of
     every node until it is done, the array path only those of such
     shared nodes.
 
-    Division by zero and overflow produce inf/nan silently; callers sample
-    open intervals where the expression is finite.
+    Division by zero and overflow give nan (inf or nan on the array path)
+    silently; no verdict reads these values, the point classes come from
+    the AST itself (``limits``).
     """
     if isinstance(x, (int, float, complex)):
         return _walk(ast, _LIST, [complex(x)], {}, None)[0]
@@ -409,8 +409,24 @@ def evaluate(ast, x):
         return _walk(ast, _ARRAY, x, {}, _shared(ast))
 
 
-_CALLS = {"exp": cm.exp, "sin": cm.sin, "cos": cm.cos, "sqrt": cm.sqrt,
-          "conj": complex.conjugate, "abs": lambda z: complex(cm.modulus(z))}
+_NAN = complex(math.nan, math.nan)
+
+
+def _silent(fn):
+    """fn, with nan where Python raises on a pole or an overflow."""
+    def value(*args):
+        try:
+            return complex(fn(*args))
+        except (ArithmeticError, ValueError):
+            return _NAN
+    return value
+
+
+_CALLS = {name: _silent(fn) for name, fn in {
+    "exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos, "sqrt": cmath.sqrt,
+    "conj": complex.conjugate, "abs": abs}.items()}
+_DIV = _silent(operator.truediv)
+_POW = _silent(operator.pow)
 
 _LIST = {
     "num": lambda node, xs: [node[1]] * len(xs),
@@ -418,9 +434,9 @@ _LIST = {
     "+": lambda node, xs, a, b: list(map(operator.add, a, b)),
     "-": lambda node, xs, a, b: list(map(operator.sub, a, b)),
     "*": lambda node, xs, a, b: list(map(operator.mul, a, b)),
-    "/": lambda node, xs, a, b: list(map(cm.div, a, b)),
+    "/": lambda node, xs, a, b: list(map(_DIV, a, b)),
     "neg": lambda node, xs, a: list(map(operator.neg, a)),
-    "pow": lambda node, xs, a: [cm.power(v, node[2]) for v in a],
+    "pow": lambda node, xs, a: [_POW(v, node[2]) for v in a],
     "call": lambda node, xs, a: list(map(_CALLS[node[1]], a)),
 }
 

@@ -4,8 +4,9 @@ The algebra is a 2x2 matrix algebra over C_0(R) with selected corners
 unitized; a pattern of entry classes (C0, C0~ or Cb) defines it.  The
 multiplier and left-multiplier patterns are derived from the algebra
 pattern by a small class calculus, and membership of a concrete symbol
-matrix is decided by numerically profiling each entry: continuity across
-punctures, boundedness, and limits at the two infinities.
+matrix is decided by profiling each entry from the classes of its points:
+continuity across punctures, boundedness, and limits at the two
+infinities.
 
 This realizes operator matrices whose transform elements can fail to be
 multipliers in instructive ways: b can land outside M(A), and a_* can
@@ -21,20 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .config import DEFAULT, Config
 from .errors import ClassCheckFailed, InconclusiveClassification
 from .symbols import (
     INF,
     DomainSpec,
     PiecewiseSymbol,
     PointClass,
-    _vanishes_at_infinity,
     combine_symbols,
     conjugate_symbol,
     detect_point,
     map_symbol,
     real_line,
-    sample_grid,
 )
 
 
@@ -85,7 +83,6 @@ def multiplier_pattern(alg):
 class EntryProfile:
     continuous: bool
     bounded: bool
-    sup: float
     limit: complex | None    # the one value both ends settle on, if any
     vanishes: bool
 
@@ -101,35 +98,31 @@ class EntryProfile:
         return self.bounded
 
 
-def entry_profile(sym: PiecewiseSymbol, cfg: Config = DEFAULT) -> EntryProfile:
-    """Numerical profile of one matrix entry on the real line.
+def entry_profile(sym: PiecewiseSymbol) -> EntryProfile:
+    """The profile of one matrix entry, read off the classes of its points.
 
     ``detect_point`` classifies each puncture and, where the base reaches
-    it, the point at infinity: the entry has a limit there when the
-    detector finds one value at both ends (``reg_b``), and the largest
-    modulus it sampled joins the grid's in ``sup``.  NaN samples are
-    ``InconclusiveClassification``, as in ``analyze``.
+    it, the point at infinity: the entry is continuous where every
+    puncture is ``reg_b`` (or filled), bounded where no point lets |m|
+    grow, has a limit at infinity when both ends settle on one value, and
+    vanishes there when that value is 0.  A point the classifier cannot
+    decide is ``InconclusiveClassification``, as in ``analyze``.
     """
-    continuous = True
+    continuous = bounded = True
     for p in sym.domain.punctures:
         if sym.fill_value(p) is not None:
             continue
-        det = detect_point(sym, p, cfg)
-        if det.kind is None:
-            raise InconclusiveClassification(f"entry unclassifiable at {p}")
-        if det.kind is not PointClass.REG_B:
-            continuous = False
-    grid = sample_grid(sym, cfg, bulk=2048)
-    vals = sym(grid)
-    sup = float(np.nanmax(np.abs(vals))) if vals.size else 0.0
-    limit = None
+        det = detect_point(sym, p)
+        continuous = continuous and det.kind is PointClass.REG_B
+        bounded = bounded and det.bounded
+    limit, vanishes = None, True
     if sym.domain.includes_infinity:
-        det = detect_point(sym, INF, cfg)
-        sup = max(sup, det.peak)
+        det = detect_point(sym, INF)
+        bounded = bounded and det.bounded
         if det.kind is PointClass.REG_B:
             limit = det.limit
-    return EntryProfile(continuous, sup < cfg.blowup, sup, limit,
-                        _vanishes_at_infinity(sym, cfg))
+        vanishes = limit == 0
+    return EntryProfile(continuous, bounded, limit, vanishes)
 
 
 # -- symbol matrices -------------------------------------------------------------
@@ -242,15 +235,14 @@ class MatrixOpAnalysis:
                 "a_star": v(self.a_star_verdict), "b": v(self.b_verdict)}
 
 
-def check_membership(mat: SymbolMatrix, alg_pattern, cfg: Config = DEFAULT
-                     ) -> MembershipVerdict:
+def check_membership(mat: SymbolMatrix, alg_pattern) -> MembershipVerdict:
     ma = multiplier_pattern(alg_pattern)
     lma = left_multiplier_pattern(alg_pattern)
     in_a = in_ma = in_lma = True
     detail = []
     for i in range(2):
         for j in range(2):
-            prof = entry_profile(mat[i, j], cfg)
+            prof = entry_profile(mat[i, j])
             fa = prof.fits(alg_pattern[i][j])
             fm = prof.fits(ma[i][j])
             fl = prof.fits(lma[i][j])
@@ -259,8 +251,7 @@ def check_membership(mat: SymbolMatrix, alg_pattern, cfg: Config = DEFAULT
     return MembershipVerdict(in_a, in_ma, in_lma, detail)
 
 
-def matrix_symbol_op(entries: SymbolMatrix, entry_classes,
-                     cfg: Config = DEFAULT) -> MatrixOpAnalysis:
+def matrix_symbol_op(entries: SymbolMatrix, entry_classes) -> MatrixOpAnalysis:
     """Analyze the operator of left multiplication by a 2x2 symbol matrix.
 
     ``entry_classes`` is the algebra pattern (2x2 of EntryClass or their
@@ -283,11 +274,11 @@ def matrix_symbol_op(entries: SymbolMatrix, entry_classes,
             algebra_pattern=alg,
             multiplier=multiplier_pattern(alg),
             left_multiplier=left_multiplier_pattern(alg),
-            t_verdict=check_membership(t, alg, cfg),
+            t_verdict=check_membership(t, alg),
             a=a, a_star=a_star, b=b,
-            a_verdict=check_membership(a, alg, cfg),
-            a_star_verdict=check_membership(a_star, alg, cfg),
-            b_verdict=check_membership(b, alg, cfg),
+            a_verdict=check_membership(a, alg),
+            a_star_verdict=check_membership(a_star, alg),
+            b_verdict=check_membership(b, alg),
         )
     except InconclusiveClassification as err:
         raise ClassCheckFailed(str(err)) from err

@@ -6,8 +6,9 @@ a declaration for every puncture (and optionally for the point at
 infinity): bounded continuous extension with a stated limit, divergence
 of |m| to infinity, or a genuine singular-support point (bounded
 oscillation / no extension on the Riemann sphere).  Declarations are
-*verified*, never trusted: a geometric two-sided sampling detector
-confirms or rejects each one.
+*verified*, never trusted: the class of every point is decided exactly on
+the expression AST, side by side (``limits``), and confirms or rejects
+each one; what the classifier cannot decide is refused.
 
 The classification drives the operator verdicts: with finitely many
 punctures the continuity set is automatically dense, so the
@@ -21,8 +22,7 @@ remains.  In the graph-regular case the transform symbols
 extend continuously by 0 across divergence points and are attached to
 the report.
 
-The detector runs on Python lists with ``math`` and ``cmath`` (through
-``expressions.evaluate``), so classifying a symbol needs no numpy.  Only
+Classifying a symbol reads only its ASTs, so it needs no numpy.  Only
 ``sample_grid``, ``in_pieces``, ``symbol_equivalent`` and evaluation at
 an ndarray of points import it.
 """
@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from . import expressions as ex
-from .complexmath import div, modulus
+from . import limits
 from .config import DEFAULT, Config
 from .errors import (
     DeclarationMismatch,
@@ -50,13 +50,10 @@ _NAN = complex(math.nan, 0.0)
 # Fixed slacks of the symbol layer.  Piece ends within TILING_SLACK of each
 # other, of a domain end or of a break meet there, and punctures of two
 # symbols within PUNCTURE_MATCH are the same point: both absolute in x.
-# |m| may dip by MONOTONE_SLACK of itself between samples of a divergence.
-# The oscillation test scales osc_rel_var by the mean square of a tail, or
-# by the absolute VARIANCE_FLOOR where that is smaller.
 TILING_SLACK = 1e-12
-MONOTONE_SLACK = 1e-6
-VARIANCE_FLOOR = 1e-300
 PUNCTURE_MATCH = 1e-9
+# the sample grid covers an infinite piece out to |x| = GRID_REACH
+GRID_REACH = 1e4
 
 
 class PointClass(enum.Enum):
@@ -235,102 +232,49 @@ class PiecewiseSymbol:
 
 @dataclass
 class Detection:
-    kind: PointClass | None   # REG_B (finite), REG_INF, SING_SUPP, or None
-    limit: complex | None
+    kind: PointClass          # REG_B (finite limit), REG_INF or SING_SUPP
+    limit: complex | None     # the limit at a REG_B point
     sides: int
-    peak: float               # the largest modulus sampled on any side
-    note: str = ""
+    bounded: bool             # |m| stays bounded near the point
 
 
-def _side_sequences(symbol: PiecewiseSymbol, p: float, cfg: Config):
-    """Geometric sample sequences approaching p (or infinity) along each
-    available side, innermost sample last: towards +∞ then −∞ they double
-    from beyond every finite point, towards a puncture from the left then
-    the right the offsets halve."""
+def _sides(symbol: PiecewiseSymbol, p) -> list:
+    """(piece AST, side) for each side from which a piece reaches p:
+    towards +∞ then −∞, or from the left (−1) then the right (+1) of a
+    puncture, piece by piece."""
     dom = symbol.domain
     if math.isinf(p):
-        signs = [sign for end, sign in ((dom.hi, 1.0), (dom.lo, -1.0))
-                 if math.isinf(end)]
-        if not signs:
-            return []
-        finite = [e for e in (dom.lo, dom.hi, *dom.punctures) if math.isfinite(e)]
-        x0 = max(cfg.inf_start, *(2 * abs(e) for e in finite), 1.0)
-        n = min(cfg.approach_steps, int(math.log2(cfg.inf_reach / x0)) + 1)
-        return [[sign * x0 * 2.0 ** k for k in range(n)] for sign in signs]
-    seqs = []
-    for a, b, _ in symbol.pieces:
-        for end, sign in ((b, -1.0), (a, 1.0)):
-            if abs(end - p) <= TILING_SLACK:
-                d0 = min(cfg.approach_start, (b - a) / 4)
-                seqs.append([p + sign * d0 * 0.5 ** k
-                             for k in range(cfg.approach_steps)])
-    return seqs
+        return [(t, sign) for t, end, sign in ((symbol.pieces[-1][2], dom.hi, 1),
+                                               (symbol.pieces[0][2], dom.lo, -1))
+                if math.isinf(end)]
+    return [(t, sign) for a, b, t in symbol.pieces
+            for end, sign in ((b, -1), (a, 1)) if abs(end - p) <= TILING_SLACK]
 
 
-def _mean(values: list) -> complex:
-    """The mean of two or three complex numbers as numpy's ``mean``
-    rounds it: each part summed in order from -0.0 and then added to 0.0,
-    and the sum divided by the count as a complex (``complexmath.div``)."""
-    re = im = -0.0
-    for v in values:
-        re += v.real
-        im += v.imag
-    return div(complex(0.0 + re, 0.0 + im), complex(len(values)))
+def detect_point(symbol: PiecewiseSymbol, p) -> Detection:
+    """Classify the symbol at a puncture or at infinity, exactly, side by
+    side (``limits.side_class``).
 
-
-def _tail_limit(tail: list, cfg: Config) -> complex | None:
-    """Mean of the last three samples if the tail is Cauchy to within
-    ``limit_tol``, else None."""
-    if len(tail) < 2:
-        raise ValueError(f"an approach needs two samples, got {len(tail)}")
-    if all(modulus(b - a) < cfg.limit_tol for a, b in zip(tail, tail[1:])):
-        return _mean(tail[-3:])
-    return None
-
-
-def detect_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Detection:
-    """Classify the behaviour of the symbol at a puncture or at infinity.
-
-    Pattern order matters: convergence to a finite limit is tested first
-    (oscillation statistics are meaningless around a vanishing mean),
-    then monotone divergence of |m|, then bounded oscillation/jumps.
+    A finite limit on every side, the same on all (up to the rounding of
+    an irrational limit), is REG_B; divergence of |m| on every side is
+    REG_INF; anything else, oscillation or sides that disagree, is
+    SING_SUPP.  A side the rules cannot decide raises
+    InconclusiveClassification naming the point and the node.
     """
-    seqs = _side_sequences(symbol, p, cfg)
-    if not seqs:
+    sides = _sides(symbol, p)
+    if not sides:
         raise InconclusiveClassification(f"no side reaches {p}")
-    vals = [symbol(s) for s in seqs]
-    if any(z != z for v in vals for z in v):     # a nan in either part
-        raise InconclusiveClassification(f"evaluation failed approaching {p}")
-    k = cfg.tail_samples
-    tails = [v[-k:] for v in vals]
-    union = [z for t in tails for z in t]
-    peak = max(modulus(z) for v in vals for z in v)
-
-    # finite limit on every side, all sides agreeing
-    limits = [_tail_limit(t, cfg) for t in tails]
-    cauchy = None not in limits
-    if cauchy and all(abs(l - limits[0]) < 10 * cfg.limit_tol for l in limits):
-        return Detection(PointClass.REG_B, limits[0], len(seqs), peak)
-
-    # divergence of the modulus
-    mags = [[modulus(z) for z in t] for t in tails]
-    if all(m[-1] > cfg.blowup for m in mags) and all(
-        b - a >= -MONOTONE_SLACK * a for m in mags for a, b in zip(m, m[1:])
-    ):
-        return Detection(PointClass.REG_INF, None, len(seqs), peak)
-
-    # bounded, but oscillating or with disagreeing side limits
-    if peak < cfg.blowup:
-        centre = sum(union) / len(union)
-        mean_sq = sum(m * m for m in map(modulus, union)) / len(union)
-        var = sum(m * m for m in (modulus(z - centre) for z in union)) / len(union)
-        if var > cfg.osc_rel_var * max(mean_sq, VARIANCE_FLOOR):
-            return Detection(PointClass.SING_SUPP, None, len(seqs), peak,
-                             note=f"oscillation variance {var:.3e}")
-        if cauchy:
-            return Detection(PointClass.SING_SUPP, None, len(seqs), peak,
-                             note="side limits disagree")
-    return Detection(None, None, len(seqs), peak, note="no pattern fired")
+    found = [limits.side_class(t, p, sign) for t, sign in sides]
+    kinds = {f.kind for f in found}
+    bounded = all(f.bounded for f in found)
+    if kinds == {limits.REG_B}:
+        if all(f.limit.overlaps(found[0].limit) for f in found):
+            return Detection(PointClass.REG_B, complex(found[0].limit), len(found), True)
+        # the side limits differ
+        return Detection(PointClass.SING_SUPP, None, len(found), True)
+    if kinds == {limits.REG_INF}:
+        return Detection(PointClass.REG_INF, None, len(found), False)
+    return Detection(PointClass.SING_SUPP, None, len(found), bounded)
 
 
 @dataclass
@@ -344,10 +288,7 @@ def classify_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Verifie
     decl = symbol.declaration(p)
     if decl is None:
         raise UnverifiedDeclaration(f"no declaration at {p}")
-    det = detect_point(symbol, p, cfg)
-    if det.kind is None:
-        raise InconclusiveClassification(
-            f"no detector pattern fired at {p} ({det.note})")
+    det = detect_point(symbol, p)
     want_finite = decl.cls.finite_limit
     if want_finite != (det.kind is PointClass.REG_B) or (
         not want_finite and det.kind is not decl.cls
@@ -355,7 +296,7 @@ def classify_point(symbol: PiecewiseSymbol, p, cfg: Config = DEFAULT) -> Verifie
         raise DeclarationMismatch(
             f"declared {decl.cls.value} at {p}, detected {det.kind.value}")
     if want_finite and decl.limit is not None:
-        if abs(det.limit - decl.limit) > 10 * cfg.limit_tol:
+        if abs(det.limit - decl.limit) > cfg.value_agreement_tol * max(1.0, abs(det.limit)):
             raise DeclarationMismatch(
                 f"declared limit {decl.limit} at {p}, detected {det.limit}")
     return VerifiedClass(decl, det)
@@ -442,8 +383,8 @@ def sample_grid(symbol: PiecewiseSymbol, cfg: Config = DEFAULT,
     pts = []
     finite_lo = symbol.domain.lo if math.isfinite(symbol.domain.lo) else None
     for a, b, _ in symbol.pieces:
-        aa = a if math.isfinite(a) else min(-cfg.vanish_window, b - 1)
-        bb = b if math.isfinite(b) else max(cfg.vanish_window, a + 1)
+        aa = a if math.isfinite(a) else min(-GRID_REACH, b - 1)
+        bb = b if math.isfinite(b) else max(GRID_REACH, a + 1)
         n = max(16, bulk // max(1, len(symbol.pieces)))
         theta = (np.arange(n) + 0.5) * np.pi / n
         pts.append(0.5 * (aa + bb) + 0.5 * (bb - aa) * np.cos(theta))
@@ -535,17 +476,17 @@ def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, f,
         else:
             raise NotGraphRegular("symbol has singular-support points")
     mapped = replace(map_symbol(m, f), declarations=tuple(decls))
-    return hat_extension(redetect_sing_supp(mapped, cfg), cfg)
+    return hat_extension(redetect_sing_supp(mapped), cfg)
 
 
-def redetect_sing_supp(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> PiecewiseSymbol:
+def redetect_sing_supp(m: PiecewiseSymbol) -> PiecewiseSymbol:
     """m with each sing_supp point detected anew: declared reg_b at the
     detected limit where m settles, and kept sing_supp otherwise.  A map
     applied to an oscillating symbol can settle it: |exp(i/x)| = 1."""
     decls = []
     for d in m.declarations:
         if d.cls is PointClass.SING_SUPP:
-            det = detect_point(m, d.at, cfg)
+            det = detect_point(m, d.at)
             if det.kind is PointClass.REG_B:
                 d = Declaration(d.at, PointClass.REG_B, det.limit)
         decls.append(d)
@@ -625,20 +566,16 @@ def regularity_report(m: PiecewiseSymbol, cfg: Config = DEFAULT) -> RegularityRe
 # -- membership questions ---------------------------------------------------------
 
 
-def _vanishes_at_infinity(sym: PiecewiseSymbol, cfg: Config) -> bool:
-    """The C0 test at infinity: |sym| <= ``vanish_tol`` at every sample of
-    each approach with |x| >= ``vanish_window``, or at its last three
-    samples when none reaches the window.  A compact base passes."""
+def vanishes_at_infinity(sym: PiecewiseSymbol) -> bool:
+    """The C0 test at infinity: the limit there is 0.  A compact base
+    passes."""
     if sym.domain.compact:
         return True
-    ok = True
-    for seq in _side_sequences(sym, INF, cfg):
-        tail = [x for x in seq if abs(x) >= cfg.vanish_window] or seq[-3:]
-        ok = ok and all(modulus(v) <= cfg.vanish_tol for v in sym(tail))
-    return ok
+    det = detect_point(sym, INF)
+    return det.kind is PointClass.REG_B and det.limit == 0
 
 
-def _finite_limit_at(sym: PiecewiseSymbol, p, cfg: Config) -> complex | None:
+def _finite_limit_at(sym: PiecewiseSymbol, p) -> complex | None:
     """Continuous value of sym at p: a fill, an interior evaluation, or a
     detected finite limit; None when no finite extension exists."""
     val = sym.fill_value(p)
@@ -647,7 +584,7 @@ def _finite_limit_at(sym: PiecewiseSymbol, p, cfg: Config) -> complex | None:
     t = sym.piece_at(p)
     if t is not None:
         return complex(ex.evaluate(t, p))
-    det = detect_point(sym, p, cfg)
+    det = detect_point(sym, p)
     return det.limit if det.kind is PointClass.REG_B else None
 
 
@@ -663,17 +600,17 @@ def domain_membership(m: PiecewiseSymbol, f: PiecewiseSymbol,
     fh = hat_extension(f, cfg)
     if _bad_points(fh):
         raise ValueError("f must be a continuous symbol (no surviving punctures)")
-    if not _vanishes_at_infinity(fh, cfg):
+    if not vanishes_at_infinity(fh):
         raise ValueError("f must vanish at infinity to lie in C0")
     mh = hat_extension(m, cfg)
     prod = combine_symbols(mh, fh, ex.mul)
     for p in _bad_points(mh):
-        fval = _finite_limit_at(fh, p, cfg)
+        fval = _finite_limit_at(fh, p)
         if fval is None or abs(fval) > cfg.zero_tol:
             return False
-        if _finite_limit_at(prod, p, cfg) is None:
+        if _finite_limit_at(prod, p) is None:
             return False
-    return _vanishes_at_infinity(prod, cfg)
+    return vanishes_at_infinity(prod)
 
 
 def range_membership_one_plus_tt(m: PiecewiseSymbol, g: PiecewiseSymbol,
@@ -683,7 +620,7 @@ def range_membership_one_plus_tt(m: PiecewiseSymbol, g: PiecewiseSymbol,
     verified = verify_symbol(m, cfg)
     for p, vc in verified.items():
         if vc.declared.cls is PointClass.SING_SUPP and math.isfinite(p):
-            val = _finite_limit_at(g, p, cfg)
+            val = _finite_limit_at(g, p)
             if val is None or abs(val) > cfg.zero_tol:
                 return False
     return True

@@ -533,7 +533,12 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     ``TrigData.ok`` raises FactorizationFailed.
     """
     check_truncation_size(n)
-    data = trig_data(p, q, cfg)
+    return aab_from_data(trig_data(p, q, cfg), n)
+
+
+def aab_from_data(data: TrigData, n: int) -> ToeplitzTriple:
+    """The triple of ``toeplitz_aab`` from a factorization already made,
+    as ``affiliation_verdict`` reports it in ``data``."""
     data.require_ok()
     p, q = data.p, data.q
     # the factor of a real symbol has zero imaginary parts

@@ -449,14 +449,14 @@ def aab_inverse_symbol(triple: SymbolTriple) -> PiecewiseSymbol:
     return combine_symbols(triple.b, triple.a, ex.div)
 
 
-def absolute_value_symbol(m, cfg: Config = DEFAULT) -> PiecewiseSymbol:
+def absolute_value_symbol(m) -> PiecewiseSymbol:
     """|t_m| = t_{|m|}: same punctures, modulus taken pointwise.  The
     modulus can settle where m oscillates (|e^{i/x}| = 1), so each
     sing_supp point is detected anew on |m| (``redetect_sing_supp``)."""
     from . import expressions as ex
     from .symbols import map_symbol, redetect_sing_supp
 
-    return redetect_sing_supp(map_symbol(m, ex.call("abs", ex.VAR)), cfg)
+    return redetect_sing_supp(map_symbol(m, ex.call("abs", ex.VAR)))
 
 
 @dataclass
@@ -498,7 +498,7 @@ def bounded_transform_symbol(m, cfg: Config = DEFAULT) -> SymbolBoundedTransform
     i_mod = ex.mul(ex.I, ex.call("abs", ex.VAR))
     z = redetect_sing_supp(map_symbol(replace(mh, declarations=redetect), ex.div(
         ex.VAR, ex.mul(ex.call("sqrt", ex.add(ex.ONE, i_mod)),
-                       ex.call("sqrt", ex.sub(ex.ONE, i_mod))))), cfg)
+                       ex.call("sqrt", ex.sub(ex.ONE, i_mod))))))
     # a point absorbed by the hat is a fill: z is continuous there
     filled = {p for p, _ in mh.fills}
     extendable = {p: p in filled or z.declaration(p).cls is PointClass.REG_B

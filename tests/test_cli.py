@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -115,10 +116,10 @@ def test_catalog_reports_match_goldens(name, tmp_path):
 
 def test_config_override_echoed(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"vanish_window": 5000.0}))
+    cfg.write_text(json.dumps({"zero_tol": 1e-7}))
     out = run_cli("--config", str(cfg), "analyze", "--catalog", "x")
     data = json.loads(out.stdout)
-    assert data["config"]["vanish_window"] == 5000.0
+    assert data["config"]["zero_tol"] == 1e-7
 
 
 def test_unknown_config_key_is_input_error(tmp_path):
@@ -179,8 +180,8 @@ def test_oversized_experiment_parameters_are_input_errors():
 
 
 @pytest.mark.parametrize("content", [
-    {"grid_points": "abc"}, {"approach_steps": -3}, [],
-    {"subspace_tol": True}, {"approach_steps": 40.0}, {"blowup": float("inf")},
+    {"grid_points": "abc"}, {"grid_points": -3}, [],
+    {"subspace_tol": True}, {"grid_points": 40.0}, {"zero_tol": float("inf")},
 ], ids=["string", "negative", "list", "bool", "float-for-int", "infinite"])
 def test_invalid_config_is_input_error(content, tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -246,8 +247,8 @@ print("numpy" in sys.modules)
 sys.exit(code)
 """
 FRONT = {"cli", "config", "errors"}
-EXPRESSIONS = {"complexmath", "expressions", "gaussian"}
-SYMBOLS = EXPRESSIONS | {"catalog", "symbols"}
+EXPRESSIONS = {"expressions", "gaussian"}
+SYMBOLS = EXPRESSIONS | {"catalog", "limits", "symbols"}
 
 
 def show_layers(*argv) -> tuple:
@@ -268,7 +269,7 @@ def show_layers(*argv) -> tuple:
     (["experiment", "--which", "resolvent", "--grid"],
      {"algebras", "experiments", "transforms"}, True),
     (["experiment", "--which", "matrix-symbols"],
-     EXPRESSIONS | {"matrix_symbols", "symbols"}, True),
+     EXPRESSIONS | {"limits", "matrix_symbols", "symbols"}, True),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_command_loads_only_its_layers(argv, layers, numpy):
     # a fresh interpreter per command: the front end's own modules and the
@@ -314,12 +315,13 @@ def test_config_reaches_hat_extension(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(symbols, "hat_extension", spy)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"vanish_window": 5000.0}))
+    cfg.write_text(json.dumps({"value_agreement_tol": 1e-7}))
     assert cli.main(["--config", str(cfg), "analyze", "--catalog", "one_over_x"]) == 0
     capsys.readouterr()
-    # the a and b symbols are hat-extended after the transform
+    # the a and b symbols are hat-extended after the transform, and their
+    # declared limits checked within value_agreement_tol
     assert len(seen) >= 2
-    assert all(c.vanish_window == 5000.0 for c in seen)
+    assert all(c.value_agreement_tol == 1e-7 for c in seen)
 
 
 @pytest.mark.parametrize("argv", [
@@ -792,18 +794,20 @@ def test_size_caps_follow_the_array_budget():
     n = cli.RESOLVENT_MAX_N
     assert 8 * 16 * n ** 2 <= ARRAY_BUDGET < 8 * 16 * (n + 1) ** 2
     # one complex sample vector
-    assert {k: v for k, v in SIZE_CAPS.items() if k != "approach_steps"} == \
-        dict.fromkeys(["grid_points", "circle_samples", "dyadic_depth"],
-                      ARRAY_BUDGET // 16)
-    # one sample per binary order of magnitude of the positive doubles
+    assert SIZE_CAPS == dict.fromkeys(["grid_points", "circle_samples", "dyadic_depth"],
+                                      ARRAY_BUDGET // 16)
+
+
+def test_float_bits_count_the_binary_orders_of_the_doubles():
+    from graphreg.config import FLOAT_BITS
+
     x, orders = math.ulp(0.0), 0
     while x < math.inf:
         x, orders = 2 * x, orders + 1
-    assert SIZE_CAPS["approach_steps"] == orders == 2098
+    assert FLOAT_BITS == orders == 2098
 
 
-@pytest.mark.parametrize("key", ["grid_points", "circle_samples",
-                                 "approach_steps", "dyadic_depth"])
+@pytest.mark.parametrize("key", ["grid_points", "circle_samples", "dyadic_depth"])
 def test_config_size_above_its_cap_is_refused(key):
     from graphreg.config import SIZE_CAPS, Config
 
@@ -815,20 +819,28 @@ def test_config_size_above_its_cap_is_refused(key):
         Config.from_dict({key: 10 ** 30})
 
 
-@pytest.mark.parametrize("key", ["tail_samples", "approach_steps"])
-def test_config_size_below_two_is_refused(key, tmp_path, capsys):
-    from graphreg import cli
-    from graphreg.config import Config
+# the sampling detector's settings, gone with it
+REMOVED_KEYS = ["limit_tol", "blowup", "osc_rel_var", "approach_steps",
+                "approach_start", "tail_samples", "inf_start", "inf_reach",
+                "vanish_window", "vanish_tol"]
 
-    assert getattr(Config.from_dict({key: 2}), key) == 2
-    with pytest.raises(ValueError, match=f"{key} must be at least 2, got 1"):
-        Config.from_dict({key: 1})
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_detector_setting_is_an_unknown_key(key, tmp_path, capsys):
+    from graphreg import cli
+
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 1}))
+    cfg.write_text(json.dumps({key: 2}))
     assert cli.main(["--quiet", "--config", str(cfg), "analyze",
                      "--catalog", "one_over_x"]) == 1
     assert capsys.readouterr().err.startswith(
-        f"config error: {key} must be at least 2")
+        f"config error: unknown config keys: ['{key}']")
+
+
+def test_config_has_nine_fields():
+    from graphreg.config import Config
+
+    assert len(dataclasses.fields(Config)) == 9
 
 
 def test_removed_symbol_residual_tol_is_an_unknown_key():
@@ -850,18 +862,18 @@ def test_removed_graph_angle_tol_is_an_unknown_key(tmp_path, capsys):
 
 def test_toeplitz_command_builds_one_triple(monkeypatch, capsys):
     # the N/4 and N/2 residuals are read from the leading blocks of the
-    # triple at N; the factorization runs once for the verdict and once
-    # for that triple
+    # triple at N, and the triple is built from the verdict's factorization:
+    # the pair is factored once
     from graphreg import cli, toeplitz
 
     built, factored = [], []
-    aab, trig = toeplitz.toeplitz_aab, toeplitz.trig_data
-    monkeypatch.setattr(toeplitz, "toeplitz_aab",
-                        lambda p, q, n, cfg: built.append(n) or aab(p, q, n, cfg))
+    aab, trig = toeplitz.aab_from_data, toeplitz.trig_data
+    monkeypatch.setattr(toeplitz, "aab_from_data",
+                        lambda data, n: built.append(n) or aab(data, n))
     monkeypatch.setattr(toeplitz, "trig_data",
                         lambda p, q, cfg: factored.append(1) or trig(p, q, cfg))
     assert cli.main(["toeplitz", "1", "1-z", "--N", "64"]) == 0
-    assert built == [64] and len(factored) == 2
+    assert built == [64] and len(factored) == 1
     residuals = json.loads(capsys.readouterr().out)["results"]["residuals"]
     assert sorted(residuals, key=int) == ["16", "32", "64"]
 
@@ -1003,3 +1015,38 @@ def test_emitted_symbols_read_back(expr, limit, tmp_path):
         emitted = tmp_path / f"{key}.json"
         emitted.write_text(json.dumps(results[key]))
         run_cli("analyze", str(emitted))
+
+
+def _punctured_at_zero(expr, lo, declaration):
+    pieces = [{"lo": lo, "hi": 0.0, "expr": expr}] if lo < 0 else []
+    return {"domain": {"base": "interval", "lo": lo, "hi": 1.0, "punctures": [0.0]},
+            "pieces": pieces + [{"lo": 0.0, "hi": 1.0, "expr": expr}],
+            "declarations": [{"at": 0.0, **declaration}]}
+
+
+REG_B_ZERO = {"class": "reg_b", "limit": [0, 0]}
+
+
+@pytest.mark.parametrize("symbol, code", [
+    # aliasing: the sampler's ratio-2 samples landed on the zeros
+    (_punctured_at_zero("sin(3.141592653589793/x)^2", -1.0, REG_B_ZERO), 2),
+    # slow tails, read as oscillation
+    (_punctured_at_zero("sqrt(abs(x))", -1.0, REG_B_ZERO), 0),
+    (_punctured_at_zero("sqrt(abs(x))", -1.0, {"class": "sing_supp"}), 2),
+    ({"domain": {"base": "realline"},
+      "pieces": [{"lo": None, "hi": None, "expr": "x/(1+x^2)"}],
+      "declarations": [{"at": "inf", **REG_B_ZERO}]}, 0),
+    (_punctured_at_zero("sqrt(abs(x))*sin(1/x)", -1.0, REG_B_ZERO), 0),
+    # an oscillation within the sampler's absolute limit_tol
+    (_punctured_at_zero("0.0000001*exp(i/x)", 0.0, REG_B_ZERO), 2),
+], ids=["sin(pi/x)^2", "sqrt-reg_b", "sqrt-sing_supp", "x/(1+x^2)-inf",
+        "sqrt*sin(1/x)", "1e-7*exp(i/x)"])
+def test_sampler_repros_get_the_exact_verdict(symbol, code, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(symbol))
+    proc = run_cli("analyze", str(path), expect=code)
+    results = json.loads(proc.stdout)["results"]
+    if code == 0:
+        assert results["regular"] is True
+    else:
+        assert "declared" in results["error"] and "detected" in results["error"]

@@ -11,10 +11,10 @@ verdict, point by point, with that of the input itself:
   T_{u(ω·)} = D T_u D* with D = diag(ωᵏ);
 * module backend: t ↦ c·t, and t ↦ u t u* for a unitary u of M(A).
 
-A case that the package still decides differently enters as a strict
-xfail naming the open ROADMAP item that covers it: 2 (the detector's
-aliasing and slow convergence), 13 (absolute tolerances in a verdict
-path) or 17 (circle roots that rounding moves off the circle).
+The point classes of a symbol are decided exactly on its AST, so the
+symbol cases hold at every scale.  A case that the package still decides
+differently enters as a strict xfail naming the open ROADMAP item that
+covers it: 17 (circle roots that rounding moves off the circle).
 Hypothesis runs derandomized.
 """
 
@@ -129,30 +129,6 @@ def xfail(item, reason):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {reason}")
 
 
-# The scalings the package decides differently today.  Item 13: the
-# detector's limit_tol and blowup are absolute.  Item 2: the symbol itself
-# is misread (aliased, or its slow limit read as oscillation), and the
-# absolute limit_tol then reads a scaled copy otherwise.
-BLOWUP = "below the absolute blowup, c·m does not diverge"
-ABOVE_BLOWUP = "above the absolute blowup, bounded c·m diverges"
-LIMIT_TOL = "within the absolute limit_tol, c·m settles"
-STEPS = "the steps of the scaled tail exceed the absolute limit_tol"
-MISREAD = "m is misread, and c·m is read otherwise"
-SCALING_XFAILS = {
-    ("one_over_x", 1e-9): (13, BLOWUP),
-    ("exp_i_over_x_over_x", 1e-9): (13, BLOWUP),
-    ("exp_i_over_x", 1e-9): (13, LIMIT_TOL),
-    ("exp_i_over_x", 1e9): (13, ABOVE_BLOWUP),
-    ("x_exp_minus_i_over_x", 1e9): (13, STEPS),
-    ("sin(pi/x)^2", 1e3): (2, MISREAD),
-    ("sin(pi/x)^2", 1e9): (2, MISREAD),
-    **{(name, c): (2, MISREAD)
-       for name in ("sqrt(abs(x))", "sqrt(sqrt(abs(x)))",
-                    "sqrt(abs(x))*sin(1/x)", "x/(1+x^2)")
-       for c in (1e-9, 1e-3, 1e9)},
-}
-
-
 def cases(names, xfails):
     """(name, c) for every name and scale, strict xfails marked."""
     for name in names:
@@ -161,7 +137,7 @@ def cases(names, xfails):
             yield pytest.param(name, c, marks=marks, id=f"{name}-{c:g}")
 
 
-@pytest.mark.parametrize("name, c", cases(SYMBOLS, SCALING_XFAILS))
+@pytest.mark.parametrize("name, c", cases(SYMBOLS, {}))
 def test_symbol_verdict_is_invariant_under_scaling(name, c):
     m = SYMBOLS[name]
     assert symbol_verdict(scaled(m, c)) == symbol_verdict(m)

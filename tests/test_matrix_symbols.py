@@ -5,7 +5,6 @@ import pytest
 
 from graphreg import cli
 from graphreg import matrix_symbols
-from graphreg.config import Config
 from graphreg.errors import InconclusiveClassification
 from graphreg.matrix_symbols import (
     EntryClass,
@@ -20,7 +19,8 @@ from graphreg.matrix_symbols import (
     scalar_symbol,
     zero_symbol,
 )
-from graphreg.symbols import INF, PointClass, _vanishes_at_infinity, detect_point, interval
+from graphreg.symbols import INF, PointClass, detect_point, interval, vanishes_at_infinity
+from sampler import _vanishes_at_infinity
 
 C0, C0U, CB = EntryClass.C0, EntryClass.C0U, EntryClass.CB
 
@@ -68,7 +68,7 @@ def test_c0_subset_of_unitized():
 
 
 # the entries above, and 1 ± c at the two ends for c on either side of
-# the detector's margin of 10·limit_tol between side limits
+# the margin of 10⁻⁵ the sampling detector allowed between side limits
 REFERENCE_ENTRIES = ["1/(1+x^2)", "1", "x", "(1+cos(x)^2)/3",
                      "x*sqrt(1+sin(x)^2)/(1+3*x^2)", "1+0.000002*x/(1+abs(x))",
                      "1+0.00002*x/(1+abs(x))", "1+0.0002*x/(1+abs(x))"]
@@ -82,18 +82,38 @@ def test_unitized_class_is_the_detectors_verdict_at_infinity(text):
     assert profile.fits(C0U) == (profile.vanishes or settles)
 
 
-def test_ends_apart_by_more_than_the_detectors_margin_are_not_unitized():
-    # the ends 1 ± 2e-5 are 4e-5 apart, above 10·limit_tol = 1e-5
-    profile = entry_profile(expr_symbol("1+0.00002*x/(1+abs(x))"))
+@pytest.mark.parametrize("text", REFERENCE_ENTRIES[-3:])
+def test_ends_that_differ_are_not_unitized(text):
+    # the ends 1 ± c differ for every c ≠ 0: the limits are exact, with no
+    # margin between them
+    profile = entry_profile(expr_symbol(text))
     assert profile.bounded and not profile.vanishes
     assert profile.fits(CB) and not profile.fits(C0U) and profile.limit is None
-    constant = entry_profile(expr_symbol("1+0.000002*x/(1+abs(x))"))
-    assert constant.fits(C0U) and abs(constant.limit - 1) < 1e-5
 
 
-def test_nan_at_infinity_is_inconclusive():
-    with pytest.raises(InconclusiveClassification, match="approaching inf"):
-        entry_profile(expr_symbol("exp(x)/exp(x)"))
+def test_exp_over_exp_settles_at_infinity():
+    # the sampler evaluated inf/inf at its far samples; the terms cancel
+    profile = entry_profile(expr_symbol("exp(x)/exp(x)"))
+    assert profile.limit == 1 and profile.fits(C0U) and not profile.fits(C0)
+
+
+def test_undecided_infinity_is_inconclusive():
+    # x·(1 + sin x) swings ever wider: no term outweighs the others to
+    # make it diverge, and the rules do not decide whether it nears 0
+    with pytest.raises(InconclusiveClassification, match=r"approaching \+inf"):
+        entry_profile(expr_symbol("x*(1+sin(x))"))
+
+
+def test_unbounded_oscillation_is_neither_bounded_nor_continuous_at_infinity():
+    profile = entry_profile(expr_symbol("x*sin(x)"))
+    assert not profile.bounded and profile.limit is None and not profile.fits(CB)
+
+
+def test_entry_with_a_slow_limit_at_both_ends_is_unitized():
+    # √|x|/(1 + √|x|) tends to 1 at both ends; the sampler read the slow
+    # tail as no limit and said nothing
+    profile = entry_profile(expr_symbol("sqrt(abs(x))/(1+sqrt(abs(x)))"))
+    assert profile.limit == 1 and profile.fits(C0U) and not profile.fits(C0)
 
 
 def test_entry_on_a_compact_base_has_no_point_at_infinity():
@@ -106,9 +126,9 @@ def test_entry_on_a_compact_base_has_no_point_at_infinity():
 def test_entry_profile_asks_the_detector_once_at_infinity(monkeypatch):
     seen = []
 
-    def spy(symbol, p, cfg):
+    def spy(symbol, p):
         seen.append(p)
-        return detect_point(symbol, p, cfg)
+        return detect_point(symbol, p)
 
     monkeypatch.setattr(matrix_symbols, "detect_point", spy)
     entry_profile(expr_symbol("1/(1+x^2)"))
@@ -181,19 +201,24 @@ def test_constant_lower_corner_violates_multiplier_class():
     assert verdict.in_left_multiplier
 
 
-def test_vanishing_window_that_no_sample_reaches():
-    # with inf_reach below vanish_window no sample lies in the window;
-    # x must still not vanish, and the profile asks the symbol layer
-    cfg = Config(inf_reach=1000.0)
-    x = expr_symbol("x")
-    assert entry_profile(x, cfg).vanishes is False
-    assert _vanishes_at_infinity(x, cfg) is False
+@pytest.mark.parametrize("text, vanishes", [
+    ("0.00001", False), ("1/sqrt(abs(x)+1)", True), ("x", False)])
+def test_c0_test_is_the_limit_at_infinity(text, vanishes):
+    # the sampled test read |f| ≤ 1e-4 beyond |x| = 1e4: it called the
+    # constant 1e-5 vanishing and 1/√(|x| + 1), about 0.01 there, not
+    entry = expr_symbol(text)
+    assert vanishes_at_infinity(entry) is vanishes
+    assert entry_profile(entry).vanishes is vanishes
+    if text != "x":
+        assert _vanishes_at_infinity(entry) is not vanishes
 
 
-def test_matrix_symbols_experiment_honours_inf_reach(tmp_path, capsys):
+def test_matrix_symbols_experiment_echoes_its_config(tmp_path, capsys):
+    # the entry profiles read exact point classes, which take no setting
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"inf_reach": 1000}))
+    cfg.write_text(json.dumps({"value_agreement_tol": 1e-7}))
     argv = ["--config", str(cfg), "experiment", "--which", "matrix-symbols"]
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
+    assert report["config"]["value_agreement_tol"] == 1e-7
     assert report["results"]["t"]["in_A"] is False

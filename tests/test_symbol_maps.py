@@ -241,8 +241,9 @@ CALCULUS = [("1/(1+abs(w)^2)", 0.0), ("w/(1+abs(w)^2)", 0.0),
 
 # detect_point at each declared point, and at infinity where the base
 # reaches it, of every symbol above: the class, the number of sides and
-# the bits of the limit, as the numpy detector gave them before the
-# detector moved to Python lists
+# the bits of the limit, decided exactly.  1/x tends to 0 at infinity
+# (the sampler read its slow tail as oscillation), and x·e^{-i/x} to
+# exactly 0 (the sampler's mean of its last samples was about 1e-12)
 DETECTIONS = {
     ("exp_i_over_x", 0.0): ("sing_supp", 1, None),
     ("exp_i_over_x-shifted", 0.75): ("sing_supp", 1, None),
@@ -251,20 +252,17 @@ DETECTIONS = {
     ("exp_i_over_x_over_x-shifted", 0.75): ("reg_inf", 1, None),
     ("exp_i_over_x_over_x-scaled", 0.0): ("reg_inf", 1, None),
     ("one_over_x", 0.0): ("reg_inf", 2, None),
-    ("one_over_x", math.inf): ("sing_supp", 2, None),
+    ("one_over_x", math.inf): ("reg_b", 2, ("0x0.0p+0", "0x0.0p+0")),
     ("one_over_x-shifted", 0.75): ("reg_inf", 2, None),
-    ("one_over_x-shifted", math.inf): ("sing_supp", 2, None),
+    ("one_over_x-shifted", math.inf): ("reg_b", 2, ("0x0.0p+0", "0x0.0p+0")),
     ("one_over_x-scaled", 0.0): ("reg_inf", 2, None),
-    ("one_over_x-scaled", math.inf): ("sing_supp", 2, None),
+    ("one_over_x-scaled", math.inf): ("reg_b", 2, ("0x0.0p+0", "0x0.0p+0")),
     ("x", math.inf): ("reg_inf", 2, None),
     ("x-shifted", math.inf): ("reg_inf", 2, None),
     ("x-scaled", math.inf): ("reg_inf", 2, None),
-    ("x_exp_minus_i_over_x", 0.0):
-        ("reg_b", 1, ("-0x1.bf818e3d4c832p-45", "0x1.53de67f583de6p-41")),
-    ("x_exp_minus_i_over_x-shifted", 0.75):
-        ("reg_b", 1, ("-0x1.bf818e3d4c832p-45", "0x1.53de67f583de6p-41")),
-    ("x_exp_minus_i_over_x-scaled", 0.0):
-        ("reg_b", 1, ("-0x1.17b0f8e64fd1ep-43", "0x1.a8d601f2e4d61p-40")),
+    ("x_exp_minus_i_over_x", 0.0): ("reg_b", 1, ("0x0.0p+0", "0x0.0p+0")),
+    ("x_exp_minus_i_over_x-shifted", 0.75): ("reg_b", 1, ("0x0.0p+0", "0x0.0p+0")),
+    ("x_exp_minus_i_over_x-scaled", 0.0): ("reg_b", 1, ("0x0.0p+0", "0x0.0p+0")),
 }
 
 
@@ -464,11 +462,11 @@ def test_bounded_transform_passes_its_own_hat_extension(name, monkeypatch):
     detect = symbols.detect_point
     seen = []
 
-    def spy(symbol, p, cfg):
+    def spy(symbol, p):
         # the hat extension of m verifies m itself; the rest look at z
         if symbol is not m:
             seen.append(p)
-        return detect(symbol, p, cfg)
+        return detect(symbol, p)
 
     monkeypatch.setattr(symbols, "detect_point", spy)
     bt = bounded_transform_symbol(m)

@@ -18,9 +18,9 @@ One walk reads the expression AST: in ``expressions.py`` only ``_walk``
 calls itself, so a new reading of the AST is a table of visits on it.
 
 One classifier decides every point of a symbol: only ``detect_point``
-reads a tail for its limit (``_tail_limit``), the sample sequences
-(``_side_sequences``) serve it and the C0 test alone, and no module but
-``symbols`` imports either.
+asks ``limits.side_class``, and the sampling detector (its sequences,
+tails, means and C0 test) lives in the tests as their oracle, defined by
+no module of the package.
 """
 
 import ast
@@ -153,14 +153,15 @@ def test_only_the_walk_recurses_over_expressions():
     assert self_calling(tree) == ["_walk"]
 
 
-# each helper of the point detector, and the functions that may call it
-DETECTOR_HELPERS = {"_tail_limit": ["symbols.detect_point"],
-                    "_side_sequences": ["symbols._vanishes_at_infinity",
-                                        "symbols.detect_point"]}
+# the classifier of one side, and the functions that may call it
+CLASSIFIER = {"side_class": ["symbols.detect_point"]}
+# the sampling detector, now the tests' oracle (tests/sampler.py)
+SAMPLER = {"_side_sequences", "_tail_limit", "_mean", "_oscillates",
+           "_vanishes_at_infinity"}
 
 
 def test_detect_point_is_the_only_classifier():
-    found = {name: [] for name in DETECTOR_HELPERS}
+    found = {name: [] for name in CLASSIFIER}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, where in found.items():
@@ -168,7 +169,8 @@ def test_detect_point_is_the_only_classifier():
                             if calls(fn, name))
             if path.stem != "symbols" and name in imported_names(tree):
                 where.append(f"{path.stem} imports it")
-    assert found == DETECTOR_HELPERS
+        assert not {fn.name for fn in functions(tree)} & SAMPLER, path.stem
+    assert found == CLASSIFIER
 
 
 def test_the_checks_see_what_they_look_for():
