@@ -77,21 +77,23 @@ def make_report(args, command: str, results: dict, cfg: Config) -> dict:
 ECHO_CHARS = 60
 
 
-def parse_poly(text: str, cfg: Config):
+def parse_poly(text: str):
     """Polynomial coefficients, as an ndarray, from either comma-separated
     coefficients or an expression in one variable, e.g. ``1-z``, which is
-    expanded exactly (``expressions.poly_coefficients``).  The error for
-    text that does not parse quotes at most ECHO_CHARS of it."""
+    expanded exactly (``expressions.poly_coefficients``) up to degree
+    ``toeplitz.MAX_POLY_DEGREE``.  The error for text that does not parse
+    quotes at most ECHO_CHARS of it."""
     import numpy as np
 
     from .expressions import parse_expression, poly_coefficients
+    from .toeplitz import MAX_POLY_DEGREE
 
     text = text.strip()
     if all(c in "0123456789+-.eEj, " for c in text) and "," in text:
         return np.array([complex(tok) for tok in text.split(",")])
     try:
         return np.array(poly_coefficients(parse_expression(text),
-                                          cfg.max_poly_degree))
+                                          MAX_POLY_DEGREE))
     except (GraphregError, ValueError) as err:
         quoted = (repr(text) if len(text) <= ECHO_CHARS
                   else repr(text[:ECHO_CHARS]) + "…")
@@ -252,7 +254,7 @@ def cmd_transform(args, cfg: Config) -> tuple:
     return results, 0 if ok else 2
 
 
-def cmd_toeplitz(args, cfg: Config) -> tuple:
+def cmd_toeplitz(args) -> tuple:
     from .toeplitz import (
         TOEPLITZ_MIN_N,
         aab_from_data,
@@ -261,9 +263,9 @@ def cmd_toeplitz(args, cfg: Config) -> tuple:
     )
 
     check_truncation_size(args.N, TOEPLITZ_MIN_N)
-    p = parse_poly(args.p, cfg)
-    q = parse_poly(args.q, cfg)
-    rep = affiliation_verdict(p, q, cfg)
+    p = parse_poly(args.p)
+    q = parse_poly(args.q)
+    rep = affiliation_verdict(p, q)
     # one triple at N, from the verdict's factorization: the N/4 and N/2
     # truncations are its leading blocks
     tri = aab_from_data(rep.data, args.N)
@@ -492,8 +494,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
+    # the toeplitz verdicts are exact and read no setting
     handlers = {"analyze": cmd_analyze, "transform": cmd_transform,
-                "toeplitz": cmd_toeplitz, "experiment": cmd_experiment}
+                "toeplitz": lambda args, _: cmd_toeplitz(args),
+                "experiment": cmd_experiment}
     try:
         results, code = handlers[args.cmd](args, cfg)
     except (OSError, ValueError, InputError) as err:

@@ -1,9 +1,9 @@
 """Global numerical configuration.
 
 ``Config`` holds the settings a user may override with ``--config``: the
-rank, residual and value tolerances, and the grid and sample sizes.
-Every report echoes them.  The point classes of a symbol are decided
-exactly and take no setting (``limits``).
+five rank, residual and value tolerances.  Every report echoes them.
+The point classes of a symbol are decided exactly and take no setting
+(``limits``); the sample sizes and the degree cap are constants.
 
 Every threshold has one home.  One that a caller may need to set is a
 field here, and each function that uses it takes ``cfg`` and reads the
@@ -16,13 +16,15 @@ decides with it, and is not an option:
   ``RECONSTRUCTION_GATE``, ``NORM_SLACK`` and ``PSD_SLACK``, and the
   quoting limit ``ECHO_CHARS``;
 * ``toeplitz``: the factorization gates ``UNIT_RESIDUAL_GATE`` and
-  ``R_ROOT_MARGIN``, and Wilson's stop test ``NEWTON_STOP`` and step
-  cap ``NEWTON_MAX_STEPS`` (its verdicts are exact and take no
-  threshold);
+  ``R_ROOT_MARGIN``, Wilson's stop test ``NEWTON_STOP`` and step cap
+  ``NEWTON_MAX_STEPS``, the degree cap ``MAX_POLY_DEGREE`` and the
+  ``CIRCLE_SAMPLES`` its residuals are read on (its verdicts are exact
+  and take no threshold, and it takes no ``cfg``);
 * ``transforms``: ``PSD_CLAMP``, ``COMMUTATION_FLOOR`` and
   ``JOINT_DIAGONAL_GATE``;
-* ``symbols``: ``TILING_SLACK`` and ``PUNCTURE_MATCH``, and the reach
-  ``GRID_REACH`` of the sample grid;
+* ``symbols``: ``TILING_SLACK`` and ``PUNCTURE_MATCH``, and the sample
+  grid's reach ``GRID_REACH``, bulk size ``GRID_POINTS`` and refinement
+  depth ``DYADIC_DEPTH``;
 * ``limits``: the rounding allowances ``EPS``, ``UP`` and ``TINY`` of its
   balls, the expansion windows ``WINDOWS``, the series caps
   ``MAX_TERMS``, ``MAX_KEYS`` and ``MAX_POWERS``, the series tail
@@ -30,8 +32,8 @@ decides with it, and is not an option:
   (its verdicts are exact);
 * ``experiments``: ``WINDOW_SLACK``; ``expressions``: the formatting
   limit ``INT_FORMAT_LIMIT`` (``poly_coefficients`` bounds the integers
-  of each exact coefficient by the bits of ``max_poly_degree`` + 1
-  doubles, ``FLOAT_BITS`` each).
+  of each exact coefficient by the bits of degree cap + 1 doubles,
+  ``FLOAT_BITS`` each).
 
 A verdict should not change when t is scaled, so the constants that
 compare an absolute quantity are marked here:
@@ -50,17 +52,12 @@ import json
 import sys
 from dataclasses import dataclass
 
-# The largest array any size setting may allocate: 256 MiB, one complex
-# 4096 x 4096 matrix (the resolvent check at its cap).  Every size cap is
-# derived from it.
+# The largest array any size parameter may allocate: 256 MiB, one complex
+# 4096 x 4096 matrix (the resolvent check at its cap).  The size caps of
+# the command line are derived from it.
 ARRAY_BUDGET = 2 ** 28
 COMPLEX_BYTES = 16
 
-# Each of these sets the length of a sample vector that is evaluated in
-# complex128: the bulk grid, the points on the circle and the dyadic
-# refinement near a puncture.
-SIZE_CAPS = {name: ARRAY_BUDGET // COMPLEX_BYTES for name in (
-    "grid_points", "circle_samples", "dyadic_depth")}
 # The positive doubles span max_exp - min_exp + mant_dig = 2098 binary
 # orders of magnitude, 2^-1074 to 2^1024.
 FLOAT_BITS = sys.float_info.max_exp - sys.float_info.min_exp + sys.float_info.mant_dig
@@ -78,42 +75,25 @@ class Config:
     zero_tol: float = 1e-8
     value_agreement_tol: float = 1e-9
 
-    # grids
-    grid_points: int = 10_000        # bulk sample count for identity checks
-    dyadic_depth: int = 40           # refinement levels near punctures
-
-    # polynomial / Toeplitz lab
-    circle_samples: int = 2048
-    max_poly_degree: int = 24
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "Config":
-        """Overrides from a JSON object, each checked against its field:
-        integer fields take integers (not booleans), float fields take
-        finite reals, every value must be positive and the sizes in
-        ``SIZE_CAPS`` must not exceed their caps."""
+        """Overrides from a JSON object: each value must be a positive
+        finite real (not a boolean)."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
-        defaults = {f.name: f.default for f in dataclasses.fields(Config)}
-        unknown = set(data) - set(defaults)
+        unknown = set(data) - {f.name for f in dataclasses.fields(Config)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values = {}
         for key, value in data.items():
-            kind = type(defaults[key])
-            accepted = (int,) if kind is int else (int, float)
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                noun = "an integer" if kind is int else "a real number"
-                raise ValueError(f"{key} must be {noun}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
             if not 0 < value <= sys.float_info.max:
                 raise ValueError(f"{key} must be positive and finite, got {value!r}")
-            if key in SIZE_CAPS and value > SIZE_CAPS[key]:
-                raise ValueError(f"{key} must be at most {SIZE_CAPS[key]}, "
-                                 f"got {value!r}")
-            values[key] = kind(value)
+            values[key] = float(value)
         return Config(**values)
 
     @staticmethod

@@ -480,7 +480,7 @@ def _poly_mul(a: list, b: list, max_degree: int) -> list:
     ``max_degree``."""
     degree = len(a) + len(b) - 2
     if degree > max_degree:
-        raise ValueError(f"degree {degree} exceeds max_poly_degree = {max_degree}")
+        raise ValueError(f"degree {degree} exceeds the cap {max_degree}")
     out = gq.mul(a, b)
     # the integers of a coefficient may hold the bits of a product of
     # max_degree + 1 doubles
@@ -505,7 +505,7 @@ def _poly_pow(node, max_degree: int, base: list) -> list:
     if n < 0:
         raise ValueError(f"the negative power ^{n} is not a polynomial operation")
     if degree > max_degree:
-        raise ValueError(f"degree {degree} exceeds max_poly_degree = {max_degree}")
+        raise ValueError(f"degree {degree} exceeds the cap {max_degree}")
     out = [gq.ONE]
     for _ in range(n):
         out = _poly_mul(out, base, max_degree)

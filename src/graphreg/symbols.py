@@ -52,8 +52,12 @@ _NAN = complex(math.nan, 0.0)
 # symbols within PUNCTURE_MATCH are the same point: both absolute in x.
 TILING_SLACK = 1e-12
 PUNCTURE_MATCH = 1e-9
-# the sample grid covers an infinite piece out to |x| = GRID_REACH
+# the sample grid covers an infinite piece out to |x| = GRID_REACH, with
+# GRID_POINTS bulk points shared by the pieces and DYADIC_DEPTH refinement
+# levels towards each finite piece end
 GRID_REACH = 1e4
+GRID_POINTS = 10_000
+DYADIC_DEPTH = 40
 
 
 class PointClass(enum.Enum):
@@ -362,7 +366,7 @@ def symbol_equivalent(m1: PiecewiseSymbol, m2: PiecewiseSymbol,
     if c1 != c2:
         return False
     # h2 is nan off its pieces and fills, and the nan mask drops those
-    grid = sample_grid(h1, cfg)
+    grid = sample_grid(h1)
     v1, v2 = h1(grid), h2(grid)
     good = ~(np.isnan(v1) | np.isnan(v2))
     return bool(np.all(np.abs(v1[good] - v2[good]) <= cfg.value_agreement_tol
@@ -372,16 +376,15 @@ def symbol_equivalent(m1: PiecewiseSymbol, m2: PiecewiseSymbol,
 # -- sampling ----------------------------------------------------------------
 
 
-def sample_grid(symbol: PiecewiseSymbol, cfg: Config = DEFAULT,
-                bulk: int | None = None):
+def sample_grid(symbol: PiecewiseSymbol, bulk: int = GRID_POINTS):
     """Sample points inside the pieces, as an ndarray: Chebyshev-style
-    bulk plus dyadic refinement towards every piece endpoint (punctures
-    accumulate)."""
+    bulk, ``bulk`` points shared by the pieces (at least 16 each) and
+    reaching out to GRID_REACH on an infinite piece, plus DYADIC_DEPTH
+    levels of dyadic refinement towards every finite piece end
+    (punctures accumulate)."""
     import numpy as np
 
-    bulk = bulk or cfg.grid_points
     pts = []
-    finite_lo = symbol.domain.lo if math.isfinite(symbol.domain.lo) else None
     for a, b, _ in symbol.pieces:
         aa = a if math.isfinite(a) else min(-GRID_REACH, b - 1)
         bb = b if math.isfinite(b) else max(GRID_REACH, a + 1)
@@ -389,7 +392,7 @@ def sample_grid(symbol: PiecewiseSymbol, cfg: Config = DEFAULT,
         theta = (np.arange(n) + 0.5) * np.pi / n
         pts.append(0.5 * (aa + bb) + 0.5 * (bb - aa) * np.cos(theta))
         width = bb - aa
-        dy = width / 4 * 0.5 ** np.arange(cfg.dyadic_depth)
+        dy = width / 4 * 0.5 ** np.arange(DYADIC_DEPTH)
         if math.isfinite(a):
             pts.append(a + dy)
         if math.isfinite(b):
@@ -480,15 +483,16 @@ def bounded_map_symbol(m: PiecewiseSymbol, verified: dict, f,
 
 
 def redetect_sing_supp(m: PiecewiseSymbol) -> PiecewiseSymbol:
-    """m with each sing_supp point detected anew: declared reg_b at the
-    detected limit where m settles, and kept sing_supp otherwise.  A map
-    applied to an oscillating symbol can settle it: |exp(i/x)| = 1."""
+    """m with each sing_supp point declared as it is detected anew: reg_b
+    at the detected limit where m settles, reg_inf where |m| diverges,
+    and kept sing_supp otherwise.  A map applied to an oscillating symbol
+    can settle it (|exp(i/x)| = 1), and ``combine_symbols`` declares
+    every puncture sing_supp until it is detected."""
     decls = []
     for d in m.declarations:
         if d.cls is PointClass.SING_SUPP:
             det = detect_point(m, d.at)
-            if det.kind is PointClass.REG_B:
-                d = Declaration(d.at, PointClass.REG_B, det.limit)
+            d = Declaration(d.at, det.kind, det.limit)
         decls.append(d)
     return replace(m, declarations=tuple(decls))
 

@@ -57,7 +57,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
 
 from . import gaussian as gq
-from .config import DEFAULT, Config
 from .errors import FactorizationFailed, InnerRoot, NotCoprime
 from .gaussian import Gaussian
 from .transforms import _require_finite, opnorm
@@ -179,28 +178,30 @@ def _circle_roots(q) -> np.ndarray:
 # -- spectral factorization ------------------------------------------------------
 
 
-def _pair(entry: str, p, q, cfg: Config) -> tuple:
+# the largest degree of p and q
+MAX_POLY_DEGREE = 24
+
+
+def _pair(entry: str, p, q) -> tuple:
     """p and q trimmed, as real arrays when no coefficient has an
-    imaginary part and as complex ones otherwise.  A coefficient that is
-    inf or NaN is refused with NonFiniteValue naming ``entry``; q = 0 and
-    a degree above ``max_poly_degree`` with ValueError."""
+    imaginary part and as complex ones otherwise, with the e that puts
+    every coefficient part below 2^e in modulus, and one at least
+    2^(e−1).  Refused in this order: a coefficient that is inf or NaN
+    with NonFiniteValue naming ``entry``; q = 0 and a degree above
+    MAX_POLY_DEGREE with ValueError; p and q with a common root with
+    NotCoprime."""
     _require_finite(entry, p, q)
     p, q = _trim(p), _trim(q)
     if not np.any(q):
         raise ValueError("q is the zero polynomial, so p/q is nowhere defined")
     d = max(len(p), len(q)) - 1
-    if d > cfg.max_poly_degree:
-        raise ValueError(f"degree {d} exceeds the cap {cfg.max_poly_degree}")
-    if np.any(p.imag) or np.any(q.imag):
-        return p, q
-    return p.real, q.real
-
-
-def _scale(p: np.ndarray, q: np.ndarray) -> int:
-    """e with every coefficient part of p and q below 2^e in modulus, and
-    one at least 2^(e−1)."""
+    if d > MAX_POLY_DEGREE:
+        raise ValueError(f"degree {d} exceeds the cap {MAX_POLY_DEGREE}")
+    if not (np.any(p.imag) or np.any(q.imag)):
+        p, q = p.real, q.real
+    check_coprime(p, q)
     top = max(np.abs(a.view(np.float64)).max() for a in (p, q))
-    return int(np.frexp(top)[1])
+    return p, q, int(np.frexp(top)[1])
 
 
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
@@ -251,20 +252,9 @@ def _wilson(c: list, real: bool) -> np.ndarray:
     return r
 
 
-def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
-    """Spectral factor r with |p|²+|q|² = |r|² on the circle.
-
-    r has the Laurent degree of |p|²+|q|², at most max(deg p, deg q), no
-    zeros in the closed unit disc, and the phase that makes q(0)/r(0) >
-    0 (r(0) > 0 if q(0) = 0).  Its coefficients are complex, with zero
-    imaginary parts for a real symbol.  p and q must be coprime
-    (NotCoprime otherwise), so that |p|²+|q|² > 0 on the circle.  A
-    coefficient that is inf or NaN is refused with NonFiniteValue.
-    """
-    p, q = _pair("fejer_riesz", p, q, cfg)
-    check_coprime(p, q)
-    e = _scale(p, q)
-    p, q = _ldexp(p, -e), _ldexp(q, -e)
+def _factor(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``fejer_riesz`` of a pair from ``_pair`` scaled by 2^−e: Wilson's
+    r times the phase of q(0)."""
     # the Laurent coefficients c_k = Σ_j a_{j+k} conj(a_j) of p p̃ + q q̃,
     # exactly, for k = 0..d (c_{−k} = conj(c_k))
     exact = gq.exact(p), gq.exact(q)
@@ -277,14 +267,25 @@ def fejer_riesz(p, q, cfg: Config = DEFAULT) -> np.ndarray:
     rounded = np.abs(_rounded(c, real=False))
     top = int(np.flatnonzero(rounded > np.finfo(float).eps * rounded[0])[-1])
     r = _wilson(c[: top + 1], real=not np.iscomplexobj(p))
-    # r(0) is set by the mean of |p|²+|q|² over |r|² on the circle
-    m = cfg.circle_samples
-    lvals = np.abs(circle_samples(p, m)) ** 2 + np.abs(circle_samples(q, m)) ** 2
-    shape = r / r[0]
-    gamma = np.sqrt(np.mean(lvals / np.abs(circle_samples(shape, m)) ** 2))
     # q(0) = 0 is a root inside the disc, which leaves the phase free
     phase = q[0] / abs(q[0]) if q[0] else 1.0
-    return _ldexp((shape * gamma * phase).astype(complex), e)
+    return (r * phase).astype(complex)
+
+
+def fejer_riesz(p, q) -> np.ndarray:
+    """Spectral factor r with |p|²+|q|² = |r|² on the circle.
+
+    r is Wilson's factor (``_wilson``) of p and q scaled together by a
+    power of two, scaled back, times the phase of q(0): it has the
+    Laurent degree of |p|²+|q|², at most max(deg p, deg q), no zeros in
+    the closed unit disc, and q(0)/r(0) > 0 (r(0) > 0 if q(0) = 0).  Its
+    coefficients are complex, with zero imaginary parts for a real
+    symbol.  p and q are checked as by ``trig_data``: they must be
+    coprime (NotCoprime otherwise), so that |p|²+|q|² > 0 on the circle,
+    and a coefficient that is inf or NaN is refused with NonFiniteValue.
+    """
+    p, q, e = _pair("fejer_riesz", p, q)
+    return _ldexp(_factor(_ldexp(p, -e), _ldexp(q, -e)), e)
 
 
 # The gates of TrigData.failures: the largest residual of |p|² + |q|² =
@@ -331,29 +332,33 @@ class TrigData:
                 + "; ".join(self.failures()))
 
 
-def trig_data(p, q, cfg: Config = DEFAULT) -> TrigData:
-    """Spectral factorization of |p|² + |q|² with its residuals and the
-    distinct roots of q on the circle.  Decided exactly, in this order:
-    NotCoprime when p and q share a root, InnerRoot when q has a root
-    inside the open disc.  A coefficient that is inf or NaN is refused
-    with NonFiniteValue.
+# the points on the circle the residuals of TrigData are read on
+CIRCLE_SAMPLES = 2048
+
+
+def trig_data(p, q) -> TrigData:
+    """Spectral factorization of |p|² + |q|² (``fejer_riesz``) with its
+    residuals and the distinct roots of q on the circle.  p and q are
+    checked and scaled once.  Decided exactly, in this order: NotCoprime
+    when p and q share a root, InnerRoot when q has a root inside the
+    open disc.  A coefficient that is inf or NaN is refused with
+    NonFiniteValue.
 
     Both residuals are read on p, q and r scaled by 2^−e, with 2^e the
     least power of two above every coefficient part, so that nothing
-    squared overflows: ``factor_residual`` is the largest |(|p|² + |q|²)
-    − |r|²| on the circle, relative to 4^e, and ``unit_residual`` the
-    same relative to |r|².
+    squared overflows, at CIRCLE_SAMPLES points: ``factor_residual`` is
+    the largest |(|p|² + |q|²) − |r|²| on the circle, relative to 4^e,
+    and ``unit_residual`` the same relative to |r|².
     """
-    p, q = _pair("trig_data", p, q, cfg)
-    # fejer_riesz decides NotCoprime first; the Newton steps it then
-    # takes cost about a tenth of that gcd, so an InnerRoot found after
-    # them wastes little
-    r = fejer_riesz(p, q, cfg)
+    p, q, e = _pair("trig_data", p, q)
+    scaled = _ldexp(p, -e), _ldexp(q, -e)
+    # the Newton steps after the NotCoprime gcd cost about a tenth of it,
+    # so an InnerRoot found after them wastes little
+    rs = _factor(*scaled)
     circle = _circle_roots(q)
-    e = _scale(p, q)
-    m = cfg.circle_samples
-    pv, qv, rv = (circle_samples(_ldexp(a, -e), m) for a in (p, q, r))
+    pv, qv, rv = (circle_samples(a, CIRCLE_SAMPLES) for a in (*scaled, rs))
     miss = np.abs(np.abs(pv) ** 2 + np.abs(qv) ** 2 - np.abs(rv) ** 2)
+    r = _ldexp(rs, e)
     return TrigData(p, q, r, circle,
                     float(miss.max()),
                     float(np.max(miss / np.abs(rv) ** 2)),
@@ -521,7 +526,7 @@ def _tail_factor(r: np.ndarray, d: int) -> np.ndarray:
 
 
 
-def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
+def toeplitz_aab(p, q, n: int) -> ToeplitzTriple:
     """Truncated transform triple of T_{p/q}:
     A = T_f T_f̄, A_* = 1 - T_g T_ḡ, B = T_g T_f̄ with f = q/r, g = p/r.
 
@@ -533,7 +538,7 @@ def toeplitz_aab(p, q, n: int, cfg: Config = DEFAULT) -> ToeplitzTriple:
     ``TrigData.ok`` raises FactorizationFailed.
     """
     check_truncation_size(n)
-    return aab_from_data(trig_data(p, q, cfg), n)
+    return aab_from_data(trig_data(p, q), n)
 
 
 def aab_from_data(data: TrigData, n: int) -> ToeplitzTriple:
@@ -576,14 +581,14 @@ class AffiliationReport:
         }
 
 
-def affiliation_verdict(p, q, cfg: Config = DEFAULT) -> AffiliationReport:
+def affiliation_verdict(p, q) -> AffiliationReport:
     """Associated always; affiliated iff q has no zero on the circle.
 
     Roots of q inside the open disc violate the construction and raise,
     and so does a factorization that fails ``TrigData.ok``; each distinct
     circle root λ of q gets the character witness |f(λ)|² ≈ 0.
     """
-    data = trig_data(p, q, cfg)
+    data = trig_data(p, q)
     data.require_ok()
     circle = [complex(z) for z in data.circle_roots]
     witnesses = []

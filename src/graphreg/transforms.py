@@ -442,11 +442,13 @@ def aab_forward_symbol(m, cfg: Config = DEFAULT) -> SymbolTriple:
 
 def aab_inverse_symbol(triple: SymbolTriple) -> PiecewiseSymbol:
     """Recover the symbol as the pointwise quotient b/a on the
-    continuity set (the quotient-pair realization t(a·f) = b·f)."""
+    continuity set (the quotient-pair realization t(a·f) = b·f), with
+    each puncture declared as it is detected on b/a
+    (``redetect_sing_supp``), so that it passes its own verification."""
     from . import expressions as ex
-    from .symbols import combine_symbols
+    from .symbols import combine_symbols, redetect_sing_supp
 
-    return combine_symbols(triple.b, triple.a, ex.div)
+    return redetect_sing_supp(combine_symbols(triple.b, triple.a, ex.div))
 
 
 def absolute_value_symbol(m) -> PiecewiseSymbol:

@@ -180,9 +180,9 @@ def test_oversized_experiment_parameters_are_input_errors():
 
 
 @pytest.mark.parametrize("content", [
-    {"grid_points": "abc"}, {"grid_points": -3}, [],
-    {"subspace_tol": True}, {"grid_points": 40.0}, {"zero_tol": float("inf")},
-], ids=["string", "negative", "list", "bool", "float-for-int", "infinite"])
+    {"zero_tol": "abc"}, {"kernel_tol": -3}, [],
+    {"subspace_tol": True}, {"zero_tol": float("inf")},
+], ids=["string", "negative", "list", "bool", "infinite"])
 def test_invalid_config_is_input_error(content, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(content))
@@ -513,16 +513,12 @@ def symbol_files(draw):
     return sym
 
 
-def _config_value(key):
-    kind = type(getattr(DEFAULT, key, 0.0))
-    valid = st.integers(2, 64) if kind is int else st.floats(1e-15, 1e15)
-    junk = st.sampled_from([0, 0.0, -1, 1e-320, True, None, "1", 1e300])
-    return valid | valid | valid | junk
-
-
+_VALID = st.floats(1e-15, 1e15)
+CONFIG_VALUE = _VALID | _VALID | _VALID | st.sampled_from(
+    [0, 0.0, -1, 1e-320, True, None, "1", 1e300])
 CONFIG_KEYS = [*DEFAULT.to_dict(), "bogus"]
 CONFIG_FILES = st.lists(st.sampled_from(CONFIG_KEYS), max_size=3, unique=True).flatmap(
-    lambda keys: st.fixed_dictionaries({k: _config_value(k) for k in keys}))
+    lambda keys: st.fixed_dictionaries(dict.fromkeys(keys, CONFIG_VALUE)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -754,7 +750,7 @@ def test_power_beyond_the_degree_cap_is_refused_before_it_is_formed(capsys):
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert "degree 100000000 exceeds max_poly_degree = 24" in capsys.readouterr().err
+    assert "degree 100000000 exceeds the cap 24" in capsys.readouterr().err
     assert peak < 2 ** 20
     assert time.perf_counter() - start < 1.0
 
@@ -762,19 +758,19 @@ def test_power_beyond_the_degree_cap_is_refused_before_it_is_formed(capsys):
 def test_exact_expansion_parses_a_degree_twelve_power():
     from graphreg.cli import parse_poly
 
-    coeffs = parse_poly("(z-2)^12", DEFAULT)
+    coeffs = parse_poly("(z-2)^12")
     assert coeffs.tolist() == [complex(math.comb(12, k) * (-2) ** (12 - k))
                                for k in range(13)]
 
 
 def test_failed_factorization_is_a_named_check_failure(monkeypatch, capsys):
-    # a factor off by 1e-6 in one coefficient stands in for one that
-    # misses the gate: no input found here does
+    # a factor off by 1e-6 in one coefficient of the scaled pair stands
+    # in for one that misses the gate: no input found here does
     from graphreg import cli, toeplitz
 
-    exact = toeplitz.fejer_riesz
-    monkeypatch.setattr(toeplitz, "fejer_riesz",
-                        lambda p, q, cfg: exact(p, q, cfg) + [0.0, 1e-6])
+    exact = toeplitz._factor
+    monkeypatch.setattr(toeplitz, "_factor",
+                        lambda p, q: exact(p, q) + [0.0, 1e-6])
     assert cli.main(["toeplitz", "1", "2-z", "--N", "64"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("verified failure:") and "unit_residual" in err
@@ -785,7 +781,7 @@ def test_failed_factorization_is_a_named_check_failure(monkeypatch, capsys):
 
 def test_size_caps_follow_the_array_budget():
     from graphreg import cli
-    from graphreg.config import ARRAY_BUDGET, SIZE_CAPS
+    from graphreg.config import ARRAY_BUDGET
 
     # the nine stacked complex residuals of an axiom check
     n = cli.TRANSFORM_MAX_N
@@ -793,9 +789,6 @@ def test_size_caps_follow_the_array_budget():
     # the eight complex n x n arrays of a resolvent check at its peak
     n = cli.RESOLVENT_MAX_N
     assert 8 * 16 * n ** 2 <= ARRAY_BUDGET < 8 * 16 * (n + 1) ** 2
-    # one complex sample vector
-    assert SIZE_CAPS == dict.fromkeys(["grid_points", "circle_samples", "dyadic_depth"],
-                                      ARRAY_BUDGET // 16)
 
 
 def test_float_bits_count_the_binary_orders_of_the_doubles():
@@ -807,22 +800,12 @@ def test_float_bits_count_the_binary_orders_of_the_doubles():
     assert FLOAT_BITS == orders == 2098
 
 
-@pytest.mark.parametrize("key", ["grid_points", "circle_samples", "dyadic_depth"])
-def test_config_size_above_its_cap_is_refused(key):
-    from graphreg.config import SIZE_CAPS, Config
-
-    cap = SIZE_CAPS[key]
-    assert getattr(Config.from_dict({key: cap}), key) == cap
-    with pytest.raises(ValueError, match=f"{key} must be at most {cap}"):
-        Config.from_dict({key: cap + 1})
-    with pytest.raises(ValueError, match=f"{key} must be at most {cap}"):
-        Config.from_dict({key: 10 ** 30})
-
-
-# the sampling detector's settings, gone with it
+# the sampling detector's settings, gone with it, and the sample sizes and
+# degree cap, now constants beside the code that reads them
 REMOVED_KEYS = ["limit_tol", "blowup", "osc_rel_var", "approach_steps",
                 "approach_start", "tail_samples", "inf_start", "inf_reach",
-                "vanish_window", "vanish_tol"]
+                "vanish_window", "vanish_tol", "grid_points", "dyadic_depth",
+                "circle_samples", "max_poly_degree"]
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -837,10 +820,14 @@ def test_removed_detector_setting_is_an_unknown_key(key, tmp_path, capsys):
         f"config error: unknown config keys: ['{key}']")
 
 
-def test_config_has_nine_fields():
-    from graphreg.config import Config
+def test_config_has_five_float_fields():
+    from graphreg.config import DEFAULT, Config
 
-    assert len(dataclasses.fields(Config)) == 9
+    assert [f.name for f in dataclasses.fields(Config)] == [
+        "subspace_tol", "kernel_tol", "residual_tol", "zero_tol",
+        "value_agreement_tol"]
+    assert all(f.type == "float" and type(getattr(DEFAULT, f.name)) is float
+               for f in dataclasses.fields(Config))
 
 
 def test_removed_symbol_residual_tol_is_an_unknown_key():
@@ -871,7 +858,7 @@ def test_toeplitz_command_builds_one_triple(monkeypatch, capsys):
     monkeypatch.setattr(toeplitz, "aab_from_data",
                         lambda data, n: built.append(n) or aab(data, n))
     monkeypatch.setattr(toeplitz, "trig_data",
-                        lambda p, q, cfg: factored.append(1) or trig(p, q, cfg))
+                        lambda p, q: factored.append(1) or trig(p, q))
     assert cli.main(["toeplitz", "1", "1-z", "--N", "64"]) == 0
     assert built == [64] and len(factored) == 1
     residuals = json.loads(capsys.readouterr().out)["results"]["residuals"]
@@ -923,19 +910,6 @@ def test_unparsable_polynomial_is_quoted_in_part(capsys):
     err = capsys.readouterr().err
     assert f"{text[:cli.ECHO_CHARS]!r}…" in err
     assert len(err) < 2 * cli.ECHO_CHARS + 100
-
-
-def test_config_size_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
-    # the cap is lowered so that a failed refusal would still be small
-    from graphreg import cli, config
-
-    monkeypatch.setitem(config.SIZE_CAPS, "grid_points", 100)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_points": 101}))
-    assert cli.main(["--quiet", "--config", str(cfg), "analyze",
-                     "--catalog", "x"]) == 1
-    assert capsys.readouterr().err.startswith(
-        "config error: grid_points must be at most 100")
 
 
 @pytest.mark.parametrize("name, value, lo, hi, ok", [

@@ -414,10 +414,10 @@ def test_expansion_is_exact(text, coeffs):
 # the constructs that are not polynomial operations are refused through the
 # CLI in tests/test_cli.py; these are the bounds on what a polynomial may reach
 @pytest.mark.parametrize("text, message", [
-    ("z^25", "degree 25 exceeds max_poly_degree = 24"),
-    ("(z^5)*(z^20)", "degree 25 exceeds max_poly_degree = 24"),
+    ("z^25", "degree 25 exceeds the cap 24"),
+    ("(z^5)*(z^20)", "degree 25 exceeds the cap 24"),
     # a constant's power counts its exponent as a degree
-    ("2^25", "degree 25 exceeds max_poly_degree = 24"),
+    ("2^25", "degree 25 exceeds the cap 24"),
     ("(((1.0000000000000002^24)^24)^24)^24", "needs more than 52450 bits"),
     ("((2^24)^24)^2", "overflows binary64"),
 ])

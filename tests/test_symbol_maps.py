@@ -32,10 +32,12 @@ from graphreg.symbols import (
     interval,
     real_line,
     regularity_report,
+    symbol_equivalent,
     verify_symbol,
 )
 from graphreg.transforms import (
     aab_forward_symbol,
+    aab_inverse_symbol,
     absolute_value_symbol,
     bounded_transform_symbol,
     functional_calculus_symbol,
@@ -335,6 +337,17 @@ def test_bounded_transform_matches_reference(name):
     assert bt.extendable_at == extendable
     assert list(bt.extendable_at) == list(extendable)
     assert bt.adjointable == all(extendable.values())
+
+
+@pytest.mark.parametrize("name", GRAPH_REGULAR)
+def test_inverse_symbol_transform_reads_back(name):
+    # b/a declares each of its punctures as detected there, so the
+    # verifier accepts it: the same operator as m, with m's point classes
+    m = SYMBOLS[name]
+    inverse = aab_inverse_symbol(aab_forward_symbol(m))
+    assert symbol_equivalent(inverse, m)
+    assert ({d.at: d.cls for d in inverse.declarations}
+            == {d.at: d.cls for d in m.declarations})
 
 
 @pytest.mark.parametrize("op", [ex.add, ex.sub, ex.mul, ex.div])

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from graphreg import toeplitz
-from graphreg.config import DEFAULT
 from graphreg.errors import (
     FactorizationFailed,
     InnerRoot,
@@ -52,15 +53,15 @@ def test_trivial_factorization():
     ([0.0, 0.5], [1.0]), ([3.0], [5.0]), ([0.6], [-0.8]), ([0.3j], [2.0]),
     ([0.0, 0.0, 1.0], [-2.0 + 1.0j]), ([0.0], [1.0 - 1.0j]),
 ])
-def test_constant_factor_is_gamma_times_the_phase_of_q0(p, q):
-    # |p|² + |q|² is a constant γ² on the circle, so r = γ·q(0)/|q(0)|,
-    # bit for bit, through the general root pairing with no root
+def test_constant_factor_is_sqrt_c0_times_the_phase_of_q0(p, q):
+    # |p|² + |q|² is the constant c₀ = ‖p‖² + ‖q‖² on the circle, so r =
+    # √c₀·q(0)/|q(0)|, bit for bit, with c₀ exact and rounded once
     q0 = complex(q[0])
-    lvals = (np.abs(circle_samples(p, DEFAULT.circle_samples)) ** 2
-             + np.abs(circle_samples(q, DEFAULT.circle_samples)) ** 2)
+    c0 = sum(Fraction(complex(a).real) ** 2 + Fraction(complex(a).imag) ** 2
+             for a in p + q)
     r = fejer_riesz(p, q)
     assert r.dtype == complex
-    assert np.array_equal(r, [np.sqrt(lvals.mean()) * (q0 / abs(q0))])
+    assert np.array_equal(r, [math.sqrt(c0) * (q0 / abs(q0))])
 
 
 def test_golden_ratio_instance():
@@ -653,11 +654,11 @@ def test_large_symbol_near_its_circle_zero_is_factored():
 
 
 def test_failed_factorization_is_refused(monkeypatch):
-    # a factor off by 1e-6 in one coefficient stands in for one that
-    # misses the gate: no input found here does
-    exact = toeplitz.fejer_riesz
-    monkeypatch.setattr(toeplitz, "fejer_riesz",
-                        lambda p, q, cfg: exact(p, q, cfg) + [0.0, 1e-6])
+    # a factor off by 1e-6 in one coefficient of the scaled pair stands
+    # in for one that misses the gate: no input found here does
+    exact = toeplitz._factor
+    monkeypatch.setattr(toeplitz, "_factor",
+                        lambda p, q: exact(p, q) + [0.0, 1e-6])
     data = trig_data([1.0], [2.0, -1.0])
     assert not data.ok
     assert data.failures()[0].startswith("unit_residual")
@@ -665,6 +666,20 @@ def test_failed_factorization_is_refused(monkeypatch):
         affiliation_verdict([1.0], [2.0, -1.0])
     with pytest.raises(FactorizationFailed):
         toeplitz_aab([1.0], [2.0, -1.0], 64)
+
+
+def test_trig_data_checks_the_pair_once(monkeypatch):
+    # one _pair call trims, checks and scales p and q, and decides
+    # NotCoprime once; the factor is fejer_riesz's, bit for bit
+    calls = []
+    pair, coprime = toeplitz._pair, toeplitz.check_coprime
+    monkeypatch.setattr(toeplitz, "_pair",
+                        lambda *args: calls.append("_pair") or pair(*args))
+    monkeypatch.setattr(toeplitz, "check_coprime",
+                        lambda p, q: calls.append("check_coprime") or coprime(p, q))
+    data = trig_data([1.0, 0.0, 1.0], [3.0, -2.0, -1.0])
+    assert calls == ["_pair", "check_coprime"]
+    assert np.array_equal(data.r, fejer_riesz([1.0, 0.0, 1.0], [3.0, -2.0, -1.0]))
 
 
 @pytest.mark.parametrize("p, q", [
